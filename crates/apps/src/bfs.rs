@@ -13,9 +13,7 @@
 //! - **pbbs**: handwritten deterministic level-synchronous BFS with
 //!   priority-write parent selection (deterministic BFS tree).
 
-use galois_core::{
-    Ctx, ExecError, Executor, ManifestRecorder, MarkTable, OpResult, Probe, RunReport,
-};
+use galois_core::{Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, RunReport};
 use galois_graph::csr::NodeId;
 use galois_graph::{AtomicArray, CsrGraph};
 use galois_runtime::pool::{chunk_range, run_on_threads};
@@ -30,58 +28,32 @@ pub fn seq(g: &CsrGraph, source: NodeId) -> Vec<u32> {
     g.bfs_distances(source)
 }
 
-/// The shared Galois operator, run under whichever schedule `exec` selects.
+/// The shared Galois operator, run under whichever schedule `exec` selects
+/// with no observers attached: [`run`] with empty [`Hooks`].
 ///
 /// Returns the distance array and the run report. Use an executor with
 /// [`galois_core::Schedule::Speculative`] for `g-n` or
-/// [`galois_core::Schedule::Deterministic`] for `g-d`.
-pub fn galois(g: &CsrGraph, source: NodeId, exec: &Executor) -> (Vec<u32>, RunReport) {
-    try_galois(g, source, exec).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fault-surfacing variant of [`galois`]: operator panics, livelocks and
-/// quarantine overflows come back as [`ExecError`] instead of unwinding.
-/// Under the deterministic schedule the error is byte-identical at any
-/// thread count.
+/// [`galois_core::Schedule::Deterministic`] for `g-d`. Operator panics,
+/// livelocks and quarantine overflows come back as [`ExecError`] instead of
+/// unwinding; under the deterministic schedule the error is byte-identical
+/// at any thread count.
 pub fn try_galois(
     g: &CsrGraph,
     source: NodeId,
     exec: &Executor,
 ) -> Result<(Vec<u32>, RunReport), ExecError> {
-    galois_impl(g, source, exec, None, None)
+    run(g, source, exec, Hooks::default())
 }
 
-/// [`try_galois`] with an external [`Probe`] attached to the run, so
-/// harnesses (e.g. the `bench_all` rounds suite) can observe per-round
-/// records — window, commit counts, phase timings — without changing the
+/// [`try_galois`] with the caller's observers attached: a probe sees
+/// per-round records (window, commit counts, phase timings), a recorder
+/// captures or replay-verifies the canonical hash chain. Neither changes the
 /// executed schedule.
-pub fn try_galois_probed(
+pub fn run(
     g: &CsrGraph,
     source: NodeId,
     exec: &Executor,
-    probe: &mut dyn Probe,
-) -> Result<(Vec<u32>, RunReport), ExecError> {
-    galois_impl(g, source, exec, Some(probe), None)
-}
-
-/// [`try_galois`] with a [`ManifestRecorder`] attached via
-/// [`galois_core::LoopSpec::record`], capturing (or replay-verifying) the
-/// run's canonical hash chain for record/replay.
-pub fn try_galois_recorded(
-    g: &CsrGraph,
-    source: NodeId,
-    exec: &Executor,
-    recorder: &mut ManifestRecorder,
-) -> Result<(Vec<u32>, RunReport), ExecError> {
-    galois_impl(g, source, exec, None, Some(recorder))
-}
-
-fn galois_impl(
-    g: &CsrGraph,
-    source: NodeId,
-    exec: &Executor,
-    probe: Option<&mut dyn Probe>,
-    recorder: Option<&mut ManifestRecorder>,
+    hooks: Hooks<'_>,
 ) -> Result<(Vec<u32>, RunReport), ExecError> {
     let n = g.num_nodes();
     let dist = AtomicArray::new_filled(n, INFINITY);
@@ -107,16 +79,10 @@ fn galois_impl(
         }
         Ok(())
     };
-    let spec = exec.iterate(vec![(source, 0)]);
-    let spec = match probe {
-        Some(p) => spec.probe(p),
-        None => spec,
-    };
-    let spec = match recorder {
-        Some(r) => spec.record(r),
-        None => spec,
-    };
-    let report = spec.try_run(&marks, &op)?;
+    let report = exec
+        .iterate(vec![(source, 0)])
+        .hooks(hooks)
+        .try_run(&marks, &op)?;
     Ok((dist.snapshot(), report))
 }
 
@@ -285,7 +251,7 @@ mod tests {
             let exec = Executor::new()
                 .threads(threads)
                 .schedule(Schedule::Speculative);
-            let (dist, report) = galois(&g, 0, &exec);
+            let (dist, report) = try_galois(&g, 0, &exec).unwrap();
             verify(&g, 0, &dist).unwrap();
             assert!(report.stats.committed >= 500);
         }
@@ -299,7 +265,7 @@ mod tests {
             let exec = Executor::new()
                 .threads(threads)
                 .schedule(Schedule::deterministic());
-            let (dist, report) = galois(&g, 0, &exec);
+            let (dist, report) = try_galois(&g, 0, &exec).unwrap();
             verify(&g, 0, &dist).unwrap();
             // Portability: identical schedule statistics at every thread count.
             if let Some((pd, pc)) = &prev {
@@ -339,7 +305,7 @@ mod tests {
         // Two disconnected components.
         let g = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]);
         let exec = Executor::new().schedule(Schedule::deterministic());
-        let (dist, _) = galois(&g, 0, &exec);
+        let (dist, _) = try_galois(&g, 0, &exec).unwrap();
         assert_eq!(dist, vec![0, 1, INFINITY, INFINITY]);
         let (dist, _, _) = pbbs(&g, 0, 2, false);
         assert_eq!(dist, vec![0, 1, INFINITY, INFINITY]);

@@ -12,9 +12,7 @@
 //! All variants keep the mesh Delaunay; output equality across thread
 //! counts is checked on the canonical geometric form.
 
-use galois_core::{
-    Abort, Ctx, ExecError, Executor, ManifestRecorder, MarkTable, OpResult, RunReport,
-};
+use galois_core::{Abort, Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, RunReport};
 use galois_geometry::predicates::orient2d_sign;
 use galois_geometry::tri::{circumcenter, is_bad};
 use galois_geometry::Point;
@@ -30,7 +28,7 @@ use std::sync::Mutex;
 /// square corners, triangulated sequentially, with arena headroom for
 /// refinement.
 pub fn make_input(n: usize, seed: u64) -> Mesh {
-    let pts = galois_geometry::point::random_points(n, seed);
+    let pts = crate::dt::make_input(n, seed);
     // Headroom for in-place refinement. Refining to a 30° minimum angle on
     // random inputs is aggressive (30° is past Ruppert's guarantee); the
     // observed growth factor is ~16x vertices at n=2000 and falls with n.
@@ -91,35 +89,19 @@ fn insertion_point<E>(
     }
 }
 
-/// The shared Galois operator for dmr, run under `exec`'s schedule.
+/// The shared Galois operator for dmr, run under `exec`'s schedule with no
+/// observers attached: [`run`] with empty [`Hooks`].
 ///
-/// Refines `mesh` in place and returns the run report.
-pub fn galois(mesh: &Mesh, exec: &Executor) -> RunReport {
-    try_galois(mesh, exec).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fault-surfacing variant of [`galois`]: operator panics, livelocks and
-/// quarantine overflows come back as [`ExecError`] instead of unwinding.
+/// Refines `mesh` in place and returns the run report. Operator panics,
+/// livelocks and quarantine overflows come back as [`ExecError`] instead of
+/// unwinding.
 pub fn try_galois(mesh: &Mesh, exec: &Executor) -> Result<RunReport, ExecError> {
-    galois_impl(mesh, exec, None)
+    run(mesh, exec, Hooks::default())
 }
 
-/// [`try_galois`] with a [`ManifestRecorder`] attached via
-/// [`galois_core::LoopSpec::record`], capturing (or replay-verifying) the
-/// run's canonical hash chain for record/replay.
-pub fn try_galois_recorded(
-    mesh: &Mesh,
-    exec: &Executor,
-    recorder: &mut ManifestRecorder,
-) -> Result<RunReport, ExecError> {
-    galois_impl(mesh, exec, Some(recorder))
-}
-
-fn galois_impl(
-    mesh: &Mesh,
-    exec: &Executor,
-    recorder: Option<&mut ManifestRecorder>,
-) -> Result<RunReport, ExecError> {
+/// [`try_galois`] with the caller's observers attached (per-round probe,
+/// record/replay recorder); neither changes the executed schedule.
+pub fn run(mesh: &Mesh, exec: &Executor, hooks: Hooks<'_>) -> Result<RunReport, ExecError> {
     let marks = MarkTable::new(mesh.tri_capacity());
     let initial = check::bad_triangles(mesh);
 
@@ -171,12 +153,17 @@ fn galois_impl(
         Ok(())
     };
 
-    let spec = exec.iterate(initial);
-    let spec = match recorder {
-        Some(r) => spec.record(r),
-        None => spec,
-    };
-    spec.try_run(&marks, &op)
+    exec.iterate(initial).hooks(hooks).try_run(&marks, &op)
+}
+
+/// Checks that `mesh` is a structurally valid Delaunay mesh in which no bad
+/// triangle survived refinement.
+pub fn verify(mesh: &Mesh) -> Result<(), String> {
+    crate::dt::verify(mesh)?;
+    match check::quality(mesh).bad {
+        0 => Ok(()),
+        bad => Err(format!("{bad} bad triangles survive refinement")),
+    }
 }
 
 /// Statistics of the PBBS-style deterministic dmr.
@@ -362,7 +349,7 @@ mod tests {
         let before = check::quality(&mesh);
         assert!(before.bad > 0, "input should contain bad triangles");
         let exec = Executor::new().schedule(Schedule::Serial);
-        let report = galois(&mesh, &exec);
+        let report = try_galois(&mesh, &exec).unwrap();
         refined_ok(&mesh);
         assert!(report.stats.committed as usize >= before.bad);
     }
@@ -374,7 +361,7 @@ mod tests {
             let exec = Executor::new()
                 .threads(threads)
                 .schedule(Schedule::Speculative);
-            galois(&mesh, &exec);
+            try_galois(&mesh, &exec).unwrap();
             refined_ok(&mesh);
         }
     }
@@ -387,7 +374,7 @@ mod tests {
             let exec = Executor::new()
                 .threads(threads)
                 .schedule(Schedule::deterministic());
-            galois(&mesh, &exec);
+            try_galois(&mesh, &exec).unwrap();
             refined_ok(&mesh);
             let c = check::canonical_triangles(&mesh);
             if let Some(prev) = &canon {
@@ -420,7 +407,7 @@ mod tests {
         let mesh = galois_mesh::build::triangulate(&[]);
         assert_eq!(check::quality(&mesh).bad, 0);
         let exec = Executor::new().schedule(Schedule::Serial);
-        let report = galois(&mesh, &exec);
+        let report = try_galois(&mesh, &exec).unwrap();
         assert_eq!(report.stats.committed, 0);
         assert_eq!(mesh.num_tris_alive(), 2);
     }
@@ -438,7 +425,7 @@ mod growth_probe {
         let q0 = check::quality(&mesh);
         let v0 = mesh.num_verts();
         let exec = Executor::new().schedule(Schedule::Serial);
-        let report = galois(&mesh, &exec);
+        let report = try_galois(&mesh, &exec).unwrap();
         let q1 = check::quality(&mesh);
         eprintln!("before: {q0:?} verts={v0}");
         eprintln!(

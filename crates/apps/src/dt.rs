@@ -11,14 +11,12 @@
 //! [`galois_mesh::check::canonical_triangles`]); the variants differ in
 //! schedule, work, and determinism of the *execution*.
 
-use galois_core::{
-    Abort, Ctx, ExecError, Executor, ManifestRecorder, MarkTable, OpResult, RunReport,
-};
+use galois_core::{Abort, Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, RunReport};
 use galois_geometry::brio::brio_order;
 use galois_geometry::Point;
 use galois_mesh::build::{first_alive, square_mesh};
 use galois_mesh::cavity::{grow, locate, retriangulate, Cavity, LocateOutcome};
-use galois_mesh::{GridLocator, Mesh};
+use galois_mesh::{check, GridLocator, Mesh};
 use galois_runtime::pool::{chunk_range, run_on_threads};
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -35,6 +33,13 @@ fn pow2_at_least(v: usize) -> usize {
     v.next_power_of_two()
 }
 
+/// The dt input family: `n` uniform random points in the unit square. dmr
+/// refines the triangulation of the same family
+/// ([`crate::dmr::make_input`]).
+pub fn make_input(n: usize, seed: u64) -> Vec<Point> {
+    galois_geometry::point::random_points(n, seed)
+}
+
 /// Sequential baseline: BRIO order + Bowyer–Watson (Figure 8's dt row).
 pub fn seq(points: &[Point], brio_seed: u64) -> Mesh {
     let order = brio_order(points, brio_seed);
@@ -45,40 +50,27 @@ pub fn seq(points: &[Point], brio_seed: u64) -> Mesh {
     b.into_mesh()
 }
 
-/// The shared Galois operator for dt, run under `exec`'s schedule.
+/// The shared Galois operator for dt, run under `exec`'s schedule with no
+/// observers attached: [`run`] with empty [`Hooks`].
 ///
-/// Returns the finished hull mesh and the run report.
-pub fn galois(points: &[Point], brio_seed: u64, exec: &Executor) -> (Mesh, RunReport) {
-    try_galois(points, brio_seed, exec).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fault-surfacing variant of [`galois`]: operator panics, livelocks and
-/// quarantine overflows come back as [`ExecError`] instead of unwinding.
+/// Returns the finished hull mesh and the run report. Operator panics,
+/// livelocks and quarantine overflows come back as [`ExecError`] instead of
+/// unwinding.
 pub fn try_galois(
     points: &[Point],
     brio_seed: u64,
     exec: &Executor,
 ) -> Result<(Mesh, RunReport), ExecError> {
-    galois_impl(points, brio_seed, exec, None)
+    run(points, brio_seed, exec, Hooks::default())
 }
 
-/// [`try_galois`] with a [`ManifestRecorder`] attached via
-/// [`galois_core::LoopSpec::record`], capturing (or replay-verifying) the
-/// run's canonical hash chain for record/replay.
-pub fn try_galois_recorded(
+/// [`try_galois`] with the caller's observers attached (per-round probe,
+/// record/replay recorder); neither changes the executed schedule.
+pub fn run(
     points: &[Point],
     brio_seed: u64,
     exec: &Executor,
-    recorder: &mut ManifestRecorder,
-) -> Result<(Mesh, RunReport), ExecError> {
-    galois_impl(points, brio_seed, exec, Some(recorder))
-}
-
-fn galois_impl(
-    points: &[Point],
-    brio_seed: u64,
-    exec: &Executor,
-    recorder: Option<&mut ManifestRecorder>,
+    hooks: Hooks<'_>,
 ) -> Result<(Mesh, RunReport), ExecError> {
     let order = brio_order(points, brio_seed);
     let tasks: Vec<Point> = order.iter().map(|&i| points[i]).collect();
@@ -123,13 +115,14 @@ fn galois_impl(
         Ok(())
     };
 
-    let spec = exec.iterate(tasks);
-    let spec = match recorder {
-        Some(r) => spec.record(r),
-        None => spec,
-    };
-    let report = spec.try_run(&marks, &op)?;
+    let report = exec.iterate(tasks).hooks(hooks).try_run(&marks, &op)?;
     Ok((mesh, report))
+}
+
+/// Checks that `mesh` is a structurally valid Delaunay triangulation.
+pub fn verify(mesh: &Mesh) -> Result<(), String> {
+    check::validate(mesh).map_err(|e| format!("structure: {e}"))?;
+    check::check_delaunay(mesh).map_err(|e| format!("Delaunay property: {e}"))
 }
 
 /// Statistics of the PBBS-style deterministic dt.
@@ -306,7 +299,7 @@ mod tests {
         let pts = pts();
         let expect = check::canonical_triangles(&seq(&pts, 5));
         let exec = Executor::new().schedule(Schedule::Serial);
-        let (mesh, report) = galois(&pts, 5, &exec);
+        let (mesh, report) = try_galois(&pts, 5, &exec).unwrap();
         check::validate(&mesh).unwrap();
         check::check_delaunay(&mesh).unwrap();
         assert_eq!(check::canonical_triangles(&mesh), expect);
@@ -321,7 +314,7 @@ mod tests {
             let exec = Executor::new()
                 .threads(threads)
                 .schedule(Schedule::Speculative);
-            let (mesh, report) = galois(&pts, 5, &exec);
+            let (mesh, report) = try_galois(&pts, 5, &exec).unwrap();
             check::validate(&mesh).unwrap();
             check::check_delaunay(&mesh).unwrap();
             assert_eq!(
@@ -341,7 +334,7 @@ mod tests {
             let exec = Executor::new()
                 .threads(threads)
                 .schedule(Schedule::deterministic());
-            let (mesh, report) = galois(&pts, 5, &exec);
+            let (mesh, report) = try_galois(&pts, 5, &exec).unwrap();
             check::validate(&mesh).unwrap();
             check::check_delaunay(&mesh).unwrap();
             assert_eq!(
@@ -386,7 +379,7 @@ mod tests {
         let exec = Executor::new()
             .threads(2)
             .schedule(Schedule::deterministic());
-        let (mesh2, _) = galois(&three, 1, &exec);
+        let (mesh2, _) = try_galois(&three, 1, &exec).unwrap();
         assert_eq!(
             check::canonical_triangles(&mesh),
             check::canonical_triangles(&mesh2)

@@ -16,6 +16,11 @@
 //! variants are handwritten determinism-by-construction implementations on
 //! [`pbbs_det`] primitives. The `seq` variants are the optimized sequential
 //! baselines of Figure 8.
+//!
+//! Each app exports two executor entry points: `run`, which takes the
+//! caller's [`galois_core::Hooks`], and `try_galois`, the hook-less call of
+//! it. [`recipe`] owns everything else a surface needs to run an app by
+//! name.
 
 #![warn(missing_docs)]
 
@@ -25,6 +30,9 @@ pub mod dt;
 pub mod mis;
 pub mod mm;
 pub mod pfp;
+pub mod recipe;
+
+pub use recipe::App;
 
 /// Names a benchmark variant in reports and tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

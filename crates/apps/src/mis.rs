@@ -6,9 +6,7 @@
 //! processing order. The PBBS comparator computes the lexicographically
 //! first MIS deterministically (§4.1 notes it is data-parallel).
 
-use galois_core::{
-    Ctx, ExecError, Executor, ManifestRecorder, MarkTable, OpResult, Probe, RunReport,
-};
+use galois_core::{Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, RunReport};
 use galois_graph::csr::NodeId;
 use galois_graph::{AtomicArray, CsrGraph};
 use pbbs_det::{speculative_for, SpecForStats, Step};
@@ -46,45 +44,21 @@ pub fn seq(g: &CsrGraph) -> Vec<u32> {
 /// Lonestar `mis`; under [`galois_core::Schedule::Deterministic`] (with node
 /// ids as pre-assigned priorities, §3.3) the committed order — and therefore
 /// the set — is deterministic.
-pub fn galois(g: &CsrGraph, exec: &Executor) -> (Vec<u32>, RunReport) {
-    try_galois(g, exec).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fault-surfacing variant of [`galois`]: operator panics, livelocks and
-/// quarantine overflows come back as [`ExecError`] instead of unwinding.
-/// Under the deterministic schedule the error is byte-identical at any
+///
+/// This is [`run`] with empty [`Hooks`]. Operator panics, livelocks and
+/// quarantine overflows come back as [`ExecError`] instead of unwinding;
+/// under the deterministic schedule the error is byte-identical at any
 /// thread count.
 pub fn try_galois(g: &CsrGraph, exec: &Executor) -> Result<(Vec<u32>, RunReport), ExecError> {
-    galois_impl(g, exec, None, None)
+    run(g, exec, Hooks::default())
 }
 
-/// [`try_galois`] with an external [`Probe`] attached to the run, so
-/// harnesses (e.g. the `bench_all` rounds suite) can observe per-round
-/// records without changing the executed schedule.
-pub fn try_galois_probed(
+/// [`try_galois`] with the caller's observers attached (per-round probe,
+/// record/replay recorder); neither changes the executed schedule.
+pub fn run(
     g: &CsrGraph,
     exec: &Executor,
-    probe: &mut dyn Probe,
-) -> Result<(Vec<u32>, RunReport), ExecError> {
-    galois_impl(g, exec, Some(probe), None)
-}
-
-/// [`try_galois`] with a [`ManifestRecorder`] attached via
-/// [`galois_core::LoopSpec::record`], capturing (or replay-verifying) the
-/// run's canonical hash chain for record/replay.
-pub fn try_galois_recorded(
-    g: &CsrGraph,
-    exec: &Executor,
-    recorder: &mut ManifestRecorder,
-) -> Result<(Vec<u32>, RunReport), ExecError> {
-    galois_impl(g, exec, None, Some(recorder))
-}
-
-fn galois_impl(
-    g: &CsrGraph,
-    exec: &Executor,
-    probe: Option<&mut dyn Probe>,
-    recorder: Option<&mut ManifestRecorder>,
+    hooks: Hooks<'_>,
 ) -> Result<(Vec<u32>, RunReport), ExecError> {
     let n = g.num_nodes();
     let flags = AtomicArray::new_filled(n, state::UNDECIDED);
@@ -111,16 +85,11 @@ fn galois_impl(
         Ok(())
     };
     let tasks: Vec<NodeId> = g.nodes().collect();
-    let spec = exec.iterate(tasks).with_ids(|v| *v as u64, n);
-    let spec = match probe {
-        Some(p) => spec.probe(p),
-        None => spec,
-    };
-    let spec = match recorder {
-        Some(r) => spec.record(r),
-        None => spec,
-    };
-    let report = spec.try_run(&marks, &op)?;
+    let report = exec
+        .iterate(tasks)
+        .with_ids(|v| *v as u64, n)
+        .hooks(hooks)
+        .try_run(&marks, &op)?;
     Ok((flags.snapshot(), report))
 }
 
@@ -218,7 +187,7 @@ mod tests {
             let exec = Executor::new()
                 .threads(threads)
                 .schedule(Schedule::Speculative);
-            let (flags, report) = galois(&g, &exec);
+            let (flags, report) = try_galois(&g, &exec).unwrap();
             verify(&g, &flags).unwrap();
             assert_eq!(report.stats.committed, 400);
         }
@@ -232,7 +201,7 @@ mod tests {
             let exec = Executor::new()
                 .threads(threads)
                 .schedule(Schedule::deterministic());
-            let (flags, _) = galois(&g, &exec);
+            let (flags, _) = try_galois(&g, &exec).unwrap();
             verify(&g, &flags).unwrap();
             if let Some(p) = &prev {
                 assert_eq!(
@@ -261,7 +230,7 @@ mod tests {
         let (flags, _) = pbbs(&g, 2, false);
         assert_eq!(flags, vec![state::IN]);
         let exec = Executor::new().schedule(Schedule::deterministic());
-        let (flags, _) = galois(&g, &exec);
+        let (flags, _) = try_galois(&g, &exec).unwrap();
         assert_eq!(flags, vec![state::IN]);
     }
 

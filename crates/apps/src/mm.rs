@@ -13,7 +13,7 @@
 //! - **pbbs**: deterministic reservations over edges with edge-index
 //!   priorities — exactly the sequential greedy outcome, in parallel.
 
-use galois_core::{Ctx, ExecError, Executor, ManifestRecorder, MarkTable, OpResult, RunReport};
+use galois_core::{Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, RunReport};
 use galois_graph::csr::NodeId;
 use galois_graph::{AtomicArray, CsrGraph};
 use pbbs_det::{speculative_for, SpecForStats, Step};
@@ -49,31 +49,19 @@ pub fn seq(g: &CsrGraph) -> Vec<u32> {
 }
 
 /// The shared Galois operator: task = edge, neighborhood = its endpoints.
-pub fn galois(g: &CsrGraph, exec: &Executor) -> (Vec<u32>, RunReport) {
-    try_galois(g, exec).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fault-surfacing variant of [`galois`]: operator panics, livelocks and
+///
+/// This is [`run`] with empty [`Hooks`]. Operator panics, livelocks and
 /// quarantine overflows come back as [`ExecError`] instead of unwinding.
 pub fn try_galois(g: &CsrGraph, exec: &Executor) -> Result<(Vec<u32>, RunReport), ExecError> {
-    galois_impl(g, exec, None)
+    run(g, exec, Hooks::default())
 }
 
-/// [`try_galois`] with a [`ManifestRecorder`] attached via
-/// [`galois_core::LoopSpec::record`], capturing (or replay-verifying) the
-/// run's canonical hash chain for record/replay.
-pub fn try_galois_recorded(
+/// [`try_galois`] with the caller's observers attached (per-round probe,
+/// record/replay recorder); neither changes the executed schedule.
+pub fn run(
     g: &CsrGraph,
     exec: &Executor,
-    recorder: &mut ManifestRecorder,
-) -> Result<(Vec<u32>, RunReport), ExecError> {
-    galois_impl(g, exec, Some(recorder))
-}
-
-fn galois_impl(
-    g: &CsrGraph,
-    exec: &Executor,
-    recorder: Option<&mut ManifestRecorder>,
+    hooks: Hooks<'_>,
 ) -> Result<(Vec<u32>, RunReport), ExecError> {
     let mate = AtomicArray::new_filled(g.num_nodes(), UNMATCHED);
     let marks = MarkTable::new(g.num_nodes());
@@ -89,12 +77,7 @@ fn galois_impl(
         }
         Ok(())
     };
-    let spec = exec.iterate(edges);
-    let spec = match recorder {
-        Some(r) => spec.record(r),
-        None => spec,
-    };
-    let report = spec.try_run(&marks, &op)?;
+    let report = exec.iterate(edges).hooks(hooks).try_run(&marks, &op)?;
     Ok((mate.snapshot(), report))
 }
 
@@ -197,7 +180,7 @@ mod tests {
             let exec = Executor::new()
                 .threads(threads)
                 .schedule(Schedule::Speculative);
-            let (mate, report) = galois(&g, &exec);
+            let (mate, report) = try_galois(&g, &exec).unwrap();
             verify(&g, &mate).unwrap();
             assert_eq!(report.stats.committed as usize, edge_list(&g).len());
         }
@@ -211,7 +194,7 @@ mod tests {
             let exec = Executor::new()
                 .threads(threads)
                 .schedule(Schedule::deterministic());
-            let (mate, _) = galois(&g, &exec);
+            let (mate, _) = try_galois(&g, &exec).unwrap();
             verify(&g, &mate).unwrap();
             if let Some(p) = &prev {
                 assert_eq!(&mate, p, "matching changed at {threads} threads");

@@ -13,7 +13,7 @@
 //!   global relabeling *bouts* (the global relabeling heuristic of
 //!   Cherkassky & Goldberg, the paper's reference 13).
 
-use galois_core::{Ctx, ExecError, Executor, ManifestRecorder, MarkTable, OpResult, RunReport};
+use galois_core::{Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, RunReport};
 use galois_graph::csr::NodeId;
 use galois_graph::FlowNetwork;
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
@@ -249,36 +249,37 @@ pub struct PfpReport {
     pub reports: Vec<RunReport>,
 }
 
+impl PfpReport {
+    /// Takes every bout's round log (present when the executor recorded
+    /// rounds), in bout order — together one run's monotone round sequence.
+    pub fn take_round_logs(&mut self) -> Vec<galois_core::RoundLog> {
+        self.reports
+            .iter_mut()
+            .filter_map(|bout| bout.take_round_log())
+            .collect()
+    }
+}
+
 /// The Galois preflow-push: executor bouts alternating with global
-/// relabeling. Resets the network first; returns `(flow value, report)`.
-pub fn galois(net: &FlowNetwork, exec: &Executor) -> (i64, PfpReport) {
-    try_galois(net, exec).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fault-surfacing variant of [`galois`]: operator panics, livelocks and
-/// quarantine overflows in any bout come back as [`ExecError`] instead of
-/// unwinding. Quarantine counters from completed bouts are merged into the
-/// report before the faulting bout's error is returned.
+/// relabeling, with no observers attached ([`run`] with empty [`Hooks`]).
+/// Resets the network first; returns `(flow value, report)`.
+///
+/// Operator panics, livelocks and quarantine overflows in any bout come back
+/// as [`ExecError`] instead of unwinding. Quarantine counters from completed
+/// bouts are merged into the report before the faulting bout's error is
+/// returned.
 pub fn try_galois(net: &FlowNetwork, exec: &Executor) -> Result<(i64, PfpReport), ExecError> {
-    galois_impl(net, exec, None)
+    run(net, exec, Hooks::default())
 }
 
-/// [`try_galois`] with a [`ManifestRecorder`] attached via
-/// [`galois_core::LoopSpec::record`]. Preflow-push runs *multiple* executor
-/// bouts; the same recorder rides every bout, so the manifest's hash chain
-/// spans the whole multi-bout run as one monotone sequence.
-pub fn try_galois_recorded(
+/// [`try_galois`] with the caller's observers attached. Preflow-push runs
+/// *multiple* executor bouts; the same hooks ride every bout, so a probe
+/// sees — and a recorder's hash chain spans — the whole multi-bout run as
+/// one monotone sequence.
+pub fn run(
     net: &FlowNetwork,
     exec: &Executor,
-    recorder: &mut ManifestRecorder,
-) -> Result<(i64, PfpReport), ExecError> {
-    galois_impl(net, exec, Some(recorder))
-}
-
-fn galois_impl(
-    net: &FlowNetwork,
-    exec: &Executor,
-    mut recorder: Option<&mut ManifestRecorder>,
+    mut hooks: Hooks<'_>,
 ) -> Result<(i64, PfpReport), ExecError> {
     net.reset();
     let n = net.num_nodes();
@@ -366,14 +367,11 @@ fn galois_impl(
             Ok(())
         };
 
-        let spec = exec.iterate(active).with_ids(|v| *v as u64, n);
-        // Reborrow the recorder per bout: every bout chains into the same
-        // hash sequence.
-        let spec = match recorder.as_deref_mut() {
-            Some(r) => spec.record(r),
-            None => spec,
-        };
-        let report = spec.try_run(&marks, &op)?;
+        let report = exec
+            .iterate(active)
+            .with_ids(|v| *v as u64, n)
+            .hooks(hooks.reborrow())
+            .try_run(&marks, &op)?;
         out.stats.committed += report.stats.committed;
         out.stats.aborted += report.stats.aborted;
         out.stats.atomic_updates += report.stats.atomic_updates;
@@ -391,6 +389,19 @@ fn galois_impl(
     drain_excess(net, &state);
     let flow = state.e(net.sink() as usize);
     Ok((flow, out))
+}
+
+/// Checks that the flow left in `net` is a valid assignment (capacity and
+/// conservation) and that its value is the `reported` one.
+pub fn verify(net: &FlowNetwork, reported: i64) -> Result<(), String> {
+    let recomputed = net.verify_flow()?;
+    if recomputed == reported {
+        Ok(())
+    } else {
+        Err(format!(
+            "reported flow {reported} != recomputed {recomputed}"
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -426,7 +437,7 @@ mod tests {
             let exec = Executor::new()
                 .threads(threads)
                 .schedule(Schedule::Speculative);
-            let (flow, report) = galois(&net, &exec);
+            let (flow, report) = try_galois(&net, &exec).unwrap();
             assert_eq!(flow, expect, "threads {threads}");
             assert!(report.stats.committed > 0);
             net.verify_flow().unwrap();
@@ -443,7 +454,7 @@ mod tests {
             let exec = Executor::new()
                 .threads(threads)
                 .schedule(Schedule::deterministic());
-            let (flow, report) = galois(&net, &exec);
+            let (flow, report) = try_galois(&net, &exec).unwrap();
             assert_eq!(flow, expect, "threads {threads}");
             let sig = (report.stats.committed, report.bouts);
             if let Some(p) = &prev {
@@ -464,7 +475,7 @@ mod tests {
         let (flow, _) = seq(&net);
         assert_eq!(flow, 5);
         let exec = Executor::new().schedule(Schedule::deterministic());
-        let (flow, _) = galois(&net, &exec);
+        let (flow, _) = try_galois(&net, &exec).unwrap();
         assert_eq!(flow, 5);
     }
 
@@ -474,7 +485,7 @@ mod tests {
         let (flow, _) = seq(&net);
         assert_eq!(flow, 0);
         let exec = Executor::new().schedule(Schedule::Speculative);
-        let (flow, _) = galois(&net, &exec);
+        let (flow, _) = try_galois(&net, &exec).unwrap();
         assert_eq!(flow, 0);
     }
 }

@@ -1,0 +1,272 @@
+//! The run recipe of each application: the one home of per-app facts.
+//!
+//! "The program and its input" — what a deterministic run's output is a
+//! function of — is, per app: the executor shape it runs under (locality
+//! spread, worklist), its input family (default size, identity key,
+//! generator call), and how a finished run is verified and hashed. Every
+//! surface that runs an app by name (differential harness, `galois` CLI,
+//! `galois-serve`, benches) looks those facts up here, so a CLI run, a served
+//! request and a recorded manifest name the same computation.
+//!
+//! A new observer is a [`Hooks`] field and a new surface is a caller of
+//! [`App::run`] — never another per-app entry point.
+
+use crate::{bfs, dmr, dt, mis, mm, pfp};
+use galois_core::{
+    DetOptions, ExecError, Executor, Hooks, RoundLog, RunReport, Schedule, WorklistPolicy,
+};
+use galois_graph::cache::{self, CacheOutcome};
+use galois_graph::{gen, CsrGraph, FlowNetwork};
+use galois_mesh::Mesh;
+use galois_runtime::fingerprint::{hash_u32s, Fnv64};
+use galois_runtime::stats::ExecStats;
+use std::fmt;
+use std::path::Path;
+use std::sync::{Arc, Mutex};
+
+/// The benchmark applications (§4.1 of the paper, plus maximal matching).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum App {
+    /// Breadth-first search labelling.
+    Bfs,
+    /// Maximal independent set.
+    Mis,
+    /// Maximal matching.
+    Mm,
+    /// Delaunay triangulation.
+    Dt,
+    /// Delaunay mesh refinement.
+    Dmr,
+    /// Preflow-push max-flow.
+    Pfp,
+}
+
+/// An app's input, materialized for (potentially repeated) execution.
+#[derive(Clone)]
+pub enum Input {
+    /// CSR graph (bfs directed, mis/mm undirected) — immutable, shared.
+    Graph(Arc<CsrGraph>),
+    /// Point set for Delaunay triangulation, plus the BRIO seed.
+    Points {
+        /// The points themselves.
+        pts: Arc<Vec<galois_geometry::point::Point>>,
+        /// Seed for the biased randomized insertion order.
+        seed: u64,
+    },
+    /// A mesh *recipe* for dmr: refinement consumes the mesh, so only the
+    /// generator parameters are kept and the mesh is rebuilt per run.
+    MeshSpec {
+        /// Input point count.
+        n: usize,
+        /// Generator seed.
+        seed: u64,
+    },
+    /// Flow network for pfp — shareable but exclusive: a run locks it and
+    /// resets the residual state before executing.
+    Flow(Arc<Mutex<FlowNetwork>>),
+}
+
+/// A completed, verified run, reduced to what cross-run comparison needs.
+#[derive(Debug)]
+pub struct Finished {
+    /// Hash of the app's output (distances, flags, mates, canonical mesh
+    /// geometry, flow value).
+    pub output_hash: u64,
+    /// The run's round logs when the executor recorded rounds — one per
+    /// executor pass (pfp runs one pass per bout).
+    pub logs: Vec<RoundLog>,
+    /// Executor statistics, merged across passes.
+    pub stats: ExecStats,
+}
+
+impl Finished {
+    fn one_pass(output_hash: u64, mut report: RunReport) -> Finished {
+        Finished {
+            output_hash,
+            logs: report.take_round_log().into_iter().collect(),
+            stats: report.stats,
+        }
+    }
+}
+
+fn hash_mesh(mesh: &Mesh) -> u64 {
+    let mut h = Fnv64::new();
+    for tri in galois_mesh::check::canonical_triangles(mesh) {
+        for (x, y) in tri {
+            h.write_i64(x);
+            h.write_i64(y);
+        }
+    }
+    h.finish()
+}
+
+impl App {
+    /// Every app, in the order the harness sweeps them.
+    pub const ALL: [App; 6] = [App::Bfs, App::Mis, App::Mm, App::Dt, App::Dmr, App::Pfp];
+
+    /// Lowercase name used on command lines, in manifests and over HTTP.
+    pub fn name(self) -> &'static str {
+        match self {
+            App::Bfs => "bfs",
+            App::Mis => "mis",
+            App::Mm => "mm",
+            App::Dt => "dt",
+            App::Dmr => "dmr",
+            App::Pfp => "pfp",
+        }
+    }
+
+    /// Inverse of [`name`](Self::name).
+    pub fn from_name(name: &str) -> Option<App> {
+        App::ALL.into_iter().find(|a| a.name() == name)
+    }
+
+    /// The executor this app runs under at `threads` workers: `schedule`
+    /// with the app's locality spread (dt/dmr tasks adjacent in creation
+    /// order have overlapping cavities, so their ids are spread across
+    /// rounds — §3.3) and the app's worklist (label-correcting bfs and
+    /// wave-propagating pfp need breadth-like order under speculation; the
+    /// deterministic and serial schedulers never read it).
+    pub fn executor(self, schedule: Schedule, threads: usize) -> Executor {
+        let (locality_spread, worklist) = match self {
+            App::Dt | App::Dmr => (16, WorklistPolicy::Lifo),
+            App::Bfs | App::Pfp => (1, WorklistPolicy::Fifo),
+            App::Mis | App::Mm => (1, WorklistPolicy::Lifo),
+        };
+        let schedule = match schedule {
+            Schedule::Deterministic(opts) => Schedule::Deterministic(DetOptions {
+                locality_spread,
+                ..opts
+            }),
+            other => other,
+        };
+        Executor::new()
+            .threads(threads)
+            .schedule(schedule)
+            .worklist(worklist)
+    }
+
+    /// The size (nodes / points) of this app's default corpus input — what a
+    /// manifest's `size: 0` means.
+    pub fn default_size(self) -> usize {
+        match self {
+            App::Bfs => 2_000,
+            App::Mis | App::Mm => 1_500,
+            App::Dt => 300,
+            App::Dmr => 120,
+            App::Pfp => 96,
+        }
+    }
+
+    /// The canonical identity of the size-`n`, seed-`seed` input: the string
+    /// on-disk cache files are named by and a manifest pins. mis and mm
+    /// share one undirected graph family, hence one key.
+    pub fn input_key(self, n: usize, seed: u64) -> String {
+        match self {
+            App::Bfs => format!("uniform-n{n}-d5-s{seed}"),
+            App::Mis | App::Mm => format!("uniform-und-n{n}-d4-s{seed}"),
+            App::Dt => format!("points-n{n}-s{seed}"),
+            App::Dmr => format!("mesh-n{n}-s{seed}"),
+            App::Pfp => format!("flowrand-n{n}-d4-c100-s{seed}"),
+        }
+    }
+
+    /// Builds the input [`input_key`](Self::input_key) names, on
+    /// `build_threads` threads (the parallel generators are byte-identical
+    /// for every value), through the on-disk cache in `cache_dir` when one
+    /// is given. The point-set inputs (dt, dmr) are too cheap to cache and
+    /// always report [`CacheOutcome::Disabled`].
+    pub fn materialize(
+        self,
+        n: usize,
+        seed: u64,
+        build_threads: usize,
+        cache_dir: Option<&Path>,
+    ) -> (Input, CacheOutcome) {
+        let key = self.input_key(n, seed);
+        let graph = |(g, cached)| (Input::Graph(Arc::new(g)), cached);
+        match self {
+            App::Bfs => graph(cache::load_or_build_graph(cache_dir, &key, || {
+                gen::uniform_random_parallel(n, 5, seed, build_threads)
+            })),
+            App::Mis | App::Mm => graph(cache::load_or_build_graph(cache_dir, &key, || {
+                gen::uniform_random_undirected_parallel(n, 4, seed, build_threads)
+            })),
+            App::Dt => {
+                let pts = Arc::new(dt::make_input(n, seed));
+                (Input::Points { pts, seed }, CacheOutcome::Disabled)
+            }
+            App::Dmr => (Input::MeshSpec { n, seed }, CacheOutcome::Disabled),
+            App::Pfp => {
+                let (net, cached) = cache::load_or_build_flow(cache_dir, &key, || {
+                    FlowNetwork::random_parallel(n, 4, 100, seed, build_threads)
+                });
+                (Input::Flow(Arc::new(Mutex::new(net))), cached)
+            }
+        }
+    }
+
+    /// Runs this app's operator under `exec` over `input` with `hooks`
+    /// attached, verifies the output with the app's own verifier and hashes
+    /// it. Three endings: outer `Err` = the output failed verification (or
+    /// `input` is another app's kind), inner `Err` = a contained executor
+    /// fault (no output to verify), inner `Ok` = a verified [`Finished`].
+    pub fn run(
+        self,
+        exec: &Executor,
+        input: &Input,
+        hooks: Hooks<'_>,
+    ) -> Result<Result<Finished, ExecError>, String> {
+        // Each arm: the app's verifier verdict beside the reduced run.
+        let ran = match (self, input) {
+            (App::Bfs, Input::Graph(g)) => bfs::run(g, 0, exec, hooks).map(|(dist, r)| {
+                let verdict = bfs::verify(g, 0, &dist);
+                (verdict, Finished::one_pass(hash_u32s(&dist), r))
+            }),
+            (App::Mis, Input::Graph(g)) => mis::run(g, exec, hooks).map(|(flags, r)| {
+                let verdict = mis::verify(g, &flags);
+                (verdict, Finished::one_pass(hash_u32s(&flags), r))
+            }),
+            (App::Mm, Input::Graph(g)) => mm::run(g, exec, hooks).map(|(mate, r)| {
+                let verdict = mm::verify(g, &mate);
+                (verdict, Finished::one_pass(hash_u32s(&mate), r))
+            }),
+            (App::Dt, Input::Points { pts, seed }) => dt::run(pts, *seed, exec, hooks)
+                .map(|(mesh, r)| (dt::verify(&mesh), Finished::one_pass(hash_mesh(&mesh), r))),
+            (App::Dmr, Input::MeshSpec { n, seed }) => {
+                let mesh = dmr::make_input(*n, *seed);
+                dmr::run(&mesh, exec, hooks)
+                    .map(|r| (dmr::verify(&mesh), Finished::one_pass(hash_mesh(&mesh), r)))
+            }
+            (App::Pfp, Input::Flow(net)) => {
+                // Exclusive: pfp writes flow state into the network's
+                // atomics (and resets them first), so a shared network
+                // serves one run at a time.
+                let net = net.lock().expect("a pfp run panicked holding its network");
+                pfp::run(&net, exec, hooks).map(|(flow, mut r)| {
+                    let mut h = Fnv64::new();
+                    h.write_i64(flow);
+                    let finished = Finished {
+                        output_hash: h.finish(),
+                        logs: r.take_round_logs(),
+                        stats: r.stats,
+                    };
+                    (pfp::verify(&net, flow), finished)
+                })
+            }
+            _ => return Err(format!("input does not match app {self} — keys crossed")),
+        };
+        let (verdict, finished) = match ran {
+            Ok(ran) => ran,
+            Err(fault) => return Ok(Err(fault)),
+        };
+        verdict.map_err(|e| format!("{self}: {e}"))?;
+        Ok(Ok(finished))
+    }
+}
+
+impl fmt::Display for App {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}

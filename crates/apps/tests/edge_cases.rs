@@ -30,7 +30,7 @@ fn bfs_on_grid_all_schedules() {
     let g = gen::grid2d(25, 17);
     let expect = g.bfs_distances(0);
     for (name, exec) in all_schedules() {
-        let (dist, _) = bfs::galois(&g, 0, &exec);
+        let (dist, _) = bfs::try_galois(&g, 0, &exec).unwrap();
         assert_eq!(dist, expect, "{name}");
     }
 }
@@ -39,7 +39,7 @@ fn bfs_on_grid_all_schedules() {
 fn bfs_single_node_and_self_contained_source() {
     let g = CsrGraph::from_edges(1, &[]);
     for (name, exec) in all_schedules() {
-        let (dist, report) = bfs::galois(&g, 0, &exec);
+        let (dist, report) = bfs::try_galois(&g, 0, &exec).unwrap();
         assert_eq!(dist, vec![0], "{name}");
         assert_eq!(report.stats.committed, 1, "{name}: just the source task");
     }
@@ -67,7 +67,7 @@ fn mis_on_complete_graph_is_singleton() {
     }
     let g = CsrGraph::symmetrized(n as usize, &edges);
     for (name, exec) in all_schedules() {
-        let (flags, _) = mis::galois(&g, &exec);
+        let (flags, _) = mis::try_galois(&g, &exec).unwrap();
         mis::verify(&g, &flags).unwrap();
         let in_count = flags.iter().filter(|&&f| f == mis::state::IN).count();
         assert_eq!(in_count, 1, "{name}: complete graph has singleton MIS");
@@ -95,7 +95,7 @@ fn dt_collinear_points() {
     check::check_delaunay(&mesh).unwrap();
     let expect = check::canonical_triangles(&mesh);
     for (name, exec) in all_schedules() {
-        let (m, _) = dt::galois(&pts, 1, &exec);
+        let (m, _) = dt::try_galois(&pts, 1, &exec).unwrap();
         assert_eq!(check::canonical_triangles(&m), expect, "{name}");
     }
 }
@@ -125,7 +125,7 @@ fn dt_duplicate_heavy_input() {
     let q = Point::from_grid(9_000_000, 2_000_000);
     let pts = vec![p, q, p, q, p, q, p];
     for (name, exec) in all_schedules() {
-        let (mesh, report) = dt::galois(&pts, 3, &exec);
+        let (mesh, report) = dt::try_galois(&pts, 3, &exec).unwrap();
         assert_eq!(report.stats.committed, 7, "{name}");
         assert_eq!(mesh.num_verts(), 4 + 2, "{name}: two distinct points");
         check::validate(&mesh).unwrap();
@@ -146,7 +146,7 @@ fn dmr_refines_boundary_heavy_mesh() {
     let exec = Executor::new()
         .threads(2)
         .schedule(Schedule::deterministic());
-    dmr::galois(&mesh, &exec);
+    dmr::try_galois(&mesh, &exec).unwrap();
     check::validate(&mesh).unwrap();
     check::check_delaunay(&mesh).unwrap();
     assert_eq!(check::quality(&mesh).bad, 0);
@@ -159,7 +159,7 @@ fn pfp_rmf_all_schedules_agree() {
     let expect = net.edmonds_karp();
     assert!(expect > 0);
     for (name, exec) in all_schedules() {
-        let (flow, _) = pfp::galois(&net, &exec);
+        let (flow, _) = pfp::try_galois(&net, &exec).unwrap();
         assert_eq!(flow, expect, "{name}");
         net.verify_flow().unwrap();
     }
@@ -176,6 +176,6 @@ fn pfp_saturated_single_path() {
     let exec = Executor::new()
         .threads(2)
         .schedule(Schedule::deterministic());
-    let (flow, _) = pfp::galois(&net, &exec);
+    let (flow, _) = pfp::try_galois(&net, &exec).unwrap();
     assert_eq!(flow, 3);
 }

@@ -23,7 +23,7 @@ fn main() {
                 ..Default::default()
             }));
         let pts = inputs::dt_points(scale);
-        let (_mesh, r) = dt::galois(&pts, inputs::SEED, &exec);
+        let (_mesh, r) = dt::try_galois(&pts, inputs::SEED, &exec).unwrap();
         table.row(vec![
             "dt".into(),
             stride.to_string(),
@@ -32,7 +32,7 @@ fn main() {
             f(r.stats.abort_ratio()),
         ]);
         let mesh = inputs::dmr_mesh(scale);
-        let r = dmr::galois(&mesh, &exec);
+        let r = dmr::try_galois(&mesh, &exec).unwrap();
         table.row(vec![
             "dmr".into(),
             stride.to_string(),

@@ -39,12 +39,12 @@ fn main() {
     let mut run = |app: &str, window: &str, exec: &Executor| {
         let (elapsed, rounds, ratio) = match app {
             "mis" => {
-                let (_out, r) = mis::galois(&g, exec);
+                let (_out, r) = mis::try_galois(&g, exec).unwrap();
                 (r.stats.elapsed, r.stats.rounds, r.stats.abort_ratio())
             }
             _ => {
                 let mesh = inputs::dmr_mesh(mesh_scale);
-                let r = dmr::galois(&mesh, exec);
+                let r = dmr::try_galois(&mesh, exec).unwrap();
                 (r.stats.elapsed, r.stats.rounds, r.stats.abort_ratio())
             }
         };

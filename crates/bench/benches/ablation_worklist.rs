@@ -27,7 +27,7 @@ fn main() {
             .threads(galois_bench::max_threads())
             .schedule(Schedule::Speculative)
             .worklist(policy);
-        let (_dist, r) = bfs::galois(&g, 0, &exec);
+        let (_dist, r) = bfs::try_galois(&g, 0, &exec).unwrap();
         let committed = r.stats.committed;
         let blowup = match baseline {
             None => {

@@ -10,7 +10,7 @@
 //! wall time at one thread drifts more between separate sweeps than the
 //! effect size, so pairs are run back-to-back and the median is reported).
 
-use galois_bench::drivers::{measure, App, Opts};
+use galois_bench::drivers::{measure, Opts, PAPER_APPS};
 use galois_bench::tables::{f, median, Table};
 use galois_bench::Variant;
 
@@ -21,7 +21,7 @@ fn main() {
     println!("== Figure 10: g-d without the continuation optimization (scale {scale}) ==\n");
     let mut table = Table::new(&["app", "median t(no-cont)/t(cont)", "per-rep ratios"]);
     let mut all_medians = Vec::new();
-    for app in App::ALL {
+    for app in PAPER_APPS {
         let mut ratios = Vec::new();
         for _ in 0..REPS {
             let with = measure(app, Variant::GaloisDet, 1, scale, Opts::default())

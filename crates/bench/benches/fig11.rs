@@ -11,7 +11,7 @@
 use cache_sim::{Hierarchy, HierarchyConfig};
 use galois_bench::drivers::Opts;
 use galois_bench::tables::{f, Table};
-use galois_bench::{max_threads, measure, scale, App, Variant};
+use galois_bench::{max_threads, measure, scale, Variant, PAPER_APPS};
 
 fn main() {
     let scale = scale();
@@ -22,7 +22,7 @@ fn main() {
     let mut table = Table::new(&[
         "app", "variant", "accesses", "l1-hit%", "l3-hit%", "dram", "dram%",
     ]);
-    for app in App::ALL {
+    for app in PAPER_APPS {
         for variant in [Variant::GaloisNondet, Variant::GaloisDet] {
             let Some(m) = measure(
                 app,

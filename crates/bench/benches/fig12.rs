@@ -16,7 +16,7 @@ use cache_sim::{Hierarchy, HierarchyConfig};
 use galois_bench::drivers::Opts;
 use galois_bench::sweep::{run_sweep, thread_points};
 use galois_bench::tables::{f, median, Table};
-use galois_bench::{max_threads, measure, App, Variant};
+use galois_bench::{max_threads, measure, Variant, PAPER_APPS};
 use galois_runtime::simtime::MachineProfile;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
 
     // DRAM counts per app/variant from recorded access streams.
     let mut dram = std::collections::HashMap::new();
-    for app in App::ALL {
+    for app in PAPER_APPS {
         for variant in [Variant::GaloisNondet, Variant::GaloisDet] {
             let Some(m) = measure(
                 app,
@@ -50,7 +50,7 @@ fn main() {
     let data = run_sweep(scale, false);
     let mut table = Table::new(&["app", "dram_gn/dram_gd", "samples", "B0", "B1", "R^2"]);
     let mut r2s = Vec::new();
-    for app in App::ALL {
+    for app in PAPER_APPS {
         let (Some(&pc_ref), Some(&pc_var)) = (
             dram.get(&(app, Variant::GaloisNondet)),
             dram.get(&(app, Variant::GaloisDet)),

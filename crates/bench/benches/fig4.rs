@@ -9,7 +9,7 @@
 
 use galois_bench::drivers::Opts;
 use galois_bench::tables::{f, Table};
-use galois_bench::{max_threads, measure, scale, App, Variant};
+use galois_bench::{max_threads, measure, scale, variants, Variant, PAPER_APPS};
 
 fn main() {
     let scale = scale();
@@ -28,8 +28,8 @@ fn main() {
         "abort-ratio",
         "rounds",
     ]);
-    for app in App::ALL {
-        for &variant in app.variants() {
+    for app in PAPER_APPS {
+        for &variant in variants(app) {
             if variant == Variant::Seq {
                 continue;
             }

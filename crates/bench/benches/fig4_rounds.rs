@@ -18,7 +18,7 @@
 
 use galois_bench::drivers::Opts;
 use galois_bench::tables::{f, round_log_table};
-use galois_bench::{measure, scale, App, Variant};
+use galois_bench::{measure, scale, Variant, PAPER_APPS};
 
 const SHOW_ROUNDS: usize = 12;
 
@@ -30,7 +30,7 @@ fn main() {
         ..Default::default()
     };
     println!("== Figure 4 companion: per-round schedule logs, g-d (scale {scale}) ==\n");
-    for app in App::ALL {
+    for app in PAPER_APPS {
         let Some(m) = measure(app, Variant::GaloisDet, 2, scale, opts) else {
             continue;
         };

@@ -9,7 +9,7 @@
 
 use galois_bench::sweep::{run_sweep, thread_points};
 use galois_bench::tables::{f, load_bench_jsonl, rounds_metric_name, Table};
-use galois_bench::{App, Variant};
+use galois_bench::{variants, Variant, PAPER_APPS};
 use galois_runtime::simtime::MachineProfile;
 
 /// The checked-in `BENCH_rounds.json` baselines, keyed by the canonical
@@ -81,8 +81,8 @@ fn main() {
         header.extend(pts.iter().map(|p| format!("p={p}")));
         let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
         let mut table = Table::new(&header_refs);
-        for app in App::ALL {
-            for &variant in app.variants() {
+        for app in PAPER_APPS {
+            for &variant in variants(app) {
                 if variant == Variant::Seq {
                     continue;
                 }
@@ -105,8 +105,8 @@ fn main() {
     // recorded one-thread traces of the bulk-synchronous variants.
     println!("-- leader-serial fraction of round work (from 1-thread traces) --");
     let mut serial = Table::new(&["app", "variant", "serial fraction"]);
-    for app in App::ALL {
-        for &variant in app.variants() {
+    for app in PAPER_APPS {
+        for &variant in variants(app) {
             // Every (app, variant) gets a row: a measurement gap renders as
             // "-" instead of silently vanishing from the table.
             let frac = data

@@ -7,15 +7,15 @@
 
 use galois_bench::drivers::Opts;
 use galois_bench::tables::{f, Table};
-use galois_bench::{measure, scale, App};
+use galois_bench::{measure, scale, variants, PAPER_APPS};
 
 fn main() {
     let scale = scale();
     println!("== Figure 8: one-thread times in milliseconds (scale {scale}) ==\n");
     let mut table = Table::new(&["app", "variant", "time-ms"]);
-    for app in App::ALL {
+    for app in PAPER_APPS {
         let mut best: Option<(String, f64)> = None;
-        for &variant in app.variants() {
+        for &variant in variants(app) {
             let Some(m) = measure(app, variant, 1, scale, Opts::default()) else {
                 continue;
             };

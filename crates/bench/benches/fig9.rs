@@ -7,7 +7,7 @@
 
 use galois_bench::sweep::{run_sweep, thread_points};
 use galois_bench::tables::{f, median, Table};
-use galois_bench::{App, Variant};
+use galois_bench::{variants, App, Variant, PAPER_APPS};
 use galois_runtime::simtime::MachineProfile;
 
 fn main() {
@@ -25,8 +25,8 @@ fn main() {
     for machine in &MachineProfile::ALL {
         let pts = thread_points(machine);
         let imax = *pts.last().unwrap();
-        for app in App::ALL {
-            if !app.variants().contains(&Variant::Pbbs) {
+        for app in PAPER_APPS {
+            if !variants(app).contains(&Variant::Pbbs) {
                 continue; // pfp has no PBBS comparator
             }
             for variant in [Variant::GaloisNondet, Variant::GaloisDet] {

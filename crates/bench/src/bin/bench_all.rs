@@ -24,8 +24,8 @@
 
 use galois_apps::{bfs, mis};
 use galois_bench::tables::rounds_metric_name;
-use galois_bench::{inputs, suites, tables};
-use galois_core::{Executor, Probe, RoundRecord, RunReport, Schedule};
+use galois_bench::{inputs, suites, tables, App};
+use galois_core::{Executor, Hooks, Probe, RoundRecord, RunReport, Schedule};
 use galois_graph::CsrGraph;
 use galois_runtime::simtime::ExecTrace;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -130,33 +130,17 @@ fn mean(v: &[f64]) -> f64 {
     v.iter().sum::<f64>() / v.len() as f64
 }
 
-fn det_exec(threads: usize, trace: bool) -> Executor {
-    Executor::new()
-        .threads(threads)
-        .schedule(Schedule::deterministic())
+fn det_exec(app: App, threads: usize, trace: bool) -> Executor {
+    app.executor(Schedule::deterministic(), threads)
         .record_trace(trace)
 }
 
-enum AppRun {
-    Bfs(CsrGraph),
-    Mis(CsrGraph),
-}
-
-impl AppRun {
-    fn name(&self) -> &'static str {
-        match self {
-            AppRun::Bfs(_) => "bfs",
-            AppRun::Mis(_) => "mis",
-        }
-    }
-
-    fn run(&self, exec: &Executor, probe: Option<&mut dyn Probe>) -> RunReport {
-        match (self, probe) {
-            (AppRun::Bfs(g), Some(p)) => bfs::try_galois_probed(g, 0, exec, p).unwrap().1,
-            (AppRun::Bfs(g), None) => bfs::galois(g, 0, exec).1,
-            (AppRun::Mis(g), Some(p)) => mis::try_galois_probed(g, exec, p).unwrap().1,
-            (AppRun::Mis(g), None) => mis::galois(g, exec).1,
-        }
+/// Runs graph app `app` (the rounds suite covers bfs and mis) over `g`.
+fn run(app: App, g: &CsrGraph, exec: &Executor, hooks: Hooks<'_>) -> RunReport {
+    match app {
+        App::Bfs => bfs::run(g, 0, exec, hooks).unwrap().1,
+        App::Mis => mis::run(g, exec, hooks).unwrap().1,
+        other => unreachable!("the rounds suite does not cover {other}"),
     }
 }
 
@@ -174,19 +158,27 @@ fn emit(out: &mut String, name: &str, median: f64, mean: f64, samples: usize) {
 /// Per-round metrics for one app at one thread count: a probed + traced
 /// run supplies barrier and allocation counts; `wall_samples` clean runs
 /// supply the per-round wall time.
-fn rounds_for(app: &AppRun, threads: usize, wall_samples: usize, out: &mut String) {
+fn rounds_for(app: App, g: &CsrGraph, threads: usize, wall_samples: usize, out: &mut String) {
     // Barrier counts come from a traced run, allocation counts from an
     // untraced probed run: recording the trace itself appends to a
     // round-traces vector, which would charge harness bookkeeping to the
     // scheduler's allocation budget.
-    let traced = app.run(&det_exec(threads, true), None);
+    let traced = run(app, g, &det_exec(app, threads, true), Hooks::default());
     let barriers: Vec<f64> = match &traced.trace {
         Some(ExecTrace::Rounds(rt)) => rt.iter().map(|r| f64::from(r.barriers)).collect(),
         _ => panic!("deterministic run must record a rounds trace"),
     };
 
     let mut probe = SnapProbe::new();
-    let report = app.run(&det_exec(threads, false), Some(&mut probe));
+    let report = run(
+        app,
+        g,
+        &det_exec(app, threads, false),
+        Hooks {
+            probe: Some(&mut probe),
+            ..Hooks::default()
+        },
+    );
     let rounds = report.stats.rounds.max(1);
 
     // Round r's record arrives in round r+1's serial section, so a delta
@@ -211,7 +203,7 @@ fn rounds_for(app: &AppRun, threads: usize, wall_samples: usize, out: &mut Strin
 
     let walls: Vec<f64> = (0..wall_samples)
         .map(|_| {
-            let r = app.run(&det_exec(threads, false), None);
+            let r = run(app, g, &det_exec(app, threads, false), Hooks::default());
             r.stats.elapsed.as_nanos() as f64 / r.stats.rounds.max(1) as f64
         })
         .collect();
@@ -252,13 +244,13 @@ fn refresh_rounds(path: &Path) {
         .and_then(|s| s.parse().ok())
         .unwrap_or(5);
     let apps = [
-        AppRun::Bfs(inputs::bfs_graph(scale)),
-        AppRun::Mis(inputs::mis_graph(scale)),
+        (App::Bfs, inputs::bfs_graph(scale)),
+        (App::Mis, inputs::mis_graph(scale)),
     ];
     let mut out = String::new();
-    for app in &apps {
+    for (app, g) in &apps {
         for threads in [1usize, 2, 4, 8] {
-            rounds_for(app, threads, wall_samples, &mut out);
+            rounds_for(*app, g, threads, wall_samples, &mut out);
         }
     }
     let mut f = std::fs::File::create(path).unwrap();

@@ -6,48 +6,24 @@ use galois_core::{Executor, RoundLog, RunReport, Schedule};
 use galois_runtime::simtime::{ExecTrace, RoundTrace};
 use std::time::{Duration, Instant};
 
-/// The five benchmark applications (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum App {
-    /// Breadth-first search labelling.
-    Bfs,
-    /// Delaunay mesh refinement.
-    Dmr,
-    /// Delaunay triangulation.
-    Dt,
-    /// Maximal independent set.
-    Mis,
-    /// Preflow-push max-flow.
-    Pfp,
-}
+pub use galois_apps::App;
 
-impl App {
-    /// All applications, in the paper's presentation order.
-    pub const ALL: [App; 5] = [App::Bfs, App::Dmr, App::Dt, App::Mis, App::Pfp];
+/// The five applications the paper evaluates (§4.1), in its presentation
+/// order. (Maximal matching, the sixth [`App`], is this repo's extension
+/// and has no figure.)
+pub const PAPER_APPS: [App; 5] = [App::Bfs, App::Dmr, App::Dt, App::Mis, App::Pfp];
 
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            App::Bfs => "bfs",
-            App::Dmr => "dmr",
-            App::Dt => "dt",
-            App::Mis => "mis",
-            App::Pfp => "pfp",
-        }
-    }
-
-    /// The variants the paper evaluates for this app (§4.1: pfp has no PBBS
-    /// counterpart).
-    pub fn variants(&self) -> &'static [Variant] {
-        match self {
-            App::Pfp => &[Variant::Seq, Variant::GaloisNondet, Variant::GaloisDet],
-            _ => &[
-                Variant::Seq,
-                Variant::GaloisNondet,
-                Variant::GaloisDet,
-                Variant::Pbbs,
-            ],
-        }
+/// The variants the paper evaluates for `app` (§4.1: pfp has no PBBS
+/// counterpart).
+pub fn variants(app: App) -> &'static [Variant] {
+    match app {
+        App::Pfp => &[Variant::Seq, Variant::GaloisNondet, Variant::GaloisDet],
+        _ => &[
+            Variant::Seq,
+            Variant::GaloisNondet,
+            Variant::GaloisDet,
+            Variant::Pbbs,
+        ],
     }
 }
 
@@ -130,29 +106,13 @@ fn executor(app: App, variant: Variant, threads: usize, opts: Opts) -> Executor 
         Variant::GaloisNondet => Schedule::Speculative,
         Variant::GaloisDet => Schedule::Deterministic(galois_core::DetOptions {
             continuation: !opts.no_continuation,
-            // The §3.3 locality-spreading optimization: dt/dmr tasks adjacent
-            // in creation order have overlapping cavities, so the generated
-            // deterministic variants spread them across rounds (the paper's
-            // g-d includes all §3.3 optimizations).
-            locality_spread: match app {
-                App::Dt | App::Dmr => 16,
-                _ => 1,
-            },
             ..Default::default()
         }),
         Variant::Pbbs => unreachable!("pbbs variants do not use the Galois executor"),
     };
-    // Label-correcting bfs and wave-propagating pfp need breadth-like order
-    // under speculation (the Galois worklist-policy choice; see
-    // WorklistPolicy docs).
-    let worklist = match (app, variant) {
-        (App::Bfs | App::Pfp, Variant::GaloisNondet) => galois_core::WorklistPolicy::Fifo,
-        _ => galois_core::WorklistPolicy::Lifo,
-    };
-    Executor::new()
-        .threads(threads)
-        .schedule(schedule)
-        .worklist(worklist)
+    // The paper's g-d includes all §3.3 optimizations; the recipe supplies
+    // the per-app ones (locality spread, worklist).
+    app.executor(schedule, threads)
         .record_trace(opts.trace)
         .record_access(opts.access)
         .record_rounds(opts.round_log)
@@ -200,7 +160,8 @@ fn rounds_trace(rt: Vec<RoundTrace>, on: bool) -> Option<ExecTrace> {
 
 /// Runs one (app, variant) measurement.
 ///
-/// Returns `None` for unsupported combinations (pfp has no PBBS variant).
+/// Returns `None` for unsupported combinations (pfp has no PBBS variant;
+/// maximal matching is not part of the paper's evaluation).
 ///
 /// # Panics
 ///
@@ -234,7 +195,9 @@ pub fn measure(
         }
         (App::Bfs, v) => {
             let g = inputs::bfs_graph(scale);
-            galois_run(app, v, threads, opts, |exec| bfs::galois(&g, 0, exec).1)
+            galois_run(app, v, threads, opts, |exec| {
+                bfs::try_galois(&g, 0, exec).unwrap().1
+            })
         }
         (App::Mis, Variant::Pbbs) => {
             let g = inputs::mis_graph(scale);
@@ -256,7 +219,9 @@ pub fn measure(
         }
         (App::Mis, v) => {
             let g = inputs::mis_graph(scale);
-            galois_run(app, v, threads, opts, |exec| mis::galois(&g, exec).1)
+            galois_run(app, v, threads, opts, |exec| {
+                mis::try_galois(&g, exec).unwrap().1
+            })
         }
         (App::Dt, Variant::Pbbs) => {
             let pts = inputs::dt_points(scale);
@@ -279,7 +244,7 @@ pub fn measure(
         (App::Dt, v) => {
             let pts = inputs::dt_points(scale);
             galois_run(app, v, threads, opts, |exec| {
-                dt::galois(&pts, inputs::SEED, exec).1
+                dt::try_galois(&pts, inputs::SEED, exec).unwrap().1
             })
         }
         (App::Dmr, Variant::Pbbs) => {
@@ -302,9 +267,11 @@ pub fn measure(
         }
         (App::Dmr, v) => {
             let mesh = inputs::dmr_mesh(scale);
-            galois_run(app, v, threads, opts, |exec| dmr::galois(&mesh, exec))
+            galois_run(app, v, threads, opts, |exec| {
+                dmr::try_galois(&mesh, exec).unwrap()
+            })
         }
-        (App::Pfp, Variant::Pbbs) => return None,
+        (App::Pfp, Variant::Pbbs) | (App::Mm, _) => return None,
         (App::Pfp, Variant::Seq) => {
             let net = inputs::pfp_network(scale);
             let t0 = Instant::now();
@@ -329,7 +296,7 @@ pub fn measure(
         (App::Pfp, v) => {
             let net = inputs::pfp_network(scale);
             let exec = executor(app, v, threads, opts);
-            let (_flow, mut report) = pfp::galois(&net, &exec);
+            let (_flow, mut report) = pfp::try_galois(&net, &exec).unwrap();
             // Merge bout traces.
             let trace = opts.trace.then(|| {
                 let mut rounds: Vec<RoundTrace> = Vec::new();
@@ -376,15 +343,11 @@ pub fn measure(
             // the merged log is still a single monotone sequence.
             let round_log = opts.round_log.then(|| {
                 let mut log = RoundLog::new();
-                let mut next = 0u64;
-                for r in &mut report.reports {
-                    if let Some(bout) = r.take_round_log() {
-                        for mut rec in bout.into_records() {
-                            rec.round = next;
-                            next += 1;
-                            galois_core::Probe::on_round(&mut log, rec);
-                        }
-                    }
+                let bouts = report.take_round_logs();
+                let records = bouts.into_iter().flat_map(RoundLog::into_records);
+                for (next, mut rec) in records.enumerate() {
+                    rec.round = next as u64;
+                    galois_core::Probe::on_round(&mut log, rec);
                 }
                 log
             });
@@ -414,8 +377,8 @@ mod tests {
 
     #[test]
     fn every_supported_combo_runs() {
-        for app in App::ALL {
-            for &v in app.variants() {
+        for app in PAPER_APPS {
+            for &v in variants(app) {
                 let m = measure(app, v, 1, TINY, Opts::default())
                     .unwrap_or_else(|| panic!("{:?}/{v} should be supported", app));
                 assert!(m.committed > 0, "{:?}/{v} committed nothing", app);

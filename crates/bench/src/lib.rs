@@ -24,7 +24,7 @@ pub mod suites;
 pub mod sweep;
 pub mod tables;
 
-pub use drivers::{measure, App, Measurement};
+pub use drivers::{measure, variants, App, Measurement, PAPER_APPS};
 pub use galois_apps::Variant;
 
 /// Reads the global scale factor (default 1.0).

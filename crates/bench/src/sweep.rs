@@ -5,7 +5,7 @@
 //! the paper's three machine profiles (DESIGN.md, substitution 1). The
 //! sequential baselines (Figure 8) are measured directly.
 
-use crate::drivers::{measure, App, Measurement, Opts};
+use crate::drivers::{measure, variants, App, Measurement, Opts, PAPER_APPS};
 use crate::Variant;
 use galois_runtime::simtime::MachineProfile;
 use std::collections::HashMap;
@@ -70,8 +70,8 @@ pub fn run_sweep(scale: f64, no_continuation: bool) -> SweepData {
         no_continuation,
         ..Default::default()
     };
-    for app in App::ALL {
-        for &variant in app.variants() {
+    for app in PAPER_APPS {
+        for &variant in variants(app) {
             let Some(m) = measure(app, variant, 1, scale, opts) else {
                 continue;
             };
@@ -99,9 +99,9 @@ mod tests {
     #[test]
     fn sweep_produces_all_keys() {
         let data = run_sweep(0.01, false);
-        for app in App::ALL {
+        for app in PAPER_APPS {
             assert!(data.baseline_ns.contains_key(&app), "{app:?} baseline");
-            for &v in app.variants() {
+            for &v in variants(app) {
                 for machine in &MachineProfile::ALL {
                     for p in thread_points(machine) {
                         assert!(
@@ -120,7 +120,7 @@ mod tests {
         let data = run_sweep(0.02, false);
         let mut wins = 0;
         let mut total = 0;
-        for app in App::ALL {
+        for app in PAPER_APPS {
             let gn = data.times[&(app, Variant::GaloisNondet, "m4x10", 40)];
             let gd = data.times[&(app, Variant::GaloisDet, "m4x10", 40)];
             total += 1;

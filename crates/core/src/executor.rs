@@ -282,14 +282,48 @@ impl Executor {
     /// ```ignore
     /// let report = exec.iterate(tasks).with_ids(id_of, n).probe(&mut log).run(&marks, &op);
     /// ```
-    pub fn iterate<T: Send>(&self, tasks: Vec<T>) -> LoopSpec<'_, '_, T> {
+    ///
+    /// `'p` — the lifetime of whatever observers and id function get
+    /// attached — is independent of the executor borrow.
+    pub fn iterate<'p, T: Send>(&self, tasks: Vec<T>) -> LoopSpec<'_, 'p, T> {
         LoopSpec {
             exec: self,
             tasks,
             ids: None,
-            probe: None,
-            recorder: None,
+            hooks: Hooks::default(),
             chaos: self.chaos.clone(),
+        }
+    }
+}
+
+/// The observers one run can carry, as a single value.
+///
+/// Application entry points take a `Hooks` and hand it to
+/// [`LoopSpec::hooks`], so every observer a caller may want rides one
+/// parameter: a new kind of observer is a new field here, never another
+/// entry point per application. Both slots empty (`Hooks::default()`) is
+/// the plain run; attaching either one never changes the executed
+/// schedule.
+#[derive(Default)]
+pub struct Hooks<'p> {
+    /// Observes every deterministic round / speculative epoch
+    /// ([`LoopSpec::probe`]).
+    pub probe: Option<&'p mut dyn Probe>,
+    /// Captures or replay-verifies the canonical hash chain
+    /// ([`LoopSpec::record`]).
+    pub recorder: Option<&'p mut ManifestRecorder>,
+}
+
+impl Hooks<'_> {
+    /// A shorter-lived view of the same observers, for algorithms that run
+    /// several loops (preflow-push bouts) under one set of hooks.
+    pub fn reborrow(&mut self) -> Hooks<'_> {
+        Hooks {
+            probe: match &mut self.probe {
+                Some(p) => Some(&mut **p),
+                None => None,
+            },
+            recorder: self.recorder.as_deref_mut(),
         }
     }
 }
@@ -305,10 +339,9 @@ pub struct LoopSpec<'e, 'p, T> {
     tasks: Vec<T>,
     #[allow(clippy::type_complexity)]
     ids: Option<(Box<dyn Fn(&T) -> u64 + Sync + 'p>, usize)>,
-    probe: Option<&'p mut dyn Probe>,
-    /// Record/replay recorder ([`LoopSpec::record`]): a dedicated slot, not
-    /// the probe slot, so a run can be recorded *and* probed at once.
-    recorder: Option<&'p mut ManifestRecorder>,
+    /// The recorder has a dedicated slot, not the probe slot, so a run can
+    /// be recorded *and* probed at once.
+    hooks: Hooks<'p>,
     /// Effective chaos policy: seeded from the executor, overridable per
     /// loop via [`LoopSpec::chaos`].
     chaos: Option<Arc<ChaosPolicy>>,
@@ -320,7 +353,8 @@ impl<T: Send> std::fmt::Debug for LoopSpec<'_, '_, T> {
             .field("exec", &self.exec)
             .field("tasks", &self.tasks.len())
             .field("with_ids", &self.ids.is_some())
-            .field("probe", &self.probe.is_some())
+            .field("probe", &self.hooks.probe.is_some())
+            .field("recorder", &self.hooks.recorder.is_some())
             .finish()
     }
 }
@@ -358,7 +392,7 @@ impl<'e, 'p, T: Send> LoopSpec<'e, 'p, T> {
     /// inert: no records are built, no conflicts collected, no timers run,
     /// and no atomics are added to the hot path.
     pub fn probe(mut self, probe: &'p mut dyn Probe) -> Self {
-        self.probe = Some(probe);
+        self.hooks.probe = Some(probe);
         self
     }
 
@@ -376,7 +410,15 @@ impl<'e, 'p, T: Send> LoopSpec<'e, 'p, T> {
     /// algorithms (e.g. preflow-push bouts) attach the *same* recorder to
     /// every pass; rounds chain across passes into one monotone sequence.
     pub fn record(mut self, recorder: &'p mut ManifestRecorder) -> Self {
-        self.recorder = Some(recorder);
+        self.hooks.recorder = Some(recorder);
+        self
+    }
+
+    /// Attaches a whole [`Hooks`] value: [`LoopSpec::probe`] and
+    /// [`LoopSpec::record`] in one call, each slot optional. This is what
+    /// application entry points use to forward their caller's observers.
+    pub fn hooks(mut self, hooks: Hooks<'p>) -> Self {
+        self.hooks = hooks;
         self
     }
 
@@ -450,8 +492,7 @@ impl<'e, 'p, T: Send> LoopSpec<'e, 'p, T> {
             exec,
             tasks,
             ids,
-            probe,
-            recorder,
+            hooks: Hooks { probe, recorder },
             chaos,
         } = self;
         debug_assert!(marks.all_unowned(), "mark table must start unowned");

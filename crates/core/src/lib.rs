@@ -82,7 +82,8 @@ pub mod window;
 pub use ctx::{Abort, Access, Ctx, OpResult, INJECTED_PANIC_PREFIX};
 pub use error::{ExecError, QUARANTINE_CAP};
 pub use executor::{
-    DetOptions, Executor, LoopSpec, RunReport, Schedule, WorklistPolicy, DEFAULT_MAX_STALLED_ROUNDS,
+    DetOptions, Executor, Hooks, LoopSpec, RunReport, Schedule, WorklistPolicy,
+    DEFAULT_MAX_STALLED_ROUNDS,
 };
 pub use galois_runtime::chaos::ChaosPolicy;
 pub use galois_runtime::probe::{Probe, RoundLog, RoundRecord};
@@ -101,7 +102,7 @@ pub mod prelude {
     pub use crate::ctx::{Ctx, OpResult};
     pub use crate::error::ExecError;
     pub use crate::executor::{
-        DetOptions, Executor, LoopSpec, RunReport, Schedule, WorklistPolicy,
+        DetOptions, Executor, Hooks, LoopSpec, RunReport, Schedule, WorklistPolicy,
     };
     pub use crate::manifest::{
         ExecConfig, LockstepEvent, LockstepEventKind, LockstepOutcome, LockstepReport,

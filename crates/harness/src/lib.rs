@@ -23,9 +23,7 @@
 use galois_core::manifest::{
     ManifestError, ManifestRecorder, ReplayDivergence, RunManifest, ScheduleKind,
 };
-use galois_core::{
-    DetOptions, ExecError, Executor, RoundLog, RoundRecord, Schedule, WorklistPolicy,
-};
+use galois_core::{ExecError, Executor, RoundLog, RoundRecord, Schedule};
 use galois_graph::cache::CacheOutcome;
 use galois_runtime::fingerprint::{run_fingerprint, RoundChain};
 use galois_runtime::stats::ExecStats;
@@ -38,6 +36,9 @@ pub mod subprocess;
 pub mod sweep;
 
 pub use galois_apps as apps;
+/// The benchmark applications the harness covers, with their run recipes
+/// ([`galois_apps::recipe`]).
+pub use galois_apps::recipe::App;
 pub use galois_graph::cache::CacheOutcome as InputCacheOutcome;
 pub use resident::{
     load_input, run_resident, InputStore, Residency, ResidentInput, ResidentRun, StoreSnapshot,
@@ -46,43 +47,6 @@ pub use resident::{
 // now goes through the runtime's single authority (see
 // `galois_runtime::fingerprint`). The re-export keeps the harness API.
 pub use galois_runtime::fingerprint::Fnv64;
-
-/// The benchmark applications the harness covers (§4.1 of the paper, plus
-/// maximal matching).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum App {
-    Bfs,
-    Mis,
-    Mm,
-    Dt,
-    Dmr,
-    Pfp,
-}
-
-impl App {
-    pub const ALL: [App; 6] = [App::Bfs, App::Mis, App::Mm, App::Dt, App::Dmr, App::Pfp];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            App::Bfs => "bfs",
-            App::Mis => "mis",
-            App::Mm => "mm",
-            App::Dt => "dt",
-            App::Dmr => "dmr",
-            App::Pfp => "pfp",
-        }
-    }
-
-    pub fn from_name(name: &str) -> Option<App> {
-        App::ALL.into_iter().find(|a| a.name() == name)
-    }
-}
-
-impl fmt::Display for App {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Which executor a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,38 +162,24 @@ pub fn unperturbed(_: App, _: Variant, _: usize, _: Option<u64>, exec: Executor)
     exec
 }
 
-/// The executor configuration each app runs under, mirroring the `galois`
-/// CLI: dt/dmr spread task ids for locality, bfs/pfp use FIFO worklists.
-/// Public so the serving layer builds *the same* executors the harness
-/// proves deterministic — a served request and a differential-sweep cell
-/// are the same computation.
+/// The executor each app runs under: the app's own shape
+/// ([`App::executor`]) with the harness's round recording and chaos on top.
+/// The CLI and the serving layer build their executors here too, so a CLI
+/// run, a served request and a differential-sweep cell are the same
+/// computation.
 pub fn executor_for(
     app: App,
     variant: Variant,
     threads: usize,
     chaos_seed: Option<u64>,
 ) -> Executor {
-    let (spread, fifo) = match app {
-        App::Dt | App::Dmr => (16, false),
-        App::Bfs | App::Pfp => (1, true),
-        App::Mis | App::Mm => (1, false),
-    };
     let schedule = match variant {
         Variant::Serial => Schedule::Serial,
         Variant::Speculative => Schedule::Speculative,
-        Variant::Deterministic => Schedule::Deterministic(DetOptions {
-            locality_spread: spread,
-            ..Default::default()
-        }),
+        Variant::Deterministic => Schedule::deterministic(),
     };
-    let mut exec = Executor::new()
-        .threads(threads)
-        .schedule(schedule)
-        .worklist(if fifo {
-            WorklistPolicy::Fifo
-        } else {
-            WorklistPolicy::Lifo
-        })
+    let mut exec = app
+        .executor(schedule, threads)
         // Only deterministic logs are canonical; speculative epochs reflect
         // real nondeterminism and must stay out of the fingerprint.
         .record_rounds(variant == Variant::Deterministic);
@@ -280,13 +230,7 @@ impl InputConfig {
     /// The effective size parameter for `app` (the override, or the app's
     /// default corpus size).
     pub fn size_for(&self, app: App) -> usize {
-        self.size.unwrap_or(match app {
-            App::Bfs => 2_000,
-            App::Mis | App::Mm => 1_500,
-            App::Dt => 300,
-            App::Dmr => 120,
-            App::Pfp => 96,
-        })
+        self.size.unwrap_or(app.default_size())
     }
 }
 
@@ -294,15 +238,7 @@ impl InputConfig {
 /// string the on-disk input cache files are named by, and the string a
 /// [`RunManifest`] pins so a replay provably re-runs the same input family.
 pub fn input_key(app: App, input: &InputConfig) -> String {
-    let n = input.size_for(app);
-    let seed = input.seed;
-    match app {
-        App::Bfs => format!("uniform-n{n}-d5-s{seed}"),
-        App::Mis | App::Mm => format!("uniform-und-n{n}-d4-s{seed}"),
-        App::Dt => format!("points-n{n}-s{seed}"),
-        App::Dmr => format!("mesh-n{n}-s{seed}"),
-        App::Pfp => format!("flowrand-n{n}-d4-c100-s{seed}"),
-    }
+    app.input_key(input.size_for(app), input.seed)
 }
 
 /// Runs one `(app, variant, threads, chaos seed)` cell: builds (or loads
@@ -311,8 +247,8 @@ pub fn input_key(app: App, input: &InputConfig) -> String {
 /// with the verifier's message.
 ///
 /// Without panic chaos armed an executor fault is a containment-layer bug,
-/// so — exactly like the apps' panicking `galois` wrappers — it propagates
-/// as a panic. Use [`run_app_panic`] when faults are expected.
+/// so it propagates as a panic carrying the fault's message. Use
+/// [`run_app_panic`] when faults are expected.
 ///
 /// The returned [`CacheOutcome`] says whether the input came from the
 /// cache; the point-set apps (dt, dmr) generate inputs too cheap to cache
@@ -339,9 +275,9 @@ pub fn run_app(
 /// Runs one cell under `exec`, separating the three ways it can end:
 /// outer `Err` = the output failed validation, inner `Err` = the executor
 /// reported a fault (no output to validate), inner `Ok` = a validated
-/// [`RunOutcome`]. A [`ManifestRecorder`] passed in `rec` rides the run via
-/// the apps' `try_galois_recorded` paths, capturing (or replay-verifying)
-/// the canonical hash chain.
+/// [`RunOutcome`]. A [`ManifestRecorder`] passed in `rec` rides the run in
+/// the recorder slot of the app's [`galois_core::Hooks`], capturing (or
+/// replay-verifying) the canonical hash chain.
 pub fn run_cell(
     app: App,
     exec: &Executor,
@@ -396,17 +332,6 @@ pub fn run_app_panic(
     })
 }
 
-pub(crate) fn hash_mesh(mesh: &galois_mesh::Mesh) -> u64 {
-    let mut h = Fnv64::new();
-    for tri in galois_mesh::check::canonical_triangles(mesh) {
-        for (x, y) in tri {
-            h.write_i64(x);
-            h.write_i64(y);
-        }
-    }
-    h.finish()
-}
-
 /// Why a record, replay or lockstep run failed.
 #[derive(Debug)]
 pub enum ReplayError {
@@ -446,7 +371,9 @@ impl From<ManifestError> for ReplayError {
 
 /// Resolves a manifest back to the `(app, input)` pair it was recorded
 /// from, rejecting manifests this harness cannot faithfully re-execute.
-fn manifest_app_input(manifest: &RunManifest) -> Result<(App, InputConfig), ReplayError> {
+/// Public for callers (like the distributed lockstep replica) that
+/// re-execute the run themselves instead of going through [`replay_run`].
+pub fn manifest_target(manifest: &RunManifest) -> Result<(App, InputConfig), ReplayError> {
     let app = App::from_name(&manifest.app)
         .ok_or_else(|| ReplayError::Mismatch(format!("unknown app `{}`", manifest.app)))?;
     if manifest.exec.schedule != ScheduleKind::Deterministic {
@@ -470,14 +397,6 @@ fn manifest_app_input(manifest: &RunManifest) -> Result<(App, InputConfig), Repl
         )));
     }
     Ok((app, input))
-}
-
-/// Public face of [`manifest_app_input`]: resolves a manifest back to the
-/// `(app, input)` pair it identifies, for callers (like the distributed
-/// lockstep replica) that re-execute the run themselves instead of going
-/// through [`replay_run`].
-pub fn manifest_target(manifest: &RunManifest) -> Result<(App, InputConfig), ReplayError> {
-    manifest_app_input(manifest)
 }
 
 /// Records one deterministic run of `app` into a [`RunManifest`]: input
@@ -522,7 +441,7 @@ pub fn replay_run(
     threads: usize,
     cache_dir: Option<PathBuf>,
 ) -> Result<RunOutcome, ReplayError> {
-    let (app, mut input) = manifest_app_input(manifest)?;
+    let (app, mut input) = manifest_target(manifest)?;
     input.cache_dir = cache_dir;
     // record_rounds keeps the harness's own fingerprint path alive so the
     // returned outcome is directly comparable with fresh runs.
@@ -645,7 +564,7 @@ pub fn run_lockstep(
     mutation: Mutation,
 ) -> Result<LockstepReport, ReplayError> {
     assert!(replicas.len() >= 2, "lockstep needs at least two replicas");
-    let (app, input) = manifest_app_input(manifest)?;
+    let (app, input) = manifest_target(manifest)?;
     // The mutation seam is applied here, on the caller's thread, so the
     // seam (a plain `&dyn Fn`) never has to cross threads.
     let execs: Vec<Executor> = replicas

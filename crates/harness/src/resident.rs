@@ -22,42 +22,18 @@
 //! - **dmr** — refinement consumes the mesh; the input is rebuilt per
 //!   request ([`Residency::Uncacheable`]).
 //!
-//! [`reset`]: FlowNetwork::reset
+//! [`reset`]: galois_graph::FlowNetwork::reset
 
 use crate::{input_key, reduce_run, App, InputConfig, RunOutcome};
 use galois_core::manifest::ManifestRecorder;
-use galois_core::{ExecError, Executor, RoundLog, RoundRecord};
-use galois_graph::cache::{self, CacheOutcome};
-use galois_graph::{gen, CsrGraph, FlowNetwork};
-use galois_mesh::check;
+use galois_core::{ExecError, Executor, Hooks, RoundRecord};
+use galois_graph::cache::CacheOutcome;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// An input materialized for (potentially repeated) execution.
-#[derive(Clone)]
-pub enum ResidentInput {
-    /// CSR graph (bfs directed, mis/mm undirected) — immutable, shared.
-    Graph(Arc<CsrGraph>),
-    /// Point set for Delaunay triangulation, plus the BRIO seed.
-    Points {
-        /// The points themselves.
-        pts: Arc<Vec<galois_geometry::point::Point>>,
-        /// Seed for the biased randomized insertion order.
-        seed: u64,
-    },
-    /// A mesh *recipe* for dmr: refinement consumes the mesh, so only the
-    /// generator parameters stay resident and the mesh is rebuilt per run.
-    MeshSpec {
-        /// Input point count.
-        n: usize,
-        /// Generator seed.
-        seed: u64,
-    },
-    /// Flow network for pfp — resident but exclusive: runs lock it and
-    /// reset the residual state before executing.
-    Flow(Arc<Mutex<FlowNetwork>>),
-}
+pub use galois_apps::recipe::Input as ResidentInput;
 
 /// Where a request's input came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,42 +62,12 @@ impl Residency {
 /// on-disk input cache in `input.cache_dir`. One-shot: no in-memory
 /// residency (that is [`InputStore`]'s job).
 pub fn load_input(app: App, input: &InputConfig) -> (ResidentInput, CacheOutcome) {
-    let seed = input.seed;
-    let bt = input.build_threads;
-    let dir = input.cache_dir.as_deref();
-    let n = input.size_for(app);
-    let key = input_key(app, input);
-    match app {
-        App::Bfs => {
-            let (g, cached) = cache::load_or_build_graph(dir, &key, || {
-                gen::uniform_random_parallel(n, 5, seed, bt)
-            });
-            (ResidentInput::Graph(Arc::new(g)), cached)
-        }
-        App::Mis | App::Mm => {
-            let (g, cached) = cache::load_or_build_graph(dir, &key, || {
-                gen::uniform_random_undirected_parallel(n, 4, seed, bt)
-            });
-            (ResidentInput::Graph(Arc::new(g)), cached)
-        }
-        App::Dt => {
-            let pts = galois_geometry::point::random_points(n, seed);
-            (
-                ResidentInput::Points {
-                    pts: Arc::new(pts),
-                    seed,
-                },
-                CacheOutcome::Disabled,
-            )
-        }
-        App::Dmr => (ResidentInput::MeshSpec { n, seed }, CacheOutcome::Disabled),
-        App::Pfp => {
-            let (net, cached) = cache::load_or_build_flow(dir, &key, || {
-                FlowNetwork::random_parallel(n, 4, 100, seed, bt)
-            });
-            (ResidentInput::Flow(Arc::new(Mutex::new(net))), cached)
-        }
-    }
+    app.materialize(
+        input.size_for(app),
+        input.seed,
+        input.build_threads,
+        input.cache_dir.as_deref(),
+    )
 }
 
 /// What [`run_resident`] reduces a completed run to: the harness's
@@ -137,142 +83,27 @@ pub struct ResidentRun {
     pub records: Vec<RoundRecord>,
 }
 
-fn reduce(
-    output_hash: u64,
-    logs: Vec<RoundLog>,
-    stats: &galois_runtime::stats::ExecStats,
-) -> ResidentRun {
-    let (outcome, records) = reduce_run(output_hash, logs, stats);
-    ResidentRun { outcome, records }
-}
-
-fn take_logs(report: &mut galois_core::RunReport) -> Vec<RoundLog> {
-    report.take_round_log().into_iter().collect()
-}
-
-/// Runs `exec` over an already-materialized input, validating the output
-/// and reducing the run exactly as the differential harness does. The
-/// layering mirrors `run_cell`: outer `Err` = validation failure (or an
-/// app/input mismatch), inner `Err` = a contained executor fault, inner
-/// `Ok` = a validated [`ResidentRun`]. A [`ManifestRecorder`] in `rec`
-/// rides the run, capturing (or replay-verifying) the canonical chain.
+/// Runs `exec` over an already-materialized input through the app's run
+/// recipe ([`App::run`]: run, verify, hash) and reduces the run exactly as
+/// the differential harness does. The layering mirrors `run_cell`: outer
+/// `Err` = validation failure (or an app/input mismatch), inner `Err` = a
+/// contained executor fault, inner `Ok` = a validated [`ResidentRun`]. A
+/// [`ManifestRecorder`] in `rec` rides the run, capturing (or
+/// replay-verifying) the canonical chain.
 pub fn run_resident(
     app: App,
     exec: &Executor,
     input: &ResidentInput,
-    mut rec: Option<&mut ManifestRecorder>,
+    rec: Option<&mut ManifestRecorder>,
 ) -> Result<Result<ResidentRun, ExecError>, String> {
-    use crate::apps;
-    match (app, input) {
-        (App::Bfs, ResidentInput::Graph(g)) => {
-            let result = match rec.as_deref_mut() {
-                Some(r) => apps::bfs::try_galois_recorded(g, 0, exec, r),
-                None => apps::bfs::try_galois(g, 0, exec),
-            };
-            let (dist, mut r) = match result {
-                Ok(v) => v,
-                Err(e) => return Ok(Err(e)),
-            };
-            apps::bfs::verify(g, 0, &dist).map_err(|e| format!("bfs: {e}"))?;
-            let h = galois_runtime::fingerprint::hash_u32s(&dist);
-            Ok(Ok(reduce(h, take_logs(&mut r), &r.stats)))
-        }
-        (App::Mis, ResidentInput::Graph(g)) => {
-            let result = match rec.as_deref_mut() {
-                Some(r) => apps::mis::try_galois_recorded(g, exec, r),
-                None => apps::mis::try_galois(g, exec),
-            };
-            let (flags, mut r) = match result {
-                Ok(v) => v,
-                Err(e) => return Ok(Err(e)),
-            };
-            apps::mis::verify(g, &flags).map_err(|e| format!("mis: {e}"))?;
-            let h = galois_runtime::fingerprint::hash_u32s(&flags);
-            Ok(Ok(reduce(h, take_logs(&mut r), &r.stats)))
-        }
-        (App::Mm, ResidentInput::Graph(g)) => {
-            let result = match rec.as_deref_mut() {
-                Some(r) => apps::mm::try_galois_recorded(g, exec, r),
-                None => apps::mm::try_galois(g, exec),
-            };
-            let (mate, mut r) = match result {
-                Ok(v) => v,
-                Err(e) => return Ok(Err(e)),
-            };
-            apps::mm::verify(g, &mate).map_err(|e| format!("mm: {e}"))?;
-            let h = galois_runtime::fingerprint::hash_u32s(&mate);
-            Ok(Ok(reduce(h, take_logs(&mut r), &r.stats)))
-        }
-        (App::Dt, ResidentInput::Points { pts, seed }) => {
-            let result = match rec.as_deref_mut() {
-                Some(r) => apps::dt::try_galois_recorded(pts, *seed, exec, r),
-                None => apps::dt::try_galois(pts, *seed, exec),
-            };
-            let (mesh, mut r) = match result {
-                Ok(v) => v,
-                Err(e) => return Ok(Err(e)),
-            };
-            check::validate(&mesh).map_err(|e| format!("dt structure: {e}"))?;
-            check::check_delaunay(&mesh).map_err(|e| format!("dt delaunay: {e}"))?;
-            Ok(Ok(reduce(
-                crate::hash_mesh(&mesh),
-                take_logs(&mut r),
-                &r.stats,
-            )))
-        }
-        (App::Dmr, ResidentInput::MeshSpec { n, seed }) => {
-            let mesh = apps::dmr::make_input(*n, *seed);
-            let result = match rec.as_deref_mut() {
-                Some(r) => apps::dmr::try_galois_recorded(&mesh, exec, r),
-                None => apps::dmr::try_galois(&mesh, exec),
-            };
-            let mut r = match result {
-                Ok(v) => v,
-                Err(e) => return Ok(Err(e)),
-            };
-            check::validate(&mesh).map_err(|e| format!("dmr structure: {e}"))?;
-            check::check_delaunay(&mesh).map_err(|e| format!("dmr delaunay: {e}"))?;
-            let bad = check::quality(&mesh).bad;
-            if bad != 0 {
-                return Err(format!("dmr: {bad} bad triangles survive refinement"));
-            }
-            Ok(Ok(reduce(
-                crate::hash_mesh(&mesh),
-                take_logs(&mut r),
-                &r.stats,
-            )))
-        }
-        (App::Pfp, ResidentInput::Flow(net)) => {
-            // Exclusive: pfp writes flow state into the network's atomics,
-            // so a resident network serves one run at a time, from a clean
-            // residual state.
-            let net = net.lock().unwrap();
-            net.reset();
-            let result = match rec {
-                Some(r) => apps::pfp::try_galois_recorded(&net, exec, r),
-                None => apps::pfp::try_galois(&net, exec),
-            };
-            let (flow, mut r) = match result {
-                Ok(v) => v,
-                Err(e) => return Ok(Err(e)),
-            };
-            let checked = net.verify_flow().map_err(|e| format!("pfp: {e}"))?;
-            if checked != flow {
-                return Err(format!("pfp: reported flow {flow} != recomputed {checked}"));
-            }
-            let logs: Vec<RoundLog> = r
-                .reports
-                .iter_mut()
-                .filter_map(|b| b.take_round_log())
-                .collect();
-            let mut h = crate::Fnv64::new();
-            h.write_i64(flow);
-            Ok(Ok(reduce(h.finish(), logs, &r.stats)))
-        }
-        _ => Err(format!(
-            "resident input does not match app {app} — store keys crossed"
-        )),
-    }
+    let hooks = Hooks {
+        recorder: rec,
+        ..Hooks::default()
+    };
+    Ok(app.run(exec, input, hooks)?.map(|done| {
+        let (outcome, records) = reduce_run(done.output_hash, done.logs, &done.stats);
+        ResidentRun { outcome, records }
+    }))
 }
 
 /// One coherent reading of the store's counters, taken under a single
@@ -363,26 +194,6 @@ impl InputStore {
             resident_inputs: inner.map.len(),
         }
     }
-
-    /// Requests served from memory.
-    pub fn warm_hits(&self) -> u64 {
-        self.snapshot().warm_hits
-    }
-
-    /// Requests that materialized (and retained) a new input.
-    pub fn cold_loads(&self) -> u64 {
-        self.snapshot().cold_loads
-    }
-
-    /// Requests whose input had to be rebuilt (uncacheable apps).
-    pub fn rebuilds(&self) -> u64 {
-        self.snapshot().rebuilds
-    }
-
-    /// Distinct inputs currently resident.
-    pub fn resident_inputs(&self) -> usize {
-        self.snapshot().resident_inputs
-    }
 }
 
 #[cfg(test)]
@@ -401,9 +212,15 @@ mod tests {
         // mm shares mis's undirected entry.
         let (_, r3) = store.get(App::Mm, &input);
         assert_eq!(r3, Residency::Warm);
-        assert_eq!(store.warm_hits(), 2);
-        assert_eq!(store.cold_loads(), 1);
-        assert_eq!(store.resident_inputs(), 1);
+        assert_eq!(
+            store.snapshot(),
+            StoreSnapshot {
+                warm_hits: 2,
+                cold_loads: 1,
+                rebuilds: 0,
+                resident_inputs: 1,
+            }
+        );
     }
 
     #[test]
@@ -414,8 +231,13 @@ mod tests {
         let (_, r2) = store.get(App::Dmr, &input);
         assert_eq!(r1, Residency::Uncacheable);
         assert_eq!(r2, Residency::Uncacheable);
-        assert_eq!(store.rebuilds(), 2);
-        assert_eq!(store.resident_inputs(), 0);
+        assert_eq!(
+            store.snapshot(),
+            StoreSnapshot {
+                rebuilds: 2,
+                ..StoreSnapshot::default()
+            }
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn main() {
             .threads(threads)
             .schedule(Schedule::Speculative)
             .worklist(WorklistPolicy::Fifo);
-        let (dist, report) = bfs::galois(&g, 0, &exec);
+        let (dist, report) = bfs::try_galois(&g, 0, &exec).unwrap();
         assert_eq!(dist, reference, "speculative distances are still exact");
         println!(
             "speculative  t={threads}: {:>10.3?}  committed={} aborted={}",
@@ -44,7 +44,7 @@ fn main() {
         let exec = Executor::new()
             .threads(threads)
             .schedule(Schedule::deterministic());
-        let (dist, report) = bfs::galois(&g, 0, &exec);
+        let (dist, report) = bfs::try_galois(&g, 0, &exec).unwrap();
         assert_eq!(dist, reference);
         let sig = (
             report.stats.committed,

@@ -40,7 +40,7 @@ fn main() {
         .threads(threads)
         .schedule(Schedule::Speculative);
     let t0 = std::time::Instant::now();
-    let (flow_spec, report) = pfp::galois(&net, &exec);
+    let (flow_spec, report) = pfp::try_galois(&net, &exec).unwrap();
     println!(
         "speculative ({threads}t):      flow {flow_spec} in {:?} ({} tasks, {} bouts)",
         t0.elapsed(),
@@ -54,7 +54,7 @@ fn main() {
         .threads(threads)
         .schedule(Schedule::deterministic());
     let t0 = std::time::Instant::now();
-    let (flow_det, report) = pfp::galois(&net, &exec);
+    let (flow_det, report) = pfp::try_galois(&net, &exec).unwrap();
     println!(
         "deterministic ({threads}t):    flow {flow_det} in {:?} ({} tasks, {} rounds, {} bouts)",
         t0.elapsed(),

@@ -41,7 +41,7 @@ fn main() {
     println!("triangulating {n} random points ({mode}, {threads} threads)...");
     let points = random_points(n, 7);
     let t0 = std::time::Instant::now();
-    let (mesh, report) = dt::galois(&points, 7, &exec);
+    let (mesh, report) = dt::try_galois(&points, 7, &exec).unwrap();
     println!(
         "  {} triangles in {:?} ({} tasks, {} aborts, {} rounds)",
         mesh.num_tris_alive(),
@@ -62,7 +62,7 @@ fn main() {
         before.triangles, before.bad, before.min_angle_deg
     );
     let t0 = std::time::Instant::now();
-    let report = dmr::galois(&mesh, &exec);
+    let report = dmr::try_galois(&mesh, &exec).unwrap();
     let after = check::quality(&mesh);
     println!(
         "  -> {} triangles, {} bad, min angle {:.2}deg in {:?} ({} refinements, {} aborts)",

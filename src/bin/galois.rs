@@ -61,19 +61,18 @@
 //! [`RunManifest`]: deterministic_galois::core::RunManifest
 
 use deterministic_galois::apps::{bfs, dmr, dt, mis, mm, pfp};
-use deterministic_galois::core::{
-    DetOptions, ExecError, Executor, RoundLog, RunReport, Schedule, WorklistPolicy,
+use deterministic_galois::core::{ExecError, Executor, RoundLog, RunReport};
+use deterministic_galois::graph::cache::CacheOutcome;
+use deterministic_galois::harness::{
+    executor_for, input_key, load_input, App, InputConfig, ResidentInput, Variant,
 };
-use deterministic_galois::geometry::point::random_points;
-use deterministic_galois::graph::cache::{load_or_build_flow, load_or_build_graph, CacheOutcome};
-use deterministic_galois::graph::{gen, CsrGraph, FlowNetwork};
 use deterministic_galois::mesh::check;
 use std::path::PathBuf;
 use std::process::exit;
 
 #[derive(Debug)]
 struct Args {
-    app: String,
+    app: App,
     variant: String,
     threads: usize,
     size: usize,
@@ -118,7 +117,7 @@ const EXIT_NO_QUORUM: i32 = 14;
 /// `galois record <app> --out FILE ...` — run deterministically, capture a
 /// replayable manifest.
 fn cmd_record(argv: &[String]) -> ! {
-    use deterministic_galois::harness::{record_run, App, InputConfig};
+    use deterministic_galois::harness::record_run;
     let mut it = argv.iter().cloned();
     let Some(app) = it.next() else { usage() };
     let Some(app) = App::from_name(&app) else {
@@ -548,8 +547,12 @@ fn parse_args() -> Args {
             _ => {}
         }
     }
+    let mut it = std::env::args().skip(1);
+    let Some(app) = it.next().and_then(|a| App::from_name(&a)) else {
+        usage()
+    };
     let mut args = Args {
-        app: String::new(),
+        app,
         variant: "g-d".into(),
         threads: 2,
         size: 0,
@@ -561,9 +564,6 @@ fn parse_args() -> Args {
         max_stalled_rounds: None,
         cache_dir: None,
     };
-    let mut it = std::env::args().skip(1);
-    let Some(app) = it.next() else { usage() };
-    args.app = app;
     while let Some(flag) = it.next() {
         let mut val = |a: &mut dyn FnMut(String)| match it.next() {
             Some(v) => a(v),
@@ -592,31 +592,16 @@ fn parse_args() -> Args {
     args
 }
 
-fn executor(args: &Args, spread: usize, fifo: bool) -> Executor {
-    let schedule = match args.variant.as_str() {
-        "seq" => Schedule::Serial,
-        "g-n" => Schedule::Speculative,
-        "g-d" => Schedule::Deterministic(DetOptions {
-            locality_spread: spread,
-            ..Default::default()
-        }),
-        other => {
-            eprintln!("variant {other} is not executor-based here");
-            exit(2);
-        }
+/// The executor of the `seq`/`g-n`/`g-d` variants: the one the harness and
+/// the service run the app under ([`executor_for`]), with the CLI-only
+/// fault-injection and round-log flags on top.
+fn executor(args: &Args) -> Executor {
+    let Some(variant) = Variant::from_name(&args.variant) else {
+        eprintln!("variant {} is not executor-based here", args.variant);
+        exit(2);
     };
-    let mut exec = Executor::new()
-        .threads(args.threads)
-        .schedule(schedule)
-        .worklist(if fifo {
-            WorklistPolicy::Fifo
-        } else {
-            WorklistPolicy::Lifo
-        })
+    let mut exec = executor_for(args.app, variant, args.threads, args.chaos_seed)
         .record_rounds(args.round_log.is_some());
-    if let Some(seed) = args.chaos_seed {
-        exec = exec.chaos(seed);
-    }
     if let Some(seed) = args.chaos_panics {
         exec = exec.chaos_panics(seed);
     }
@@ -633,27 +618,48 @@ fn fault_exit(err: ExecError) -> ! {
     exit(err.exit_code());
 }
 
-/// Builds (or loads from `--cache-dir`) a graph input with the parallel
-/// generators on `--threads` threads, reporting where it came from.
-fn input_graph(args: &Args, key: String, build: impl FnOnce() -> CsrGraph) -> CsrGraph {
+/// Builds (or loads from `--cache-dir`) the app's input — the same input
+/// family, key and generator `galois record` and the service use — with
+/// the parallel generators on `--threads` threads, reporting where it came
+/// from. `--size 0` (the default) means the CLI's own, larger-than-corpus
+/// default size.
+fn input(args: &Args) -> ResidentInput {
+    let default_size = match args.app {
+        App::Bfs | App::Mis | App::Mm => 200_000,
+        App::Dt => 25_000,
+        App::Dmr => 3_000,
+        App::Pfp => 8_192,
+    };
+    let config = InputConfig {
+        seed: args.seed,
+        build_threads: args.threads,
+        cache_dir: args.cache_dir.clone(),
+        size: Some(if args.size == 0 {
+            default_size
+        } else {
+            args.size
+        }),
+    };
     let t0 = std::time::Instant::now();
-    let (g, cached) = load_or_build_graph(args.cache_dir.as_deref(), &key, build);
-    report_input(&key, cached, t0);
-    g
-}
-
-/// Flow-network counterpart of [`input_graph`].
-fn input_flow(args: &Args, key: String, build: impl FnOnce() -> FlowNetwork) -> FlowNetwork {
-    let t0 = std::time::Instant::now();
-    let (net, cached) = load_or_build_flow(args.cache_dir.as_deref(), &key, build);
-    report_input(&key, cached, t0);
-    net
-}
-
-fn report_input(key: &str, cached: CacheOutcome, t0: std::time::Instant) {
+    let (input, cached) = load_input(args.app, &config);
     if cached != CacheOutcome::Disabled {
+        let key = input_key(args.app, &config);
         println!("input {key}: cache {cached} in {:?}", t0.elapsed());
     }
+    input
+}
+
+/// `--verify`: prints the app's line on success; a verifier rejection is
+/// reported with its message and exit code 1.
+fn verified(args: &Args, verdict: impl FnOnce() -> Result<(), String>, line: &str) {
+    if !args.verify {
+        return;
+    }
+    if let Err(e) = verdict() {
+        eprintln!("{} verification failed: {e}", args.app);
+        exit(1);
+    }
+    println!("verified: {line}");
 }
 
 /// Extracts a run's round log (if `--round-log` asked for one) and returns
@@ -688,31 +694,27 @@ fn write_round_log(args: &Args, logs: Vec<RoundLog>) {
 
 fn main() {
     let args = parse_args();
-    if args.round_log.is_some() && !matches!(args.variant.as_str(), "g-d" | "g-n") {
-        eprintln!("--round-log requires an executor variant (g-d or g-n)");
-        exit(2);
-    }
-    if args.chaos_seed.is_some() && !matches!(args.variant.as_str(), "g-d" | "g-n") {
-        eprintln!("--chaos-seed requires an executor variant (g-d or g-n)");
-        exit(2);
-    }
-    if args.chaos_panics.is_some() && !matches!(args.variant.as_str(), "g-d" | "g-n") {
-        eprintln!("--chaos-panics requires an executor variant (g-d or g-n)");
-        exit(2);
+    let executor_only = [
+        ("--round-log", args.round_log.is_some()),
+        ("--chaos-seed", args.chaos_seed.is_some()),
+        ("--chaos-panics", args.chaos_panics.is_some()),
+    ];
+    if !matches!(args.variant.as_str(), "g-d" | "g-n") {
+        if let Some((flag, _)) = executor_only.iter().find(|(_, given)| *given) {
+            eprintln!("{flag} requires an executor variant (g-d or g-n)");
+            exit(2);
+        }
     }
     if args.max_stalled_rounds == Some(0) {
         eprintln!("--max-stalled-rounds must be positive");
         exit(2);
     }
+    let variant = args.variant.as_str();
     let t0 = std::time::Instant::now();
-    match args.app.as_str() {
-        "bfs" => {
-            let n = if args.size == 0 { 200_000 } else { args.size };
-            let g = input_graph(&args, format!("uniform-n{n}-d5-s{}", args.seed), || {
-                gen::uniform_random_parallel(n, 5, args.seed, args.threads)
-            });
-            println!("bfs: {n} nodes x 5 edges, variant {}", args.variant);
-            let (dist, stats) = match args.variant.as_str() {
+    match (args.app, input(&args)) {
+        (App::Bfs, ResidentInput::Graph(g)) => {
+            println!("bfs: {} nodes x 5 edges, variant {variant}", g.num_nodes());
+            let (dist, stats) = match variant {
                 "pbbs" => {
                     let (d, _, s) = bfs::pbbs(&g, 0, args.threads, false);
                     (
@@ -721,60 +723,43 @@ fn main() {
                     )
                 }
                 _ => {
-                    let exec = executor(&args, 1, true);
                     let (d, mut r) =
-                        bfs::try_galois(&g, 0, &exec).unwrap_or_else(|e| fault_exit(e));
-                    let stats = finish_report(&args, &mut r);
-                    (d, stats)
+                        bfs::try_galois(&g, 0, &executor(&args)).unwrap_or_else(|e| fault_exit(e));
+                    (d, finish_report(&args, &mut r))
                 }
             };
             println!("done in {:?} ({stats})", t0.elapsed());
-            if args.verify {
-                bfs::verify(&g, 0, &dist).expect("bfs verification");
-                println!("verified: distances exact");
-            }
+            verified(&args, || bfs::verify(&g, 0, &dist), "distances exact");
         }
-        "mis" => {
-            let n = if args.size == 0 { 200_000 } else { args.size };
-            let g = input_graph(&args, format!("uniform-und-n{n}-d4-s{}", args.seed), || {
-                gen::uniform_random_undirected_parallel(n, 4, args.seed, args.threads)
-            });
-            println!("mis: {n} nodes, variant {}", args.variant);
-            let (flags, stats) = match args.variant.as_str() {
+        (App::Mis, ResidentInput::Graph(g)) => {
+            println!("mis: {} nodes, variant {variant}", g.num_nodes());
+            let (flags, stats) = match variant {
                 "pbbs" => {
                     let (f, s) = mis::pbbs(&g, args.threads, false);
                     (f, format!("rounds={} committed={}", s.rounds, s.committed))
                 }
                 _ => {
-                    let exec = executor(&args, 1, false);
-                    let (f, mut r) = mis::try_galois(&g, &exec).unwrap_or_else(|e| fault_exit(e));
-                    let stats = finish_report(&args, &mut r);
-                    (f, stats)
+                    let (f, mut r) =
+                        mis::try_galois(&g, &executor(&args)).unwrap_or_else(|e| fault_exit(e));
+                    (f, finish_report(&args, &mut r))
                 }
             };
             let in_count = flags.iter().filter(|&&f| f == mis::state::IN).count();
             println!("done in {:?}: |MIS| = {in_count} ({stats})", t0.elapsed());
-            if args.verify {
-                mis::verify(&g, &flags).expect("mis verification");
-                println!("verified: independent and maximal");
-            }
+            verified(&args, || mis::verify(&g, &flags), "independent and maximal");
         }
-        "dt" => {
-            let n = if args.size == 0 { 25_000 } else { args.size };
-            let pts = random_points(n, args.seed);
-            println!("dt: {n} points, variant {}", args.variant);
-            let (mesh, stats) = match args.variant.as_str() {
+        (App::Dt, ResidentInput::Points { pts, seed }) => {
+            println!("dt: {} points, variant {variant}", pts.len());
+            let (mesh, stats) = match variant {
                 "pbbs" => {
-                    let (m, s) = dt::pbbs(&pts, args.seed, args.threads, false);
+                    let (m, s) = dt::pbbs(&pts, seed, args.threads, false);
                     (m, format!("rounds={} aborted={}", s.rounds, s.aborted))
                 }
-                "seq" => (dt::seq(&pts, args.seed), "sequential".to_string()),
+                "seq" => (dt::seq(&pts, seed), "sequential".to_string()),
                 _ => {
-                    let exec = executor(&args, 16, false);
-                    let (m, mut r) =
-                        dt::try_galois(&pts, args.seed, &exec).unwrap_or_else(|e| fault_exit(e));
-                    let stats = finish_report(&args, &mut r);
-                    (m, stats)
+                    let (m, mut r) = dt::try_galois(&pts, seed, &executor(&args))
+                        .unwrap_or_else(|e| fault_exit(e));
+                    (m, finish_report(&args, &mut r))
                 }
             };
             println!(
@@ -782,25 +767,20 @@ fn main() {
                 t0.elapsed(),
                 mesh.num_tris_alive()
             );
-            if args.verify {
-                check::validate(&mesh).expect("structure");
-                check::check_delaunay(&mesh).expect("Delaunay property");
-                println!("verified: valid Delaunay triangulation");
-            }
+            verified(&args, || dt::verify(&mesh), "valid Delaunay triangulation");
         }
-        "dmr" => {
-            let n = if args.size == 0 { 3_000 } else { args.size };
-            println!("dmr: mesh of {n} points, variant {}", args.variant);
-            let mesh = dmr::make_input(n, args.seed);
+        (App::Dmr, ResidentInput::MeshSpec { n, seed }) => {
+            println!("dmr: mesh of {n} points, variant {variant}");
+            let mesh = dmr::make_input(n, seed);
             let before = check::quality(&mesh);
-            let stats = match args.variant.as_str() {
+            let stats = match variant {
                 "pbbs" => {
                     let s = dmr::pbbs(&mesh, args.threads, false);
                     format!("rounds={} committed={}", s.rounds, s.committed)
                 }
                 _ => {
-                    let exec = executor(&args, 16, false);
-                    let mut r = dmr::try_galois(&mesh, &exec).unwrap_or_else(|e| fault_exit(e));
+                    let mut r =
+                        dmr::try_galois(&mesh, &executor(&args)).unwrap_or_else(|e| fault_exit(e));
                     finish_report(&args, &mut r)
                 }
             };
@@ -813,48 +793,37 @@ fn main() {
                 before.bad,
                 after.bad
             );
-            if args.verify {
-                check::validate(&mesh).expect("structure");
-                check::check_delaunay(&mesh).expect("Delaunay property");
-                assert_eq!(after.bad, 0);
-                println!("verified: conforming refined Delaunay mesh");
-            }
+            verified(
+                &args,
+                || dmr::verify(&mesh),
+                "conforming refined Delaunay mesh",
+            );
         }
-        "mm" => {
-            let n = if args.size == 0 { 200_000 } else { args.size };
-            let g = input_graph(&args, format!("uniform-und-n{n}-d4-s{}", args.seed), || {
-                gen::uniform_random_undirected_parallel(n, 4, args.seed, args.threads)
-            });
-            println!("mm: {n} nodes, variant {}", args.variant);
-            let (mate, stats) = match args.variant.as_str() {
+        (App::Mm, ResidentInput::Graph(g)) => {
+            println!("mm: {} nodes, variant {variant}", g.num_nodes());
+            let (mate, stats) = match variant {
                 "seq" => (mm::seq(&g), "sequential".to_string()),
                 "pbbs" => {
                     let (m, s) = mm::pbbs(&g, args.threads, false);
                     (m, format!("rounds={} committed={}", s.rounds, s.committed))
                 }
                 _ => {
-                    let exec = executor(&args, 1, false);
-                    let (m, mut r) = mm::try_galois(&g, &exec).unwrap_or_else(|e| fault_exit(e));
-                    let stats = finish_report(&args, &mut r);
-                    (m, stats)
+                    let (m, mut r) =
+                        mm::try_galois(&g, &executor(&args)).unwrap_or_else(|e| fault_exit(e));
+                    (m, finish_report(&args, &mut r))
                 }
             };
             let matched = mate.iter().filter(|&&m| m != mm::UNMATCHED).count() / 2;
             println!("done in {:?}: |M| = {matched} ({stats})", t0.elapsed());
-            if args.verify {
-                mm::verify(&g, &mate).expect("matching verification");
-                println!("verified: valid maximal matching");
-            }
+            verified(&args, || mm::verify(&g, &mate), "valid maximal matching");
         }
-        "pfp" => {
-            let n = if args.size == 0 { 8_192 } else { args.size };
-            let net = input_flow(
-                &args,
-                format!("flowrand-n{n}-d4-c1000-s{}", args.seed),
-                || FlowNetwork::random_parallel(n, 4, 1_000, args.seed, args.threads),
+        (App::Pfp, ResidentInput::Flow(net)) => {
+            let net = net.lock().expect("a freshly built network is unpoisoned");
+            println!(
+                "pfp: {} nodes x 4 edges, variant {variant}",
+                net.num_nodes()
             );
-            println!("pfp: {n} nodes x 4 edges, variant {}", args.variant);
-            let (flow, stats) = match args.variant.as_str() {
+            let (flow, stats) = match variant {
                 "seq" => {
                     let (f, s) = pfp::seq(&net);
                     (f, format!("pushes={} relabels={}", s.pushes, s.relabels))
@@ -864,25 +833,17 @@ fn main() {
                     exit(2);
                 }
                 _ => {
-                    let exec = executor(&args, 1, true);
-                    let (f, mut r) = pfp::try_galois(&net, &exec).unwrap_or_else(|e| fault_exit(e));
+                    let (f, mut r) =
+                        pfp::try_galois(&net, &executor(&args)).unwrap_or_else(|e| fault_exit(e));
                     if args.round_log.is_some() {
-                        let logs = r
-                            .reports
-                            .iter_mut()
-                            .filter_map(|b| b.take_round_log())
-                            .collect();
-                        write_round_log(&args, logs);
+                        write_round_log(&args, r.take_round_logs());
                     }
                     (f, format!("bouts={} {}", r.bouts, r.stats))
                 }
             };
             println!("done in {:?}: max flow = {flow} ({stats})", t0.elapsed());
-            if args.verify {
-                net.verify_flow().expect("flow conservation");
-                println!("verified: valid flow assignment");
-            }
+            verified(&args, || pfp::verify(&net, flow), "valid flow assignment");
         }
-        _ => usage(),
+        _ => unreachable!("load_input materializes the app's own input kind"),
     }
 }

@@ -16,7 +16,7 @@ use deterministic_galois::mesh::check;
 fn bfs_schedule_and_output_portable() {
     let g = gen::uniform_random(3_000, 5, 11);
     assert_portable("bfs", |threads| {
-        let (dist, report) = bfs::galois(&g, 0, &det_executor(threads));
+        let (dist, report) = bfs::try_galois(&g, 0, &det_executor(threads)).unwrap();
         (
             dist,
             report.stats.committed,
@@ -30,7 +30,7 @@ fn bfs_schedule_and_output_portable() {
 fn mis_set_portable() {
     let g = gen::uniform_random_undirected(2_000, 4, 12);
     assert_portable("mis", |threads| {
-        let (flags, report) = mis::galois(&g, &det_executor(threads));
+        let (flags, report) = mis::try_galois(&g, &det_executor(threads)).unwrap();
         mis::verify(&g, &flags).unwrap();
         (flags, report.stats.committed, report.stats.rounds)
     });
@@ -40,7 +40,7 @@ fn mis_set_portable() {
 fn dt_geometry_portable() {
     let pts = random_points(600, 13);
     assert_portable("dt", |threads| {
-        let (mesh, _) = dt::galois(&pts, 3, &det_executor(threads));
+        let (mesh, _) = dt::try_galois(&pts, 3, &det_executor(threads)).unwrap();
         check::check_delaunay(&mesh).unwrap();
         check::canonical_triangles(&mesh)
     });
@@ -52,7 +52,7 @@ fn dmr_geometry_portable_with_locality_spread() {
     // spreading; determinism must hold with them enabled.
     assert_portable("dmr", |threads| {
         let mesh = dmr::make_input(150, 14);
-        dmr::galois(&mesh, &det_executor_spread(threads, 16));
+        dmr::try_galois(&mesh, &det_executor_spread(threads, 16)).unwrap();
         check::validate(&mesh).unwrap();
         check::check_delaunay(&mesh).unwrap();
         assert_eq!(check::quality(&mesh).bad, 0);
@@ -64,7 +64,7 @@ fn dmr_geometry_portable_with_locality_spread() {
 fn pfp_flow_and_schedule_portable() {
     let net = FlowNetwork::random(128, 4, 100, 15);
     assert_portable("pfp", |threads| {
-        let (flow, report) = pfp::galois(&net, &det_executor(threads));
+        let (flow, report) = pfp::try_galois(&net, &det_executor(threads)).unwrap();
         (flow, report.stats.committed, report.bouts)
     });
 }
@@ -98,10 +98,10 @@ fn bfs_on_parallel_built_input_matches_sequential_input_build() {
     // executor the same graph, so distances and schedule counters match a
     // run on the sequentially built input exactly.
     let oracle_graph = gen::uniform_random(3_000, 5, 11);
-    let (oracle_dist, oracle_report) = bfs::galois(&oracle_graph, 0, &det_executor(2));
+    let (oracle_dist, oracle_report) = bfs::try_galois(&oracle_graph, 0, &det_executor(2)).unwrap();
     assert_portable("bfs on parallel-built input", |threads| {
         let g = gen::uniform_random_parallel(3_000, 5, 11, threads);
-        let (dist, report) = bfs::galois(&g, 0, &det_executor(2));
+        let (dist, report) = bfs::try_galois(&g, 0, &det_executor(2)).unwrap();
         assert_eq!(
             dist, oracle_dist,
             "distances moved (build threads {threads})"
@@ -116,8 +116,8 @@ fn deterministic_run_is_repeatable_within_thread_count() {
     // Same thread count, two runs: trivially required, but exercises mark
     // table reuse and executor construction.
     let g = gen::uniform_random_undirected(1_000, 4, 16);
-    let (a, _) = mis::galois(&g, &det_executor(4));
-    let (b, _) = mis::galois(&g, &det_executor(4));
+    let (a, _) = mis::try_galois(&g, &det_executor(4)).unwrap();
+    let (b, _) = mis::try_galois(&g, &det_executor(4)).unwrap();
     assert_eq!(a, b);
 }
 
@@ -130,12 +130,12 @@ fn window_policy_is_part_of_the_algorithm_not_a_parameter() {
     // worklist policy (ignored by the deterministic scheduler).
     use deterministic_galois::core::WorklistPolicy;
     let g = gen::uniform_random_undirected(1_000, 4, 17);
-    let (a, _) = mis::galois(&g, &det_executor(2));
+    let (a, _) = mis::try_galois(&g, &det_executor(2)).unwrap();
     let exec_fifo = Executor::new()
         .threads(2)
         .schedule(Schedule::deterministic())
         .worklist(WorklistPolicy::Fifo);
-    let (b, _) = mis::galois(&g, &exec_fifo);
+    let (b, _) = mis::try_galois(&g, &exec_fifo).unwrap();
     assert_eq!(a, b, "worklist policy must not affect deterministic output");
 }
 
@@ -145,11 +145,11 @@ fn chaos_seed_does_not_leak_into_deterministic_output() {
     // reorder thread arrivals and force spurious aborts, but mis output and
     // schedule counters match the chaos-free run at every thread count.
     let g = gen::uniform_random_undirected(1_000, 4, 18);
-    let (baseline, base_report) = mis::galois(&g, &det_executor(2));
+    let (baseline, base_report) = mis::try_galois(&g, &det_executor(2)).unwrap();
     for threads in common::THREAD_COUNTS {
         for seed in [3u64, 0x5EED] {
             let exec = det_executor(threads).chaos(seed);
-            let (flags, report) = mis::galois(&g, &exec);
+            let (flags, report) = mis::try_galois(&g, &exec).unwrap();
             assert_eq!(flags, baseline, "threads={threads} seed={seed}");
             assert_eq!(report.stats.rounds, base_report.stats.rounds);
             assert_eq!(report.stats.committed, base_report.stats.committed);

@@ -22,7 +22,7 @@ fn dt_then_dmr_pipeline_end_to_end() {
     let exec = Executor::new()
         .threads(2)
         .schedule(Schedule::deterministic());
-    let report = dmr::galois(&mesh, &exec);
+    let report = dmr::try_galois(&mesh, &exec).unwrap();
     assert!(report.stats.committed >= before.bad as u64);
 
     let after = check::quality(&mesh);
@@ -65,7 +65,7 @@ fn deterministic_scheduling_costs_more_memory_traffic() {
             .threads(2)
             .schedule(schedule)
             .record_access(true);
-        let (_, report) = mis::galois(&g, &exec);
+        let (_, report) = mis::try_galois(&g, &exec).unwrap();
         let streams: Vec<Vec<u32>> = report
             .accesses
             .unwrap()
@@ -102,7 +102,7 @@ fn virtual_time_model_reproduces_scaling_ordering() {
             .threads(1)
             .schedule(schedule)
             .record_trace(true);
-        let (_, report) = mis::galois(&g, &exec);
+        let (_, report) = mis::try_galois(&g, &exec).unwrap();
         report.trace.unwrap()
     };
     let m = MachineProfile::M4X10;

@@ -220,7 +220,7 @@ proptest! {
         let g = gen::uniform_random(n, deg, seed);
         let expect = g.bfs_distances(0);
         let exec = Executor::new().threads(2).schedule(Schedule::deterministic());
-        let (dist, _) = bfs::galois(&g, 0, &exec);
+        let (dist, _) = bfs::try_galois(&g, 0, &exec).unwrap();
         prop_assert_eq!(dist, expect);
     }
 

@@ -11,7 +11,7 @@
 //! [`RunManifest`]: deterministic_galois::core::RunManifest
 
 use deterministic_galois::core::{
-    DetOptions, ManifestError, ManifestRecorder, RunManifest, Schedule,
+    DetOptions, Hooks, ManifestError, ManifestRecorder, RunManifest, Schedule,
 };
 use deterministic_galois::graph::gen;
 use deterministic_galois::harness::{
@@ -69,8 +69,11 @@ fn replayed_reports_mark_themselves() {
     let g = gen::uniform_random_parallel(2_000, 5, 42, 1);
     let exec = manifest.exec.to_executor(4);
     let mut rec = ManifestRecorder::replaying(&manifest);
-    let (_, report) =
-        deterministic_galois::apps::bfs::try_galois_recorded(&g, 0, &exec, &mut rec).unwrap();
+    let hooks = Hooks {
+        recorder: Some(&mut rec),
+        ..Hooks::default()
+    };
+    let (_, report) = deterministic_galois::apps::bfs::run(&g, 0, &exec, hooks).unwrap();
     assert!(report.is_replay());
     // A fresh (recording) run is not a replay.
     let (_, fresh) = deterministic_galois::apps::bfs::try_galois(&g, 0, &exec).unwrap();

@@ -31,12 +31,12 @@ fn log_of(mut report: RunReport) -> RoundLog {
 fn bfs_round_log_byte_identical_across_threads() {
     let g = gen::uniform_random(5_000, 4, 7);
     let reference = {
-        let log = log_of(bfs::galois(&g, 0, &det_exec(1)).1);
+        let log = log_of(bfs::try_galois(&g, 0, &det_exec(1)).unwrap().1);
         assert!(!log.is_empty(), "bfs det run must record rounds");
         log.canonical_jsonl()
     };
     for threads in [2usize, 4, 8] {
-        let log = log_of(bfs::galois(&g, 0, &det_exec(threads)).1);
+        let log = log_of(bfs::try_galois(&g, 0, &det_exec(threads)).unwrap().1);
         assert_eq!(
             log.canonical_jsonl(),
             reference,
@@ -63,7 +63,7 @@ fn dmr_round_log_portable_across_threads() {
     type GeoKey = [(i64, i64); 3];
     let run = |threads: usize| -> (String, Vec<Vec<(GeoKey, u64)>>) {
         let mesh = dmr::make_input(400, 42);
-        let log = log_of(dmr::galois(&mesh, &det_exec(threads)));
+        let log = log_of(dmr::try_galois(&mesh, &det_exec(threads)).unwrap());
         assert!(!log.is_empty(), "dmr det run must record rounds");
         let counts_only = log
             .records()
@@ -113,7 +113,7 @@ fn dmr_round_log_portable_across_threads() {
 fn mis_round_log_byte_identical_across_threads() {
     let g = gen::uniform_random_undirected(3_000, 4, 11);
     let run = |threads: usize| {
-        let log = log_of(mis::galois(&g, &det_exec(threads)).1);
+        let log = log_of(mis::try_galois(&g, &det_exec(threads)).unwrap().1);
         assert!(!log.is_empty(), "mis det run must record rounds");
         log.canonical_jsonl()
     };
@@ -184,15 +184,16 @@ fn window_sequence_matches_adaptive_policy() {
 #[test]
 fn probe_does_not_perturb_atomic_updates() {
     let g = gen::uniform_random(5_000, 4, 7);
-    let plain = bfs::galois(
+    let plain = bfs::try_galois(
         &g,
         0,
         &Executor::new()
             .threads(2)
             .schedule(Schedule::deterministic()),
     )
+    .unwrap()
     .1;
-    let probed = bfs::galois(&g, 0, &det_exec(2)).1;
+    let probed = bfs::try_galois(&g, 0, &det_exec(2)).unwrap().1;
     assert!(plain.round_log().is_none());
     assert!(probed.round_log().is_some());
     assert_eq!(plain.stats.atomic_updates, probed.stats.atomic_updates);

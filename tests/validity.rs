@@ -19,7 +19,7 @@ fn speculative_bfs_distances_exact() {
     let expect = bfs::seq(&g, 0);
     for threads in [1, 4] {
         let exec = spec(threads).worklist(WorklistPolicy::Fifo);
-        let (dist, _) = bfs::galois(&g, 0, &exec);
+        let (dist, _) = bfs::try_galois(&g, 0, &exec).unwrap();
         assert_eq!(dist, expect);
     }
 }
@@ -28,7 +28,7 @@ fn speculative_bfs_distances_exact() {
 fn speculative_mis_is_maximal_independent() {
     let g = gen::uniform_random_undirected(3_000, 4, 22);
     for threads in [1, 4] {
-        let (flags, _) = mis::galois(&g, &spec(threads));
+        let (flags, _) = mis::try_galois(&g, &spec(threads)).unwrap();
         mis::verify(&g, &flags).unwrap();
     }
 }
@@ -38,7 +38,7 @@ fn speculative_dt_is_the_unique_delaunay_triangulation() {
     let pts = random_points(700, 23);
     let expect = check::canonical_triangles(&dt::seq(&pts, 9));
     for threads in [1, 4] {
-        let (mesh, _) = dt::galois(&pts, 9, &spec(threads));
+        let (mesh, _) = dt::try_galois(&pts, 9, &spec(threads)).unwrap();
         check::validate(&mesh).unwrap();
         check::check_delaunay(&mesh).unwrap();
         assert_eq!(check::canonical_triangles(&mesh), expect);
@@ -49,7 +49,7 @@ fn speculative_dt_is_the_unique_delaunay_triangulation() {
 fn speculative_dmr_produces_conforming_refined_mesh() {
     for threads in [1, 4] {
         let mesh = dmr::make_input(150, 24);
-        dmr::galois(&mesh, &spec(threads));
+        dmr::try_galois(&mesh, &spec(threads)).unwrap();
         check::validate(&mesh).unwrap();
         check::check_delaunay(&mesh).unwrap();
         assert_eq!(check::quality(&mesh).bad, 0);
@@ -62,7 +62,7 @@ fn speculative_pfp_matches_reference_max_flow() {
     net.reset();
     let expect = net.edmonds_karp();
     for threads in [1, 4] {
-        let (flow, _) = pfp::galois(&net, &spec(threads));
+        let (flow, _) = pfp::try_galois(&net, &spec(threads)).unwrap();
         assert_eq!(flow, expect);
         net.verify_flow().unwrap();
     }
@@ -92,7 +92,7 @@ fn pbbs_variants_are_valid_and_deterministic() {
 fn serial_executor_matches_seq_implementations() {
     let g = gen::uniform_random(2_000, 5, 28);
     let exec = Executor::new().schedule(Schedule::Serial);
-    let (dist, report) = bfs::galois(&g, 0, &exec);
+    let (dist, report) = bfs::try_galois(&g, 0, &exec).unwrap();
     bfs::verify(&g, 0, &dist).unwrap();
     assert_eq!(report.stats.aborted, 0);
     assert_eq!(report.stats.atomic_updates, 0, "serial mode takes no locks");
