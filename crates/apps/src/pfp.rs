@@ -295,6 +295,12 @@ pub fn run(
     // the deterministic schedule thread-count independent.
     let relabel_gen: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
     let mut bout_gen: u32 = 0;
+    // A cut-off source leaves no active node, so no bout ever runs: the
+    // recorder must learn the executor configuration here for that
+    // zero-round run to finish into a valid manifest.
+    if let Some(rec) = hooks.recorder.as_deref_mut() {
+        rec.capture(exec);
+    }
 
     loop {
         let active: Vec<NodeId> = (0..n as NodeId)

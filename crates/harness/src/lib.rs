@@ -21,7 +21,8 @@
 //! found on an 8-thread × 8-seed sweep arrives as a two-run repro.
 
 use galois_core::manifest::{
-    ManifestError, ManifestRecorder, ReplayDivergence, RunManifest, ScheduleKind,
+    LockstepEventKind, LockstepReport, ManifestError, ManifestRecorder, ReplayDivergence,
+    RunManifest, ScheduleKind,
 };
 use galois_core::{ExecError, Executor, RoundLog, RoundRecord, Schedule};
 use galois_graph::cache::CacheOutcome;
@@ -29,8 +30,9 @@ use galois_runtime::fingerprint::{run_fingerprint, RoundChain};
 use galois_runtime::stats::ExecStats;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
+pub mod lockstep;
 pub mod resident;
 pub mod subprocess;
 pub mod sweep;
@@ -40,6 +42,7 @@ pub use galois_apps as apps;
 /// ([`galois_apps::recipe`]).
 pub use galois_apps::recipe::App;
 pub use galois_graph::cache::CacheOutcome as InputCacheOutcome;
+use lockstep::{Lockstep, Offer};
 pub use resident::{
     load_input, run_resident, InputStore, Residency, ResidentInput, ResidentRun, StoreSnapshot,
 };
@@ -155,7 +158,7 @@ fn outcome(output_hash: u64, logs: Vec<RoundLog>, stats: &ExecStats) -> RunOutco
 /// mutation-testing seam. The identity hook is [`unperturbed`]; the
 /// harness's own tests plant scheduler perturbations here and assert the
 /// differential sweep catches them.
-pub type Mutation<'a> = &'a dyn Fn(App, Variant, usize, Option<u64>, Executor) -> Executor;
+pub type Mutation<'a> = &'a (dyn Fn(App, Variant, usize, Option<u64>, Executor) -> Executor + Sync);
 
 /// The identity [`Mutation`].
 pub fn unperturbed(_: App, _: Variant, _: usize, _: Option<u64>, exec: Executor) -> Executor {
@@ -371,9 +374,7 @@ impl From<ManifestError> for ReplayError {
 
 /// Resolves a manifest back to the `(app, input)` pair it was recorded
 /// from, rejecting manifests this harness cannot faithfully re-execute.
-/// Public for callers (like the distributed lockstep replica) that
-/// re-execute the run themselves instead of going through [`replay_run`].
-pub fn manifest_target(manifest: &RunManifest) -> Result<(App, InputConfig), ReplayError> {
+fn manifest_target(manifest: &RunManifest) -> Result<(App, InputConfig), ReplayError> {
     let app = App::from_name(&manifest.app)
         .ok_or_else(|| ReplayError::Mismatch(format!("unknown app `{}`", manifest.app)))?;
     if manifest.exec.schedule != ScheduleKind::Deterministic {
@@ -428,6 +429,43 @@ pub fn record_run(
     Ok(manifest)
 }
 
+/// Each barrier's `(chain sequence index, prefix hash)`, as a replay
+/// produces them.
+pub type RoundSink = Box<dyn FnMut(u64, u64) + Send>;
+
+/// The one replay recipe: resolve the manifest back to its `(app, input)`,
+/// rebuild the executor from `manifest.exec` at `threads` workers (`shape`
+/// may then perturb it — chaos seeds, planted schedule changes), attach a
+/// replay-mode [`ManifestRecorder`] streaming every round hash into `sink`,
+/// and run. Returns the validated outcome and the recorder's verdict
+/// against the manifest (`None` = reproduced bit for bit).
+///
+/// [`replay_run`] is this plus "a divergence is an error"; lockstep
+/// replicas — threads under [`run_lockstep`], processes under
+/// `galois_serve::lockstep::run_replica` — are this with a sink feeding the
+/// vote, which renders its own verdict.
+pub fn replay_with(
+    manifest: &RunManifest,
+    threads: usize,
+    cache_dir: Option<PathBuf>,
+    shape: impl FnOnce(App, Executor) -> Executor,
+    sink: Option<RoundSink>,
+) -> Result<(RunOutcome, Option<ReplayDivergence>), ReplayError> {
+    let (app, mut input) = manifest_target(manifest)?;
+    input.cache_dir = cache_dir;
+    // record_rounds keeps the harness's own fingerprint path alive so the
+    // returned outcome is directly comparable with fresh runs.
+    let exec = shape(app, manifest.exec.to_executor(threads)).record_rounds(true);
+    let mut rec = ManifestRecorder::replaying(manifest);
+    if let Some(sink) = sink {
+        rec = rec.on_round_hash(sink);
+    }
+    let (result, _cached) =
+        run_cell(app, &exec, &input, Some(&mut rec)).map_err(ReplayError::Validation)?;
+    let out = result.map_err(ReplayError::Exec)?;
+    Ok((out, rec.verify(manifest, out.output_hash).err()))
+}
+
 /// Re-executes a recorded run at `threads` workers and verifies it against
 /// the manifest: every per-round prefix hash, the round count, and the
 /// final fingerprint must match bit for bit. The first divergent round
@@ -441,18 +479,10 @@ pub fn replay_run(
     threads: usize,
     cache_dir: Option<PathBuf>,
 ) -> Result<RunOutcome, ReplayError> {
-    let (app, mut input) = manifest_target(manifest)?;
-    input.cache_dir = cache_dir;
-    // record_rounds keeps the harness's own fingerprint path alive so the
-    // returned outcome is directly comparable with fresh runs.
-    let exec = manifest.exec.to_executor(threads).record_rounds(true);
-    let mut rec = ManifestRecorder::replaying(manifest);
-    let (result, _cached) =
-        run_cell(app, &exec, &input, Some(&mut rec)).map_err(ReplayError::Validation)?;
-    let out = result.map_err(ReplayError::Exec)?;
-    rec.verify(manifest, out.output_hash)
-        .map_err(ReplayError::Divergence)?;
-    Ok(out)
+    match replay_with(manifest, threads, cache_dir, |_, exec| exec, None)? {
+        (out, None) => Ok(out),
+        (_, Some(divergence)) => Err(ReplayError::Divergence(divergence)),
+    }
 }
 
 /// One replica of a lockstep replication run.
@@ -464,193 +494,82 @@ pub struct LockstepReplica {
     pub chaos_seed: Option<u64>,
 }
 
-/// The first round where two lockstep replicas hashed differently.
+/// Runs N in-process replicas of a recorded run — each a thread with its
+/// own thread count and chaos seed over the *same* manifest — through the
+/// [`lockstep::Lockstep`] vote: every replica's round-hash sink offers its
+/// hash at each barrier (waiting while it is a full window ahead of the
+/// slowest voter), and the vote's verdict is the wire coordinator's —
+/// the recording is binding, a strict minority contradicting it is evicted
+/// ([`LockstepOutcome::Diverged`](galois_core::manifest::LockstepOutcome)),
+/// half or more is a refusal (`NoQuorum`).
 ///
-/// A hash of `0` means that replica had no such round (the replicas
-/// disagreed on round *count* after agreeing on every common round).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LockstepDivergence {
-    /// First divergent round (chain sequence index).
-    pub round: u64,
-    /// Lower-index replica of the diverging pair.
-    pub replica_a: usize,
-    /// Higher-index replica of the diverging pair.
-    pub replica_b: usize,
-    /// Replica `a`'s prefix hash at that round.
-    pub hash_a: u64,
-    /// Replica `b`'s prefix hash at that round.
-    pub hash_b: u64,
-}
-
-impl fmt::Display for LockstepDivergence {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "replicas {} and {} diverged at round {}: {:016x} vs {:016x}",
-            self.replica_a, self.replica_b, self.round, self.hash_a, self.hash_b
-        )
-    }
-}
-
-/// What a lockstep replication run observed.
-#[derive(Debug)]
-pub struct LockstepReport {
-    /// Replica count.
-    pub replicas: usize,
-    /// Rounds the longest replica executed.
-    pub rounds: u64,
-    /// First round where two replicas disagreed (`None` = full agreement).
-    pub divergence: Option<LockstepDivergence>,
-    /// Per-replica verdict against the *manifest's* chain (`None` = that
-    /// replica reproduced the recording exactly).
-    pub manifest_divergences: Vec<Option<ReplayDivergence>>,
-}
-
-impl LockstepReport {
-    /// Whether every replica agreed with every other *and* with the
-    /// recorded manifest.
-    pub fn all_agree(&self) -> bool {
-        self.divergence.is_none() && self.manifest_divergences.iter().all(Option::is_none)
-    }
-}
-
-/// Shared round-hash board the replicas cross-check through: each replica's
-/// recorder hook publishes `(round, hash)` as its barrier completes, and
-/// the publisher compares against every stream that already reached that
-/// round — the Aviram & Ford fault-detection pattern, at barrier latency.
-struct LockstepMonitor {
-    streams: Vec<Vec<u64>>,
-    first_mismatch: Option<(u64, usize, usize)>,
-}
-
-impl LockstepMonitor {
-    fn new(replicas: usize) -> Self {
-        LockstepMonitor {
-            streams: vec![Vec::new(); replicas],
-            first_mismatch: None,
-        }
-    }
-
-    fn push(&mut self, replica: usize, seq: u64, hash: u64) {
-        debug_assert_eq!(self.streams[replica].len() as u64, seq);
-        self.streams[replica].push(hash);
-        for (other, stream) in self.streams.iter().enumerate() {
-            if other == replica {
-                continue;
-            }
-            if let Some(&h) = stream.get(seq as usize) {
-                if h != hash && self.first_mismatch.is_none_or(|(r, _, _)| seq < r) {
-                    self.first_mismatch = Some((seq, other.min(replica), other.max(replica)));
-                }
-            }
-        }
-    }
-}
-
-/// Runs N in-process replicas of a recorded run — each with its own thread
-/// count and chaos seed over the *same* manifest — cross-checking round
-/// hashes at each barrier and reporting the first divergent round.
-///
-/// Under a healthy deterministic scheduler every replica produces the
-/// identical chain regardless of `threads`/`chaos_seed`, so the report is
-/// all-agreement; a schedule bug (or a perturbation planted through the
-/// [`Mutation`] seam) surfaces as the exact round where the replicas'
-/// schedules parted. Replica configuration errors (validation failures,
-/// executor faults) are `Err`; divergence is a *successful observation*,
-/// reported in the `Ok` value.
+/// Under a healthy deterministic scheduler every replica reproduces the
+/// chain regardless of `threads`/`chaos_seed`; a schedule bug (or a
+/// perturbation planted through the [`Mutation`] seam) surfaces as a
+/// `Divergence` event at the exact round that replica's schedule parted.
+/// A replica whose run faults or fails validation leaves the vote with a
+/// `Fault` event. Replica ids are indices into `replicas`, so the report is
+/// a function of the manifest and the replica set alone (`max_buffered`
+/// excepted: how far ahead a replica got is timing). `Err` means the
+/// manifest itself cannot be replayed here.
 pub fn run_lockstep(
     manifest: &RunManifest,
     replicas: &[LockstepReplica],
     mutation: Mutation,
 ) -> Result<LockstepReport, ReplayError> {
     assert!(replicas.len() >= 2, "lockstep needs at least two replicas");
-    let (app, input) = manifest_target(manifest)?;
-    // The mutation seam is applied here, on the caller's thread, so the
-    // seam (a plain `&dyn Fn`) never has to cross threads.
-    let execs: Vec<Executor> = replicas
-        .iter()
-        .map(|r| {
-            let mut exec = manifest.exec.to_executor(r.threads);
-            if let Some(seed) = r.chaos_seed {
-                exec = exec.chaos(seed);
-            }
-            mutation(app, Variant::Deterministic, r.threads, r.chaos_seed, exec)
-        })
-        .collect();
-
-    let monitor = Arc::new(Mutex::new(LockstepMonitor::new(replicas.len())));
-    let results: Vec<Result<ManifestRecorder, ReplayError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = execs
-            .into_iter()
-            .enumerate()
-            .map(|(i, exec)| {
-                let board = Arc::clone(&monitor);
-                let input = input.clone();
-                let mut rec = ManifestRecorder::replaying(manifest)
-                    .on_round_hash(move |seq, hash| board.lock().unwrap().push(i, seq, hash));
-                s.spawn(move || {
-                    let (result, _cached) = run_cell(app, &exec, &input, Some(&mut rec))
-                        .map_err(ReplayError::Validation)?;
-                    result.map_err(ReplayError::Exec)?;
-                    Ok(rec)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("lockstep replica panicked"))
-            .collect()
-    });
-
-    let mut recorders = Vec::with_capacity(results.len());
-    for r in results {
-        recorders.push(r?);
-    }
-    let chains: Vec<&[u64]> = recorders.iter().map(|r| r.round_hashes()).collect();
-    let rounds = chains.iter().map(|c| c.len()).max().unwrap_or(0);
-
-    // Authoritative post-hoc scan (deterministic order: smallest round,
-    // then smallest replica pair). The monitor's live cross-check must have
-    // found the same first round — it saw every hash the scan sees.
-    let mut divergence = None;
-    'scan: for seq in 0..rounds {
-        for a in 0..chains.len() {
-            for b in (a + 1)..chains.len() {
-                let ha = chains[a].get(seq).copied().unwrap_or(0);
-                let hb = chains[b].get(seq).copied().unwrap_or(0);
-                if ha != hb {
-                    divergence = Some(LockstepDivergence {
-                        round: seq as u64,
-                        replica_a: a,
-                        replica_b: b,
-                        hash_a: ha,
-                        hash_b: hb,
-                    });
-                    break 'scan;
+    manifest_target(manifest)?;
+    let vote = Lockstep::new(manifest, replicas.len(), lockstep::DEFAULT_WINDOW);
+    let session = Arc::new((Mutex::new(vote), Condvar::new()));
+    const POISONED: &str = "a lockstep replica panicked";
+    // After every event: settle what it allows, wake replicas waiting at
+    // the window bound. The evictions `advance` returns need no action
+    // here — an evicted replica's later offers are dropped and its thread
+    // runs out on its own.
+    std::thread::scope(|s| {
+        for (i, &replica) in replicas.iter().enumerate() {
+            let session = Arc::clone(&session);
+            s.spawn(move || {
+                let LockstepReplica {
+                    threads,
+                    chaos_seed,
+                } = replica;
+                let shape = |app, mut exec: Executor| {
+                    if let Some(seed) = chaos_seed {
+                        exec = exec.chaos(seed);
+                    }
+                    mutation(app, Variant::Deterministic, threads, chaos_seed, exec)
+                };
+                let sink = {
+                    let session = Arc::clone(&session);
+                    move |seq, hash| {
+                        let (vote, turn) = &*session;
+                        let mut vote = vote.lock().expect(POISONED);
+                        while vote.offer(i, seq, hash) == Offer::Full {
+                            vote = turn.wait(vote).expect(POISONED);
+                        }
+                        vote.advance();
+                        turn.notify_all();
+                    }
+                };
+                let result = replay_with(manifest, threads, None, shape, Some(Box::new(sink)));
+                let (vote, turn) = &*session;
+                let mut vote = vote.lock().expect(POISONED);
+                match result {
+                    Ok((out, _)) => vote.done(i, out.rounds, out.output_hash, out.fingerprint),
+                    Err(e) => vote.lost(
+                        i,
+                        LockstepEventKind::Fault,
+                        format!("replica {i} faulted: {e}"),
+                    ),
                 }
-            }
+                vote.advance();
+                turn.notify_all();
+            });
         }
-    }
-    // The live cross-check sees every hash the scan sees, so a live
-    // mismatch implies a (no later) post-hoc one; the converse need not
-    // hold when replicas disagree only on round *count*.
-    if let Some((live_round, _, _)) = monitor.lock().unwrap().first_mismatch {
-        debug_assert!(
-            divergence.as_ref().is_some_and(|d| d.round <= live_round),
-            "live cross-check found a mismatch the post-hoc scan missed"
-        );
-    }
-
-    let manifest_divergences = chains
-        .iter()
-        .map(|c| manifest.verify_chain(c).err())
-        .collect();
-    Ok(LockstepReport {
-        replicas: replicas.len(),
-        rounds: rounds as u64,
-        divergence,
-        manifest_divergences,
-    })
+    });
+    let vote = session.0.lock().expect(POISONED);
+    Ok(vote.report())
 }
 
 /// One differential sweep's shape.

@@ -36,25 +36,15 @@
 //! [`LockstepReport`].
 
 use crate::wire::{self, Frame, WireError, WIRE_VERSION};
-use galois_core::manifest::{
-    LockstepEvent, LockstepEventKind, LockstepOutcome, LockstepReport, ManifestRecorder,
-    LOCKSTEP_REPORT_VERSION,
-};
-use galois_core::RunManifest;
-use galois_harness::{manifest_target, run_cell};
-use std::collections::VecDeque;
+use galois_core::manifest::{ExecConfig, LockstepEventKind, LockstepReport};
+use galois_core::{Executor, RunManifest};
+use galois_harness::lockstep::{exit_code, Action, Lockstep, Offer, DEFAULT_WINDOW};
+pub use galois_harness::lockstep::{EXIT_DIVERGENCE, EXIT_NO_QUORUM};
+use galois_harness::{replay_with, ReplayError};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Process exit code for a run that completed from a quorum after evicting
-/// divergent replicas (same code the replay CLI uses for divergence).
-pub const EXIT_DIVERGENCE: i32 = 13;
-
-/// Process exit code for a refused run: quorum lost, or a majority
-/// contradicted the recorded reference chain.
-pub const EXIT_NO_QUORUM: i32 = 14;
 
 /// Exit code a replica uses after being evicted by its coordinator.
 pub const EXIT_REPLICA_EVICTED: i32 = 3;
@@ -81,7 +71,7 @@ impl Default for LockstepConfig {
     fn default() -> Self {
         LockstepConfig {
             replicas: 3,
-            window: 64,
+            window: DEFAULT_WINDOW,
             threads: Vec::new(),
             timeout: Duration::from_secs(60),
             join_timeout: Duration::from_secs(60),
@@ -98,39 +88,15 @@ pub struct LockstepRunResult {
     pub exit_code: i32,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum ReplicaState {
-    Running,
-    Finished {
-        rounds: u64,
-        output_hash: u64,
-        fingerprint: u64,
-    },
-    Dead,
-    Evicted,
-}
-
-struct Board {
-    /// Per-replica queue of received-but-unsettled prefix hashes; the
-    /// front is always the hash for round `settled`.
-    pending: Vec<VecDeque<u64>>,
-    /// Total `ROUND` frames accepted per replica (seq contiguity check).
-    arrived: Vec<u64>,
-    state: Vec<ReplicaState>,
-    /// Rounds settled against the reference chain.
-    settled: u64,
-    /// High-water mark of any pending queue.
-    max_buffered: u64,
-    events: Vec<LockstepEvent>,
-    /// Set when the settler gives up; readers drain and exit.
-    halted: bool,
-}
-
-struct Shared {
-    board: Mutex<Board>,
+/// The vote shared by the reader threads, and the condition readers
+/// blocked at the window bound (and `run`, waiting for the verdict) sleep
+/// on.
+struct Session {
+    vote: Mutex<Lockstep>,
     turn: Condvar,
-    window: usize,
 }
+
+const POISONED: &str = "a lockstep reader thread panicked";
 
 /// A bound coordinator, ready to accept replica joins.
 pub struct Coordinator {
@@ -171,8 +137,6 @@ impl Coordinator {
         if n == 0 {
             return Err("lockstep needs at least one replica".into());
         }
-        let quorum = n / 2 + 1;
-        let reference = self.manifest.round_hashes.clone();
         let manifest_json = self.manifest.to_json();
 
         // ---- Join phase -------------------------------------------------
@@ -201,73 +165,44 @@ impl Coordinator {
                 Err(e) => return Err(format!("accept: {e}")),
             }
         }
-
-        // ---- Stream phase: one reader thread per replica ----------------
-        let shared = Arc::new(Shared {
-            board: Mutex::new(Board {
-                pending: (0..n).map(|_| VecDeque::new()).collect(),
-                arrived: vec![0; n],
-                state: vec![ReplicaState::Running; n],
-                settled: 0,
-                max_buffered: 0,
-                events: Vec::new(),
-                halted: false,
-            }),
-            turn: Condvar::new(),
-            window: self.config.window.max(1),
-        });
-        let timeout = self.config.timeout;
-        let mut readers = Vec::with_capacity(n);
+        let mut inbound = Vec::with_capacity(n);
         for (i, stream) in streams.iter().enumerate() {
-            let mut stream = stream
-                .try_clone()
-                .map_err(|e| format!("clone replica {i} stream: {e}"))?;
-            let shared = Arc::clone(&shared);
-            readers.push(std::thread::spawn(move || {
-                reader_loop(&mut stream, i, &shared, timeout)
-            }));
+            inbound.push(
+                stream
+                    .try_clone()
+                    .map_err(|e| format!("clone replica {i} stream: {e}"))?,
+            );
         }
 
-        // ---- Vote/settle phase ------------------------------------------
-        let (outcome, survivors, agreed) =
-            settle(&shared, &reference, &self.manifest, quorum, &streams);
-
-        // Courtesy frames, then hang up: survivors get an ACK, everyone
-        // else is already evicted/dead. Dropping the streams unblocks any
-        // replica still mid-stream.
-        for &i in &survivors {
-            if let Ok(mut s) = streams[i].try_clone() {
-                let _ = wire::write_frame(&mut s, &Frame::Ack);
+        // ---- Stream + vote: one reader thread per replica ---------------
+        let session = Session {
+            vote: Mutex::new(Lockstep::new(&self.manifest, n, self.config.window)),
+            turn: Condvar::new(),
+        };
+        let timeout = self.config.timeout;
+        let report = std::thread::scope(|s| {
+            for (i, mut stream) in inbound.into_iter().enumerate() {
+                let (session, streams) = (&session, &streams);
+                s.spawn(move || reader_loop(&mut stream, i, session, streams, timeout));
             }
-        }
-        for stream in &streams {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        for reader in readers {
-            let _ = reader.join();
-        }
-
-        let board = shared.board.lock().unwrap();
-        let (output_hash, fingerprint) = agreed.unwrap_or((0, 0));
-        let report = LockstepReport {
-            version: LOCKSTEP_REPORT_VERSION,
-            app: self.manifest.app.clone(),
-            input_key: self.manifest.input_key.clone(),
-            replicas: n as u64,
-            window: shared.window as u64,
-            rounds: board.settled,
-            outcome,
-            survivors: survivors.iter().map(|&i| i as u64).collect(),
-            max_buffered: board.max_buffered,
-            output_hash,
-            final_fingerprint: fingerprint,
-            events: board.events.clone(),
-        };
-        let exit_code = match outcome {
-            LockstepOutcome::Agreed => 0,
-            LockstepOutcome::Diverged => EXIT_DIVERGENCE,
-            LockstepOutcome::NoQuorum => EXIT_NO_QUORUM,
-        };
+            let mut vote = session.vote.lock().expect(POISONED);
+            while vote.verdict().is_none() {
+                vote = session.turn.wait(vote).expect(POISONED);
+            }
+            let report = vote.report();
+            drop(vote);
+            // Courtesy frames, then hang up: survivors get an ACK, everyone
+            // else is already evicted/dead. The shutdowns unblock every
+            // reader (and any replica) still mid-stream.
+            for &i in &report.survivors {
+                send(&streams[i as usize], &Frame::Ack);
+            }
+            for stream in &streams {
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+            }
+            report
+        });
+        let exit_code = exit_code(report.outcome);
         Ok(LockstepRunResult { report, exit_code })
     }
 
@@ -306,370 +241,92 @@ impl Coordinator {
     }
 }
 
-/// One replica's reader: validates frame order, back-pressures at the
-/// window bound, and turns connection loss into structured board state.
-fn reader_loop(stream: &mut TcpStream, id: usize, shared: &Shared, timeout: Duration) {
+/// Best-effort control frame to a replica that may already be gone.
+fn send(stream: &TcpStream, frame: &Frame) {
+    if let Ok(mut s) = stream.try_clone() {
+        let _ = wire::write_frame(&mut s, frame);
+    }
+}
+
+/// One replica's reader: translates its frames (and its connection's end)
+/// into vote events, blocks at the window bound so TCP back-pressures the
+/// replica, and performs the actions each event unlocks.
+fn reader_loop(
+    stream: &mut TcpStream,
+    id: usize,
+    session: &Session,
+    streams: &[TcpStream],
+    timeout: Duration,
+) {
     loop {
         let frame = wire::read_frame(stream, timeout);
-        let mut board = shared.board.lock().unwrap();
-        if board.state[id] != ReplicaState::Running || board.halted {
-            // Evicted, or the session settled, while we were blocked
-            // reading — nothing left to account for.
-            return;
-        }
-        match frame {
+        let mut vote = session.vote.lock().expect(POISONED);
+        let streaming = match frame {
             Ok(Frame::Round { seq, hash }) => {
-                if seq != board.arrived[id] {
-                    let expected_seq = board.arrived[id];
-                    mark_dead(
-                        &mut board,
-                        id,
-                        LockstepEventKind::Death,
-                        format!("replica {id} sent round {seq}, expected {expected_seq}"),
-                    );
-                    shared.turn.notify_all();
-                    return;
+                let mut offer = vote.offer(id, seq, hash);
+                while offer == Offer::Full {
+                    vote = session.turn.wait(vote).expect(POISONED);
+                    offer = vote.offer(id, seq, hash);
                 }
-                // Window bound: never buffer more than `window` unsettled
-                // hashes for one replica.
-                while board.pending[id].len() >= shared.window
-                    && board.state[id] == ReplicaState::Running
-                    && !board.halted
-                {
-                    board = shared.turn.wait(board).unwrap();
-                }
-                if board.state[id] != ReplicaState::Running || board.halted {
-                    return;
-                }
-                board.arrived[id] += 1;
-                board.pending[id].push_back(hash);
-                board.max_buffered = board.max_buffered.max(board.pending[id].len() as u64);
-                shared.turn.notify_all();
+                offer == Offer::Taken
             }
             Ok(Frame::Done {
                 rounds,
                 output_hash,
                 fingerprint,
             }) => {
-                board.state[id] = ReplicaState::Finished {
-                    rounds,
-                    output_hash,
-                    fingerprint,
-                };
-                shared.turn.notify_all();
-                return;
+                vote.done(id, rounds, output_hash, fingerprint);
+                false
             }
             Ok(Frame::Fault { exit_code, message }) => {
-                let round = board.arrived[id];
-                mark_dead(
-                    &mut board,
+                vote.lost(
                     id,
                     LockstepEventKind::Fault,
                     format!("replica {id} faulted (exit {exit_code}): {message}"),
                 );
-                board.events.last_mut().expect("event just pushed").round = round;
-                shared.turn.notify_all();
-                return;
+                false
             }
             Ok(other) => {
-                mark_dead(
-                    &mut board,
+                vote.lost(
                     id,
                     LockstepEventKind::Death,
                     format!("replica {id} sent unexpected {other:?}"),
                 );
-                shared.turn.notify_all();
-                return;
+                false
             }
             Err(WireError::Timeout) => {
-                mark_dead(
-                    &mut board,
+                vote.lost(
                     id,
                     LockstepEventKind::Timeout,
                     format!("replica {id} silent past {timeout:?}"),
                 );
-                shared.turn.notify_all();
-                return;
+                false
             }
             Err(e) => {
-                mark_dead(
-                    &mut board,
+                vote.lost(
                     id,
                     LockstepEventKind::Death,
                     format!("replica {id} connection lost: {e}"),
                 );
-                shared.turn.notify_all();
-                return;
+                false
             }
-        }
-    }
-}
-
-fn mark_dead(board: &mut Board, id: usize, kind: LockstepEventKind, detail: String) {
-    board.state[id] = ReplicaState::Dead;
-    board.pending[id].clear();
-    board.events.push(LockstepEvent {
-        round: board.settled,
-        replica: Some(id as u64),
-        kind,
-        expected: 0,
-        actual: 0,
-        detail,
-    });
-}
-
-/// The settle loop: advances the frontier one round at a time, voting
-/// every live replica's hash against the recorded reference chain.
-/// Returns `(outcome, survivors, agreed (output_hash, fingerprint))`.
-fn settle(
-    shared: &Shared,
-    reference: &[u64],
-    manifest: &RunManifest,
-    quorum: usize,
-    streams: &[TcpStream],
-) -> (LockstepOutcome, Vec<usize>, Option<(u64, u64)>) {
-    let n = streams.len();
-    let mut board = shared.board.lock().unwrap();
-    loop {
-        let active: Vec<usize> = (0..n)
-            .filter(|&i| {
-                matches!(
-                    board.state[i],
-                    ReplicaState::Running | ReplicaState::Finished { .. }
-                )
-            })
-            .collect();
-        if active.len() < quorum {
-            let settled = board.settled;
-            board.events.push(LockstepEvent {
-                round: settled,
-                replica: None,
-                kind: LockstepEventKind::Refusal,
-                expected: 0,
-                actual: 0,
-                detail: format!(
-                    "quorum lost: {} of {n} replicas live, need {quorum}",
-                    active.len()
-                ),
-            });
-            board.halted = true;
-            shared.turn.notify_all();
-            return (LockstepOutcome::NoQuorum, Vec::new(), None);
-        }
-
-        // A Running replica with an empty queue owes the frontier hash (or
-        // its Done/death): wait for it.
-        if active
-            .iter()
-            .any(|&i| board.state[i] == ReplicaState::Running && board.pending[i].is_empty())
-        {
-            board = shared.turn.wait(board).unwrap();
-            continue;
-        }
-
-        let r = board.settled;
-        let expected = reference.get(r as usize).copied();
-        // Each active replica's claim for round r: a hash, or `None` —
-        // "my chain ended before this round".
-        let votes: Vec<(usize, Option<u64>)> = active
-            .iter()
-            .map(|&i| (i, board.pending[i].front().copied()))
-            .collect();
-
-        match expected {
-            None => {
-                // Reference chain exhausted: anyone still producing rounds
-                // contradicts the recording.
-                let extra: Vec<(usize, u64)> = votes
-                    .iter()
-                    .filter_map(|&(i, v)| v.map(|h| (i, h)))
-                    .collect();
-                if extra.is_empty() {
-                    // Everyone ended exactly at the reference length; the
-                    // final fingerprint vote decides below.
-                    return finalize(shared, board, manifest, quorum, n, streams);
-                }
-                if extra.len() * 2 >= active.len() {
-                    return refuse(
-                        shared,
-                        board,
-                        r,
-                        format!(
-                            "{} of {} live replicas ran past the recorded {}-round chain",
-                            extra.len(),
-                            active.len(),
-                            reference.len()
-                        ),
-                    );
-                }
-                for (i, hash) in extra {
-                    evict(&mut board, i, r, 0, hash, streams);
-                }
-                shared.turn.notify_all();
-            }
-            Some(expected) => {
-                let mismatch: Vec<(usize, Option<u64>)> = votes
-                    .iter()
-                    .copied()
-                    .filter(|&(_, v)| v != Some(expected))
-                    .collect();
-                if mismatch.is_empty() {
-                    for &i in &active {
-                        board.pending[i].pop_front();
-                    }
-                    board.settled += 1;
-                    shared.turn.notify_all();
-                    continue;
-                }
-                if mismatch.len() * 2 >= active.len() {
-                    return refuse(
-                        shared,
-                        board,
-                        r,
-                        format!(
-                            "{} of {} live replicas contradict the reference at round {r} — \
-                             refusing to vote a majority against the recording",
-                            mismatch.len(),
-                            active.len()
-                        ),
-                    );
-                }
-                for (i, v) in mismatch {
-                    evict(&mut board, i, r, expected, v.unwrap_or(0), streams);
-                }
-                shared.turn.notify_all();
-            }
-        }
-    }
-}
-
-/// Records the divergence + eviction pair for replica `i` at round `r`,
-/// removes it from the vote, and hangs up its socket.
-fn evict(board: &mut Board, i: usize, r: u64, expected: u64, actual: u64, streams: &[TcpStream]) {
-    board.events.push(LockstepEvent {
-        round: r,
-        replica: Some(i as u64),
-        kind: LockstepEventKind::Divergence,
-        expected,
-        actual,
-        detail: format!("replica {i} first diverged from the reference chain at round {r}"),
-    });
-    board.events.push(LockstepEvent {
-        round: r,
-        replica: Some(i as u64),
-        kind: LockstepEventKind::Eviction,
-        expected: 0,
-        actual: 0,
-        detail: format!("replica {i} evicted; continuing with the survivors"),
-    });
-    board.state[i] = ReplicaState::Evicted;
-    board.pending[i].clear();
-    if let Ok(mut s) = streams[i].try_clone() {
-        let _ = wire::write_frame(
-            &mut s,
-            &Frame::Evict {
-                round: r,
-                reason: "diverged from reference chain".into(),
-            },
-        );
-    }
-    let _ = streams[i].shutdown(std::net::Shutdown::Both);
-}
-
-fn refuse(
-    shared: &Shared,
-    mut board: std::sync::MutexGuard<'_, Board>,
-    round: u64,
-    detail: String,
-) -> (LockstepOutcome, Vec<usize>, Option<(u64, u64)>) {
-    board.events.push(LockstepEvent {
-        round,
-        replica: None,
-        kind: LockstepEventKind::Refusal,
-        expected: 0,
-        actual: 0,
-        detail,
-    });
-    board.halted = true;
-    shared.turn.notify_all();
-    (LockstepOutcome::NoQuorum, Vec::new(), None)
-}
-
-/// Every live replica settled the whole reference chain; now their final
-/// `DONE` payloads must agree with the manifest's fingerprint. Replicas
-/// are waited to `Finished` first (they may still be between their last
-/// `ROUND` and their `DONE`).
-fn finalize(
-    shared: &Shared,
-    mut board: std::sync::MutexGuard<'_, Board>,
-    manifest: &RunManifest,
-    quorum: usize,
-    n: usize,
-    streams: &[TcpStream],
-) -> (LockstepOutcome, Vec<usize>, Option<(u64, u64)>) {
-    loop {
-        if (0..n).any(|i| board.state[i] == ReplicaState::Running) {
-            board = shared.turn.wait(board).unwrap();
-            continue;
-        }
-        let round = board.settled;
-        let mut survivors = Vec::new();
-        let mut agreed: Option<(u64, u64)> = None;
-        for i in 0..n {
-            if let ReplicaState::Finished {
-                rounds,
-                output_hash,
-                fingerprint,
-            } = board.state[i]
-            {
-                if rounds != round || fingerprint != manifest.final_fingerprint {
-                    evict(
-                        &mut board,
-                        i,
-                        round,
-                        manifest.final_fingerprint,
-                        fingerprint,
-                        streams,
-                    );
-                    continue;
-                }
-                match agreed {
-                    None => agreed = Some((output_hash, fingerprint)),
-                    Some((h, _)) if h != output_hash => {
-                        // Same fingerprint, different output hash cannot
-                        // happen through honest hashing; treat as
-                        // divergence.
-                        evict(&mut board, i, round, h, output_hash, streams);
-                        continue;
-                    }
-                    Some(_) => {}
-                }
-                survivors.push(i);
-            }
-        }
-        if survivors.len() < quorum {
-            return refuse(
-                shared,
-                board,
-                round,
-                format!(
-                    "only {} of {n} replicas reproduced the recorded fingerprint, need {quorum}",
-                    survivors.len()
-                ),
-            );
-        }
-        let diverged = board
-            .events
-            .iter()
-            .any(|e| e.kind == LockstepEventKind::Divergence);
-        let outcome = if diverged {
-            LockstepOutcome::Diverged
-        } else {
-            LockstepOutcome::Agreed
         };
-        board.halted = true;
-        shared.turn.notify_all();
-        return (outcome, survivors, agreed);
+        for action in vote.advance() {
+            if let Action::Evict { replica, round } = action {
+                send(
+                    &streams[replica],
+                    &Frame::Evict {
+                        round,
+                        reason: "diverged from reference chain".into(),
+                    },
+                );
+                let _ = streams[replica].shutdown(std::net::Shutdown::Both);
+            }
+        }
+        session.turn.notify_all();
+        if !streaming {
+            return;
+        }
     }
 }
 
@@ -717,17 +374,18 @@ pub fn run_replica(addr: &str, opts: ReplicaOptions) -> Result<i32, String> {
     };
     let manifest =
         RunManifest::from_json(&manifest_json).map_err(|e| format!("job manifest: {e}"))?;
-    let (app, input) = manifest_target(&manifest).map_err(|e| e.to_string())?;
-
-    let mut cfg = manifest.exec.clone();
-    if let Some(spread) = opts.perturb_spread {
-        cfg.locality_spread = spread;
-    }
     let threads = opts
         .threads
         .or((job_threads != 0).then_some(job_threads))
-        .unwrap_or(cfg.threads);
-    let exec = cfg.to_executor(threads).record_rounds(true);
+        .unwrap_or(manifest.exec.threads);
+    let perturb = |_, exec: Executor| match opts.perturb_spread {
+        Some(locality_spread) => ExecConfig {
+            locality_spread,
+            ..manifest.exec.clone()
+        }
+        .to_executor(threads),
+        None => exec,
+    };
 
     // Stream hashes from inside the barrier hook. The hook must never
     // panic (it runs on an executor thread), so send failures latch a flag
@@ -752,22 +410,22 @@ pub fn run_replica(addr: &str, opts: ReplicaOptions) -> Result<i32, String> {
             }
         }
     };
-    let mut rec = ManifestRecorder::new().on_round_hash(hook);
 
-    let final_frame = match run_cell(app, &exec, &input, Some(&mut rec)) {
-        Ok((Ok(out), _cached)) => Frame::Done {
+    let final_frame = match replay_with(&manifest, threads, None, perturb, Some(Box::new(hook))) {
+        Ok((out, _)) => Frame::Done {
             rounds: out.rounds,
             output_hash: out.output_hash,
             fingerprint: out.fingerprint,
         },
-        Ok((Err(fault), _cached)) => Frame::Fault {
+        Err(ReplayError::Exec(fault)) => Frame::Fault {
             exit_code: fault.exit_code() as u32,
             message: fault.to_string(),
         },
-        Err(validation) => Frame::Fault {
+        Err(ReplayError::Validation(validation)) => Frame::Fault {
             exit_code: 1,
             message: format!("validation failed: {validation}"),
         },
+        Err(e) => return Err(e.to_string()),
     };
     let fault_exit = match &final_frame {
         Frame::Fault { exit_code, .. } => Some(*exit_code as i32),

@@ -197,6 +197,30 @@ fn served_manifest_replays_bit_identically() {
     let broken = manifest.replace("\"app\":\"bfs\"", "\"app\":\"mis\"");
     let replay = client.post("/replay", &broken).unwrap();
     assert_eq!(replay.status, 400, "{}", replay.body);
+
+    // A pfp draw with a cut-off source commits nothing and runs no round
+    // (seed 29 at size 200). It is still a run: it serves, records a
+    // zero-round manifest and replays — this request used to panic the
+    // worker into a 500.
+    let resp = client
+        .post(
+            "/run",
+            r#"{"app":"pfp","seed":29,"size":200,"threads":1,"manifest":true}"#,
+        )
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(json_u64(&resp.body, "rounds"), 0, "{}", resp.body);
+    let manifest = extract_manifest(&resp.body).to_string();
+    for threads in [1, 2, 4] {
+        let replay = client
+            .post(&format!("/replay?threads={threads}"), &manifest)
+            .unwrap();
+        assert_eq!(replay.status, 200, "{}", replay.body);
+        assert_eq!(
+            json_hex(&replay.body, "fingerprint"),
+            json_hex(&resp.body, "fingerprint")
+        );
+    }
     handle.shutdown();
 }
 

@@ -48,9 +48,11 @@
 //! differ from the recording — and verifies every round hash; the first
 //! divergent round is reported with exit code 13. `--lockstep T1,T2[,..]`
 //! instead runs N in-process replicas at the given thread counts
-//! (optionally with per-replica `--lockstep-chaos` seeds), cross-checking
-//! round hashes at every barrier and reporting the first round where any
-//! two replicas — or a replica and the recording — disagree.
+//! (optionally with per-replica `--lockstep-chaos` seeds) through the same
+//! vote `galois lockstep` runs over the wire: every barrier's hash is
+//! checked against the recording, a strict minority contradicting it is
+//! evicted at its first divergent round (exit 13), half or more is a
+//! refusal (exit 14).
 //!
 //! `galois serve` starts the resident compute service (`galois-serve`): a
 //! blocking HTTP/1.1+JSON server that keeps inputs warm across requests,
@@ -61,8 +63,10 @@
 //! [`RunManifest`]: deterministic_galois::core::RunManifest
 
 use deterministic_galois::apps::{bfs, dmr, dt, mis, mm, pfp};
+use deterministic_galois::core::manifest::LockstepReport;
 use deterministic_galois::core::{ExecError, Executor, RoundLog, RunReport};
 use deterministic_galois::graph::cache::CacheOutcome;
+use deterministic_galois::harness::lockstep::{exit_code, EXIT_DIVERGENCE, EXIT_NO_QUORUM};
 use deterministic_galois::harness::{
     executor_for, input_key, load_input, App, InputConfig, ResidentInput, Variant,
 };
@@ -106,13 +110,36 @@ fn usage() -> ! {
     exit(2);
 }
 
-/// Exit code for a verified replay that hashed differently from its
-/// manifest (or a lockstep replica pair that disagreed).
-const EXIT_DIVERGENCE: i32 = 13;
-
-/// Exit code for a distributed lockstep run the coordinator refused:
-/// quorum lost, or a majority contradicted the recorded reference chain.
-const EXIT_NO_QUORUM: i32 = 14;
+/// Prints a lockstep session's event log and verdict line — the shared
+/// tail of `galois lockstep` and `galois replay --lockstep` — and returns
+/// the process exit code the outcome maps to.
+fn print_lockstep_verdict(report: &LockstepReport) -> i32 {
+    for event in &report.events {
+        eprintln!(
+            "  [{}] round {} replica {}: {}",
+            event.kind.name(),
+            event.round,
+            event
+                .replica
+                .map(|r| r.to_string())
+                .unwrap_or_else(|| "-".to_string()),
+            event.detail,
+        );
+    }
+    let code = exit_code(report.outcome);
+    match code {
+        0 => println!(
+            "lockstep ok: {} replicas agreed on all {} rounds, fingerprint {:016x}",
+            report.replicas, report.rounds, report.final_fingerprint,
+        ),
+        EXIT_DIVERGENCE => eprintln!(
+            "lockstep DIVERGED: survivors {:?} agreed, fingerprint {:016x}",
+            report.survivors, report.final_fingerprint,
+        ),
+        _ => eprintln!("lockstep REFUSED: no quorum (see events above)"),
+    }
+    code
+}
 
 /// `galois record <app> --out FILE ...` — run deterministically, capture a
 /// replayable manifest.
@@ -231,41 +258,13 @@ fn cmd_replay(argv: &[String]) -> ! {
                 chaos_seed: lockstep_chaos.get(i).copied(),
             })
             .collect();
-        let report = match run_lockstep(&manifest, &replicas, &unperturbed) {
-            Ok(r) => r,
+        match run_lockstep(&manifest, &replicas, &unperturbed) {
+            Ok(report) => exit(print_lockstep_verdict(&report)),
             Err(e) => {
                 eprintln!("lockstep failed: {e}");
                 exit(1);
             }
-        };
-        for (i, (replica, verdict)) in replicas
-            .iter()
-            .zip(&report.manifest_divergences)
-            .enumerate()
-        {
-            match verdict {
-                None => println!(
-                    "  replica {i} (threads {}): reproduced the recording",
-                    replica.threads
-                ),
-                Some(d) => println!("  replica {i} (threads {}): {d}", replica.threads),
-            }
         }
-        if report.all_agree() {
-            println!(
-                "lockstep ok: {} replicas agreed on all {} rounds in {:?}",
-                report.replicas,
-                report.rounds,
-                t0.elapsed(),
-            );
-            exit(0);
-        }
-        if let Some(d) = report.divergence {
-            eprintln!("lockstep DIVERGED: {d}");
-        } else {
-            eprintln!("lockstep DIVERGED from the recording (replica verdicts above)");
-        }
-        exit(EXIT_DIVERGENCE);
     }
     match replay_run(&manifest, threads, cache_dir) {
         Ok(out) => {
@@ -495,35 +494,13 @@ fn cmd_lockstep(argv: &[String]) -> ! {
             exit(1);
         }
     };
-    for event in &result.report.events {
-        eprintln!(
-            "  [{}] round {} replica {}: {}",
-            event.kind.name(),
-            event.round,
-            event
-                .replica
-                .map(|r| r.to_string())
-                .unwrap_or_else(|| "-".to_string()),
-            event.detail,
-        );
-    }
     if let Some(out) = report_path {
         if let Err(e) = result.report.save(&out) {
             eprintln!("cannot write report: {e}");
             exit(1);
         }
     }
-    match result.exit_code {
-        0 => println!(
-            "lockstep ok: {} replicas agreed on all {} rounds, fingerprint {:016x}",
-            result.report.replicas, result.report.rounds, result.report.final_fingerprint,
-        ),
-        EXIT_DIVERGENCE => eprintln!(
-            "lockstep DIVERGED: survivors {:?} agreed, fingerprint {:016x}",
-            result.report.survivors, result.report.final_fingerprint,
-        ),
-        _ => eprintln!("lockstep REFUSED: no quorum (see events above)"),
-    }
+    print_lockstep_verdict(&result.report);
     if result.exit_code != EXIT_NO_QUORUM {
         if let Some(out) = emit_manifest {
             if let Err(e) = std::fs::write(&out, &manifest_text) {

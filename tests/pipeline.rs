@@ -61,8 +61,11 @@ fn deterministic_scheduling_costs_more_memory_traffic() {
         },
     };
     let run = |schedule: Schedule| {
+        // One thread: each access stream is then a function of the input
+        // alone. A multi-threaded speculative stream's length is whatever
+        // retries happened to occur.
         let exec = Executor::new()
-            .threads(2)
+            .threads(1)
             .schedule(schedule)
             .record_access(true);
         let (_, report) = mis::try_galois(&g, &exec).unwrap();
@@ -78,15 +81,13 @@ fn deterministic_scheduling_costs_more_memory_traffic() {
     let nondet = run(Schedule::Speculative);
     let det = run(Schedule::deterministic());
     // A task's inspect and commit accesses are separated by a window of
-    // other tasks, so the deterministic run misses to DRAM more — in total
-    // and per access.
+    // other tasks, so the deterministic run misses to DRAM more (§5.4).
+    // The comparison is of totals: the deterministic stream records both
+    // the inspect and the commit accesses, so its per-access rate is not
+    // comparable with the speculative one.
     assert!(
         det.dram > nondet.dram,
         "deterministic scheduling must cost DRAM traffic: {det:?} vs {nondet:?}"
-    );
-    assert!(
-        det.dram_rate() > nondet.dram_rate(),
-        "and a higher miss *rate*: {det:?} vs {nondet:?}"
     );
 }
 

@@ -4,19 +4,21 @@
 //! at any thread count — is what makes a recorded run a *contract*: a
 //! [`RunManifest`] captured once must replay byte-identically on any
 //! machine shape. These tests record at one thread count, replay across
-//! `{2, 5, 8, 16}`, cross-check lockstep replicas, plant a schedule
-//! perturbation to prove lockstep pinpoints the exact first divergent
-//! round, and reject corrupted manifest files.
+//! `{2, 5, 8, 16}`, run in-process lockstep sessions (clean agreement, a
+//! planted schedule perturbation evicted at its exact first divergent
+//! round, a half-contradicted vote refused), and reject corrupted manifest
+//! files.
 //!
 //! [`RunManifest`]: deterministic_galois::core::RunManifest
 
+use deterministic_galois::core::manifest::{LockstepEventKind, LockstepOutcome, LockstepReport};
 use deterministic_galois::core::{
-    DetOptions, Hooks, ManifestError, ManifestRecorder, RunManifest, Schedule,
+    DetOptions, Executor, Hooks, ManifestError, ManifestRecorder, RunManifest, Schedule,
 };
 use deterministic_galois::graph::gen;
 use deterministic_galois::harness::{
-    record_run, replay_run, run_lockstep, unperturbed, App, InputConfig, LockstepReplica,
-    ReplayError,
+    record_run, replay_run, replay_with, run_lockstep, App, InputConfig, LockstepReplica,
+    ReplayError, Variant,
 };
 use deterministic_galois::runtime::fingerprint::Fnv64;
 
@@ -80,78 +82,139 @@ fn replayed_reports_mark_themselves() {
     assert!(!fresh.is_replay());
 }
 
-/// Clean lockstep: replicas at different thread counts, one with a chaos
-/// seed, must agree with each other and with the recording at every round.
+/// A flowrand draw with a cut-off source runs zero bouts. That run must
+/// still record — a valid zero-round manifest — survive save/load, and
+/// replay at any thread count (it used to panic in `finish`: no bout, so
+/// the recorder never saw the executor configuration).
+#[test]
+fn zero_round_pfp_run_records_and_replays() {
+    let input = InputConfig {
+        seed: 29,
+        size: Some(200),
+        ..InputConfig::default()
+    };
+    let manifest = record_run(App::Pfp, 1, None, &input).expect("zero-round run must record");
+    assert!(
+        manifest.round_hashes.is_empty(),
+        "seed 29 draws a cut-off source"
+    );
+    let path = std::env::temp_dir().join(format!("galois-pfp29-{}.json", std::process::id()));
+    manifest.save(&path).unwrap();
+    let reloaded = RunManifest::load(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(reloaded, manifest);
+    for threads in [1, 2, 4] {
+        let out = replay_run(&reloaded, threads, None)
+            .unwrap_or_else(|e| panic!("replay at {threads} threads: {e}"));
+        assert_eq!(out.fingerprint, manifest.final_fingerprint);
+        assert_eq!(out.rounds, 0);
+    }
+}
+
+fn replica(threads: usize, chaos_seed: Option<u64>) -> LockstepReplica {
+    LockstepReplica {
+        threads,
+        chaos_seed,
+    }
+}
+
+/// The planted divergence: the replica running at `PERTURBED_THREADS` uses
+/// locality spread 7, which deals the task sequence differently, so its
+/// schedule legally parts from the recording at a deterministic round.
+const PERTURBED_THREADS: usize = 4;
+
+fn perturb(_: App, _: Variant, threads: usize, _: Option<u64>, exec: Executor) -> Executor {
+    if threads == PERTURBED_THREADS {
+        exec.schedule(Schedule::Deterministic(DetOptions {
+            locality_spread: 7,
+            ..Default::default()
+        }))
+    } else {
+        exec
+    }
+}
+
+/// Runs the session twice: an in-process report is a function of the
+/// manifest and the replica set, except for how far ahead a replica got.
+fn lockstep_twice(manifest: &RunManifest, replicas: &[LockstepReplica]) -> LockstepReport {
+    let run = || {
+        let mut report = run_lockstep(manifest, replicas, &perturb).unwrap();
+        assert!(report.max_buffered <= report.window);
+        report.max_buffered = 0;
+        report
+    };
+    let first = run();
+    assert_eq!(run(), first, "in-process lockstep reports must repeat");
+    first
+}
+
+/// Clean lockstep: replicas at different thread counts, two with chaos
+/// seeds, all reproduce the recording — agreement, and nothing to log.
 #[test]
 fn lockstep_replicas_agree_on_clean_runs() {
     let manifest = record_default(App::Mis);
-    let replicas = [
-        LockstepReplica {
-            threads: 2,
-            chaos_seed: None,
-        },
-        LockstepReplica {
-            threads: 7,
-            chaos_seed: Some(99),
-        },
-        LockstepReplica {
-            threads: 16,
-            chaos_seed: Some(5),
-        },
-    ];
-    let report = run_lockstep(&manifest, &replicas, &unperturbed).unwrap();
-    assert!(report.all_agree(), "divergence: {:?}", report.divergence);
+    let replicas = [replica(2, None), replica(7, Some(99)), replica(16, Some(5))];
+    let report = lockstep_twice(&manifest, &replicas);
+    assert_eq!(report.outcome, LockstepOutcome::Agreed);
+    assert!(report.events.is_empty(), "{:?}", report.events);
+    assert_eq!(report.survivors, [0, 1, 2]);
     assert_eq!(report.rounds as usize, manifest.round_hashes.len());
+    assert_eq!(report.final_fingerprint, manifest.final_fingerprint);
 }
 
-/// Planted perturbation: one replica runs with a different locality
-/// spread, which legally changes the deterministic schedule. Lockstep must
-/// report the exact first divergent round — the same round its
-/// per-replica manifest verdict pinpoints, stable across repetitions.
+/// Two clean replicas and a perturbed one: the strict minority is evicted
+/// at exactly the round a solo perturbed replay diverges from the
+/// recording, and the survivors still release the recorded result.
 #[test]
-fn lockstep_pinpoints_first_divergent_round() {
+fn lockstep_evicts_the_minority_at_its_first_divergent_round() {
     let manifest = record_default(App::Bfs);
+    let (_, solo) = replay_with(
+        &manifest,
+        PERTURBED_THREADS,
+        None,
+        |app, exec| perturb(app, Variant::Deterministic, PERTURBED_THREADS, None, exec),
+        None,
+    )
+    .unwrap();
+    let solo = solo.expect("the perturbed schedule must diverge from the recording");
+
     let replicas = [
-        LockstepReplica {
-            threads: 2,
-            chaos_seed: None,
-        },
-        LockstepReplica {
-            threads: 4,
-            chaos_seed: None,
-        },
+        replica(2, None),
+        replica(PERTURBED_THREADS, None),
+        replica(1, None),
     ];
-    // Perturb only the 4-thread replica: locality spread 7 deals the task
-    // sequence differently, so its schedule diverges from the recording at
-    // a deterministic round.
-    let perturb = |_: App,
-                   _: deterministic_galois::harness::Variant,
-                   threads: usize,
-                   _: Option<u64>,
-                   exec: deterministic_galois::core::Executor| {
-        if threads == 4 {
-            exec.schedule(Schedule::Deterministic(DetOptions {
-                locality_spread: 7,
-                ..Default::default()
-            }))
-        } else {
-            exec
-        }
-    };
-    let first = run_lockstep(&manifest, &replicas, &perturb).unwrap();
-    let div = first.divergence.expect("perturbed replica must diverge");
-    assert_eq!((div.replica_a, div.replica_b), (0, 1));
-    assert_ne!(div.hash_a, div.hash_b);
-    // The clean replica reproduces the recording; the perturbed one
-    // diverges from it at the same round the pairwise check found.
-    assert_eq!(first.manifest_divergences[0], None);
-    let against_manifest = first.manifest_divergences[1]
-        .as_ref()
-        .expect("perturbed replica must diverge from the recording");
-    assert_eq!(against_manifest.round, div.round);
-    // The pinpointed round is exact: a second run reports the same one.
-    let second = run_lockstep(&manifest, &replicas, &perturb).unwrap();
-    assert_eq!(second.divergence, Some(div));
+    let report = lockstep_twice(&manifest, &replicas);
+    assert_eq!(report.outcome, LockstepOutcome::Diverged);
+    assert_eq!(report.survivors, [0, 2]);
+    let divergences = report.events_of(LockstepEventKind::Divergence);
+    assert_eq!(divergences.len(), 1, "{:?}", report.events);
+    let d = divergences[0];
+    assert_eq!(
+        (d.replica, d.round, d.expected, d.actual),
+        (Some(1), solo.round, solo.expected, solo.actual)
+    );
+    assert_eq!(report.events_of(LockstepEventKind::Eviction).len(), 1);
+    assert_eq!(report.rounds as usize, manifest.round_hashes.len());
+    assert_eq!(report.final_fingerprint, manifest.final_fingerprint);
+}
+
+/// One clean replica against one perturbed: half the vote contradicts the
+/// recording, which is a refusal, not an eviction — no result is released.
+#[test]
+fn lockstep_refuses_when_half_the_replicas_contradict_the_recording() {
+    let manifest = record_default(App::Bfs);
+    let replicas = [replica(2, None), replica(PERTURBED_THREADS, None)];
+    let report = lockstep_twice(&manifest, &replicas);
+    assert_eq!(report.outcome, LockstepOutcome::NoQuorum);
+    assert!(report.survivors.is_empty());
+    assert_eq!(report.final_fingerprint, 0);
+    let refusals = report.events_of(LockstepEventKind::Refusal);
+    assert_eq!(refusals.len(), 1, "{:?}", report.events);
+    assert!(
+        refusals[0].detail.contains("1 of 2"),
+        "{}",
+        refusals[0].detail
+    );
 }
 
 /// A flipped byte anywhere in the manifest body is caught by the embedded
