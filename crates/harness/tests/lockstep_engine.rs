@@ -81,10 +81,6 @@ struct Scenario {
 }
 
 fn scenarios() -> Vec<Scenario> {
-    let all = |mut script: Vec<Ev>, tail: Vec<Ev>| {
-        script.extend(tail);
-        script
-    };
     let divergence = |round, replica, expected, actual| {
         [
             (Kind::Divergence, round, Some(replica), expected, actual),
@@ -96,10 +92,11 @@ fn scenarios() -> Vec<Scenario> {
             name: "clean agreement",
             replicas: 3,
             window: 64,
-            script: all(
+            script: [
                 lockstep_rounds(&[0, 1, 2], 3),
                 vec![done(0), done(1), done(2)],
-            ),
+            ]
+            .concat(),
             outcome: Outcome::Agreed,
             survivors: &[0, 1, 2],
             rounds: 3,
@@ -111,7 +108,7 @@ fn scenarios() -> Vec<Scenario> {
             name: "strict minority evicted at the exact round",
             replicas: 3,
             window: 64,
-            script: all(
+            script: [
                 lockstep_rounds(&[0, 1, 2], 1),
                 vec![
                     ok(0, 1),
@@ -122,7 +119,8 @@ fn scenarios() -> Vec<Scenario> {
                     done(0),
                     done(1),
                 ],
-            ),
+            ]
+            .concat(),
             outcome: Outcome::Diverged,
             survivors: &[0, 1],
             rounds: 3,
@@ -146,10 +144,11 @@ fn scenarios() -> Vec<Scenario> {
             name: "2 of 3 contradicting is a refusal, even when they agree with each other",
             replicas: 3,
             window: 64,
-            script: all(
+            script: [
                 lockstep_rounds(&[0, 1, 2], 2),
                 vec![claim(0, 2, 0x99), ok(1, 2), claim(2, 2, 0x99)],
-            ),
+            ]
+            .concat(),
             outcome: Outcome::NoQuorum,
             survivors: &[],
             rounds: 2,
@@ -161,10 +160,11 @@ fn scenarios() -> Vec<Scenario> {
             name: "running past the recorded chain",
             replicas: 3,
             window: 64,
-            script: all(
+            script: [
                 lockstep_rounds(&[0, 1, 2], 3),
                 vec![claim(2, 3, 0x44), done(0), done(1)],
-            ),
+            ]
+            .concat(),
             outcome: Outcome::Diverged,
             survivors: &[0, 1],
             rounds: 3,
@@ -176,7 +176,7 @@ fn scenarios() -> Vec<Scenario> {
             name: "chain shorter than the recording",
             replicas: 3,
             window: 64,
-            script: all(
+            script: [
                 lockstep_rounds(&[0, 1, 2], 2),
                 vec![
                     Ev::Done(2, 2, FINGERPRINT),
@@ -185,7 +185,8 @@ fn scenarios() -> Vec<Scenario> {
                     done(0),
                     done(1),
                 ],
-            ),
+            ]
+            .concat(),
             outcome: Outcome::Diverged,
             survivors: &[0, 1],
             rounds: 3,
@@ -197,10 +198,12 @@ fn scenarios() -> Vec<Scenario> {
             name: "out-of-order seq is a death, and the quorum carries on",
             replicas: 3,
             window: 64,
-            script: all(
+            script: [
                 vec![Ev::Offer(2, 1, CHAIN[1], Offer::Dropped)],
-                all(lockstep_rounds(&[0, 1], 3), vec![done(0), done(1)]),
-            ),
+                lockstep_rounds(&[0, 1], 3),
+                vec![done(0), done(1)],
+            ]
+            .concat(),
             outcome: Outcome::Agreed,
             survivors: &[0, 1],
             rounds: 3,
@@ -212,10 +215,11 @@ fn scenarios() -> Vec<Scenario> {
             name: "losses below quorum are a refusal",
             replicas: 3,
             window: 64,
-            script: all(
+            script: [
                 lockstep_rounds(&[0, 1, 2], 1),
                 vec![Ev::Lost(1, Kind::Death), Ev::Lost(2, Kind::Timeout)],
-            ),
+            ]
+            .concat(),
             outcome: Outcome::NoQuorum,
             survivors: &[],
             rounds: 1,
@@ -254,10 +258,11 @@ fn scenarios() -> Vec<Scenario> {
             name: "a final fingerprint the recording contradicts is evicted",
             replicas: 3,
             window: 64,
-            script: all(
+            script: [
                 lockstep_rounds(&[0, 1, 2], 3),
                 vec![done(0), Ev::Done(1, 3, 0xbad), done(2)],
-            ),
+            ]
+            .concat(),
             outcome: Outcome::Diverged,
             survivors: &[0, 2],
             rounds: 3,

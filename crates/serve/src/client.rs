@@ -67,19 +67,24 @@ impl Client {
         if self.conn.is_none() {
             let stream = TcpStream::connect(&self.addr)
                 .map_err(|e| format!("connect {}: {e}", self.addr))?;
-            crate::http::prepare(&stream, Duration::from_secs(120)).map_err(|e| e.to_string())?;
+            stream
+                .set_read_timeout(Some(Duration::from_secs(120)))
+                .map_err(|e| e.to_string())?;
             self.conn = Some(BufReader::new(stream));
         }
         let conn = self.conn.as_mut().unwrap();
-        let request = format!(
-            "{method} {target} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\n\r\n{body}",
+        let head = format!(
+            "{method} {target} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\n\r\n",
             self.addr,
             body.len()
         );
         let result = (|| {
             let stream = conn.get_mut();
             stream
-                .write_all(request.as_bytes())
+                .write_all(head.as_bytes())
+                .map_err(|e| e.to_string())?;
+            stream
+                .write_all(body.as_bytes())
                 .map_err(|e| e.to_string())?;
             stream.flush().map_err(|e| e.to_string())?;
             read_response(conn)

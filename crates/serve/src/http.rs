@@ -15,16 +15,6 @@ use std::time::{Duration, Instant};
 /// keep-alive connection notices server shutdown promptly.
 pub const READ_TIMEOUT: Duration = Duration::from_millis(200);
 
-/// Sets up a stream this crate accepted or connected — all of them pass
-/// through here: the read timeout its reader loops tick on, and
-/// `TCP_NODELAY`, because every exchange on these sockets is a small
-/// message the peer is waiting for (Nagle would hold it for the peer's
-/// delayed ACK, ~40 ms per direction).
-pub(crate) fn prepare(stream: &TcpStream, read_timeout: Duration) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(read_timeout))?;
-    stream.set_nodelay(true)
-}
-
 /// How long a *partial* request (first byte seen, terminator not yet) may
 /// dribble before the connection is dropped.
 const PARTIAL_DEADLINE: Duration = Duration::from_secs(10);
@@ -259,9 +249,7 @@ pub fn write_response(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    // One buffer, one segment train: a head sent apart from its body waits
-    // out Nagle against the peer's delayed ACK.
-    head.push_str(body);
     stream.write_all(head.as_bytes())?;
+    stream.write_all(body.as_bytes())?;
     stream.flush()
 }

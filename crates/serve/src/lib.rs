@@ -253,7 +253,7 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        if http::prepare(&stream, http::READ_TIMEOUT).is_err() {
+        if stream.set_read_timeout(Some(http::READ_TIMEOUT)).is_err() {
             continue;
         }
         let mut queue = shared.queue.lock().unwrap();

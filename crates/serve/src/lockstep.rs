@@ -6,31 +6,29 @@
 //! This is the wire-level payoff of deterministic execution (Aviram &
 //! Ford): because a run is a pure function of `(program, input, executor
 //! config)`, replica fault detection collapses to hash comparison — no
-//! state transfer, no output shipping, 16 bytes per barrier. The
-//! [`Coordinator`] drives the session:
+//! state transfer, no output shipping, 16 bytes per barrier.
+//!
+//! Who agrees with the recording is decided by the vote in
+//! [`galois_harness::lockstep`] — a plain-data machine that the in-process
+//! mode (`harness::run_lockstep`) drives too. This module is its socket
+//! driver: the [`Coordinator`] owns the connections, and the replica side
+//! ([`run_replica`]) is the harness's replay recipe with a sink that
+//! writes frames.
 //!
 //! 1. **Join**: each replica connects, sends a versioned `HELLO`, and
 //!    receives a `JOB` frame carrying the reference [`RunManifest`] (input
 //!    key + `ExecConfig`) and its thread budget. Budgets may differ per
 //!    replica — portability *is* the redundancy claim.
 //! 2. **Stream**: replicas re-execute and send one `ROUND` frame per
-//!    barrier. The coordinator settles rounds in order, comparing every
-//!    replica's hash against the recorded chain. A replica may run at most
+//!    barrier. One reader thread per replica turns frames into the vote's
+//!    `offer` / `done` events. A replica may run at most
 //!    [`LockstepConfig::window`] rounds ahead of the slowest voter before
-//!    its reader blocks — coordinator memory is bounded by
-//!    `window × replicas` hashes, never by run length.
-//! 3. **Vote**: on a mismatch at the frontier round, the recorded manifest
-//!    chain is the binding reference. A *strict minority* contradicting it
-//!    is evicted (first divergent round pinpointed in the event log) and
-//!    the run continues with the survivors. If half or more of the live
-//!    replicas contradict the reference, the coordinator refuses the run
-//!    ([`EXIT_NO_QUORUM`]) rather than voting a wrong majority.
-//! 4. **Degrade**: replica death — socket drop, kill, silence past the
-//!    timeout — is a structured event; the run continues while at least a
-//!    quorum (majority of the original N) survives.
-//! 5. **Settle**: the final fingerprints of all survivors must agree with
-//!    the manifest; only then is the result (and the emitted manifest)
-//!    released.
+//!    its reader stops reading, so TCP back-pressures it — coordinator
+//!    memory is bounded by `window × replicas` hashes, never by run length.
+//! 3. **Degrade**: a dropped socket, silence past the timeout, a `FAULT`
+//!    frame or an unexpected one becomes the vote's `lost` event.
+//! 4. **Act**: an eviction the vote returns becomes an `EVICT` frame and a
+//!    hang-up; the verdict an `ACK` to every survivor.
 //!
 //! The whole session is summarized in a versioned, checksummed
 //! [`LockstepReport`].
@@ -209,7 +207,9 @@ impl Coordinator {
     /// Handshakes one joining connection; `None` = rejected (does not
     /// consume a replica slot).
     fn admit(&self, mut stream: TcpStream, id: u32, manifest_json: &str) -> Option<TcpStream> {
-        crate::http::prepare(&stream, crate::http::READ_TIMEOUT).ok()?;
+        stream
+            .set_read_timeout(Some(crate::http::READ_TIMEOUT))
+            .ok()?;
         match wire::read_frame(&mut stream, self.config.join_timeout) {
             Ok(Frame::Hello { version }) if version == WIRE_VERSION => {
                 let job = Frame::Job {
@@ -348,7 +348,9 @@ pub struct ReplicaOptions {
 /// the run faulted.
 pub fn run_replica(addr: &str, opts: ReplicaOptions) -> Result<i32, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    crate::http::prepare(&stream, crate::http::READ_TIMEOUT).map_err(|e| e.to_string())?;
+    stream
+        .set_read_timeout(Some(crate::http::READ_TIMEOUT))
+        .map_err(|e| e.to_string())?;
     let mut control = stream.try_clone().map_err(|e| e.to_string())?;
     wire::write_frame(
         &mut control,

@@ -63,7 +63,7 @@
 //! [`RunManifest`]: deterministic_galois::core::RunManifest
 
 use deterministic_galois::apps::{bfs, dmr, dt, mis, mm, pfp};
-use deterministic_galois::core::manifest::LockstepReport;
+use deterministic_galois::core::manifest::{LockstepOutcome, LockstepReport};
 use deterministic_galois::core::{ExecError, Executor, RoundLog, RunReport};
 use deterministic_galois::graph::cache::CacheOutcome;
 use deterministic_galois::harness::lockstep::{exit_code, EXIT_DIVERGENCE, EXIT_NO_QUORUM};
@@ -126,19 +126,18 @@ fn print_lockstep_verdict(report: &LockstepReport) -> i32 {
             event.detail,
         );
     }
-    let code = exit_code(report.outcome);
-    match code {
-        0 => println!(
+    match report.outcome {
+        LockstepOutcome::Agreed => println!(
             "lockstep ok: {} replicas agreed on all {} rounds, fingerprint {:016x}",
             report.replicas, report.rounds, report.final_fingerprint,
         ),
-        EXIT_DIVERGENCE => eprintln!(
+        LockstepOutcome::Diverged => eprintln!(
             "lockstep DIVERGED: survivors {:?} agreed, fingerprint {:016x}",
             report.survivors, report.final_fingerprint,
         ),
-        _ => eprintln!("lockstep REFUSED: no quorum (see events above)"),
+        LockstepOutcome::NoQuorum => eprintln!("lockstep REFUSED: no quorum (see events above)"),
     }
-    code
+    exit_code(report.outcome)
 }
 
 /// `galois record <app> --out FILE ...` — run deterministically, capture a
