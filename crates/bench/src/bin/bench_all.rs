@@ -14,8 +14,9 @@
 //!   running the real bfs and mis operators at threads 1/2/4/8:
 //!   `round_wall_ns` (wall time per round), `barriers_per_round` and
 //!   `allocs_per_round` (heap allocations per steady-state round, counted
-//!   by a wrapping `#[global_allocator]`; the 2-barrier protocol and the
-//!   allocation-free invariant make these exactly 2 and 0).
+//!   by a wrapping `#[global_allocator]`; the round protocol — 2 crossings,
+//!   0 for a window of at most 16 tasks — and the allocation-free invariant
+//!   make these medians at most 2 and exactly 0).
 //!
 //! All three files are criterion-shim JSONL
 //! (`{"name","median_ns","mean_ns","samples"}`); for the count-based rounds

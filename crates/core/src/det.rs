@@ -7,20 +7,21 @@
 //!    then carve a window-sized index range of the deterministically ordered
 //!    pending buffer; adapt the window from the previous round's commit
 //!    ratio.
-//! 2. **inspect** (all threads): claim a slot, pull its task out of the
-//!    pending buffer (the *workers* fill the window, not the leader), and run
-//!    it up to its failsafe point, marking its neighborhood with
-//!    `writeMarkMax`. The cumulative marks implicitly build the round's
-//!    interference graph; abort flags record which tasks lost an edge to a
-//!    higher id.
+//! 2. **inspect** (all threads): each thread walks its contiguous share
+//!    `chunk_range(window, threads, tid)` of the window, pulls each slot's
+//!    task out of the pending buffer (the *workers* fill the window, not the
+//!    leader), and runs it up to its failsafe point, marking its
+//!    neighborhood with `writeMarkMax`. The cumulative marks implicitly build
+//!    the round's interference graph; abort flags record which tasks lost an
+//!    edge to a higher id.
 //! 3. **commit** (all threads): tasks whose flag is clear form the unique
 //!    deterministic independent set; they re-execute (or resume from their
-//!    checkpointed continuation) and commit. Each worker keys its committed
-//!    tasks' children with `(parent, rank)` and collects children and failed
-//!    tasks into per-thread buffers over a *contiguous* slot range, so
-//!    concatenating the buffers in thread order reproduces slot order — the
-//!    leader's stitch is O(threads) bookkeeping plus buffer moves, never a
-//!    per-task scan.
+//!    checkpointed continuation) and commit. Each thread walks the *same*
+//!    slot range it inspected, keys its committed tasks' children with
+//!    `(parent, rank)` and collects children and failed tasks into
+//!    per-thread buffers, so concatenating the buffers in thread order
+//!    reproduces slot order — the leader's stitch is O(threads) bookkeeping
+//!    plus buffer moves, never a per-task scan.
 //!
 //! Passes (Figure 2's outer loop) drain the pending sequence; created tasks
 //! accumulate in `todo` and become the next pass after deterministic id
@@ -28,7 +29,14 @@
 //! ids, independent sets — is a pure function of committed-task history, so
 //! the schedule is identical for every thread count (**portability**).
 //!
-//! # Two barriers per round
+//! # One owner per slot, at most two barriers per round
+//!
+//! A round has **one** slot→thread map: `chunk_range(window, threads, tid)`
+//! in both phases. The thread that fills a slot and grows its
+//! `neighborhood`, continuation stash and scratch vectors during inspect is
+//! the thread that reads, commits and frees them, so none of that state
+//! crosses cores inside a round (the original Galois DIG executor blocks
+//! the window the same way).
 //!
 //! A naive phase split costs three crossings per round (prepare → inspect →
 //! commit → prepare…). Workers are completely quiescent between the end of
@@ -37,9 +45,21 @@
 //! [`SenseBarrier::wait_serial_checked`] lets the leader run the entire
 //! serial section (merge per-thread outputs, bump epochs, carve the next
 //! window, emit probe records) in the *tail* of the commit crossing, while
-//! workers spin on the sense word. A round therefore pays exactly **two**
-//! crossings: the fused commit/prepare barrier and the inspect barrier.
-//! See DESIGN.md "Hot paths" for the per-field ownership argument.
+//! workers spin on the sense word. A parallel round therefore pays exactly
+//! **two** crossings: the fused commit/prepare barrier and the inspect
+//! barrier.
+//!
+//! A **thin** round — one whose carved window holds at most
+//! `INLINE_WINDOW` tasks — pays **zero**: still inside that serial tail,
+//! the leader runs inspect and commit for the whole window itself (the same
+//! two range-taking functions the workers call, with the range `0..window`)
+//! and loops straight back into the next prepare. Workers stay parked at the
+//! one crossing they are already in, so a thin round is exactly a
+//! `threads == 1` round. Who executes a slot is not an input to the
+//! schedule, so nothing observable moves; the threshold is a fixed private
+//! constant compared against the window size alone, never a knob and never
+//! a function of the thread count. See DESIGN.md "Hot paths" for the
+//! per-field ownership argument.
 //!
 //! # O(threads) round turnaround
 //!
@@ -55,11 +75,11 @@
 //!   increment clears all flags, and the array is grown in place at pass
 //!   boundaries instead of reallocated.
 //! - **Window refill** is distributed: the leader only publishes the range
-//!   `[fill_base, fill_base + window)` of the pending buffer; each worker
-//!   moves the task into the slot it claims during inspect. Failed tasks are
-//!   written back *in slot order* immediately before the untried remainder,
-//!   so round membership — and therefore the schedule — is exactly what the
-//!   serial pop-and-refill produced.
+//!   `[fill_base, fill_base + window)` of the pending buffer; each thread
+//!   moves the tasks of its own slot range in during inspect. Failed tasks
+//!   are written back *in slot order* immediately before the untried
+//!   remainder, so round membership — and therefore the schedule — is
+//!   exactly what the serial pop-and-refill produced.
 
 use crate::ctx::{Abort, Access, Ctx, Mode};
 use crate::error::{contain_panic, panic_message, ExecError, QUARANTINE_CAP};
@@ -77,13 +97,20 @@ use galois_runtime::stats::{ExecStats, ThreadStats};
 use galois_runtime::SenseBarrier;
 use std::any::Any;
 use std::cell::UnsafeCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Per-task round state. Slots are claimed by at most one thread per phase
-/// and recycled across rounds (their vectors keep their capacity), so
-/// scheduling does no per-round allocator traffic.
+/// Largest window the leader runs inline (see the module docs). Fixed and
+/// private: it is compared against the carved window size only, so which
+/// rounds are inline is part of the portable schedule's shape and identical
+/// at every thread count.
+const INLINE_WINDOW: usize = 16;
+
+/// Per-task round state. A slot has one owner thread for a whole round
+/// (inspect and commit) and is recycled across rounds (its vectors keep
+/// their capacity), so scheduling does no per-round allocator traffic.
 struct Slot<T> {
     item: Option<WorkItem<T>>,
     neighborhood: Vec<LockId>,
@@ -122,8 +149,8 @@ impl<T> Slot<T> {
     }
 }
 
-/// Per-thread round outputs, written by exactly one worker per round and
-/// read by the leader between barriers.
+/// Per-thread round outputs, written by exactly one thread per round and
+/// merged — then reset — by the leader between barriers.
 struct ThreadOut<T> {
     /// Children of this thread's committed slots, `(parent, rank)` keyed,
     /// in slot order.
@@ -137,7 +164,7 @@ struct ThreadOut<T> {
     /// Commit-phase timing aggregate (when tracing or probing).
     commit: PhaseTrace,
     /// Conflicting abstract locations seen during this thread's inspect
-    /// claims (when a probe wants attribution); drained by the leader.
+    /// range (when a probe wants attribution); drained by the leader.
     conflicts: Vec<u32>,
     /// Quarantined tasks from this thread's slot range, in slot order:
     /// the payload (held until the leader reports the fault) and the
@@ -171,10 +198,11 @@ impl<T> ThreadOut<T> {
 
 /// Round state shared between the preparing leader and the phase workers.
 ///
-/// The leader mutates `cur`, `flags` and drains `outs` strictly between the
-/// commit barrier and the prepare barrier; workers access `cur` slots
-/// disjointly (dynamic claim chunks during inspect, static contiguous ranges
-/// during commit) and only their own `outs[tid]`. The barriers'
+/// The leader mutates `cur`, `flags` and drains `outs` strictly inside the
+/// fused crossing's serial section; in a parallel round each thread touches
+/// only its own contiguous slot range (the same one in both phases) and its
+/// own `outs[tid]`, and in an inline round the leader — still inside the
+/// serial section — touches the whole window and `outs[0]`. The barriers'
 /// acquire/release chains order all of it.
 struct RoundState<T> {
     /// High-water slot pool: grows monotonically to the largest window ever
@@ -192,14 +220,13 @@ struct RoundState<T> {
     /// inspect, and the leader writes failed tasks back just before the
     /// unconsumed remainder.
     pending: UnsafeCell<Vec<Option<WorkItem<T>>>>,
-    /// First pending index of the current window: slot `i` holds (after the
-    /// claiming worker fills it) `pending[fill_base + i]`.
+    /// First pending index of the current window: slot `i` holds (after its
+    /// owner fills it) `pending[fill_base + i]`.
     fill_base: AtomicUsize,
     flags: UnsafeCell<Option<AbortFlags>>,
     /// Per-thread round outputs, cache-line padded so one worker's buffer
     /// bookkeeping never false-shares with its neighbor's.
     outs: PerThread<UnsafeCell<ThreadOut<T>>>,
-    claim_inspect: AtomicUsize,
     done: AtomicBool,
     /// Probe gates, fixed for the whole run (plain bools: workers only read
     /// them, so the disabled probe path adds no atomics).
@@ -212,6 +239,24 @@ struct RoundState<T> {
 // SAFETY: see the struct docs; all concurrent access is phase-separated by
 // barriers, and within a phase slot indexes / out-buffers are exclusive.
 unsafe impl<T: Send> Sync for RoundState<T> {}
+
+impl<T> RoundState<T> {
+    /// Raw views of the slot pool, the pending buffer and the abort flags
+    /// for a phase walk.
+    ///
+    /// # Safety
+    ///
+    /// No thread may be mutating `cur`/`pending`/`flags` at the `Vec` level
+    /// while the views are in use (the leader does so only inside
+    /// `prepare_round`), and element access through the pointers must be
+    /// exclusive per index.
+    unsafe fn window(&self) -> (*mut Slot<T>, *mut Option<WorkItem<T>>, &AbortFlags) {
+        let cur: &Vec<Slot<T>> = &*self.cur.get();
+        let pend = (*self.pending.get()).as_ptr() as *mut Option<WorkItem<T>>;
+        let flags = (*self.flags.get()).as_ref().expect("flags set");
+        (cur.as_ptr() as *mut Slot<T>, pend, flags)
+    }
+}
 
 /// What the leader hands back when the run ends: total rounds, collected
 /// round traces, and the fault (if any) that stopped the run.
@@ -315,12 +360,18 @@ where
         fill_base: AtomicUsize::new(0),
         flags: UnsafeCell::new(None),
         outs: PerThread::new(threads, |_| UnsafeCell::new(ThreadOut::new())),
-        claim_inspect: AtomicUsize::new(0),
         done: AtomicBool::new(false),
         probing,
         collect_conflicts,
         time_phases,
         conflict_top_k,
+    };
+    let phases = Phases {
+        state: &state,
+        marks,
+        opts,
+        cfg,
+        op,
     };
     let barrier = SenseBarrier::with_chaos(threads, cfg.chaos.clone());
     let initial_cell: Mutex<Option<Vec<WorkItem<T>>>> = Mutex::new(Some(initial));
@@ -340,8 +391,11 @@ where
         cfg.chaos.as_deref(),
         Some(&|| barrier.poison()),
         |tid| {
-            let mut stats = ThreadStats::default();
-            let mut accesses: Vec<Access> = Vec::new();
+            let mut lane = Lane {
+                tid,
+                stats: ThreadStats::default(),
+                accesses: Vec::new(),
+            };
             let mut probe: Option<&mut ProbeHub<'_>> = (tid == 0)
                 .then(|| hub_cell.lock().unwrap().take())
                 .flatten();
@@ -371,17 +425,16 @@ where
             }
 
             loop {
-                // Fused commit/prepare barrier (2-barrier protocol): workers
-                // arrive here straight from the commit loop; the leader runs
-                // the whole inter-round serial section — merge, carve, probe
-                // callbacks — inside the tail of this single crossing instead
-                // of paying a separate release barrier first. The fused
-                // crossing's acquire/release edges give the serial section
-                // exclusive access to `cur`/`pending`/`flags`/`outs`.
+                // Fused commit/prepare barrier: workers arrive here straight
+                // from the commit walk; the leader runs the whole inter-round
+                // serial section — merge, carve, probe callbacks — inside the
+                // tail of this single crossing instead of paying a separate
+                // release barrier first. The fused crossing's acquire/release
+                // edges give the serial section exclusive access to
+                // `cur`/`pending`/`flags`/`outs`.
                 let crossed = if let Some(leader) = leader.as_mut() {
-                    let probe = &mut probe;
                     barrier
-                        .wait_serial_checked(|| {
+                        .wait_serial_checked(|| loop {
                             let t0 = state.time_phases.then(Instant::now);
                             let sort_ns = prepare_round(
                                 leader,
@@ -411,6 +464,21 @@ where
                                     p.on_round(rec);
                                 }
                             }
+                            // A thin round runs right here, on the leader,
+                            // with the workers still parked at this crossing:
+                            // zero crossings, and its operator time lands in
+                            // the phase timers (outside `t0`), never in
+                            // `serial_ns`.
+                            let n = state.live.load(Ordering::Relaxed);
+                            if state.done.load(Ordering::Relaxed) || n > INLINE_WINDOW {
+                                break;
+                            }
+                            // SAFETY: inside the serial section the leader
+                            // owns every slot, pending entry and out-buffer.
+                            unsafe {
+                                inspect_range(&phases, &mut lane, 0..n);
+                                commit_range(&phases, &mut lane, 0..n);
+                            }
                         })
                         .is_ok()
                 } else {
@@ -419,116 +487,31 @@ where
                 if !crossed || state.done.load(Ordering::Acquire) {
                     break;
                 }
-                // SAFETY: the leader finished mutating `cur`/`pending`/`flags`
-                // before the barrier; all are read-only (at the Vec level) until
-                // the next prepare. Slot, pending-entry and out-buffer access is
-                // phase-exclusive.
-                let (slots, pend, flags) = unsafe {
-                    let cur: &Vec<Slot<T>> = &*state.cur.get();
-                    let pend = (*state.pending.get()).as_ptr() as *mut Option<WorkItem<T>>;
-                    let flags: &AbortFlags = (*state.flags.get()).as_ref().expect("flags set");
-                    (cur.as_ptr() as *mut Slot<T>, pend, flags)
-                };
                 // Only the first `live` slots of the high-water pool are this
-                // round's window; the rest are idle capacity.
-                let n = state.live.load(Ordering::Relaxed);
-                let fill_base = state.fill_base.load(Ordering::Relaxed);
-                // SAFETY: outs[tid] is exclusively this worker's between barriers.
-                let out = unsafe { &mut *state.outs.get(tid).get() };
-                out.reset();
-
-                // Inspect phase: dynamic chunked claims (load balance); timing
-                // amortized per chunk so tiny tasks are not inflated by timers.
-                const CLAIM_CHUNK: usize = 8;
-                loop {
-                    let i0 = state
-                        .claim_inspect
-                        .fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
-                    if i0 >= n {
-                        break;
-                    }
-                    let hi = (i0 + CLAIM_CHUNK).min(n);
-                    let t0 = state.time_phases.then(Instant::now);
-                    for i in i0..hi {
-                        // SAFETY: index range claimed exclusively above; pending
-                        // entry `fill_base + i` belongs to slot `i` alone, so the
-                        // claim covers it too. Filling the window here — on the
-                        // claiming worker — keeps the leader's serial turnaround
-                        // O(threads) instead of O(window).
-                        let slot = unsafe { &mut *slots.add(i) };
-                        let item = unsafe { (*pend.add(fill_base + i)).take() };
-                        slot.item = Some(item.expect("carved pending entry holds a task"));
-                        slot.committed = false;
-                        slot.stash = None;
-                        slot.fault = None;
-                        slot.pushes.clear();
-                        slot.pending_out.clear();
-                        inspect_slot(
-                            slot,
-                            marks,
-                            flags,
-                            opts,
-                            cfg,
-                            tid,
-                            &mut stats,
-                            &mut accesses,
-                            state.collect_conflicts.then_some(&mut out.conflicts),
-                            op,
-                        );
-                    }
-                    if let Some(t0) = t0 {
-                        out.inspect
-                            .add_block(t0.elapsed().as_nanos() as f64, (hi - i0) as u64);
-                    }
-                }
+                // round's window; this thread owns one contiguous share of
+                // them for both phases, so its outputs concatenate to slot
+                // order and no slot changes cores inside the round.
+                let range = chunk_range(state.live.load(Ordering::Relaxed), threads, tid);
+                // SAFETY: `chunk_range` shares are disjoint across threads,
+                // and the leader finished mutating `cur`/`pending`/`flags`
+                // before the crossing above released.
+                unsafe { inspect_range(&phases, &mut lane, range.clone()) };
                 if barrier.wait_checked().is_err() {
                     break;
                 }
-
-                // Select-and-execute phase: static contiguous ranges, so each
-                // thread's outputs concatenate to slot order.
-                let range = chunk_range(n, threads, tid);
-                let mut block_start = range.start;
-                while block_start < range.end {
-                    let block_end = (block_start + 64).min(range.end);
-                    let t0 = state.time_phases.then(Instant::now);
-                    let mut block_committed = 0u64;
-                    for i in block_start..block_end {
-                        // SAFETY: static ranges are disjoint across threads.
-                        let slot = unsafe { &mut *slots.add(i) };
-                        commit_slot(slot, marks, flags, cfg, tid, &mut stats, &mut accesses, op);
-                        if slot.committed {
-                            block_committed += 1;
-                            out.todo.append(&mut slot.pending_out);
-                            slot.item = None;
-                        } else if let Some(msg) = slot.fault.take() {
-                            // Quarantined: keep the payload and message for the
-                            // leader's fault report; never re-enqueued.
-                            out.quarantined
-                                .push((slot.item.take().expect("slot had a task"), msg));
-                        } else {
-                            out.failed.push(slot.item.take().expect("slot had a task"));
-                        }
-                    }
-                    out.committed += block_committed;
-                    if let Some(t0) = t0 {
-                        // Count only commits; abort-check time still lands in
-                        // the phase total (it is real commit-phase work).
-                        out.commit
-                            .add_block(t0.elapsed().as_nanos() as f64, block_committed);
-                    }
-                    block_start = block_end;
-                }
+                // SAFETY: the same share as above; every inspect-phase mark
+                // and flag write is ordered before this by the barrier.
+                unsafe { commit_range(&phases, &mut lane, range) };
                 // No commit-end barrier: the loop-top fused crossing doubles
-                // as the commit barrier, so a round costs exactly two
-                // crossings (fused commit/prepare + inspect).
+                // as the commit barrier, so a parallel round costs exactly
+                // two crossings (fused commit/prepare + inspect).
             }
 
             if let Some(mut leader) = leader {
                 *leader_out.lock().unwrap() =
                     Some((leader.rounds, leader.round_traces, leader.fault.take()));
             }
-            collected.lock().unwrap().push((stats, accesses));
+            collected.lock().unwrap().push((lane.stats, lane.accesses));
         },
     );
 
@@ -561,9 +544,9 @@ where
     (report, fault)
 }
 
-/// Leader work between rounds: merge per-thread outputs, advance passes,
-/// carve the next window. Runs strictly between the commit barrier and the
-/// prepare barrier. Returns the (parallelizable) pass-boundary sort time.
+/// Leader work between rounds: merge (and reset) per-thread outputs, advance
+/// passes, carve the next window. Runs strictly inside the fused crossing's
+/// serial section. Returns the (parallelizable) pass-boundary sort time.
 ///
 /// Everything here is O(threads) per round (plus buffer moves for failed /
 /// created tasks): marks and flags retire by epoch bump, and the window is
@@ -645,8 +628,14 @@ fn prepare_round<T: Send>(
         // slot order: write them back into the tail of the just-consumed
         // window range (those entries were taken by the workers) and move
         // the head cursor over them. Walking threads forward reproduces slot
-        // order because commit ranges are contiguous ascending.
+        // order because slot ranges are contiguous ascending.
+        //
+        // Every out-buffer leaves this loop reset: the next round may be an
+        // inline one that only `outs[0]` takes part in, and must not
+        // re-count what a worker reported for this round.
         let mut w_idx = leader.head - nfailed;
+        // Lowest-id quarantined task of the round and its message.
+        let mut first_fault: Option<(u64, String)> = None;
         for tid in 0..threads {
             // SAFETY: as above.
             let out = unsafe { &mut *state.outs.get(tid).get() };
@@ -656,11 +645,19 @@ fn prepare_round<T: Send>(
                 w_idx += 1;
             }
             leader.todo.append(&mut out.todo);
+            for (item, msg) in out.quarantined.drain(..) {
+                if first_fault.as_ref().is_none_or(|(id, _)| item.id < *id) {
+                    first_fault = Some((item.id, msg));
+                }
+            }
+            out.reset();
         }
         debug_assert_eq!(w_idx, leader.head);
         leader.head -= nfailed;
         if let Some(mut t) = trace {
-            t.barriers = 2;
+            // A function of the window size alone, like the inline rule
+            // itself, so traces are identical at every thread count.
+            t.barriers = if attempted <= INLINE_WINDOW { 0 } else { 2 };
             leader.round_traces.push(t);
         }
         let closing_round = leader.rounds;
@@ -673,17 +670,7 @@ fn prepare_round<T: Send>(
             // the independent set are pure functions of committed history,
             // so this report — id, message and round — is byte-identical
             // at every thread count.
-            let mut first: Option<(u64, String)> = None;
-            for tid in 0..threads {
-                // SAFETY: as above.
-                let out = unsafe { &mut *state.outs.get(tid).get() };
-                for (item, msg) in out.quarantined.drain(..) {
-                    if first.as_ref().is_none_or(|(id, _)| item.id < *id) {
-                        first = Some((item.id, msg));
-                    }
-                }
-            }
-            let (task_id, message) = first.expect("quarantined > 0");
+            let (task_id, message) = first_fault.expect("quarantined > 0");
             leader.fault = Some(if quarantined as u64 > QUARANTINE_CAP {
                 ExecError::QuarantineOverflow {
                     quarantined: quarantined as u64,
@@ -777,23 +764,136 @@ fn prepare_round<T: Send>(
     state.live.store(w, Ordering::Relaxed);
     state.fill_base.store(leader.head, Ordering::Relaxed);
     leader.head += w;
-    state.claim_inspect.store(0, Ordering::Relaxed);
     sort_ns
 }
 
-#[allow(clippy::too_many_arguments)]
-fn inspect_slot<T: Send, O: Operator<T>>(
-    slot: &mut Slot<T>,
-    marks: &MarkTable,
-    flags: &AbortFlags,
-    opts: &DetOptions,
-    cfg: &Executor,
+/// Run-constant inputs of the two phase walks.
+struct Phases<'a, T, O> {
+    state: &'a RoundState<T>,
+    marks: &'a MarkTable,
+    opts: &'a DetOptions,
+    cfg: &'a Executor,
+    op: &'a O,
+}
+
+/// One thread's private accumulators for the whole run.
+struct Lane {
     tid: usize,
-    stats: &mut ThreadStats,
-    accesses: &mut Vec<Access>,
-    conflicts: Option<&mut Vec<u32>>,
-    op: &O,
+    stats: ThreadStats,
+    accesses: Vec<Access>,
+}
+
+/// `range` cut into consecutive blocks of at most `size` slots.
+fn blocks(range: Range<usize>, size: usize) -> impl Iterator<Item = Range<usize>> {
+    let end = range.end;
+    range.step_by(size).map(move |lo| lo..(lo + size).min(end))
+}
+
+/// Inspect walk: fill the slots of `range` from the pending buffer and run
+/// each task up to its failsafe point. Workers pass their `chunk_range`
+/// share; the leader passes the whole window for an inline round.
+///
+/// # Safety
+///
+/// Until the next barrier crossing the caller must be the only thread that
+/// touches the slots of `range`, the pending entries behind them and
+/// `outs[lane.tid]`, and no thread may be mutating `cur`/`pending`/`flags`
+/// at the `Vec` level.
+unsafe fn inspect_range<T: Send, O: Operator<T>>(
+    ph: &Phases<'_, T, O>,
+    lane: &mut Lane,
+    range: Range<usize>,
 ) {
+    let state = ph.state;
+    let (slots, pend, flags) = state.window();
+    let fill_base = state.fill_base.load(Ordering::Relaxed);
+    let out = &mut *state.outs.get(lane.tid).get();
+    // Timing amortized per block so tiny tasks are not inflated by timers.
+    for block in blocks(range, 8) {
+        let t0 = state.time_phases.then(Instant::now);
+        let len = block.len() as u64;
+        for i in block {
+            // Filling the window here — on the slot's owner — keeps the
+            // leader's serial turnaround O(threads) instead of O(window).
+            let slot = &mut *slots.add(i);
+            let item = (*pend.add(fill_base + i)).take();
+            slot.item = Some(item.expect("carved pending entry holds a task"));
+            slot.committed = false;
+            slot.stash = None;
+            slot.fault = None;
+            slot.pushes.clear();
+            slot.pending_out.clear();
+            let conflicts = state.collect_conflicts.then_some(&mut out.conflicts);
+            inspect_slot(ph, lane, slot, flags, conflicts);
+        }
+        if let Some(t0) = t0 {
+            out.inspect.add_block(t0.elapsed().as_nanos() as f64, len);
+        }
+    }
+}
+
+/// Select-and-execute walk over `range`: commit the independent set and
+/// sort every slot's task into this thread's committed / failed /
+/// quarantined outputs, in slot order.
+///
+/// # Safety
+///
+/// As for [`inspect_range`], with the same `range` the caller inspected.
+unsafe fn commit_range<T: Send, O: Operator<T>>(
+    ph: &Phases<'_, T, O>,
+    lane: &mut Lane,
+    range: Range<usize>,
+) {
+    let state = ph.state;
+    let (slots, _, flags) = state.window();
+    let out = &mut *state.outs.get(lane.tid).get();
+    for block in blocks(range, 64) {
+        let t0 = state.time_phases.then(Instant::now);
+        let mut block_committed = 0u64;
+        for i in block {
+            let slot = &mut *slots.add(i);
+            commit_slot(ph, lane, slot, flags);
+            if slot.committed {
+                block_committed += 1;
+                out.todo.append(&mut slot.pending_out);
+                slot.item = None;
+            } else if let Some(msg) = slot.fault.take() {
+                // Quarantined: keep the payload and message for the
+                // leader's fault report; never re-enqueued.
+                out.quarantined
+                    .push((slot.item.take().expect("slot had a task"), msg));
+            } else {
+                out.failed.push(slot.item.take().expect("slot had a task"));
+            }
+        }
+        out.committed += block_committed;
+        if let Some(t0) = t0 {
+            // Count only commits; abort-check time still lands in the phase
+            // total (it is real commit-phase work).
+            out.commit
+                .add_block(t0.elapsed().as_nanos() as f64, block_committed);
+        }
+    }
+}
+
+fn inspect_slot<T: Send, O: Operator<T>>(
+    ph: &Phases<'_, T, O>,
+    lane: &mut Lane,
+    slot: &mut Slot<T>,
+    flags: &AbortFlags,
+    conflicts: Option<&mut Vec<u32>>,
+) {
+    let Phases {
+        marks,
+        opts,
+        cfg,
+        op,
+        ..
+    } = *ph;
+    let tid = lane.tid;
+    let Lane {
+        stats, accesses, ..
+    } = lane;
     slot.neighborhood.clear();
     let result = {
         // Destructure for field-precise borrows: `item` stays shared while
@@ -851,17 +951,17 @@ fn inspect_slot<T: Send, O: Operator<T>>(
     slot.pushes.clear();
 }
 
-#[allow(clippy::too_many_arguments)]
 fn commit_slot<T: Send, O: Operator<T>>(
+    ph: &Phases<'_, T, O>,
+    lane: &mut Lane,
     slot: &mut Slot<T>,
-    marks: &MarkTable,
     flags: &AbortFlags,
-    cfg: &Executor,
-    tid: usize,
-    stats: &mut ThreadStats,
-    accesses: &mut Vec<Access>,
-    op: &O,
 ) {
+    let Phases { marks, cfg, op, .. } = *ph;
+    let tid = lane.tid;
+    let Lane {
+        stats, accesses, ..
+    } = lane;
     let task_id = slot.item().id;
     let mark_value = task_id + 1;
     if slot.fault.is_some() {

@@ -40,12 +40,18 @@ struct VertSlot {
     y: AtomicI64,
 }
 
+/// An allocation counter on a cache line of its own: every `add_vertex` /
+/// `create_tri` writes its counter, and neither those writes nor the other
+/// counter's may invalidate the line a reader of the slices holds.
+#[repr(align(64))]
+struct Counter(AtomicUsize);
+
 /// An append-only concurrent triangle mesh. See the [crate docs](crate).
 pub struct Mesh {
     verts: Box<[VertSlot]>,
-    vert_len: AtomicUsize,
+    vert_len: Counter,
     tris: Box<[TriSlot]>,
-    tri_len: AtomicUsize,
+    tri_len: Counter,
 }
 
 impl std::fmt::Debug for Mesh {
@@ -71,15 +77,15 @@ impl Mesh {
                     y: AtomicI64::new(0),
                 })
                 .collect(),
-            vert_len: AtomicUsize::new(0),
+            vert_len: Counter(AtomicUsize::new(0)),
             tris: (0..tris).map(|_| TriSlot::empty()).collect(),
-            tri_len: AtomicUsize::new(0),
+            tri_len: Counter(AtomicUsize::new(0)),
         }
     }
 
     /// Number of vertices added so far.
     pub fn num_verts(&self) -> usize {
-        self.vert_len.load(Ordering::Acquire)
+        self.vert_len.0.load(Ordering::Acquire)
     }
 
     /// Total vertex slots (fixed at construction).
@@ -95,7 +101,7 @@ impl Mesh {
 
     /// Number of triangle slots ever allocated (alive + dead).
     pub fn num_tris_allocated(&self) -> usize {
-        self.tri_len.load(Ordering::Acquire)
+        self.tri_len.0.load(Ordering::Acquire)
     }
 
     /// Number of currently alive triangles (O(allocated) scan).
@@ -109,7 +115,7 @@ impl Mesh {
     ///
     /// Panics if the vertex capacity is exhausted.
     pub fn add_vertex(&self, p: Point) -> u32 {
-        let id = self.vert_len.fetch_add(1, Ordering::AcqRel);
+        let id = self.vert_len.0.fetch_add(1, Ordering::AcqRel);
         assert!(
             id < self.verts.len(),
             "vertex capacity {} exhausted; size the mesh larger",
@@ -123,14 +129,20 @@ impl Mesh {
 
     /// The position of vertex `v`.
     ///
+    /// Bounded by the slice, not by the allocation counter: the counter's
+    /// line is written by every concurrent `add_vertex`, and this is the
+    /// hottest read of a commit phase.
+    ///
     /// # Panics
     ///
-    /// Panics if `v` was never allocated.
+    /// Panics if `v` is outside the vertex capacity; debug builds also
+    /// reject an in-capacity id that was never allocated.
     pub fn vertex(&self, v: u32) -> Point {
-        assert!((v as usize) < self.num_verts(), "vertex {v} not allocated");
+        debug_assert!((v as usize) < self.num_verts(), "vertex {v} not allocated");
+        let slot = &self.verts[v as usize];
         Point::from_grid(
-            self.verts[v as usize].x.load(Ordering::Relaxed),
-            self.verts[v as usize].y.load(Ordering::Relaxed),
+            slot.x.load(Ordering::Relaxed),
+            slot.y.load(Ordering::Relaxed),
         )
     }
 
@@ -141,7 +153,7 @@ impl Mesh {
     ///
     /// Panics if the triangle capacity is exhausted.
     pub fn create_tri(&self, v: [u32; 3]) -> u32 {
-        let id = self.tri_len.fetch_add(1, Ordering::AcqRel);
+        let id = self.tri_len.0.fetch_add(1, Ordering::AcqRel);
         assert!(
             id < self.tris.len(),
             "triangle capacity {} exhausted; size the mesh larger",
@@ -183,11 +195,13 @@ impl Mesh {
         ]
     }
 
-    /// Whether triangle `t` is alive.
+    /// Whether triangle `t` is alive. A never-allocated slot's `alive` word
+    /// is still 0, so the slice bound and that word decide — the allocation
+    /// counter (written by every concurrent `create_tri`) is not read.
     pub fn alive(&self, t: u32) -> bool {
-        t != INVALID
-            && (t as usize) < self.num_tris_allocated()
-            && self.tris[t as usize].alive.load(Ordering::Acquire) == 1
+        self.tris
+            .get(t as usize)
+            .is_some_and(|slot| slot.alive.load(Ordering::Acquire) == 1)
     }
 
     /// Marks triangle `t` dead (its slot is never reused).
@@ -274,6 +288,28 @@ mod tests {
         let m = Mesh::with_capacity(1, 1);
         assert!(!m.alive(INVALID));
         assert!(!m.alive(0), "unallocated slot");
+    }
+
+    #[test]
+    fn in_capacity_never_allocated_tri_is_not_alive() {
+        let m = Mesh::with_capacity(4, 4);
+        for _ in 0..3 {
+            m.add_vertex(Point::from_grid(0, 0));
+        }
+        let t = m.create_tri([0, 1, 2]);
+        assert!(m.alive(t));
+        for never in 1..4 {
+            assert!(!m.alive(never), "slot {never} was never allocated");
+        }
+        assert!(!m.alive(4), "one past the capacity");
+    }
+
+    #[test]
+    #[should_panic]
+    fn out_of_capacity_vertex_read_panics() {
+        let m = Mesh::with_capacity(2, 1);
+        m.add_vertex(Point::from_grid(0, 0));
+        m.vertex(2);
     }
 
     #[test]

@@ -151,7 +151,9 @@ pub struct RoundTrace {
     /// sorting, prefix-sum flattening); modeled as `/p` work with no
     /// longest-task floor.
     pub sched_par_ns: f64,
-    /// Number of barrier episodes in the round (Figure 2 shows three).
+    /// Number of barrier episodes in the round (Figure 2 shows three). Zero
+    /// means the round never left one worker: its phases replay as
+    /// one-worker work at every `p`.
     pub barriers: u32,
 }
 
@@ -217,8 +219,11 @@ impl ExecTrace {
             ExecTrace::Rounds(rounds) => rounds
                 .iter()
                 .map(|r| {
+                    // A round that crossed no barrier ran on one worker (the
+                    // DIG leader runs thin rounds inline), whatever `p` is.
+                    let lanes = if r.barriers == 0 { 1 } else { p };
                     let phase = |t: &PhaseTrace| -> f64 {
-                        (t.total_ns * mult / p as f64).max(t.max_ns * mult)
+                        (t.total_ns * mult / lanes as f64).max(t.max_ns * mult)
                     };
                     phase(&r.inspect)
                         + phase(&r.commit)
@@ -283,6 +288,31 @@ mod tests {
         let r1 = t.makespan_ns(&m, 1);
         let a1 = a.makespan_ns(&m, 1);
         assert!((r1 - a1).abs() / a1 < 1e-9);
+    }
+
+    #[test]
+    fn zero_barrier_rounds_replay_on_one_worker() {
+        let round = |barriers| RoundTrace {
+            inspect: PhaseTrace::uniform(800.0, 8),
+            commit: PhaseTrace::uniform(800.0, 8),
+            serial_ns: 100.0,
+            sched_par_ns: 0.0,
+            barriers,
+        };
+        let m = MachineProfile::M4X10;
+        let inline = ExecTrace::Rounds(vec![round(0)]);
+        assert_eq!(inline.makespan_ns(&m, 1), 1700.0);
+        assert_eq!(
+            inline.makespan_ns(&m, 8),
+            1700.0,
+            "no worker to spread over"
+        );
+        let parallel = ExecTrace::Rounds(vec![round(2)]);
+        assert_eq!(
+            parallel.makespan_ns(&m, 8),
+            300.0 + 2.0 * m.barrier_ns(8),
+            "phases split 8 ways, serial tail and barriers do not"
+        );
     }
 
     #[test]
