@@ -86,6 +86,9 @@ pub use executor::{
     DEFAULT_MAX_STALLED_ROUNDS,
 };
 pub use galois_runtime::chaos::ChaosPolicy;
+/// The workspace's one JSON codec, re-exported for crates (such as
+/// `galois-serve`) that depend on `galois-core` but not `galois-runtime`.
+pub use galois_runtime::json;
 pub use galois_runtime::probe::{Probe, RoundLog, RoundRecord};
 pub use manifest::{
     LockstepEvent, LockstepEventKind, LockstepOutcome, LockstepReport, ManifestError,

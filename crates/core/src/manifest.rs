@@ -22,9 +22,10 @@
 //!   executor configuration. In *replay* mode it carries the expected
 //!   hashes instead and flags the first divergent round as it streams past.
 //! - [`RunManifest`] — the on-disk artifact: versioned, checksummed,
-//!   hand-rolled JSON (this tree builds with no registry access, so there
-//!   is no serde; the format is a strict fixed-order flat object that the
-//!   parser rejects on any corruption).
+//!   fixed-order single-line JSON, written by `format!` and read back
+//!   through the workspace's one strict codec ([`galois_runtime::json`]:
+//!   checksum envelope first, then an ordered field cursor), so any
+//!   corruption, unknown field or reordering is rejected.
 //!
 //! [`LoopSpec::record`]: crate::LoopSpec::record
 //! [`Executor`]: crate::Executor
@@ -33,7 +34,8 @@
 use crate::executor::{Executor, Schedule, WorklistPolicy};
 use crate::window::WindowPolicy;
 use crate::DetOptions;
-use galois_runtime::fingerprint::{run_fingerprint, Fnv64, RoundChain};
+use galois_runtime::fingerprint::{run_fingerprint, RoundChain};
+use galois_runtime::json::{self, escape, Fields, Value};
 use galois_runtime::probe::{Probe, RoundRecord};
 use galois_runtime::stats::ExecStats;
 use std::fmt;
@@ -222,6 +224,15 @@ impl fmt::Display for ManifestError {
 
 impl std::error::Error for ManifestError {}
 
+impl From<json::Error> for ManifestError {
+    fn from(e: json::Error) -> Self {
+        match e {
+            json::Error::Parse(msg) => ManifestError::Parse(msg),
+            json::Error::Checksum { stored, actual } => ManifestError::Checksum { stored, actual },
+        }
+    }
+}
+
 /// A recorded deterministic run: identity, configuration, and the expected
 /// canonical hashes. See the [module docs](self).
 #[derive(Debug, Clone, PartialEq)]
@@ -265,8 +276,8 @@ impl RunManifest {
              \"chaos_panics\":{},\"max_stalled_rounds\":{},\"round_hashes\":[{}],\
              \"final_fingerprint\":\"{:016x}\"}}",
             self.version,
-            self.app,
-            self.input_key,
+            escape(&self.app),
+            escape(&self.input_key),
             self.input_seed,
             self.size,
             self.exec.threads,
@@ -283,81 +294,38 @@ impl RunManifest {
             hashes.join(","),
             self.final_fingerprint,
         );
-        let mut h = Fnv64::new();
-        h.write_bytes(body.as_bytes());
-        format!(
-            "{},\"checksum\":\"{:016x}\"}}\n",
-            &body[..body.len() - 1],
-            h.finish()
-        )
+        json::seal(&body)
     }
 
     /// Parses the format written by [`RunManifest::to_json`], rejecting
     /// version mismatches and any corruption (checksum failure, truncation,
     /// unknown or reordered fields).
     pub fn from_json(text: &str) -> Result<RunManifest, ManifestError> {
-        let text = text.trim_end();
-        // Split off and verify the trailing checksum before believing any
-        // field: the body is everything before `,"checksum":...` plus the
-        // closing brace it displaced.
-        let marker = ",\"checksum\":\"";
-        let at = text
-            .rfind(marker)
-            .ok_or_else(|| ManifestError::Parse("missing checksum field".into()))?;
-        let tail = &text[at + marker.len()..];
-        let stored = tail
-            .strip_suffix("\"}")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or_else(|| ManifestError::Parse("malformed checksum field".into()))?;
-        let body = format!("{}}}", &text[..at]);
-        let mut h = Fnv64::new();
-        h.write_bytes(body.as_bytes());
-        let actual = h.finish();
-        if actual != stored {
-            return Err(ManifestError::Checksum { stored, actual });
-        }
-
-        let mut p = Parser::new(&body);
-        p.expect("{")?;
-        let version = p.key_u64("version")?;
+        let mut f = json::unseal(text)?;
+        let version = f.u64("version")?;
         if version != MANIFEST_VERSION {
             return Err(ManifestError::Version(version));
         }
-        p.expect(",")?;
-        let app = p.key_string("app")?;
-        p.expect(",")?;
-        let input_key = p.key_string("input_key")?;
-        p.expect(",")?;
-        let input_seed = p.key_u64("input_seed")?;
-        p.expect(",")?;
-        let size = p.key_u64("size")?;
-        p.expect(",")?;
-        let threads = p.key_u64("threads")? as usize;
-        p.expect(",")?;
-        let schedule = ScheduleKind::from_name(&p.key_string("schedule")?)
+        let app = f.string("app")?;
+        let input_key = f.string("input_key")?;
+        let input_seed = f.u64("input_seed")?;
+        let size = f.u64("size")?;
+        let threads = f.u64("threads")? as usize;
+        let schedule = ScheduleKind::from_name(&f.string("schedule")?)
             .ok_or_else(|| ManifestError::Parse("unknown schedule kind".into()))?;
-        p.expect(",")?;
-        let continuation = p.key_bool("continuation")?;
-        p.expect(",")?;
-        let locality_spread = p.key_u64("locality_spread")? as usize;
-        p.expect(",")?;
-        let worklist = match p.key_string("worklist")?.as_str() {
+        let continuation = f.bool("continuation")?;
+        let locality_spread = f.u64("locality_spread")? as usize;
+        let worklist = match f.string("worklist")?.as_str() {
             "lifo" => WorklistPolicy::Lifo,
             "fifo" => WorklistPolicy::Fifo,
             _ => return Err(ManifestError::Parse("unknown worklist policy".into())),
         };
-        p.expect(",")?;
-        let chaos_seed = p.key_u64_or_null("chaos_seed")?;
-        p.expect(",")?;
-        let chaos_panics = p.key_bool("chaos_panics")?;
-        p.expect(",")?;
-        let max_stalled_rounds = p.key_u64("max_stalled_rounds")?;
-        p.expect(",")?;
-        let round_hashes = p.key_hex_array("round_hashes")?;
-        p.expect(",")?;
-        let final_fingerprint = p.key_hex("final_fingerprint")?;
-        p.expect("}")?;
-        p.end()?;
+        let chaos_seed = f.opt_u64("chaos_seed")?;
+        let chaos_panics = f.bool("chaos_panics")?;
+        let max_stalled_rounds = f.u64("max_stalled_rounds")?;
+        let round_hashes = f.array_of("round_hashes", "hex hashes", Value::as_hex)?;
+        let final_fingerprint = f.hex("final_fingerprint")?;
+        f.end()?;
 
         Ok(RunManifest {
             version,
@@ -415,164 +383,6 @@ impl RunManifest {
             });
         }
         Ok(())
-    }
-}
-
-/// Strict cursor parser for the flat fixed-order JSON object the manifest
-/// format uses. Any deviation — reordered keys, unknown fields, trailing
-/// garbage — is a [`ManifestError::Parse`].
-struct Parser<'a> {
-    text: &'a str,
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser { text, pos: 0 }
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.text[self.pos..]
-    }
-
-    fn expect(&mut self, token: &str) -> Result<(), ManifestError> {
-        if self.rest().starts_with(token) {
-            self.pos += token.len();
-            Ok(())
-        } else {
-            Err(ManifestError::Parse(format!(
-                "expected `{token}` at byte {}",
-                self.pos
-            )))
-        }
-    }
-
-    fn key(&mut self, name: &str) -> Result<(), ManifestError> {
-        self.expect(&format!("\"{name}\":"))
-    }
-
-    /// Consumes characters while `f` holds, returning the span.
-    fn take_while(&mut self, f: impl Fn(char) -> bool) -> &'a str {
-        let rest = self.rest();
-        let len = rest.find(|c| !f(c)).unwrap_or(rest.len());
-        self.pos += len;
-        &rest[..len]
-    }
-
-    fn u64_value(&mut self) -> Result<u64, ManifestError> {
-        let span = self.take_while(|c| c.is_ascii_digit());
-        span.parse()
-            .map_err(|_| ManifestError::Parse(format!("expected integer at byte {}", self.pos)))
-    }
-
-    fn key_u64(&mut self, name: &str) -> Result<u64, ManifestError> {
-        self.key(name)?;
-        self.u64_value()
-    }
-
-    fn key_u64_or_null(&mut self, name: &str) -> Result<Option<u64>, ManifestError> {
-        self.key(name)?;
-        if self.rest().starts_with("null") {
-            self.pos += 4;
-            Ok(None)
-        } else {
-            self.u64_value().map(Some)
-        }
-    }
-
-    fn key_bool(&mut self, name: &str) -> Result<bool, ManifestError> {
-        self.key(name)?;
-        if self.rest().starts_with("true") {
-            self.pos += 4;
-            Ok(true)
-        } else if self.rest().starts_with("false") {
-            self.pos += 5;
-            Ok(false)
-        } else {
-            Err(ManifestError::Parse(format!(
-                "expected boolean at byte {}",
-                self.pos
-            )))
-        }
-    }
-
-    fn string_value(&mut self) -> Result<String, ManifestError> {
-        self.expect("\"")?;
-        // Manifest strings are app names and input keys: no escapes.
-        let s = self.take_while(|c| c != '"' && c != '\\');
-        let s = s.to_string();
-        self.expect("\"")?;
-        Ok(s)
-    }
-
-    fn key_string(&mut self, name: &str) -> Result<String, ManifestError> {
-        self.key(name)?;
-        self.string_value()
-    }
-
-    fn hex_value(&mut self) -> Result<u64, ManifestError> {
-        self.expect("\"")?;
-        let span = self.take_while(|c| c.is_ascii_hexdigit());
-        let v = u64::from_str_radix(span, 16)
-            .map_err(|_| ManifestError::Parse(format!("expected hex hash at byte {}", self.pos)))?;
-        self.expect("\"")?;
-        Ok(v)
-    }
-
-    fn key_hex(&mut self, name: &str) -> Result<u64, ManifestError> {
-        self.key(name)?;
-        self.hex_value()
-    }
-
-    fn key_hex_array(&mut self, name: &str) -> Result<Vec<u64>, ManifestError> {
-        self.key(name)?;
-        self.expect("[")?;
-        let mut out = Vec::new();
-        if self.rest().starts_with(']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            out.push(self.hex_value()?);
-            if self.rest().starts_with(',') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        self.expect("]")?;
-        Ok(out)
-    }
-
-    fn key_u64_array(&mut self, name: &str) -> Result<Vec<u64>, ManifestError> {
-        self.key(name)?;
-        self.expect("[")?;
-        let mut out = Vec::new();
-        if self.rest().starts_with(']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            out.push(self.u64_value()?);
-            if self.rest().starts_with(',') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        self.expect("]")?;
-        Ok(out)
-    }
-
-    fn end(&mut self) -> Result<(), ManifestError> {
-        if self.rest().is_empty() {
-            Ok(())
-        } else {
-            Err(ManifestError::Parse(format!(
-                "trailing bytes after manifest object at byte {}",
-                self.pos
-            )))
-        }
     }
 }
 
@@ -876,22 +686,8 @@ pub struct LockstepEvent {
     pub expected: u64,
     /// The offending replica's prefix hash (0 when not applicable).
     pub actual: u64,
-    /// Human-readable detail. Serialized without escapes, so
-    /// [`LockstepReport::to_json`] sanitizes quotes, backslashes and
-    /// control bytes to spaces.
+    /// Human-readable detail.
     pub detail: String,
-}
-
-fn sanitize_detail(s: &str) -> String {
-    s.chars()
-        .map(|c| {
-            if c == '"' || c == '\\' || (c as u32) < 0x20 {
-                ' '
-            } else {
-                c
-            }
-        })
-        .collect()
 }
 
 /// The coordinator's structured account of one distributed lockstep run:
@@ -947,7 +743,7 @@ impl LockstepReport {
                     e.kind.name(),
                     e.expected,
                     e.actual,
-                    sanitize_detail(&e.detail),
+                    escape(&e.detail),
                 )
             })
             .collect();
@@ -957,8 +753,8 @@ impl LockstepReport {
              \"max_buffered\":{},\"output_hash\":\"{:016x}\",\
              \"final_fingerprint\":\"{:016x}\",\"events\":[{}]}}",
             self.version,
-            self.app,
-            self.input_key,
+            escape(&self.app),
+            escape(&self.input_key),
             self.replicas,
             self.window,
             self.rounds,
@@ -969,103 +765,43 @@ impl LockstepReport {
             self.final_fingerprint,
             events.join(","),
         );
-        let mut h = Fnv64::new();
-        h.write_bytes(body.as_bytes());
-        format!(
-            "{},\"checksum\":\"{:016x}\"}}\n",
-            &body[..body.len() - 1],
-            h.finish()
-        )
+        json::seal(&body)
     }
 
     /// Parses the format written by [`LockstepReport::to_json`], rejecting
     /// version mismatches and any corruption.
     pub fn from_json(text: &str) -> Result<LockstepReport, ManifestError> {
-        let text = text.trim_end();
-        let marker = ",\"checksum\":\"";
-        let at = text
-            .rfind(marker)
-            .ok_or_else(|| ManifestError::Parse("missing checksum field".into()))?;
-        let tail = &text[at + marker.len()..];
-        let stored = tail
-            .strip_suffix("\"}")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or_else(|| ManifestError::Parse("malformed checksum field".into()))?;
-        let body = format!("{}}}", &text[..at]);
-        let mut h = Fnv64::new();
-        h.write_bytes(body.as_bytes());
-        let actual = h.finish();
-        if actual != stored {
-            return Err(ManifestError::Checksum { stored, actual });
-        }
-
-        let mut p = Parser::new(&body);
-        p.expect("{")?;
-        let version = p.key_u64("version")?;
+        let mut f = json::unseal(text)?;
+        let version = f.u64("version")?;
         if version != LOCKSTEP_REPORT_VERSION {
             return Err(ManifestError::Version(version));
         }
-        p.expect(",")?;
-        let app = p.key_string("app")?;
-        p.expect(",")?;
-        let input_key = p.key_string("input_key")?;
-        p.expect(",")?;
-        let replicas = p.key_u64("replicas")?;
-        p.expect(",")?;
-        let window = p.key_u64("window")?;
-        p.expect(",")?;
-        let rounds = p.key_u64("rounds")?;
-        p.expect(",")?;
-        let outcome = LockstepOutcome::from_name(&p.key_string("outcome")?)
+        let app = f.string("app")?;
+        let input_key = f.string("input_key")?;
+        let replicas = f.u64("replicas")?;
+        let window = f.u64("window")?;
+        let rounds = f.u64("rounds")?;
+        let outcome = LockstepOutcome::from_name(&f.string("outcome")?)
             .ok_or_else(|| ManifestError::Parse("unknown lockstep outcome".into()))?;
-        p.expect(",")?;
-        let survivors = p.key_u64_array("survivors")?;
-        p.expect(",")?;
-        let max_buffered = p.key_u64("max_buffered")?;
-        p.expect(",")?;
-        let output_hash = p.key_hex("output_hash")?;
-        p.expect(",")?;
-        let final_fingerprint = p.key_hex("final_fingerprint")?;
-        p.expect(",")?;
-        p.key("events")?;
-        p.expect("[")?;
+        let survivors = f.array_of("survivors", "integers", Value::as_u64)?;
+        let max_buffered = f.u64("max_buffered")?;
+        let output_hash = f.hex("output_hash")?;
+        let final_fingerprint = f.hex("final_fingerprint")?;
         let mut events = Vec::new();
-        if p.rest().starts_with(']') {
-            p.pos += 1;
-        } else {
-            loop {
-                p.expect("{")?;
-                let round = p.key_u64("round")?;
-                p.expect(",")?;
-                let replica = p.key_u64_or_null("replica")?;
-                p.expect(",")?;
-                let kind = LockstepEventKind::from_name(&p.key_string("kind")?)
-                    .ok_or_else(|| ManifestError::Parse("unknown event kind".into()))?;
-                p.expect(",")?;
-                let expected = p.key_hex("expected")?;
-                p.expect(",")?;
-                let actual = p.key_hex("actual")?;
-                p.expect(",")?;
-                let detail = p.key_string("detail")?;
-                p.expect("}")?;
-                events.push(LockstepEvent {
-                    round,
-                    replica,
-                    kind,
-                    expected,
-                    actual,
-                    detail,
-                });
-                if p.rest().starts_with(',') {
-                    p.pos += 1;
-                } else {
-                    break;
-                }
-            }
-            p.expect("]")?;
+        for event in f.array("events")? {
+            let mut e = Fields::new(event)?;
+            events.push(LockstepEvent {
+                round: e.u64("round")?,
+                replica: e.opt_u64("replica")?,
+                kind: LockstepEventKind::from_name(&e.string("kind")?)
+                    .ok_or_else(|| ManifestError::Parse("unknown event kind".into()))?,
+                expected: e.hex("expected")?,
+                actual: e.hex("actual")?,
+                detail: e.string("detail")?,
+            });
+            e.end()?;
         }
-        p.expect("}")?;
-        p.end()?;
+        f.end()?;
 
         Ok(LockstepReport {
             version,
@@ -1191,6 +927,45 @@ mod tests {
             RunManifest::from_json(&m.to_json()),
             Err(ManifestError::Version(MANIFEST_VERSION + 1))
         );
+    }
+
+    #[test]
+    fn resigned_field_edits_are_parse_errors() {
+        // An intact checksum gets a document past the envelope; the field
+        // cursor must still refuse anything but the exact field sequence.
+        let text = manifest().to_json();
+        let body = format!("{}}}", &text[..text.rfind(",\"checksum").unwrap()]);
+        for (what, edited) in [
+            (
+                "reordered",
+                body.replacen(
+                    "\"input_seed\":42,\"size\":0",
+                    "\"size\":0,\"input_seed\":42",
+                    1,
+                ),
+            ),
+            (
+                "unknown",
+                body.replacen("\"size\":0", "\"size\":0,\"extra\":1", 1),
+            ),
+            (
+                "duplicate",
+                body.replacen("\"size\":0", "\"size\":0,\"size\":0", 1),
+            ),
+            ("missing", body.replacen("\"size\":0,", "", 1)),
+            ("retyped", body.replacen("\"size\":0", "\"size\":\"0\"", 1)),
+            (
+                "short hex",
+                body.replacen("\"00000000deadbeef\"", "\"deadbeef\"", 1),
+            ),
+        ] {
+            assert_ne!(edited, body, "{what}: the edit did not apply");
+            let result = RunManifest::from_json(&json::seal(&edited));
+            assert!(
+                matches!(result, Err(ManifestError::Parse(_))),
+                "{what}: {result:?}"
+            );
+        }
     }
 
     #[test]
@@ -1365,11 +1140,10 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_detail_is_sanitized_to_stay_parseable() {
+    fn lockstep_detail_round_trips_exactly() {
         let mut r = report();
-        r.events[0].detail = "quote \" backslash \\ newline \n done".into();
-        let back = LockstepReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.events[0].detail, "quote   backslash   newline   done");
+        r.events[0].detail = "quote \" backslash \\ newline \n nul \u{0} é ✓ done".into();
+        assert_eq!(LockstepReport::from_json(&r.to_json()).unwrap(), r);
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //! - [`fingerprint`]: the canonical state-fingerprint implementation
 //!   ([`Fnv64`], [`RoundChain`]) shared by the differential harness and the
 //!   record/replay layer — one hashing authority for the whole tree.
+//! - [`json`]: the one strict JSON codec — parser, `escape`, ordered field
+//!   cursor and checksum envelope — behind every manifest, report and
+//!   request body the tree reads.
 //! - [`padded`]: cache-line padded cells and per-thread counter arrays.
 //! - [`stats`]: mergeable per-thread execution statistics.
 //! - [`probe`]: round-level observability — the [`Probe`] trait and the
@@ -45,6 +48,7 @@
 pub mod barrier;
 pub mod chaos;
 pub mod fingerprint;
+pub mod json;
 pub mod padded;
 pub mod pool;
 pub mod probe;

@@ -305,6 +305,7 @@ mod tests {
                 .replace(" ", "")
         );
         assert!(!j.contains("ns"));
+        assert!(crate::json::parse(&j).is_ok(), "not strict JSON: {j}");
     }
 
     #[test]
@@ -314,6 +315,7 @@ mod tests {
         assert!(j.starts_with(&r.canonical_json()[..r.canonical_json().len() - 1]));
         assert!(j.contains("\"commit_ns\":2346"));
         assert!(j.contains("\"serial_ns\":100"));
+        assert!(crate::json::parse(&j).is_ok(), "not strict JSON: {j}");
     }
 
     #[test]

@@ -340,95 +340,6 @@ impl<T: Send> ChunkedFifo<T> {
     }
 }
 
-/// A bucketed priority worklist (a simplified OBIM, the "ordered by
-/// integer metric" scheduler of the Galois runtime).
-///
-/// Tasks carry a small integer priority; pops prefer the lowest non-empty
-/// bucket. Priorities are *scheduling hints*, not ordering guarantees:
-/// under concurrency a pop may return work from a slightly higher bucket —
-/// exactly OBIM's contract, and why label-correcting algorithms (sssp,
-/// bfs-by-level) run near their sequential work bound without determinism.
-pub struct BucketedQueue<T> {
-    buckets: Vec<ChunkedFifo<T>>,
-    /// Lower bound on the first non-empty bucket (monotone hint).
-    cursor: AtomicUsize,
-}
-
-impl<T> std::fmt::Debug for BucketedQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BucketedQueue")
-            .field("buckets", &self.buckets.len())
-            .finish()
-    }
-}
-
-impl<T: Send> BucketedQueue<T> {
-    /// Creates a queue with `buckets` priority levels for `threads` workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets == 0`.
-    pub fn new(threads: usize, buckets: usize) -> Self {
-        assert!(buckets > 0, "need at least one bucket");
-        BucketedQueue {
-            buckets: (0..buckets).map(|_| ChunkedFifo::new(threads)).collect(),
-            cursor: AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of priority levels.
-    pub fn levels(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Inserts `item` at `priority` (clamped to the last bucket).
-    pub fn push(&self, tid: usize, priority: usize, item: T) {
-        let b = priority.min(self.buckets.len() - 1);
-        self.buckets[b].push(tid, item);
-        // Lower the cursor hint if we pushed below it.
-        let mut cur = self.cursor.load(Ordering::Relaxed);
-        while b < cur {
-            match self
-                .cursor
-                .compare_exchange_weak(cur, b, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Removes an item from the lowest non-empty bucket found.
-    pub fn pop(&self, tid: usize) -> Option<T> {
-        let start = self
-            .cursor
-            .load(Ordering::Relaxed)
-            .min(self.buckets.len() - 1);
-        for b in start..self.buckets.len() {
-            if let Some(item) = self.buckets[b].pop(tid) {
-                // Advance the hint past drained buckets (racy; a lower push
-                // will pull it back down).
-                if b > start {
-                    let _ = self.cursor.compare_exchange(
-                        start,
-                        b,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    );
-                }
-                return Some(item);
-            }
-        }
-        // The hint may have skipped buckets that were refilled below it.
-        for b in 0..start {
-            if let Some(item) = self.buckets[b].pop(tid) {
-                return Some(item);
-            }
-        }
-        None
-    }
-}
-
 /// Termination detection for speculative executors.
 ///
 /// Tracks the number of *uncommitted* tasks: a task is registered when pushed
@@ -582,48 +493,6 @@ mod tests {
             assert!(seen.lock().unwrap().insert(x));
         }
         assert_eq!(seen.lock().unwrap().len(), THREADS * 500);
-    }
-
-    #[test]
-    fn bucketed_prefers_low_priorities() {
-        let q: BucketedQueue<u32> = BucketedQueue::new(1, 8);
-        q.push(0, 5, 50);
-        q.push(0, 1, 10);
-        q.push(0, 3, 30);
-        assert_eq!(q.pop(0), Some(10));
-        assert_eq!(q.pop(0), Some(30));
-        assert_eq!(q.pop(0), Some(50));
-        assert_eq!(q.pop(0), None);
-    }
-
-    #[test]
-    fn bucketed_clamps_and_refills_below_cursor() {
-        let q: BucketedQueue<u32> = BucketedQueue::new(1, 4);
-        q.push(0, 99, 1); // clamped to bucket 3
-        assert_eq!(q.pop(0), Some(1));
-        // Cursor advanced; a new low-priority push must still be found.
-        q.push(0, 0, 2);
-        assert_eq!(q.pop(0), Some(2));
-        assert_eq!(q.levels(), 4);
-    }
-
-    #[test]
-    fn bucketed_concurrent_drains_everything() {
-        const THREADS: usize = 4;
-        let q: BucketedQueue<usize> = BucketedQueue::new(THREADS, 16);
-        let seen = StdMutex::new(HashSet::new());
-        run_on_threads(THREADS, |tid| {
-            for i in 0..400 {
-                q.push(tid, i % 16, tid * 400 + i);
-            }
-            while let Some(x) = q.pop(tid) {
-                assert!(seen.lock().unwrap().insert(x));
-            }
-        });
-        while let Some(x) = q.pop(0) {
-            assert!(seen.lock().unwrap().insert(x));
-        }
-        assert_eq!(seen.lock().unwrap().len(), THREADS * 400);
     }
 
     #[test]

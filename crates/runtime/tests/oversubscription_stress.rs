@@ -3,7 +3,7 @@
 //! wakeups and missed barrier phases would surface quickly.
 
 use galois_runtime::pool::run_on_threads;
-use galois_runtime::worklist::{BucketedQueue, ChunkedBag, ChunkedFifo, Terminator};
+use galois_runtime::worklist::{ChunkedBag, ChunkedFifo, Terminator};
 use galois_runtime::SenseBarrier;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -67,29 +67,6 @@ fn producer_consumer_pipeline_through_bags() {
         drained.fetch_add(1, Ordering::Relaxed);
     }
     assert_eq!(drained.load(Ordering::Relaxed), ITEMS);
-}
-
-#[test]
-fn bucketed_queue_under_churn() {
-    const THREADS: usize = 8;
-    let q: BucketedQueue<u64> = BucketedQueue::new(THREADS, 32);
-    let popped = AtomicU64::new(0);
-    run_on_threads(THREADS, |tid| {
-        // Interleave pushes and pops with priorities derived from values.
-        for i in 0..2_000u64 {
-            q.push(tid, (i % 32) as usize, i);
-            if i % 3 == 0 && q.pop(tid).is_some() {
-                popped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        while q.pop(tid).is_some() {
-            popped.fetch_add(1, Ordering::Relaxed);
-        }
-    });
-    while q.pop(0).is_some() {
-        popped.fetch_add(1, Ordering::Relaxed);
-    }
-    assert_eq!(popped.load(Ordering::Relaxed), THREADS as u64 * 2_000);
 }
 
 #[test]

@@ -40,17 +40,16 @@
 
 pub mod client;
 pub mod http;
-pub mod json;
 pub mod lockstep;
 pub mod wire;
 
+use galois_core::json::{self, escape, Value};
 use galois_core::manifest::ManifestRecorder;
 use galois_core::{ExecError, RunManifest};
 use galois_harness::{
     executor_for, input_key, replay_run, run_resident, App, InputConfig, InputStore, ReplayError,
     Variant,
 };
-use json::{escape, parse_flat_object, JsonValue};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -424,7 +423,7 @@ pub struct RunRequest {
 }
 
 impl RunRequest {
-    /// Parses the flat JSON wire form, rejecting unknown keys, missing
+    /// Parses the JSON wire form, rejecting unknown keys, missing
     /// `app`, and out-of-range budgets — a request either means exactly
     /// one run or names the reason it does not.
     pub fn parse(body: &str) -> Result<RunRequest, String> {
@@ -440,8 +439,11 @@ impl RunRequest {
             manifest: false,
         };
         let mut saw_app = false;
-        for (key, value) in parse_flat_object(body)? {
-            if value == JsonValue::Null {
+        let Value::Object(fields) = json::parse(body).map_err(|e| e.to_string())? else {
+            return Err("a request must be a JSON object".into());
+        };
+        for (key, value) in fields {
+            if value == Value::Null {
                 continue;
             }
             match key.as_str() {
@@ -559,14 +561,7 @@ fn handle_run(req: &http::Request, shared: &Shared, delta: &mut StatsSnapshot) -
     match result {
         Err(validation) => {
             delta.invalid += 1;
-            (
-                500,
-                headers,
-                format!(
-                    "{{\"status\":\"invalid\",{prelude},\"error\":\"{}\"}}",
-                    escape(&validation)
-                ),
-            )
+            (500, headers, invalid_body(&prelude, &validation))
         }
         Ok(Err(fault)) => {
             delta.faults += 1;
@@ -619,6 +614,13 @@ fn handle_run(req: &http::Request, shared: &Shared, delta: &mut StatsSnapshot) -
             (200, headers, body)
         }
     }
+}
+
+fn invalid_body(prelude: &str, error: &str) -> String {
+    format!(
+        "{{\"status\":\"invalid\",{prelude},\"error\":\"{}\"}}",
+        escape(error)
+    )
 }
 
 fn fault_body(prelude: &str, fault: &ExecError) -> String {
@@ -688,14 +690,7 @@ fn handle_replay(req: &http::Request, shared: &Shared, delta: &mut StatsSnapshot
         }
         Err(e @ ReplayError::Validation(_)) => {
             delta.invalid += 1;
-            (
-                500,
-                Vec::new(),
-                format!(
-                    "{{\"status\":\"invalid\",{prelude},\"error\":\"{}\"}}",
-                    escape(&e.to_string())
-                ),
-            )
+            (500, Vec::new(), invalid_body(&prelude, &e.to_string()))
         }
     }
 }
@@ -728,6 +723,24 @@ mod tests {
         assert!(RunRequest::parse(r#"{"app":"bfs","threads":65}"#).is_err());
         assert!(RunRequest::parse(r#"{"app":"bfs","bogus":1}"#).is_err());
         assert!(RunRequest::parse(r#"{"app":"bfs","variant":"g-n","manifest":true}"#).is_err());
+    }
+
+    /// The two bodies that carry a free-form message (a validator's
+    /// rejection, a panic payload) are strict JSON whatever it holds.
+    #[test]
+    fn invalid_and_fault_bodies_are_strict_json() {
+        let prelude = "\"app\":\"bfs\",\"seed\":42";
+        let nasty = "line\n \"quoted\" back\\slash \u{1} é";
+        let invalid = json::parse(&invalid_body(prelude, nasty)).unwrap();
+        assert_eq!(invalid.get("error").and_then(Value::as_str), Some(nasty));
+        let fault = ExecError::OperatorPanic {
+            task_id: 7,
+            round: 3,
+            message: nasty.to_string(),
+        };
+        let body = json::parse(&fault_body(prelude, &fault)).unwrap();
+        assert_eq!(body.get("status").and_then(Value::as_str), Some("fault"));
+        assert_eq!(body.get("task_id").and_then(Value::as_u64), Some(7));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //!   `POST /replay` at a different thread budget, and a tampered manifest
 //!   is rejected as diverged (409).
 
+use galois_core::json::{self, Value};
 use galois_harness::sweep::{assert_portable_over, SERVE_THREAD_BUDGETS};
 use galois_harness::{run_app, unperturbed, App, InputConfig, Variant};
 use galois_runtime::fingerprint::RoundChain;
@@ -24,65 +25,64 @@ use galois_runtime::probe::RoundRecord;
 use galois_serve::client::Client;
 use galois_serve::{ServeConfig, Server};
 
-/// Pulls `"field":<digits>` out of a response body.
+/// Parses a response body, which must be strict JSON — every helper below
+/// goes through here, so every body the battery touches is checked.
+fn parsed(body: &str) -> Value {
+    json::parse(body).unwrap_or_else(|e| panic!("body is not strict JSON ({e}): {body}"))
+}
+
+/// The integer under `field` of a response body.
 fn json_u64(body: &str, field: &str) -> u64 {
-    let pat = format!("\"{field}\":");
-    let at = body
-        .find(&pat)
-        .unwrap_or_else(|| panic!("field {field} missing in {body}"));
-    body[at + pat.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("field {field} is not an integer in {body}"))
+    parsed(body)
+        .get(field)
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("no integer field {field} in {body}"))
 }
 
-/// Pulls `"field":"<16 hex>"` out of a response body.
+/// The 16-hex-digit hash under `field` of a response body.
 fn json_hex(body: &str, field: &str) -> u64 {
-    let pat = format!("\"{field}\":\"");
-    let at = body
-        .find(&pat)
-        .unwrap_or_else(|| panic!("field {field} missing in {body}"));
-    u64::from_str_radix(&body[at + pat.len()..at + pat.len() + 16], 16)
-        .unwrap_or_else(|_| panic!("field {field} is not a hex hash in {body}"))
+    parsed(body)
+        .get(field)
+        .and_then(Value::as_hex)
+        .unwrap_or_else(|| panic!("no hex hash field {field} in {body}"))
 }
 
-/// Extracts the round-log array and re-derives each record's chain scalars.
+/// The `status` string of a response body.
+fn json_status(body: &str) -> String {
+    parsed(body)
+        .get("status")
+        .and_then(Value::as_str)
+        .unwrap_or_else(|| panic!("no status in {body}"))
+        .to_string()
+}
+
+/// The streamed round log, each entry's chain scalars re-derived.
 fn parse_round_log(body: &str) -> Vec<RoundRecord> {
-    let at = body.find("\"round_log\":[").expect("round_log missing");
-    let tail = &body[at + "\"round_log\":[".len()..];
-    let end = tail.find(']').expect("unterminated round_log");
-    let mut records = Vec::new();
-    for obj in tail[..end].split("},{") {
-        let obj = obj.trim_matches(|c| c == '{' || c == '}');
-        if obj.is_empty() {
-            continue;
-        }
-        let field = |name: &str| -> u64 {
-            let pat = format!("\"{name}\":");
-            let s = obj.find(&pat).unwrap_or_else(|| panic!("{name} in {obj}"));
-            obj[s + pat.len()..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect::<String>()
-                .parse()
-                .unwrap()
-        };
-        records.push(RoundRecord {
-            round: field("round"),
-            window: field("window"),
-            attempted: field("attempted"),
-            committed: field("committed"),
-            failed: field("failed"),
+    let scalar = |entry: &Value, name: &str| {
+        entry
+            .get(name)
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("{name} missing in {entry:?}"))
+    };
+    parsed(body)
+        .get("round_log")
+        .and_then(Value::as_array)
+        .expect("round_log missing")
+        .iter()
+        .map(|entry| RoundRecord {
+            round: scalar(entry, "round"),
+            window: scalar(entry, "window"),
+            attempted: scalar(entry, "attempted"),
+            committed: scalar(entry, "committed"),
+            failed: scalar(entry, "failed"),
             ..RoundRecord::default()
-        });
-    }
-    records
+        })
+        .collect()
 }
 
 /// Extracts the embedded manifest object (it is the last field before the
-/// response's closing brace).
+/// response's closing brace) as the bytes the server sent: a manifest is
+/// re-posted verbatim, never re-rendered.
 fn extract_manifest(body: &str) -> &str {
     let at = body.find("\"manifest\":").expect("manifest missing");
     let obj = &body[at + "\"manifest\":".len()..];
@@ -191,7 +191,7 @@ fn served_manifest_replays_bit_identically() {
         .post("/replay?threads=2", &doctored.to_json())
         .unwrap();
     assert_eq!(replay.status, 409, "{}", replay.body);
-    assert!(replay.body.contains("\"status\":\"diverged\""));
+    assert_eq!(json_status(&replay.body), "diverged");
 
     // Corrupt bytes (bad checksum) are a 400, before any execution.
     let broken = manifest.replace("\"app\":\"bfs\"", "\"app\":\"mis\"");
@@ -240,11 +240,76 @@ fn malformed_run_requests_are_structured_400s() {
     ] {
         let resp = client.post("/run", body).unwrap();
         assert_eq!(resp.status, 400, "{why}: {}", resp.body);
-        assert!(resp.body.contains("\"status\":\"error\""), "{why}");
+        assert_eq!(json_status(&resp.body), "error", "{why}");
     }
     // The rejections were counted, and nothing executed.
     let stats = client.get("/stats").unwrap();
     assert_eq!(json_u64(&stats.body, "bad_requests"), 6);
     assert_eq!(json_u64(&stats.body, "ok"), 0);
+    handle.shutdown();
+}
+
+/// The bodies the tests above do not read — liveness, an unknown route,
+/// rejected replays, a contained fault, and a `/run` carrying round log and
+/// manifest at once — are strict JSON too. (`/run` 200, `/replay` 200 and
+/// 409, the request 400s and `/stats` are parsed where they are asserted.)
+#[test]
+fn every_other_body_is_strict_json() {
+    let mut handle = Server::start(ServeConfig::default()).unwrap();
+    let addr = handle.addr().to_string();
+    let mut client = Client::new(addr);
+
+    assert_eq!(json_status(&client.get("/healthz").unwrap().body), "ok");
+    let missing = client.get("/nope").unwrap();
+    assert_eq!(
+        (missing.status, json_status(&missing.body).as_str()),
+        (404, "error")
+    );
+
+    // Round log and manifest together: the embedded manifest is part of the
+    // tree, and its bytes are a loadable manifest that agrees with it.
+    let full = client
+        .post(
+            "/run",
+            r#"{"app":"mis","size":300,"round_log":true,"manifest":true}"#,
+        )
+        .unwrap();
+    assert_eq!(full.status, 200, "{}", full.body);
+    let manifest_text = extract_manifest(&full.body).to_string();
+    let manifest = galois_core::RunManifest::from_json(&manifest_text).unwrap();
+    let doc = parsed(&full.body);
+    let embedded = doc.get("manifest").expect("manifest in the tree");
+    assert_eq!(
+        embedded.get("final_fingerprint").and_then(Value::as_hex),
+        Some(manifest.final_fingerprint)
+    );
+    assert_eq!(
+        parse_round_log(&full.body).len(),
+        manifest.round_hashes.len()
+    );
+
+    // Rejected replays: no envelope, a bad checksum, an out-of-range budget.
+    let tampered = manifest_text.replace("\"app\":\"mis\"", "\"app\":\"bfs\"");
+    for (target, body) in [
+        ("/replay", "{}"),
+        ("/replay", tampered.as_str()),
+        ("/replay?threads=0", manifest_text.as_str()),
+    ] {
+        let resp = client.post(target, body).unwrap();
+        assert_eq!(resp.status, 400, "{target}: {}", resp.body);
+        assert_eq!(json_status(&resp.body), "error", "{target}");
+    }
+
+    // A contained fault (panic injection faults a 2000-task run for
+    // essentially every seed; scan a few so no single draw matters).
+    let fault = (1u64..=5)
+        .map(|seed| {
+            let req = format!("{{\"app\":\"bfs\",\"chaos_panics\":{seed}}}");
+            client.post("/run", &req).unwrap()
+        })
+        .find(|resp| resp.status == 500)
+        .expect("no panic seed in 1..=5 faulted");
+    assert_eq!(json_status(&fault.body), "fault");
+    assert_eq!(json_u64(&fault.body, "exit_code"), 10);
     handle.shutdown();
 }

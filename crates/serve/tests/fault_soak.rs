@@ -9,22 +9,19 @@
 //! accounting asserted afterwards (the store counters are deterministic
 //! even under concurrency, because builds happen under the store lock).
 
+use galois_core::json::{self, Value};
 use galois_serve::client::Client;
 use galois_serve::{ServeConfig, Server};
 use std::sync::mpsc;
 use std::time::Duration;
 
+/// An integer field of a response body, which must be strict JSON.
 fn json_u64(body: &str, field: &str) -> u64 {
-    let pat = format!("\"{field}\":");
-    let at = body
-        .find(&pat)
-        .unwrap_or_else(|| panic!("field {field} missing in {body}"));
-    body[at + pat.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("field {field} is not an integer in {body}"))
+    json::parse(body)
+        .unwrap_or_else(|e| panic!("body is not strict JSON ({e}): {body}"))
+        .get(field)
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("no integer field {field} in {body}"))
 }
 
 #[test]

@@ -5,6 +5,7 @@
 //! entry). The pre-fix implementation read nine independent atomics one
 //! after another — exactly the race these tests hammer.
 
+use galois_core::json::{self, Value};
 use galois_harness::{App, InputConfig, InputStore};
 use galois_serve::{client, ServeConfig, ServeStats, Server, StatsSnapshot};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -126,18 +127,13 @@ fn store_snapshot_counters_move_with_the_map() {
     );
 }
 
+/// An integer field of a `/stats` body, which must be strict JSON.
 fn field(body: &str, name: &str) -> u64 {
-    let key = format!("\"{name}\":");
-    let at = body
-        .find(&key)
-        .unwrap_or_else(|| panic!("no {name} in {body}"))
-        + key.len();
-    body[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap()
+    json::parse(body)
+        .unwrap_or_else(|e| panic!("body is not strict JSON ({e}): {body}"))
+        .get(name)
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("no integer field {name} in {body}"))
 }
 
 /// End-to-end: `/stats` responses observed *during* a request storm are
