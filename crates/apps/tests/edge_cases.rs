@@ -3,7 +3,7 @@
 use galois_apps::{bfs, dmr, dt, mis, pfp};
 use galois_core::{Executor, Schedule, WorklistPolicy};
 use galois_geometry::Point;
-use galois_graph::{gen, CsrGraph, FlowNetwork};
+use galois_graph::{CsrGraph, FlowNetwork};
 use galois_mesh::check;
 
 fn all_schedules() -> Vec<(&'static str, Executor)> {
@@ -25,9 +25,26 @@ fn all_schedules() -> Vec<(&'static str, Executor)> {
     ]
 }
 
+/// A `w × h` 4-neighbor grid, undirected: a high-diameter bfs input.
+fn grid(w: u32, h: u32) -> CsrGraph {
+    let mut edges = Vec::new();
+    for y in 0..h {
+        for x in 0..w {
+            let v = y * w + x;
+            if x + 1 < w {
+                edges.push((v, v + 1));
+            }
+            if y + 1 < h {
+                edges.push((v, v + w));
+            }
+        }
+    }
+    CsrGraph::symmetrized((w * h) as usize, &edges)
+}
+
 #[test]
 fn bfs_on_grid_all_schedules() {
-    let g = gen::grid2d(25, 17);
+    let g = grid(25, 17);
     let expect = g.bfs_distances(0);
     for (name, exec) in all_schedules() {
         let (dist, _) = bfs::try_galois(&g, 0, &exec).unwrap();

@@ -11,13 +11,6 @@ pub struct CacheConfig {
     pub line_bytes: usize,
 }
 
-impl CacheConfig {
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.sets * self.ways * self.line_bytes
-    }
-}
-
 /// A set-associative cache with true-LRU replacement.
 ///
 /// # Example

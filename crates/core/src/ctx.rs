@@ -325,14 +325,6 @@ impl<'a, T> Ctx<'a, T> {
         }
     }
 
-    /// Whether this invocation is a deterministic inspect pass.
-    ///
-    /// Operators rarely need this — [`checkpoint`](Self::checkpoint) covers
-    /// the common pattern — but it allows phase-specific instrumentation.
-    pub fn is_inspect(&self) -> bool {
-        self.mode == Mode::Inspect
-    }
-
     /// The worker thread running this invocation (`0..threads`).
     pub fn tid(&self) -> usize {
         self.tid

@@ -291,7 +291,6 @@ impl Executor {
             tasks,
             ids: None,
             hooks: Hooks::default(),
-            chaos: self.chaos.clone(),
         }
     }
 }
@@ -306,8 +305,7 @@ impl Executor {
 /// schedule.
 #[derive(Default)]
 pub struct Hooks<'p> {
-    /// Observes every deterministic round / speculative epoch
-    /// ([`LoopSpec::probe`]).
+    /// Observes every deterministic round ([`LoopSpec::probe`]).
     pub probe: Option<&'p mut dyn Probe>,
     /// Captures or replay-verifies the canonical hash chain
     /// ([`LoopSpec::record`]).
@@ -342,9 +340,6 @@ pub struct LoopSpec<'e, 'p, T> {
     /// The recorder has a dedicated slot, not the probe slot, so a run can
     /// be recorded *and* probed at once.
     hooks: Hooks<'p>,
-    /// Effective chaos policy: seeded from the executor, overridable per
-    /// loop via [`LoopSpec::chaos`].
-    chaos: Option<Arc<ChaosPolicy>>,
 }
 
 impl<T: Send> std::fmt::Debug for LoopSpec<'_, '_, T> {
@@ -386,8 +381,9 @@ impl<'e, 'p, T: Send> LoopSpec<'e, 'p, T> {
         self
     }
 
-    /// Attaches a [`Probe`] that observes every deterministic round (or
-    /// speculative epoch) of this loop. With no probe attached (and
+    /// Attaches a [`Probe`] that observes every deterministic round of this
+    /// loop. The speculative scheduler has no rounds, so there the probe
+    /// sees only [`Probe::on_finish`]. With no probe attached (and
     /// [`Executor::record_rounds`] off) the observability layer is fully
     /// inert: no records are built, no conflicts collected, no timers run,
     /// and no atomics are added to the hot path.
@@ -419,21 +415,6 @@ impl<'e, 'p, T: Send> LoopSpec<'e, 'p, T> {
     /// application entry points use to forward their caller's observers.
     pub fn hooks(mut self, hooks: Hooks<'p>) -> Self {
         self.hooks = hooks;
-        self
-    }
-
-    /// Installs (or overrides) a schedule-chaos policy for this loop only,
-    /// without touching the shared [`Executor`]. See [`Executor::chaos`] for
-    /// semantics.
-    pub fn chaos(mut self, seed: u64) -> Self {
-        self.chaos = Some(Arc::new(ChaosPolicy::new(seed)));
-        self
-    }
-
-    /// Installs (or overrides) a panic-injecting chaos policy for this loop
-    /// only. See [`Executor::chaos_panics`] for semantics.
-    pub fn chaos_panics(mut self, seed: u64) -> Self {
-        self.chaos = Some(Arc::new(ChaosPolicy::with_panics(seed)));
         self
     }
 
@@ -493,19 +474,10 @@ impl<'e, 'p, T: Send> LoopSpec<'e, 'p, T> {
             tasks,
             ids,
             hooks: Hooks { probe, recorder },
-            chaos,
         } = self;
         debug_assert!(marks.all_unowned(), "mark table must start unowned");
-        // Materialize the effective configuration: the loop-level chaos
-        // override wins over the executor's. Cloning is cheap (small enums
-        // plus an Arc) and keeps the executors' `cfg` plumbing unchanged.
-        let cfg = Executor {
-            chaos,
-            ..exec.clone()
-        };
-        let exec = &cfg;
-        // Snapshot the *effective* configuration (chaos override included)
-        // into the recorder before the run; replay mode marks the report.
+        // Snapshot the configuration into the recorder before the run;
+        // replay mode marks the report.
         let mut is_replay = false;
         let mut recorder = recorder;
         if let Some(rec) = &mut recorder {
@@ -515,7 +487,7 @@ impl<'e, 'p, T: Send> LoopSpec<'e, 'p, T> {
         let mut hub = ProbeHub::new(probe, recorder, exec.record_rounds);
         let (mut report, fault) = match &exec.schedule {
             Schedule::Serial => (serial::run(exec, marks, tasks, op), None),
-            Schedule::Speculative => spec::run(exec, marks, tasks, op, &mut hub),
+            Schedule::Speculative => spec::run(exec, marks, tasks, op),
             Schedule::Deterministic(opts) => {
                 let preassigned = ids
                     .as_ref()
@@ -681,12 +653,6 @@ impl RunReport {
     /// Whether this report was produced by replaying a recorded manifest.
     pub fn is_replay(&self) -> bool {
         self.replay
-    }
-
-    /// Marks this report as replay-produced (for harnesses that re-execute
-    /// outside [`LoopSpec::record`]'s automatic marking).
-    pub fn mark_replay(&mut self) {
-        self.replay = true;
     }
 }
 

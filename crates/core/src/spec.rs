@@ -7,35 +7,22 @@
 //! cautious, rollback never has to undo shared-state writes — this is the
 //! lightweight dining-philosophers synchronization of §2.1.
 //!
-//! # Probe epochs
-//!
-//! The speculative executor has no rounds, so when a probe is attached each
-//! worker chops its *own* attempt stream into fixed-size **epochs** of
-//! [`SPEC_EPOCH_QUANTUM`] attempts, accumulated thread-locally (no hot-path
-//! synchronization) and merged per epoch index after the parallel section.
-//! The resulting [`RoundRecord`]s have the same shape as deterministic
-//! rounds — `window` is the epoch quantum, `commit_ns` the epoch's
-//! wall-clock — so det-vs-spec runs are directly comparable, but unlike
-//! deterministic rounds they are **not** canonical: thread interleaving is
-//! real nondeterminism here.
+//! The speculative executor has no rounds, so an attached probe or recorder
+//! sees no `on_round` calls — only `on_finish` with the run's statistics.
 
 use crate::ctx::{Abort, Access, Ctx, Mode};
 use crate::error::{contain_panic, panic_message, ExecError, QUARANTINE_CAP};
 use crate::executor::WorklistPolicy;
-use crate::executor::{Executor, ProbeHub, RunReport};
+use crate::executor::{Executor, RunReport};
 use crate::marks::MarkTable;
 use crate::ops::Operator;
 use galois_runtime::pool::run_on_threads_fault;
-use galois_runtime::probe::{attribute_conflicts, RoundRecord};
 use galois_runtime::simtime::ExecTrace;
 use galois_runtime::stats::{ExecStats, ThreadStats};
 use galois_runtime::worklist::{ChunkedBag, ChunkedFifo, Terminator};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Attempts per speculative probe epoch.
-pub(crate) const SPEC_EPOCH_QUANTUM: u64 = 1024;
 
 /// Second opinion before the stall watchdog declares a livelock. An abort
 /// streak alone is not proof: spinning contenders can rack up thousands of
@@ -58,16 +45,6 @@ fn stall_confirmed(committed: &AtomicU64, snapshot: &mut u64) -> bool {
         }
     }
     true
-}
-
-/// One worker-local epoch of attempts (probe bookkeeping only).
-#[derive(Default)]
-struct EpochAcc {
-    attempted: u64,
-    committed: u64,
-    failed: u64,
-    conflicts: Vec<u32>,
-    elapsed_ns: f64,
 }
 
 /// Static dispatch over the two worklist policies.
@@ -97,16 +74,12 @@ pub(crate) fn run<T, O>(
     marks: &MarkTable,
     tasks: Vec<T>,
     op: &O,
-    hub: &mut ProbeHub<'_>,
 ) -> (RunReport, Option<ExecError>)
 where
     T: Send,
     O: Operator<T>,
 {
     let threads = cfg.threads;
-    let probing = hub.active();
-    let collect_conflicts = probing && hub.wants_conflicts();
-    let time_epochs = probing && hub.wants_timing();
     let start = Instant::now();
     let bag: AnyBag<T> = match cfg.worklist {
         WorklistPolicy::Lifo => AnyBag::Lifo(ChunkedBag::with_chaos(threads, cfg.chaos.clone())),
@@ -118,8 +91,7 @@ where
         bag.push(i % threads, t);
     }
 
-    type Collected = (ThreadStats, Vec<Access>, Vec<EpochAcc>);
-    let collected: Mutex<Vec<Collected>> = Mutex::new(Vec::new());
+    let collected: Mutex<Vec<(ThreadStats, Vec<Access>)>> = Mutex::new(Vec::new());
 
     // Fault containment state. `halt` drains the pool early on terminal
     // faults (overflow, stall) and when an *escaping* panic — an internal
@@ -147,11 +119,6 @@ where
             let mut neighborhood: Vec<crate::marks::LockId> = Vec::new();
             let mut pushes: Vec<T> = Vec::new();
             let mut stash = None;
-            // Probe epoch bookkeeping (inert unless a probe is attached).
-            let mut epochs: Vec<EpochAcc> = Vec::new();
-            let mut acc = EpochAcc::default();
-            let mut epoch_conflicts: Vec<u32> = Vec::new();
-            let mut epoch_t0: Option<Instant> = None;
             // Per-attempt unique ids: (tid+1) above bit 32, counter below. Ids
             // need only be unique and nonzero for the CAS protocol (§2.1), but
             // they must fit the mark word's 40-bit id field so the epoch tag in
@@ -215,7 +182,7 @@ where
                         allow_stash: false,
                         stats: &mut stats,
                         recorder: cfg.record_access.then_some(&mut accesses),
-                        conflicts: collect_conflicts.then_some(&mut epoch_conflicts),
+                        conflicts: None,
                         past_failsafe: false,
                         inject_abort: inject,
                         inject_panic: inject_panic.then_some(mark_value),
@@ -239,25 +206,6 @@ where
                     marks.release(loc, mark_value);
                 }
                 stats.mark_releases += neighborhood.len() as u64;
-                if probing {
-                    if acc.attempted == 0 {
-                        epoch_t0 = time_epochs.then(Instant::now);
-                    }
-                    acc.attempted += 1;
-                    if matches!(result, Ok(Ok(()))) {
-                        acc.committed += 1;
-                    } else {
-                        acc.failed += 1;
-                    }
-                    if acc.attempted == SPEC_EPOCH_QUANTUM {
-                        acc.conflicts = std::mem::take(&mut epoch_conflicts);
-                        acc.elapsed_ns = epoch_t0
-                            .take()
-                            .map(|t| t.elapsed().as_nanos() as f64)
-                            .unwrap_or(0.0);
-                        epochs.push(std::mem::take(&mut acc));
-                    }
-                }
                 match result {
                     Ok(Ok(())) => {
                         stats.committed += 1;
@@ -335,71 +283,15 @@ where
                     }
                 }
             }
-            if probing && acc.attempted > 0 {
-                acc.conflicts = std::mem::take(&mut epoch_conflicts);
-                acc.elapsed_ns = epoch_t0
-                    .take()
-                    .map(|t| t.elapsed().as_nanos() as f64)
-                    .unwrap_or(0.0);
-                epochs.push(std::mem::take(&mut acc));
-            }
-            collected.lock().unwrap().push((stats, accesses, epochs));
+            collected.lock().unwrap().push((stats, accesses));
         },
     );
 
     let elapsed = start.elapsed();
-    let mut per_thread = collected.into_inner().unwrap();
-    let mut agg = ExecStats::from_threads(per_thread.iter().map(|(s, _, _)| s));
+    let per_thread = collected.into_inner().unwrap();
+    let mut agg = ExecStats::from_threads(per_thread.iter().map(|(s, _)| s));
     agg.elapsed = elapsed;
     agg.threads = threads;
-
-    if probing {
-        // Merge per-thread epochs by epoch index. Sums and conflict counts
-        // are commutative, so the (nondeterministic) thread collection order
-        // does not matter; the epochs themselves still reflect real
-        // speculative nondeterminism.
-        //
-        // Barrier audit (2-barrier campaign): unlike the deterministic
-        // scheduler, epochs here are *worker-local* attempt counters — no
-        // thread ever waits for an epoch boundary, so there is no per-epoch
-        // crossing to fuse. The only join point in this executor is the
-        // final thread join above; the merge below runs once per run, after
-        // it, on one thread.
-        let top_k = hub.conflict_top_k();
-        let max_epochs = per_thread
-            .iter()
-            .map(|(_, _, e)| e.len())
-            .max()
-            .unwrap_or(0);
-        let mut merged: Vec<EpochAcc> = Vec::with_capacity(max_epochs);
-        for (_, _, epochs) in per_thread.iter_mut() {
-            for (e, acc) in epochs.iter_mut().enumerate() {
-                if merged.len() <= e {
-                    merged.push(EpochAcc::default());
-                }
-                let m = &mut merged[e];
-                m.attempted += acc.attempted;
-                m.committed += acc.committed;
-                m.failed += acc.failed;
-                m.elapsed_ns += acc.elapsed_ns;
-                m.conflicts.append(&mut acc.conflicts);
-            }
-        }
-        for (e, mut m) in merged.into_iter().enumerate() {
-            let conflicts = attribute_conflicts(&mut m.conflicts, top_k);
-            hub.on_round(RoundRecord {
-                round: e as u64,
-                window: SPEC_EPOCH_QUANTUM,
-                attempted: m.attempted,
-                committed: m.committed,
-                failed: m.failed,
-                conflicts,
-                inspect_ns: 0.0,
-                commit_ns: m.elapsed_ns,
-                serial_ns: 0.0,
-            });
-        }
-    }
 
     let trace = cfg.record_trace.then(|| {
         // Aggregate timing: per-task Instant pairs would add tens of
@@ -416,7 +308,7 @@ where
     });
     let accesses = cfg
         .record_access
-        .then(|| per_thread.into_iter().map(|(_, a, _)| a).collect());
+        .then(|| per_thread.into_iter().map(|(_, a)| a).collect());
 
     debug_assert!(
         marks.all_unowned(),
@@ -497,6 +389,41 @@ mod tests {
         // and must be counted apart from real conflicts.
         assert!(report.stats.injected_aborts > 0);
         assert!(marks.all_unowned());
+    }
+
+    #[test]
+    fn probes_see_no_rounds_and_one_finish() {
+        // The speculative scheduler has no rounds: an attached probe and the
+        // executor's own round log get the final stats and nothing else.
+        #[derive(Default)]
+        struct Counting {
+            rounds: usize,
+            finishes: usize,
+        }
+        impl galois_runtime::probe::Probe for Counting {
+            fn on_round(&mut self, _record: galois_runtime::probe::RoundRecord) {
+                self.rounds += 1;
+            }
+            fn on_finish(&mut self, _stats: &galois_runtime::stats::ExecStats) {
+                self.finishes += 1;
+            }
+        }
+        let buckets: Vec<AtomicU64> = (0..7).map(|_| AtomicU64::new(0)).collect();
+        let marks = MarkTable::new(7);
+        let op = histogram_op(&buckets);
+        let mut probe = Counting::default();
+        let report = Executor::new()
+            .threads(2)
+            .schedule(Schedule::Speculative)
+            .record_rounds(true)
+            .iterate((0..3000u64).collect())
+            .probe(&mut probe)
+            .run(&marks, &op);
+        assert_eq!(report.stats.committed, 3000);
+        assert_eq!((probe.rounds, probe.finishes), (0, 1));
+        let log = report.round_log().expect("record_rounds was on");
+        assert!(log.is_empty());
+        assert_eq!(log.final_stats().map(|s| s.committed), Some(3000));
     }
 
     #[test]

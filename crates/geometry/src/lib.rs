@@ -16,7 +16,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod brio;
-pub mod expansion;
 pub mod point;
 pub mod predicates;
 pub mod tri;

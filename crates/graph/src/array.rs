@@ -6,7 +6,7 @@
 //! the handwritten deterministic variants additionally use the CAS-based
 //! *priority write* (`write_min`) of the PBBS style.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A shared array of `u32` labels with atomic access.
 ///
@@ -106,65 +106,6 @@ impl AtomicArray {
     }
 }
 
-/// A shared array of `u64` counters with atomic add (preflow excess).
-pub struct AtomicArray64 {
-    data: Box<[AtomicU64]>,
-}
-
-impl std::fmt::Debug for AtomicArray64 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AtomicArray64")
-            .field("len", &self.data.len())
-            .finish()
-    }
-}
-
-impl AtomicArray64 {
-    /// Creates `len` counters, all `fill`.
-    pub fn new_filled(len: usize, fill: u64) -> Self {
-        let data: Vec<AtomicU64> = (0..len).map(|_| AtomicU64::new(fill)).collect();
-        AtomicArray64 {
-            data: data.into_boxed_slice(),
-        }
-    }
-
-    /// Number of counters.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the array is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Reads counter `i` (relaxed).
-    #[inline]
-    pub fn get(&self, i: usize) -> u64 {
-        self.data[i].load(Ordering::Relaxed)
-    }
-
-    /// Writes counter `i` (relaxed). Safe under an abstract lock covering `i`.
-    #[inline]
-    pub fn set(&self, i: usize, v: u64) {
-        self.data[i].store(v, Ordering::Relaxed);
-    }
-
-    /// Atomically adds `v` to counter `i`, returning the previous value.
-    #[inline]
-    pub fn fetch_add(&self, i: usize, v: u64) -> u64 {
-        self.data[i].fetch_add(v, Ordering::AcqRel)
-    }
-
-    /// Copies the counters out.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.data
-            .iter()
-            .map(|x| x.load(Ordering::Relaxed))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,15 +138,5 @@ mod tests {
         assert_eq!(a.snapshot(), vec![0, 0, 0]);
         assert_eq!(a.len(), 3);
         assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn fetch_add_accumulates() {
-        let a = AtomicArray64::new_filled(2, 0);
-        assert_eq!(a.fetch_add(0, 5), 0);
-        assert_eq!(a.fetch_add(0, 7), 5);
-        assert_eq!(a.get(0), 12);
-        assert_eq!(a.get(1), 0);
-        assert_eq!(a.snapshot(), vec![12, 0]);
     }
 }

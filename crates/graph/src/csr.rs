@@ -1,7 +1,7 @@
 //! Compressed sparse row graphs.
 
 use galois_runtime::pool::{chunk_range, run_on_threads};
-use galois_runtime::scan::parallel_inclusive_scan_with;
+use galois_runtime::scan::parallel_inclusive_scan;
 use galois_runtime::shared::SharedSlice;
 use galois_runtime::sort::parallel_sort_by_key;
 
@@ -94,19 +94,6 @@ impl CsrGraph {
     /// (the parallel cursor stitching uses 32-bit per-chunk counts; the
     /// suite's inputs are bounded far below this, matching [`NodeId`]).
     pub fn from_edges_parallel(n: usize, edges: &[(NodeId, NodeId)], threads: usize) -> Self {
-        Self::from_edges_parallel_with_scratch(n, edges, threads, &mut Vec::new())
-    }
-
-    /// [`from_edges_parallel`](Self::from_edges_parallel) with a
-    /// caller-owned prefix-sum scratch buffer, so multi-phase builders
-    /// (e.g. [`crate::gen::rmat_parallel`]'s pack scan followed by this
-    /// build) reuse one allocation across all their scans.
-    pub(crate) fn from_edges_parallel_with_scratch(
-        n: usize,
-        edges: &[(NodeId, NodeId)],
-        threads: usize,
-        scan_scratch: &mut Vec<u64>,
-    ) -> Self {
         let m = edges.len();
         // Small builds: the sequential oracle is faster than spawning.
         let threads = threads.clamp(1, m.div_ceil(8192).max(1));
@@ -166,7 +153,7 @@ impl CsrGraph {
                 }
             });
         }
-        parallel_inclusive_scan_with(&mut offsets[1..], threads, scan_scratch);
+        parallel_inclusive_scan(&mut offsets[1..], threads);
 
         // Phase 3: scatter. Thread t walks its edge chunk in order, using
         // its (now exclusive) counts row as the per-node cursor.

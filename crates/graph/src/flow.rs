@@ -316,11 +316,6 @@ impl FlowNetwork {
         }
     }
 
-    /// Total net flow out of the source.
-    pub fn source_outflow(&self) -> i64 {
-        self.edge_range(self.source).map(|e| self.flow_on(e)).sum()
-    }
-
     /// Verifies flow conservation and capacity constraints; returns the flow
     /// value if valid.
     pub fn verify_flow(&self) -> Result<i64, String> {
@@ -435,7 +430,6 @@ mod tests {
         // 0→1→3 (2) + 0→2→3 (2) + 0→1→2→3 (1): min cut at the sink is 5.
         assert_eq!(flow, 5);
         assert_eq!(net.verify_flow().unwrap(), 5);
-        assert_eq!(net.source_outflow(), 5);
     }
 
     #[test]

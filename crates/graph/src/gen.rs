@@ -4,29 +4,27 @@
 //!   connected to five randomly selected nodes" — [`uniform_random`].
 //! - pfp: "a random graph of 2^23 nodes with each node connected to 4 random
 //!   neighbors" — [`uniform_random`] plus capacities in [`crate::flow`].
-//! - Extra shapes for tests and ablations: [`grid2d`], [`rmat`].
 //!
 //! # Determinism contract
 //!
 //! All generators are deterministic in their seed, and every generator
-//! draws from **counter-based per-unit RNG streams** (`seed ⊕ node id`, or
-//! `seed ⊕ edge id` for RMAT) rather than one sequential stream. That makes
-//! the work embarrassingly parallel without changing the output: the
-//! `*_parallel` variants fan the same per-unit streams over the runtime's
-//! scoped pool and are **byte-identical** to their sequential counterparts
-//! for every thread count — the PBBS notion of internal determinism
+//! draws from **counter-based per-node RNG streams** (`seed ⊕ node id`)
+//! rather than one sequential stream. That makes the work embarrassingly
+//! parallel without changing the output: the `*_parallel` variants fan the
+//! same per-node streams over the runtime's scoped pool and are
+//! **byte-identical** to their sequential counterparts for every thread
+//! count — the PBBS notion of internal determinism
 //! ("All for One and One for All", PAPERS.md), applied to input setup. The
 //! sequential functions stay as the oracles the parallel paths are tested
 //! against (`crates/graph/tests/parallel_build.rs`).
 
 use crate::csr::{CsrGraph, NodeId};
 use galois_runtime::pool::{chunk_range, run_on_threads};
-use galois_runtime::scan::parallel_exclusive_scan_with;
 use galois_runtime::shared::SharedSlice;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-/// The RNG stream owned by counter `c` (a node or edge id) under `seed`.
+/// The RNG stream owned by counter `c` (a node id) under `seed`.
 ///
 /// The golden-ratio multiply decorrelates adjacent counters before the
 /// SplitMix64 finalizer inside `seed_from_u64`; `c + 1` keeps counter 0
@@ -202,184 +200,6 @@ pub fn uniform_random_undirected_parallel(
     CsrGraph::symmetrized_parallel(n, &edges, threads)
 }
 
-/// Number of edges row `y` of a `w × h` grid emits, and the offset of its
-/// first edge in the directed edge list.
-fn grid_row_shape(w: usize, h: usize, y: usize) -> (usize, usize) {
-    let horizontal = w.saturating_sub(1);
-    let full_row = horizontal + w; // horizontal + vertical links
-    let len = if y + 1 < h { full_row } else { horizontal };
-    (y * full_row, len)
-}
-
-/// Writes row `y`'s directed grid edges in the canonical x-major order.
-fn fill_grid_row(out: &mut [(NodeId, NodeId)], w: usize, h: usize, y: usize) {
-    let id = |x: usize, y: usize| (y * w + x) as NodeId;
-    let mut k = 0;
-    for x in 0..w {
-        if x + 1 < w {
-            out[k] = (id(x, y), id(x + 1, y));
-            k += 1;
-        }
-        if y + 1 < h {
-            out[k] = (id(x, y), id(x, y + 1));
-            k += 1;
-        }
-    }
-    debug_assert_eq!(k, out.len());
-}
-
-/// A `w × h` 4-neighbor grid, undirected. High-locality topology used by the
-/// locality ablations.
-pub fn grid2d(w: usize, h: usize) -> CsrGraph {
-    let mut edges = Vec::new();
-    for y in 0..h {
-        let (_, len) = grid_row_shape(w, h, y);
-        let start = edges.len();
-        edges.resize(start + len, (0, 0));
-        fill_grid_row(&mut edges[start..], w, h, y);
-    }
-    CsrGraph::symmetrized(w * h, &edges)
-}
-
-/// Parallel [`grid2d`]: rows are fanned over threads (each row's edge range
-/// is computable in closed form), then built with the parallel symmetrizer.
-/// Byte-identical to the sequential version for any thread count.
-pub fn grid2d_parallel(w: usize, h: usize, threads: usize) -> CsrGraph {
-    let total: usize = (0..h).map(|y| grid_row_shape(w, h, y).1).sum();
-    let threads = threads.clamp(1, total.div_ceil(8192).max(1));
-    if threads == 1 {
-        return grid2d(w, h);
-    }
-    let mut edges = vec![(0 as NodeId, 0 as NodeId); total];
-    {
-        let shared = SharedSlice::new(&mut edges);
-        let shared = &shared;
-        run_on_threads(threads, |tid| {
-            for y in chunk_range(h, threads, tid) {
-                let (start, len) = grid_row_shape(w, h, y);
-                // SAFETY: row ranges are disjoint across tids.
-                let row = unsafe { shared.slice_mut(start..start + len) };
-                fill_grid_row(row, w, h, y);
-            }
-        });
-    }
-    CsrGraph::symmetrized_parallel(w * h, &edges, threads)
-}
-
-/// One RMAT dive: recursively picks a quadrant per level from edge `i`'s
-/// own counter stream; returns the edge, or `None` for a self loop.
-fn rmat_edge(seed: u64, i: u64, size: usize, a: f64, b: f64, c: f64) -> Option<(NodeId, NodeId)> {
-    let mut rng = counter_stream(seed, i);
-    let (mut x0, mut x1) = (0usize, size);
-    let (mut y0, mut y1) = (0usize, size);
-    while x1 - x0 > 1 {
-        let r: f64 = rng.random();
-        let (dx, dy) = if r < a {
-            (0, 0)
-        } else if r < a + b {
-            (1, 0)
-        } else if r < a + b + c {
-            (0, 1)
-        } else {
-            (1, 1)
-        };
-        let mx = (x0 + x1) / 2;
-        let my = (y0 + y1) / 2;
-        if dx == 0 {
-            x1 = mx;
-        } else {
-            x0 = mx;
-        }
-        if dy == 0 {
-            y1 = my;
-        } else {
-            y0 = my;
-        }
-    }
-    (x0 != y0).then_some((x0 as NodeId, y0 as NodeId))
-}
-
-fn rmat_scale(n: usize) -> usize {
-    1usize << (n.max(2) as f64).log2().ceil() as u32
-}
-
-/// RMAT-style power-law graph (Chakrabarti et al. parameters `a,b,c`;
-/// `d = 1 - a - b - c`). Node count is rounded up to a power of two.
-/// Each candidate edge draws from its own counter stream; self loops are
-/// dropped. Sequential oracle for [`rmat_parallel`].
-///
-/// # Panics
-///
-/// Panics if `a + b + c > 1`.
-pub fn rmat(n: usize, num_edges: usize, a: f64, b: f64, c: f64, seed: u64) -> CsrGraph {
-    assert!(a + b + c <= 1.0 + 1e-9, "rmat probabilities exceed 1");
-    let size = rmat_scale(n);
-    let edges: Vec<(NodeId, NodeId)> = (0..num_edges as u64)
-        .filter_map(|i| rmat_edge(seed, i, size, a, b, c))
-        .collect();
-    CsrGraph::from_edges(size, &edges)
-}
-
-/// Parallel [`rmat`]: candidate edges are fanned over threads, surviving
-/// edges packed back into candidate order with a parallel prefix sum over
-/// the per-chunk counts. Byte-identical to the sequential version for any
-/// thread count.
-///
-/// # Panics
-///
-/// Panics if `a + b + c > 1`.
-pub fn rmat_parallel(
-    n: usize,
-    num_edges: usize,
-    a: f64,
-    b: f64,
-    c: f64,
-    seed: u64,
-    threads: usize,
-) -> CsrGraph {
-    assert!(a + b + c <= 1.0 + 1e-9, "rmat probabilities exceed 1");
-    let threads = threads.clamp(1, num_edges.div_ceil(8192).max(1));
-    if threads == 1 {
-        return rmat(n, num_edges, a, b, c, seed);
-    }
-    let size = rmat_scale(n);
-
-    // Phase 1: each thread dives its chunk of candidate edges.
-    let mut locals: Vec<Vec<(NodeId, NodeId)>> = (0..threads).map(|_| Vec::new()).collect();
-    {
-        let slots = SharedSlice::new(&mut locals);
-        let slots = &slots;
-        run_on_threads(threads, |tid| {
-            let local: Vec<(NodeId, NodeId)> = chunk_range(num_edges, threads, tid)
-                .filter_map(|i| rmat_edge(seed, i as u64, size, a, b, c))
-                .collect();
-            // SAFETY: each tid writes only its own slot.
-            unsafe { *slots.get_mut(tid) = local };
-        });
-    }
-
-    // Phase 2: pack surviving edges contiguously in candidate order. The
-    // scan scratch is shared with the CSR build below (one allocation for
-    // every prefix sum of the pipeline).
-    let mut scan_scratch: Vec<u64> = Vec::new();
-    let mut positions: Vec<u64> = locals.iter().map(|l| l.len() as u64).collect();
-    let total = parallel_exclusive_scan_with(&mut positions, threads, &mut scan_scratch) as usize;
-    let mut edges = vec![(0 as NodeId, 0 as NodeId); total];
-    {
-        let shared = SharedSlice::new(&mut edges);
-        let shared = &shared;
-        let locals = &locals;
-        let positions = &positions;
-        run_on_threads(threads, |tid| {
-            let start = positions[tid] as usize;
-            // SAFETY: output ranges are disjoint across tids.
-            let out = unsafe { shared.slice_mut(start..start + locals[tid].len()) };
-            out.copy_from_slice(&locals[tid]);
-        });
-    }
-    CsrGraph::from_edges_parallel_with_scratch(size, &edges, threads, &mut scan_scratch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,56 +304,6 @@ mod tests {
             let par = uniform_random_parallel(n, degree, seed, threads);
             assert_eq!(par.offsets(), seq.offsets(), "offsets at {threads} threads");
             assert_eq!(par.targets(), seq.targets(), "targets at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn grid_degrees() {
-        let g = grid2d(3, 3);
-        assert_eq!(g.num_nodes(), 9);
-        // Corners 2, edges 3, center 4.
-        assert_eq!(g.out_degree(0), 2);
-        assert_eq!(g.out_degree(1), 3);
-        assert_eq!(g.out_degree(4), 4);
-        assert!(g.validate());
-    }
-
-    #[test]
-    fn grid_is_connected() {
-        let g = grid2d(7, 5);
-        let d = g.bfs_distances(0);
-        assert!(d.iter().all(|&x| x != u32::MAX));
-        assert_eq!(d[34], 6 + 4); // opposite corner: manhattan distance
-    }
-
-    #[test]
-    fn parallel_grid_matches_sequential() {
-        for (w, h) in [(1usize, 1usize), (1, 40), (40, 1), (63, 65), (100, 100)] {
-            let seq = grid2d(w, h);
-            for threads in [2, 5, 8] {
-                assert_eq!(grid2d_parallel(w, h, threads), seq, "{w}x{h}@{threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn rmat_generates_skewed_degrees() {
-        let g = rmat(1 << 10, 8 * (1 << 10), 0.57, 0.19, 0.19, 3);
-        assert!(g.validate());
-        let max_deg = g.nodes().map(|v| g.out_degree(v)).max().unwrap();
-        let avg = g.num_edges() as f64 / g.num_nodes() as f64;
-        assert!(
-            max_deg as f64 > 4.0 * avg,
-            "power-law graph should have hubs (max {max_deg}, avg {avg:.1})"
-        );
-    }
-
-    #[test]
-    fn parallel_rmat_matches_sequential() {
-        let seq = rmat(1 << 9, 10_000, 0.57, 0.19, 0.19, 5);
-        for threads in [2, 5, 8, 16] {
-            let par = rmat_parallel(1 << 9, 10_000, 0.57, 0.19, 0.19, 5, threads);
-            assert_eq!(par, seq, "rmat diverged at {threads} threads");
         }
     }
 }

@@ -1,10 +1,8 @@
-//! Graph serialization: DIMACS, plain edge-list, and binary CSR formats.
+//! Graph serialization: DIMACS and binary CSR formats.
 //!
 //! The Lonestar/PBBS suites distribute inputs as files; downstream users of
-//! this reproduction need the same. Three formats:
+//! this reproduction need the same. Two formats:
 //!
-//! - **edge list**: one `src dst` pair per line, `#` comments; node count
-//!   inferred.
 //! - **DIMACS** (the max-flow community format): `c` comments, one
 //!   `p max NODES EDGES` problem line, `n ID s|t` source/sink lines, and
 //!   `a SRC DST CAP` arcs, all 1-indexed.
@@ -62,90 +60,6 @@ fn malformed(line: usize, reason: impl Into<String>) -> ParseGraphError {
         line,
         reason: reason.into(),
     }
-}
-
-/// Reads a `src dst` edge list; `#`-prefixed lines are comments.
-///
-/// The node count is inferred as `max id + 1`, unless a header comment of
-/// the shape `# N nodes, M edges` (as [`write_edge_list`] emits) declares
-/// it — without the header, trailing isolated nodes cannot round-trip.
-///
-/// # Errors
-///
-/// Returns [`ParseGraphError`] on I/O failure, unparsable lines, or a
-/// declared node count smaller than an id that then appears.
-pub fn read_edge_list<R: BufRead>(reader: R) -> Result<CsrGraph, ParseGraphError> {
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut max_node = 0u32;
-    let mut declared_n: Option<usize> = None;
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if let Some(comment) = line.strip_prefix('#') {
-            let mut it = comment.split_whitespace();
-            if let (Some(count), Some("nodes,")) = (it.next(), it.next()) {
-                if let Ok(count) = count.parse::<usize>() {
-                    declared_n = Some(count);
-                }
-            }
-            continue;
-        }
-        if line.is_empty() {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let s: NodeId = it
-            .next()
-            .ok_or_else(|| malformed(idx + 1, "missing source"))?
-            .parse()
-            .map_err(|e| malformed(idx + 1, format!("bad source: {e}")))?;
-        let t: NodeId = it
-            .next()
-            .ok_or_else(|| malformed(idx + 1, "missing target"))?
-            .parse()
-            .map_err(|e| malformed(idx + 1, format!("bad target: {e}")))?;
-        max_node = max_node.max(s).max(t);
-        edges.push((s, t));
-    }
-    let inferred = if edges.is_empty() {
-        0
-    } else {
-        max_node as usize + 1
-    };
-    let n = match declared_n {
-        Some(declared) if declared < inferred => {
-            return Err(malformed(
-                0,
-                format!(
-                    "header declares {declared} nodes but ids reach {}",
-                    inferred - 1
-                ),
-            ));
-        }
-        Some(declared) => declared,
-        None => inferred,
-    };
-    Ok(CsrGraph::from_edges(n, &edges))
-}
-
-/// Writes `graph` as an edge list.
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn write_edge_list<W: Write>(graph: &CsrGraph, mut writer: W) -> std::io::Result<()> {
-    writeln!(
-        writer,
-        "# {} nodes, {} edges",
-        graph.num_nodes(),
-        graph.num_edges()
-    )?;
-    for v in graph.nodes() {
-        for &w in graph.neighbors(v) {
-            writeln!(writer, "{v} {w}")?;
-        }
-    }
-    Ok(())
 }
 
 /// Reads a DIMACS max-flow file into a [`FlowNetwork`].
@@ -493,34 +407,6 @@ pub fn read_csr_binary<R: Read>(mut reader: R) -> Result<CsrGraph, BinGraphError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen;
-
-    #[test]
-    fn edge_list_roundtrip() {
-        let g = gen::uniform_random(64, 3, 5);
-        let mut buf = Vec::new();
-        write_edge_list(&g, &mut buf).unwrap();
-        let back = read_edge_list(buf.as_slice()).unwrap();
-        assert_eq!(g, back);
-    }
-
-    #[test]
-    fn edge_list_comments_and_blanks() {
-        let text = "# a comment\n\n0 1\n1 2\n\n# trailing\n2 0\n";
-        let g = read_edge_list(text.as_bytes()).unwrap();
-        assert_eq!(g.num_nodes(), 3);
-        assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.neighbors(0), &[1]);
-    }
-
-    #[test]
-    fn edge_list_error_reporting() {
-        let err = read_edge_list("0 1\nbogus line\n".as_bytes()).unwrap_err();
-        match err {
-            ParseGraphError::Malformed { line, .. } => assert_eq!(line, 2),
-            other => panic!("expected malformed, got {other}"),
-        }
-    }
 
     #[test]
     fn dimacs_roundtrip_preserves_max_flow() {

@@ -157,31 +157,4 @@ proptest! {
             prop_assert_eq!(&oracle, &par, "undirected(n={}, s={}) at {} threads", n, seed, t);
         }
     }
-
-    /// Grid shapes, including degenerate 1-wide and 1-tall strips.
-    fn grid_generator_is_thread_count_invariant(
-        w in 1usize..24,
-        h in 1usize..24,
-    ) {
-        let oracle = gen::grid2d(w, h);
-        for t in THREAD_COUNTS {
-            let par = gen::grid2d_parallel(w, h, t);
-            prop_assert_eq!(&oracle, &par, "grid2d({}x{}) at {} threads", w, h, t);
-        }
-    }
-
-    /// RMAT: per-edge streams plus the deterministic pack must reproduce
-    /// the sequential edge order exactly.
-    fn rmat_generator_is_thread_count_invariant(
-        n_log2 in 3u32..9,
-        m in 0usize..2_000,
-        seed in 0u64..100,
-    ) {
-        let n = 1usize << n_log2;
-        let oracle = gen::rmat(n, m, 0.57, 0.19, 0.19, seed);
-        for t in THREAD_COUNTS {
-            let par = gen::rmat_parallel(n, m, 0.57, 0.19, 0.19, seed, t);
-            prop_assert_eq!(&oracle, &par, "rmat(n={}, m={}, s={}) at {} threads", n, m, seed, t);
-        }
-    }
 }

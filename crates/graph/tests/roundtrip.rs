@@ -4,14 +4,14 @@
 //! between a cache file and a benchmark input, so the binary format is
 //! tested the way an adversarial filesystem would exercise it: bit flips
 //! in every region, truncation at every boundary, wrong magic, wrong
-//! version. The text formats (edge list, DIMACS) are round-tripped twice —
-//! read → write → read — to pin down that writing is a faithful inverse,
-//! not merely that one pass happens to parse.
+//! version. The DIMACS text format is round-tripped twice — read → write →
+//! read — to pin down that writing is a faithful inverse, not merely that
+//! one pass happens to parse.
 
 use galois_graph::gen;
 use galois_graph::io::{
-    read_csr_binary, read_dimacs_flow, read_edge_list, write_csr_binary, write_dimacs_flow,
-    write_edge_list, BinGraphError, CSR_MAGIC, CSR_VERSION,
+    read_csr_binary, read_dimacs_flow, write_csr_binary, write_dimacs_flow, BinGraphError,
+    CSR_MAGIC, CSR_VERSION,
 };
 use galois_graph::{CsrGraph, FlowNetwork};
 
@@ -130,20 +130,6 @@ fn magic_and_version_constants_are_pinned() {
     assert_eq!(CSR_VERSION, 1);
     let bytes = encode(&CsrGraph::from_edges(0, &[]));
     assert_eq!(&bytes[0..4], b"GCSR");
-}
-
-#[test]
-fn edge_list_double_roundtrip() {
-    let g = gen::rmat(128, 700, 0.57, 0.19, 0.19, 11);
-    let mut first = Vec::new();
-    write_edge_list(&g, &mut first).unwrap();
-    let once = read_edge_list(first.as_slice()).unwrap();
-    let mut second = Vec::new();
-    write_edge_list(&once, &mut second).unwrap();
-    let twice = read_edge_list(second.as_slice()).unwrap();
-    assert_eq!(g, once);
-    assert_eq!(once, twice);
-    assert_eq!(first, second, "edge-list writer is not canonical");
 }
 
 #[test]

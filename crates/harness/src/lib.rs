@@ -183,8 +183,7 @@ pub fn executor_for(
     };
     let mut exec = app
         .executor(schedule, threads)
-        // Only deterministic logs are canonical; speculative epochs reflect
-        // real nondeterminism and must stay out of the fingerprint.
+        // Only the deterministic scheduler has rounds to log.
         .record_rounds(variant == Variant::Deterministic);
     if let Some(seed) = chaos_seed {
         exec = exec.chaos(seed);

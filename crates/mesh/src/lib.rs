@@ -22,7 +22,6 @@
 pub mod build;
 pub mod cavity;
 pub mod check;
-pub mod export;
 pub mod locator;
 pub mod mesh;
 

@@ -88,11 +88,6 @@ impl Mesh {
         self.vert_len.0.load(Ordering::Acquire)
     }
 
-    /// Total vertex slots (fixed at construction).
-    pub fn vert_capacity(&self) -> usize {
-        self.verts.len()
-    }
-
     /// Total triangle slots (fixed at construction) — also the abstract-lock
     /// space for triangle-locked applications.
     pub fn tri_capacity(&self) -> usize {

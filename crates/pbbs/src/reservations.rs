@@ -78,11 +78,6 @@ impl Reservations {
     pub fn free(&self, slot: usize) {
         self.slots[slot].store(FREE, Ordering::Release);
     }
-
-    /// Whether every slot is free (postcondition checks).
-    pub fn all_free(&self) -> bool {
-        self.slots.iter().all(|s| s.load(Ordering::Acquire) == FREE)
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +104,7 @@ mod tests {
         r.reserve(0, 5);
         assert!(!r.check_reset(0, 6));
         assert!(r.check_reset(0, 5));
-        assert!(r.all_free());
+        assert_eq!(r.slots[0].load(Ordering::Acquire), FREE);
     }
 
     #[test]
@@ -117,7 +112,7 @@ mod tests {
         let r = Reservations::new(2);
         r.reserve(0, 1);
         r.free(0);
-        assert!(r.all_free());
+        assert_eq!(r.slots[0].load(Ordering::Acquire), FREE);
         assert_eq!(r.len(), 2);
         assert!(!r.is_empty());
     }

@@ -121,7 +121,7 @@ impl ChaosPolicy {
     }
 
     /// Creates a policy whose panic-injection draws are live: roughly one in
-    /// [`PANIC_PERIOD`] eligible failsafe crossings panics instead of
+    /// `PANIC_PERIOD` eligible failsafe crossings panics instead of
     /// continuing, exercising the fault-containment layer. The scheduling
     /// perturbations and abort draws are identical to [`ChaosPolicy::new`]
     /// with the same seed.

@@ -6,9 +6,10 @@
 //! inspect/commit phase costs, serial leader fraction — and deterministic
 //! execution's headline payoff is that this schedule is worth observing: it
 //! is the same schedule on every machine. A [`Probe`] receives one
-//! [`RoundRecord`] per deterministic round (or per speculative epoch) and
-//! may do anything with it; [`RoundLog`] is the standard implementation that
-//! stores records and serializes them.
+//! [`RoundRecord`] per deterministic round and may do anything with it;
+//! [`RoundLog`] is the standard implementation that stores records and
+//! serializes them. The speculative scheduler has no rounds: a probe
+//! attached there sees only [`Probe::on_finish`].
 //!
 //! # Zero cost when off
 //!
@@ -51,18 +52,17 @@ use crate::stats::ExecStats;
 /// Default number of top conflicting locations attributed per round.
 pub const DEFAULT_CONFLICT_TOP_K: usize = 8;
 
-/// One deterministic round (or speculative epoch) as observed by a probe.
+/// One deterministic round as observed by a probe.
 ///
 /// Schedule-derived fields (everything except the `*_ns` timings) are
 /// deterministic under DIG scheduling: identical for every thread count and
 /// machine.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundRecord {
-    /// Round index within the run (epoch index for speculative runs).
+    /// Round index within the run.
     pub round: u64,
     /// Adaptive window size when the round was carved (may exceed
-    /// `attempted` when the pending sequence ran short). For speculative
-    /// epochs this is the epoch quantum.
+    /// `attempted` when the pending sequence ran short).
     pub window: u64,
     /// Tasks inspected/attempted in the round.
     pub attempted: u64,
@@ -128,9 +128,9 @@ impl RoundRecord {
 /// Observer of per-round scheduler behavior.
 ///
 /// Implementations receive one [`RoundRecord`] per deterministic round (in
-/// round order, from the leader thread between barriers) or per speculative
-/// epoch (after the parallel section, in epoch order). All methods have
-/// defaults so a probe can implement only what it needs.
+/// round order, from the leader thread between barriers), then one
+/// [`on_finish`](Probe::on_finish) call per run under any scheduler. All
+/// methods have defaults so a probe can implement only what it needs.
 pub trait Probe: Send {
     /// Whether the executor should collect per-conflict abstract locations
     /// (one `Vec` push per losing mark write). Return `false` to skip
@@ -149,7 +149,7 @@ pub trait Probe: Send {
         DEFAULT_CONFLICT_TOP_K
     }
 
-    /// Called once per completed round/epoch, in order.
+    /// Called once per completed deterministic round, in order.
     fn on_round(&mut self, record: RoundRecord);
 
     /// Called once when the run finishes, with the aggregated stats.
@@ -223,11 +223,6 @@ impl RoundLog {
             out.push('\n');
         }
         out
-    }
-
-    /// Sum of leader-serial nanoseconds over all rounds.
-    pub fn total_serial_ns(&self) -> f64 {
-        self.records.iter().map(|r| r.serial_ns).sum()
     }
 }
 

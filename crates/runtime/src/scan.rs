@@ -1,47 +1,16 @@
-//! Parallel prefix sums (scans).
+//! Parallel prefix sum (scan).
 //!
 //! The parallel input pipeline (see `galois-graph`) turns per-node degree
-//! counts into CSR offsets, and per-thread chunk lengths into write
-//! positions, with prefix sums on the critical path of every build. Like the
-//! [`sort`](crate::sort) module, the scans here are *deterministic by
-//! construction*: integer addition is associative, so the classic
-//! three-phase chunked scan (local reduce, sequential scan over chunk
+//! counts into CSR offsets with a prefix sum on the critical path of every
+//! build. Like the [`sort`](crate::sort) module, the scan here is
+//! *deterministic by construction*: integer addition is associative, so the
+//! classic three-phase chunked scan (local reduce, sequential scan over chunk
 //! totals, local rescan) produces bit-identical output for any thread
 //! count — the same portability contract the schedulers guarantee for
 //! execution, extended to input construction.
 
 use crate::pool::{chunk_range, run_on_threads};
 use crate::shared::SharedSlice;
-
-/// Replaces `values` with its exclusive prefix sum and returns the total.
-///
-/// `values[i]` becomes `sum(values[..i])`; the grand total (what
-/// `values[len]` would be) is returned. Uses up to `threads` threads and is
-/// bit-identical to the sequential scan for every thread count.
-///
-/// # Example
-///
-/// ```
-/// let mut v = vec![3u64, 1, 4, 1, 5];
-/// let total = galois_runtime::scan::parallel_exclusive_scan(&mut v, 4);
-/// assert_eq!(v, vec![0, 3, 4, 8, 9]);
-/// assert_eq!(total, 14);
-/// ```
-pub fn parallel_exclusive_scan(values: &mut [u64], threads: usize) -> u64 {
-    scan_impl(values, threads, false, &mut Vec::new())
-}
-
-/// [`parallel_exclusive_scan`] with a caller-owned scratch buffer for the
-/// per-chunk totals, so multi-phase pipelines (generate → pack → CSR build)
-/// pay the scratch allocation once instead of once per scan. The buffer is
-/// resized as needed and its contents on entry are ignored.
-pub fn parallel_exclusive_scan_with(
-    values: &mut [u64],
-    threads: usize,
-    scratch: &mut Vec<u64>,
-) -> u64 {
-    scan_impl(values, threads, false, scratch)
-}
 
 /// Replaces `values` with its inclusive prefix sum and returns the total.
 ///
@@ -57,47 +26,23 @@ pub fn parallel_exclusive_scan_with(
 /// assert_eq!(total, 14);
 /// ```
 pub fn parallel_inclusive_scan(values: &mut [u64], threads: usize) -> u64 {
-    scan_impl(values, threads, true, &mut Vec::new())
-}
-
-/// [`parallel_inclusive_scan`] with a caller-owned scratch buffer; see
-/// [`parallel_exclusive_scan_with`].
-pub fn parallel_inclusive_scan_with(
-    values: &mut [u64],
-    threads: usize,
-    scratch: &mut Vec<u64>,
-) -> u64 {
-    scan_impl(values, threads, true, scratch)
-}
-
-/// Sequential inputs or one thread skip the spawn entirely; that path is
-/// also the oracle the parallel path must match.
-fn scan_impl(values: &mut [u64], threads: usize, inclusive: bool, scratch: &mut Vec<u64>) -> u64 {
     let n = values.len();
-    // Below ~4k elements the spawn cost dominates any parallel win.
+    // Below ~4k elements the spawn cost dominates any parallel win. The
+    // sequential path is also the oracle the parallel path must match.
     let threads = threads.clamp(1, n.div_ceil(4096).max(1));
     if threads == 1 {
         let mut acc = 0u64;
         for v in values.iter_mut() {
-            let x = *v;
-            if inclusive {
-                acc += x;
-                *v = acc;
-            } else {
-                *v = acc;
-                acc += x;
-            }
+            acc += *v;
+            *v = acc;
         }
         return acc;
     }
 
-    // Phase 1: each thread reduces its chunk to a total (into the reusable
-    // scratch, so repeated scans allocate nothing once it's warm).
-    scratch.clear();
-    scratch.resize(threads, 0);
-    let chunk_totals: &mut [u64] = scratch;
+    // Phase 1: each thread reduces its chunk to a total.
+    let mut chunk_totals = vec![0u64; threads];
     {
-        let totals = SharedSlice::new(chunk_totals);
+        let totals = SharedSlice::new(&mut chunk_totals);
         let totals = &totals;
         let values_ro: &[u64] = values;
         run_on_threads(threads, |tid| {
@@ -126,14 +71,8 @@ fn scan_impl(values: &mut [u64], threads: usize, inclusive: bool, scratch: &mut 
             for i in chunk_range(n, threads, tid) {
                 // SAFETY: chunk ranges are disjoint across tids.
                 let slot = unsafe { shared.get_mut(i) };
-                let x = *slot;
-                if inclusive {
-                    acc += x;
-                    *slot = acc;
-                } else {
-                    *slot = acc;
-                    acc += x;
-                }
+                acc += *slot;
+                *slot = acc;
             }
         });
     }
@@ -156,33 +95,31 @@ mod tests {
             .collect()
     }
 
+    /// The plain left-to-right running sum the scan must reproduce.
+    fn sequential_oracle(values: &[u64]) -> (Vec<u64>, u64) {
+        let mut acc = 0u64;
+        let out = values
+            .iter()
+            .map(|&x| {
+                acc += x;
+                acc
+            })
+            .collect();
+        (out, acc)
+    }
+
     #[test]
     fn matches_sequential_oracle_across_thread_counts() {
         for n in [0usize, 1, 2, 100, 4096, 4097, 50_000] {
             let input = pseudo_random(n, 7 + n as u64);
-            let mut expect_ex = input.clone();
-            let total_ex = parallel_exclusive_scan(&mut expect_ex, 1);
-            let mut expect_in = input.clone();
-            let total_in = parallel_inclusive_scan(&mut expect_in, 1);
-            for threads in [2usize, 3, 5, 8, 16] {
-                let mut ours = input.clone();
-                let t = parallel_exclusive_scan(&mut ours, threads);
-                assert_eq!(ours, expect_ex, "exclusive n={n} threads={threads}");
-                assert_eq!(t, total_ex);
+            let (expect, expect_total) = sequential_oracle(&input);
+            for threads in [1usize, 2, 5, 8, 16] {
                 let mut ours = input.clone();
                 let t = parallel_inclusive_scan(&mut ours, threads);
-                assert_eq!(ours, expect_in, "inclusive n={n} threads={threads}");
-                assert_eq!(t, total_in);
+                assert_eq!(ours, expect, "n={n} threads={threads}");
+                assert_eq!(t, expect_total, "total n={n} threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn exclusive_scan_basics() {
-        let mut v = vec![1u64; 10];
-        let total = parallel_exclusive_scan(&mut v, 4);
-        assert_eq!(v, (0..10).collect::<Vec<u64>>());
-        assert_eq!(total, 10);
     }
 
     #[test]
@@ -196,7 +133,7 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let mut v: Vec<u64> = vec![];
-        assert_eq!(parallel_exclusive_scan(&mut v, 8), 0);
+        assert_eq!(parallel_inclusive_scan(&mut v, 8), 0);
         let mut v = vec![9u64];
         assert_eq!(parallel_inclusive_scan(&mut v, 8), 9);
         assert_eq!(v, vec![9]);

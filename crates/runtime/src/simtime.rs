@@ -234,11 +234,6 @@ impl ExecTrace {
                 .sum(),
         }
     }
-
-    /// Speedup of this trace on `p` workers relative to a baseline time.
-    pub fn speedup_vs(&self, machine: &MachineProfile, p: usize, baseline_ns: f64) -> f64 {
-        baseline_ns / self.makespan_ns(machine, p)
-    }
 }
 
 #[cfg(test)]
@@ -322,8 +317,8 @@ mod tests {
             overhead_ns: 0.0,
         };
         let m = MachineProfile::NUMA8X4;
-        let s8 = t.speedup_vs(&m, 8, t.total_work_ns());
-        let s16 = t.speedup_vs(&m, 16, t.total_work_ns());
+        let s8 = t.total_work_ns() / t.makespan_ns(&m, 8);
+        let s16 = t.total_work_ns() / t.makespan_ns(&m, 16);
         // 16 threads beat 8 overall but by far less than 2x.
         assert!(s16 > s8);
         assert!(s16 / s8 < 1.5);

@@ -71,8 +71,8 @@ pub struct ExecStats {
     /// Release CASes avoided by epoch-retiring whole rounds (deterministic
     /// runs only).
     pub releases_avoided: u64,
-    /// Chaos-forced spurious aborts, excluded from [`abort_ratio`]
-    /// (see [`Self::abort_ratio`]): `aborted` stays real-conflicts-only.
+    /// Chaos-forced spurious aborts, excluded from the abort ratio (see
+    /// [`Self::abort_ratio`]): `aborted` stays real-conflicts-only.
     /// Seed-dependent, so excluded from canonical fingerprints too.
     pub injected_aborts: u64,
     /// Initial tasks silently dropped because their pre-assigned id
@@ -85,10 +85,6 @@ pub struct ExecStats {
     /// through `try_run`; the counter records how many tasks were contained
     /// before the run drained.
     pub quarantined: u64,
-    /// Barrier poisonings observed: non-zero only when a panic escaped the
-    /// containment layer (an executor bug or a post-failsafe fault) and the
-    /// pool had to poison the round barrier to release peer workers.
-    pub barrier_poisons: u64,
     /// Wall-clock duration of the parallel section.
     pub elapsed: Duration,
     /// Number of worker threads used.
@@ -115,7 +111,6 @@ impl ExecStats {
             injected_aborts: total.injected_aborts,
             dedup_dropped: 0,
             quarantined: total.quarantined,
-            barrier_poisons: 0,
             elapsed: Duration::ZERO,
             threads: n,
         }
@@ -160,7 +155,7 @@ impl std::fmt::Display for ExecStats {
             f,
             "committed={} aborted={} (ratio {:.4}) atomics={} rounds={} \
              mark_releases={} releases_avoided={} injected_aborts={} \
-             dedup_dropped={} quarantined={} barrier_poisons={} \
+             dedup_dropped={} quarantined={} \
              threads={} elapsed={:?}",
             self.committed,
             self.aborted,
@@ -172,7 +167,6 @@ impl std::fmt::Display for ExecStats {
             self.injected_aborts,
             self.dedup_dropped,
             self.quarantined,
-            self.barrier_poisons,
             self.threads,
             self.elapsed,
         )
@@ -278,7 +272,6 @@ mod tests {
             injected_aborts: 5,
             dedup_dropped: 3,
             quarantined: 2,
-            barrier_poisons: 1,
             ..Default::default()
         };
         let text = s.to_string();
@@ -288,7 +281,6 @@ mod tests {
         assert!(text.contains("injected_aborts=5"));
         assert!(text.contains("dedup_dropped=3"));
         assert!(text.contains("quarantined=2"));
-        assert!(text.contains("barrier_poisons=1"));
     }
 
     #[test]
@@ -305,6 +297,5 @@ mod tests {
         ];
         let agg = ExecStats::from_threads(per.iter());
         assert_eq!(agg.quarantined, 5);
-        assert_eq!(agg.barrier_poisons, 0);
     }
 }

@@ -61,8 +61,6 @@ struct Local<T> {
 pub struct ChunkedBag<T> {
     locals: PerThread<Mutex<Local<T>>>,
     shared: CachePadded<Mutex<Vec<Chunk<T>>>>,
-    /// Approximate number of items, used only for sizing hints.
-    approx_len: AtomicUsize,
     /// Optional adversarial spill/refill/steal-order perturbation. The bag
     /// is unordered, so no perturbation can break correctness — only expose
     /// schedules the OS never produces.
@@ -73,7 +71,6 @@ impl<T> std::fmt::Debug for ChunkedBag<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChunkedBag")
             .field("threads", &self.locals.len())
-            .field("approx_len", &self.approx_len.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -95,14 +92,12 @@ impl<T: Send> ChunkedBag<T> {
                 })
             }),
             shared: CachePadded::new(Mutex::new(Vec::new())),
-            approx_len: AtomicUsize::new(0),
             chaos,
         }
     }
 
     /// Inserts `item` from thread `tid`.
     pub fn push(&self, tid: usize, item: T) {
-        self.approx_len.fetch_add(1, Ordering::Relaxed);
         let mut local = self.locals.get(tid).lock();
         if local.push.items.len() == CHUNK_CAPACITY {
             let full = std::mem::replace(&mut local.push, Chunk::new());
@@ -118,13 +113,6 @@ impl<T: Send> ChunkedBag<T> {
         local.push.items.push(item);
     }
 
-    /// Bulk-inserts items from thread `tid`.
-    pub fn push_all(&self, tid: usize, items: impl IntoIterator<Item = T>) {
-        for item in items {
-            self.push(tid, item);
-        }
-    }
-
     /// Removes some item, preferring thread `tid`'s local chunks.
     ///
     /// Returns `None` only when the bag appeared empty; in a concurrent
@@ -134,11 +122,9 @@ impl<T: Send> ChunkedBag<T> {
         {
             let mut local = self.locals.get(tid).lock();
             if let Some(item) = local.pop.items.pop() {
-                self.approx_len.fetch_sub(1, Ordering::Relaxed);
                 return Some(item);
             }
             if let Some(item) = local.push.items.pop() {
-                self.approx_len.fetch_sub(1, Ordering::Relaxed);
                 return Some(item);
             }
             let refilled = {
@@ -155,11 +141,7 @@ impl<T: Send> ChunkedBag<T> {
             };
             if let Some(chunk) = refilled {
                 local.pop = chunk;
-                let item = local.pop.items.pop();
-                if item.is_some() {
-                    self.approx_len.fetch_sub(1, Ordering::Relaxed);
-                }
-                return item;
+                return local.pop.items.pop();
             }
         }
         // Steal: scan other threads' chunks.
@@ -184,20 +166,7 @@ impl<T: Send> ChunkedBag<T> {
     /// victim is busy or empty).
     fn steal_from(&self, victim: usize) -> Option<T> {
         let mut other = self.locals.get(victim).try_lock()?;
-        if let Some(item) = other.push.items.pop() {
-            self.approx_len.fetch_sub(1, Ordering::Relaxed);
-            return Some(item);
-        }
-        if let Some(item) = other.pop.items.pop() {
-            self.approx_len.fetch_sub(1, Ordering::Relaxed);
-            return Some(item);
-        }
-        None
-    }
-
-    /// Approximate number of items (racy; for sizing hints only).
-    pub fn approx_len(&self) -> usize {
-        self.approx_len.load(Ordering::Relaxed)
+        other.push.items.pop().or_else(|| other.pop.items.pop())
     }
 }
 
@@ -211,7 +180,6 @@ impl<T: Send> ChunkedBag<T> {
 pub struct ChunkedFifo<T> {
     locals: PerThread<Mutex<Local<T>>>,
     shared: CachePadded<Mutex<std::collections::VecDeque<Chunk<T>>>>,
-    approx_len: AtomicUsize,
     /// Optional adversarial perturbation; the queue is only *roughly* FIFO,
     /// so chaos stretches "roughly" without breaking the pool contract.
     chaos: Option<Arc<ChaosPolicy>>,
@@ -221,7 +189,6 @@ impl<T> std::fmt::Debug for ChunkedFifo<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChunkedFifo")
             .field("threads", &self.locals.len())
-            .field("approx_len", &self.approx_len.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -243,14 +210,12 @@ impl<T: Send> ChunkedFifo<T> {
                 })
             }),
             shared: CachePadded::new(Mutex::new(std::collections::VecDeque::new())),
-            approx_len: AtomicUsize::new(0),
             chaos,
         }
     }
 
     /// Inserts `item` from thread `tid`.
     pub fn push(&self, tid: usize, item: T) {
-        self.approx_len.fetch_add(1, Ordering::Relaxed);
         let mut local = self.locals.get(tid).lock();
         local.push.items.push(item);
         if local.push.items.len() == CHUNK_CAPACITY {
@@ -271,11 +236,7 @@ impl<T: Send> ChunkedFifo<T> {
             if !local.pop.items.is_empty() {
                 // Chunks were filled front-to-back; drain front-to-back by
                 // reversing once at refill time (items are stored reversed).
-                let item = local.pop.items.pop();
-                if item.is_some() {
-                    self.approx_len.fetch_sub(1, Ordering::Relaxed);
-                }
-                return item;
+                return local.pop.items.pop();
             }
             let refilled = {
                 let mut shared = self.shared.lock();
@@ -323,20 +284,12 @@ impl<T: Send> ChunkedFifo<T> {
     fn steal_from(&self, victim: usize) -> Option<T> {
         let mut other = self.locals.get(victim).try_lock()?;
         if let Some(item) = other.pop.items.pop() {
-            self.approx_len.fetch_sub(1, Ordering::Relaxed);
             return Some(item);
         }
         if !other.push.items.is_empty() {
-            let item = other.push.items.remove(0);
-            self.approx_len.fetch_sub(1, Ordering::Relaxed);
-            return Some(item);
+            return Some(other.push.items.remove(0));
         }
         None
-    }
-
-    /// Approximate number of items (racy; for sizing hints only).
-    pub fn approx_len(&self) -> usize {
-        self.approx_len.load(Ordering::Relaxed)
     }
 }
 
@@ -449,16 +402,6 @@ mod tests {
             assert!(seen.lock().unwrap().insert(x));
         }
         assert_eq!(seen.lock().unwrap().len(), THREADS * PER_THREAD);
-    }
-
-    #[test]
-    fn approx_len_tracks_roughly() {
-        let bag: ChunkedBag<u8> = ChunkedBag::new(1);
-        assert_eq!(bag.approx_len(), 0);
-        bag.push_all(0, [1, 2, 3]);
-        assert_eq!(bag.approx_len(), 3);
-        bag.pop(0);
-        assert_eq!(bag.approx_len(), 2);
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //!   (the tree is registry-free — no tokio, no hyper): an accept loop
 //!   feeds a blocking worker pool, each worker serving one keep-alive
 //!   connection to completion;
-//! - requests route through the same [`executor_for`] /
-//!   [`run_resident`](galois_harness::run_resident) path the differential
-//!   harness proves deterministic, over inputs kept resident in a
-//!   [`InputStore`];
+//! - requests route through the same [`executor_for`] / [`run_resident`]
+//!   path the differential harness proves deterministic, over inputs kept
+//!   resident in a [`InputStore`];
 //! - a faulting run (operator panic, stall, quarantine overflow) comes
 //!   back as a *structured* error response — kind, exit code, canonical
 //!   message — and the server stays up: the fault was contained by
@@ -416,9 +415,11 @@ pub struct RunRequest {
     /// Panic-injection seed: arms operator faults, exercising the
     /// quarantine path.
     pub chaos_panics: Option<u64>,
-    /// Stream the canonical round log in the response.
+    /// Stream the canonical round log in the response (deterministic
+    /// variant only).
     pub round_log: bool,
-    /// Record and return a replayable [`RunManifest`].
+    /// Record and return a replayable [`RunManifest`] (deterministic
+    /// variant only).
     pub manifest: bool,
 }
 
@@ -493,6 +494,11 @@ impl RunRequest {
         }
         if !saw_app {
             return Err("missing required field `app`".into());
+        }
+        // Only deterministic runs have rounds, so only they have a round
+        // log or a hash chain to record.
+        if out.round_log && out.variant != Variant::Deterministic {
+            return Err("`round_log` requires the deterministic variant".into());
         }
         if out.manifest && out.variant != Variant::Deterministic {
             return Err("`manifest` requires the deterministic variant".into());
@@ -708,13 +714,13 @@ mod tests {
         assert_eq!(r.seed, 42);
         assert!(!r.round_log && !r.manifest);
 
-        let r = RunRequest::parse(
-            r#"{"app":"mis","variant":"g-n","threads":8,"seed":7,"size":500,"round_log":true}"#,
-        )
-        .unwrap();
+        let r =
+            RunRequest::parse(r#"{"app":"mis","variant":"g-n","threads":8,"seed":7,"size":500}"#)
+                .unwrap();
         assert_eq!(r.app, App::Mis);
         assert_eq!(r.variant, Variant::Speculative);
         assert_eq!((r.threads, r.seed, r.size), (8, 7, Some(500)));
+        let r = RunRequest::parse(r#"{"app":"mis","round_log":true}"#).unwrap();
         assert!(r.round_log);
 
         assert!(RunRequest::parse(r#"{}"#).is_err());
@@ -723,6 +729,7 @@ mod tests {
         assert!(RunRequest::parse(r#"{"app":"bfs","threads":65}"#).is_err());
         assert!(RunRequest::parse(r#"{"app":"bfs","bogus":1}"#).is_err());
         assert!(RunRequest::parse(r#"{"app":"bfs","variant":"g-n","manifest":true}"#).is_err());
+        assert!(RunRequest::parse(r#"{"app":"bfs","variant":"g-n","round_log":true}"#).is_err());
     }
 
     /// The two bodies that carry a free-form message (a validator's

@@ -3,8 +3,9 @@
 //! Deterministic execution makes replica cross-checking cheap: a replica's
 //! entire observable schedule compresses to one 8-byte prefix hash per
 //! round, so the wire protocol is tiny — a versioned handshake, a job
-//! assignment carrying the run's identity ([`RunManifest`] JSON: input key
-//! plus `ExecConfig`), then a stream of `(round, hash)` pairs and a final
+//! assignment carrying the run's identity
+//! ([`RunManifest`](galois_core::RunManifest) JSON: input key plus
+//! `ExecConfig`), then a stream of `(round, hash)` pairs and a final
 //! result frame. Frames are a `u32` little-endian length, then 1 kind
 //! byte, then the payload, over a plain `std::net::TcpStream`.
 //!
@@ -49,8 +50,8 @@ pub enum Frame {
     },
     /// Coordinator → replica: the job assignment — replica id, thread
     /// budget to run at (0 = use the manifest's recorded budget), and the
-    /// reference [`RunManifest`] JSON (input key + `ExecConfig` + expected
-    /// chain).
+    /// reference [`RunManifest`](galois_core::RunManifest) JSON (input key,
+    /// `ExecConfig` and expected chain).
     Job {
         /// Id the coordinator assigned this replica.
         replica: u32,

@@ -249,6 +249,39 @@ fn malformed_run_requests_are_structured_400s() {
     handle.shutdown();
 }
 
+/// Only deterministic runs have rounds: a speculative `/run` asking for a
+/// round log is refused the same way as one asking for a manifest.
+#[test]
+fn round_log_requires_the_deterministic_variant() {
+    let mut handle = Server::start(ServeConfig::default()).unwrap();
+    let addr = handle.addr().to_string();
+    let mut client = Client::new(addr);
+
+    for (body, field) in [
+        (
+            r#"{"app":"bfs","variant":"g-n","round_log":true}"#,
+            "round_log",
+        ),
+        (
+            r#"{"app":"bfs","variant":"g-n","manifest":true}"#,
+            "manifest",
+        ),
+    ] {
+        let resp = client.post("/run", body).unwrap();
+        assert_eq!(resp.status, 400, "{field}: {}", resp.body);
+        assert_eq!(json_status(&resp.body), "error", "{field}");
+        let expected = format!("`{field}` requires the deterministic variant");
+        assert_eq!(
+            parsed(&resp.body).get("error").and_then(Value::as_str),
+            Some(expected.as_str())
+        );
+    }
+    let stats = client.get("/stats").unwrap();
+    assert_eq!(json_u64(&stats.body, "bad_requests"), 2);
+    assert_eq!(json_u64(&stats.body, "ok"), 0);
+    handle.shutdown();
+}
+
 /// The bodies the tests above do not read — liveness, an unknown route,
 /// rejected replays, a contained fault, and a `/run` carrying round log and
 /// manifest at once — are strict JSON too. (`/run` 200, `/replay` 200 and

@@ -24,10 +24,10 @@
 //! inputs on disk (keyed by generator + parameters + seed), so repeated
 //! runs load instead of regenerating.
 //!
-//! `--round-log FILE` (executor variants only) writes the per-round schedule
-//! log as canonical JSONL: for `g-d` the file is byte-identical at any
-//! thread count, so two runs can be diffed to find the first divergent
-//! round.
+//! `--round-log FILE` (`g-d` only: only the deterministic scheduler has
+//! rounds) writes the per-round schedule log as canonical JSONL. The file
+//! is byte-identical at any thread count, so two runs can be diffed to find
+//! the first divergent round.
 //!
 //! `--chaos-seed N` (executor variants only) installs a seeded
 //! schedule-chaos policy: thread start skew, barrier jitter, shuffled
@@ -670,8 +670,11 @@ fn write_round_log(args: &Args, logs: Vec<RoundLog>) {
 
 fn main() {
     let args = parse_args();
+    if args.round_log.is_some() && args.variant != "g-d" {
+        eprintln!("--round-log requires g-d");
+        exit(2);
+    }
     let executor_only = [
-        ("--round-log", args.round_log.is_some()),
         ("--chaos-seed", args.chaos_seed.is_some()),
         ("--chaos-panics", args.chaos_panics.is_some()),
     ];

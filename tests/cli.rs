@@ -63,3 +63,25 @@ fn a_plain_run_and_a_recording_share_one_cached_input() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// Only the deterministic scheduler has rounds, so a round log is refused
+/// for every other variant before anything runs or is written.
+#[test]
+fn round_log_requires_the_deterministic_variant() {
+    let log = std::env::temp_dir().join(format!("galois-cli-{}-gn.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&log);
+    for variant in ["g-n", "seq"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_galois"))
+            .args(["bfs", "--variant", variant, "--size", "300", "--round-log"])
+            .arg(&log)
+            .output()
+            .expect("galois binary runs");
+        assert_eq!(out.status.code(), Some(2), "{variant}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--round-log requires g-d"),
+            "{variant}: {stderr}"
+        );
+        assert!(!log.exists(), "{variant}: a refused run wrote a round log");
+    }
+}

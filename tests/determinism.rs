@@ -81,12 +81,6 @@ fn input_generators_portable_across_build_threads() {
     assert_portable("gen::uniform_random_undirected", |threads| {
         gen::uniform_random_undirected_parallel(1_500, 4, 21, threads)
     });
-    assert_portable("gen::grid2d", |threads| {
-        gen::grid2d_parallel(37, 23, threads)
-    });
-    assert_portable("gen::rmat", |threads| {
-        gen::rmat_parallel(1 << 10, 4_000, 0.57, 0.19, 0.19, 21, threads)
-    });
     assert_portable("FlowNetwork::random_edges", |threads| {
         FlowNetwork::random_edges_parallel(256, 4, 100, 21, threads)
     });
