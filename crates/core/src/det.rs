@@ -279,9 +279,6 @@ struct LeaderState<T> {
     pending_record: Option<RoundRecord>,
     /// Scratch buffer for per-round conflict attribution.
     conflict_scratch: Vec<u32>,
-    /// Consecutive rounds that attempted tasks but made no progress
-    /// (no commits, no quarantines) — the stall watchdog's counter.
-    stalled_rounds: u64,
     /// Terminal fault: set once, then `done` is raised and the run drains.
     fault: Option<ExecError>,
 }
@@ -409,7 +406,6 @@ where
                 carved_window: 0,
                 pending_record: None,
                 conflict_scratch: Vec::new(),
-                stalled_rounds: 0,
                 fault: None,
             });
             if leader.is_some() {
@@ -663,6 +659,14 @@ fn prepare_round<T: Send>(
         let closing_round = leader.rounds;
         leader.rounds += 1;
         leader.window.update(attempted, committed);
+        // A deterministic round cannot stall: the highest id of a window
+        // owns its whole neighbourhood, so every round selects a task, and a
+        // selected task commits, is quarantined, or ends the run with the
+        // "commits unconditionally" panic.
+        debug_assert!(
+            attempted == 0 || committed + quarantined > 0,
+            "a round with attempted tasks commits or quarantines one of them"
+        );
 
         if quarantined > 0 {
             // The run stops at the end of the first faulting round and
@@ -685,26 +689,6 @@ fn prepare_round<T: Send>(
             });
             state.done.store(true, Ordering::Release);
             return 0.0;
-        }
-
-        // Stall watchdog: a round that attempted tasks but neither committed
-        // nor quarantined any of them made no progress. The paper's schedule
-        // guarantees the maximum id of a round always commits, so a single
-        // such round is already a scheduler bug — but user operators can
-        // also livelock (e.g. an operator that always returns a conflict
-        // abort). Counting *rounds*, never wall-clock, keeps the verdict
-        // thread-count independent.
-        if attempted > 0 && committed == 0 {
-            leader.stalled_rounds += 1;
-            if leader.stalled_rounds >= cfg.max_stalled_rounds {
-                leader.fault = Some(ExecError::Stalled {
-                    rounds: leader.stalled_rounds,
-                });
-                state.done.store(true, Ordering::Release);
-                return 0.0;
-            }
-        } else {
-            leader.stalled_rounds = 0;
         }
     }
 
@@ -1171,6 +1155,25 @@ mod tests {
             }
         }
         assert!(saw_injection, "chaos never actually fired an abort");
+    }
+
+    #[test]
+    #[should_panic(expected = "a selected task commits unconditionally")]
+    fn an_always_conflicting_operator_panics_instead_of_stalling() {
+        // Why the deterministic scheduler needs no stall watchdog: the
+        // highest id of every window is selected, and a selected task that
+        // still conflicts is a broken operator, not a livelock to count.
+        let marks = MarkTable::new(1);
+        let op = |_t: &u64, ctx: &mut Ctx<'_, u64>| -> OpResult {
+            ctx.acquire(0u32)?;
+            ctx.failsafe()?;
+            Err(crate::Abort::Conflict)
+        };
+        let _ = Executor::new()
+            .threads(2)
+            .schedule(det())
+            .iterate((0..64u64).collect())
+            .try_run(&marks, &op);
     }
 
     #[test]

@@ -42,14 +42,13 @@ pub enum ExecError {
         /// which have no rounds).
         round: u64,
     },
-    /// The stall watchdog fired: `rounds` consecutive deterministic
-    /// rounds (or speculative attempts on one worker) made no commit
-    /// progress anywhere. The threshold is counted in rounds, never
-    /// wall-clock, so the verdict is thread-count independent; see
+    /// A speculative run livelocked: `rounds` consecutive speculative
+    /// rounds closed with no commit and no quarantine. Counted in executor
+    /// state, never in time; see
     /// [`Executor::max_stalled_rounds`](crate::Executor::max_stalled_rounds).
+    /// Deterministic runs cannot stall.
     Stalled {
-        /// Consecutive zero-progress rounds observed when the watchdog
-        /// fired.
+        /// Consecutive speculative rounds with no commit or quarantine.
         rounds: u64,
     },
     /// More tasks were quarantined than the containment layer is willing
@@ -107,7 +106,7 @@ impl std::fmt::Display for ExecError {
             ),
             ExecError::Stalled { rounds } => write!(
                 f,
-                "stalled: {rounds} consecutive rounds made no commit progress"
+                "stalled: {rounds} consecutive speculative rounds with no commit or quarantine"
             ),
             ExecError::QuarantineOverflow { quarantined, limit } => write!(
                 f,

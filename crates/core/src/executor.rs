@@ -134,11 +134,10 @@ impl Schedule {
     }
 }
 
-/// Default stall-watchdog threshold, in consecutive zero-progress rounds
-/// (see [`Executor::max_stalled_rounds`]). Far above anything a live
-/// workload produces — a cautious operator commits at least one task per
-/// non-empty deterministic round — so the watchdog only fires on genuine
-/// livelock.
+/// Default stall threshold, in consecutive speculative rounds with no commit
+/// or quarantine (see [`Executor::max_stalled_rounds`]). A round closes only
+/// once every worker has failed an attempt or idled, so a live workload
+/// resets the count long before this and the rule only fires on livelock.
 pub const DEFAULT_MAX_STALLED_ROUNDS: u64 = 4096;
 
 /// A configured parallel loop executor. See the [module docs](self).
@@ -246,14 +245,15 @@ impl Executor {
         self
     }
 
-    /// Sets the stall-watchdog threshold: after this many consecutive
-    /// rounds that attempt tasks but commit (and quarantine) none, a run
-    /// returns [`ExecError::Stalled`] instead of spinning forever. The
-    /// count is in **rounds**, never wall-clock, so the verdict is
-    /// thread-count independent (portability extends to failures). For the
-    /// speculative scheduler — which has no rounds — the same number
-    /// bounds one worker's consecutive failed attempts with no commit
-    /// progress anywhere.
+    /// Sets the speculative stall threshold: after this many consecutive
+    /// speculative rounds with no commit and no quarantine, a run returns
+    /// [`ExecError::Stalled`] instead of retrying forever. A speculative
+    /// round closes once every worker has finished an attempt without
+    /// committing or found its bag empty; it is counted in executor state,
+    /// never in time, so a worker descheduled inside an operator stops
+    /// rounds from closing instead of being convicted. The deterministic
+    /// scheduler cannot stall — every round commits its highest-id task —
+    /// and ignores the bound.
     ///
     /// # Panics
     ///

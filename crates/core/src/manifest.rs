@@ -100,7 +100,7 @@ pub struct ExecConfig {
     pub chaos_seed: Option<u64>,
     /// Whether the chaos policy had panic injection armed.
     pub chaos_panics: bool,
-    /// Stall-watchdog threshold in rounds.
+    /// Speculative stall threshold in rounds.
     pub max_stalled_rounds: u64,
 }
 
@@ -298,8 +298,9 @@ impl RunManifest {
     }
 
     /// Parses the format written by [`RunManifest::to_json`], rejecting
-    /// version mismatches and any corruption (checksum failure, truncation,
-    /// unknown or reordered fields).
+    /// version mismatches, any corruption (checksum failure, truncation,
+    /// unknown or reordered fields) and a zero `threads` or
+    /// `max_stalled_rounds`, which no [`Executor`] accepts.
     pub fn from_json(text: &str) -> Result<RunManifest, ManifestError> {
         let mut f = json::unseal(text)?;
         let version = f.u64("version")?;
@@ -311,6 +312,9 @@ impl RunManifest {
         let input_seed = f.u64("input_seed")?;
         let size = f.u64("size")?;
         let threads = f.u64("threads")? as usize;
+        if threads == 0 {
+            return Err(ManifestError::Parse("threads must be positive".into()));
+        }
         let schedule = ScheduleKind::from_name(&f.string("schedule")?)
             .ok_or_else(|| ManifestError::Parse("unknown schedule kind".into()))?;
         let continuation = f.bool("continuation")?;
@@ -323,6 +327,11 @@ impl RunManifest {
         let chaos_seed = f.opt_u64("chaos_seed")?;
         let chaos_panics = f.bool("chaos_panics")?;
         let max_stalled_rounds = f.u64("max_stalled_rounds")?;
+        if max_stalled_rounds == 0 {
+            return Err(ManifestError::Parse(
+                "max_stalled_rounds must be positive".into(),
+            ));
+        }
         let round_hashes = f.array_of("round_hashes", "hex hashes", Value::as_hex)?;
         let final_fingerprint = f.hex("final_fingerprint")?;
         f.end()?;
@@ -954,6 +963,15 @@ mod tests {
             ),
             ("missing", body.replacen("\"size\":0,", "", 1)),
             ("retyped", body.replacen("\"size\":0", "\"size\":\"0\"", 1)),
+            // Zeros the executor builder would assert on.
+            (
+                "zero threads",
+                body.replacen("\"threads\":2", "\"threads\":0", 1),
+            ),
+            (
+                "zero stall bound",
+                body.replacen("\"max_stalled_rounds\":4096", "\"max_stalled_rounds\":0", 1),
+            ),
             (
                 "short hex",
                 body.replacen("\"00000000deadbeef\"", "\"deadbeef\"", 1),

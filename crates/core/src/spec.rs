@@ -9,6 +9,8 @@
 //!
 //! The speculative executor has no rounds, so an attached probe or recorder
 //! sees no `on_round` calls — only `on_finish` with the run's statistics.
+//! (The speculative rounds of the stall rule below only count livelock;
+//! they schedule nothing and are not reported.)
 
 use crate::ctx::{Abort, Access, Ctx, Mode};
 use crate::error::{contain_panic, panic_message, ExecError, QUARANTINE_CAP};
@@ -24,27 +26,55 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Second opinion before the stall watchdog declares a livelock. An abort
-/// streak alone is not proof: spinning contenders can rack up thousands of
-/// conflicts in the time a descheduled mark-holder waits for a CPU slice.
-/// Yielding repeatedly hands that holder the processor — if the commit
-/// counter is still frozen after every peer had ample chance to run, no
-/// retry anywhere can succeed and the stall is real.
-fn stall_confirmed(committed: &AtomicU64, snapshot: &mut u64) -> bool {
-    let before = committed.load(Ordering::Relaxed);
-    if before != *snapshot {
-        *snapshot = before;
-        return false;
+/// The stall rule, counted in speculative rounds. A round closes once every
+/// worker has *arrived*: finished an attempt without committing, or found
+/// its bag empty. A closed round in which nothing committed or quarantined
+/// adds one to the stall count, and any progress resets it. A worker stuck
+/// inside an operator while holding marks never arrives, so no round can
+/// close around it, whatever the host load; an operator that always
+/// conflicts still closes a round every `threads` aborts.
+#[derive(Default)]
+struct StallRule {
+    threads: u64,
+    limit: u64,
+    /// Arrivals since the run began: round `r` is open while this lies in
+    /// `r * threads .. (r + 1) * threads`.
+    arrivals: AtomicU64,
+    /// Commits plus quarantines since the run began.
+    progress: AtomicU64,
+    /// `progress` when the last round closed, and the number of consecutive
+    /// closed rounds that did not move it. Only a closing worker locks it.
+    last_close: Mutex<(u64, u64)>,
+}
+
+impl StallRule {
+    /// A task committed or was quarantined.
+    fn progressed(&self) {
+        self.progress.fetch_add(1, Ordering::Relaxed);
     }
-    for _ in 0..256 {
-        std::thread::yield_now();
-        let now = committed.load(Ordering::Relaxed);
-        if now != before {
-            *snapshot = now;
-            return false;
+
+    /// Arrives in the open round, unless this worker already has
+    /// (`arrived_in` is the last round it arrived in). Returns the stall
+    /// count when this arrival closes a round and the count reaches the
+    /// limit.
+    fn arrive(&self, arrived_in: &mut u64) -> Option<u64> {
+        let round = self.arrivals.load(Ordering::Relaxed) / self.threads;
+        if *arrived_in == round {
+            return None;
         }
+        *arrived_in = round;
+        // The open round needs this worker's arrival to close, so the add
+        // lands in `round`; the worker completing it does the close.
+        let arrivals = self.arrivals.fetch_add(1, Ordering::AcqRel) + 1;
+        if !arrivals.is_multiple_of(self.threads) {
+            return None;
+        }
+        let now = self.progress.load(Ordering::Relaxed);
+        let mut last = self.last_close.lock().unwrap();
+        let stalled = if last.0 == now { last.1 + 1 } else { 0 };
+        *last = (now, stalled);
+        (stalled >= self.limit).then_some(stalled)
     }
-    true
 }
 
 /// Static dispatch over the two worklist policies.
@@ -99,7 +129,11 @@ where
     // fault hook raises it so peers stop polling the bag instead of
     // spinning on a terminator that can no longer reach zero.
     let halt = AtomicBool::new(false);
-    let committed_global = AtomicU64::new(0);
+    let stall_rule = StallRule {
+        threads: threads as u64,
+        limit: cfg.max_stalled_rounds,
+        ..StallRule::default()
+    };
     let quarantined_total = AtomicU64::new(0);
     // First operator panic a worker happened to observe: reported if the
     // drain otherwise completes. Non-canonical by design (spec mode is
@@ -108,6 +142,10 @@ where
     // Terminal faults that stop the run take precedence over a recorded
     // first panic when both occur.
     let terminal: Mutex<Option<ExecError>> = Mutex::new(None);
+    let stop = |fault: ExecError| {
+        *terminal.lock().unwrap() = Some(fault);
+        halt.store(true, Ordering::Relaxed);
+    };
 
     run_on_threads_fault(
         threads,
@@ -125,11 +163,7 @@ where
             // the high bits stays intact.
             let mut attempt: u64 = 0;
             let mut idle_spins = 0u32;
-            // Stall watchdog bookkeeping: consecutive real-conflict aborts on
-            // this worker, reset whenever anyone commits. Counted in attempts
-            // (the speculative analogue of rounds), never wall-clock.
-            let mut abort_streak: u64 = 0;
-            let mut commit_snapshot: u64 = 0;
+            let mut arrived_in = u64::MAX;
 
             loop {
                 if halt.load(Ordering::Relaxed) {
@@ -137,6 +171,10 @@ where
                 }
                 let Some(task) = bag.pop(tid) else {
                     if terminator.is_done() {
+                        break;
+                    }
+                    if let Some(rounds) = stall_rule.arrive(&mut arrived_in) {
+                        stop(ExecError::Stalled { rounds });
                         break;
                     }
                     idle_spins += 1;
@@ -209,8 +247,7 @@ where
                 match result {
                     Ok(Ok(())) => {
                         stats.committed += 1;
-                        committed_global.fetch_add(1, Ordering::Relaxed);
-                        abort_streak = 0;
+                        stall_rule.progressed();
                         let n = pushes.len();
                         if n > 0 {
                             terminator.register(n);
@@ -220,37 +257,17 @@ where
                         }
                         terminator.finish_one();
                     }
-                    Ok(Err(Abort::Injected)) => {
-                        // Spurious abort forced by the chaos policy: re-enqueue
-                        // like a conflict, but the real-conflict counter (and so
-                        // the Figure 4 abort ratio) must not move.
-                        bag.push(tid, task);
-                        std::hint::spin_loop();
-                    }
-                    Ok(Err(_)) => {
-                        stats.aborted += 1;
-                        bag.push(tid, task);
-                        // Stall watchdog: a long unbroken streak of real
-                        // conflicts on this worker, with the global commit
-                        // counter frozen across the whole streak, means every
-                        // retry is losing to nobody — the operator livelocks
-                        // (e.g. it returns a conflict abort unconditionally).
-                        abort_streak += 1;
-                        if abort_streak == 1 {
-                            commit_snapshot = committed_global.load(Ordering::Relaxed);
+                    Ok(Err(abort)) => {
+                        // A spurious abort forced by the chaos policy retries
+                        // like a conflict, but the real-conflict counter (and
+                        // so the Figure 4 abort ratio) must not move.
+                        if abort != Abort::Injected {
+                            stats.aborted += 1;
                         }
-                        if abort_streak >= cfg.max_stalled_rounds {
-                            if stall_confirmed(&committed_global, &mut commit_snapshot) {
-                                *terminal.lock().unwrap() = Some(ExecError::Stalled {
-                                    rounds: abort_streak,
-                                });
-                                halt.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            // Someone committed: real contention, not a
-                            // livelock. Restart the streak against the new
-                            // commit level.
-                            abort_streak = 0;
+                        bag.push(tid, task);
+                        if let Some(rounds) = stall_rule.arrive(&mut arrived_in) {
+                            stop(ExecError::Stalled { rounds });
+                            break;
                         }
                         // Brief backoff so the conflicting owner can finish.
                         std::hint::spin_loop();
@@ -261,6 +278,7 @@ where
                         // so the terminator still reaches zero and the drain
                         // completes; the fault is reported after the run.
                         stats.quarantined += 1;
+                        stall_rule.progressed();
                         terminator.finish_one();
                         {
                             let mut slot = first_panic.lock().unwrap();
@@ -273,11 +291,10 @@ where
                             }
                         }
                         if quarantined_total.fetch_add(1, Ordering::Relaxed) + 1 > QUARANTINE_CAP {
-                            *terminal.lock().unwrap() = Some(ExecError::QuarantineOverflow {
+                            stop(ExecError::QuarantineOverflow {
                                 quarantined: quarantined_total.load(Ordering::Relaxed),
                                 limit: QUARANTINE_CAP,
                             });
-                            halt.store(true, Ordering::Relaxed);
                             break;
                         }
                     }
@@ -504,20 +521,65 @@ mod tests {
     fn livelock_operator_trips_the_stall_watchdog() {
         // An operator that always reports a conflict can never commit: the
         // classic retry loop spins forever. The watchdog must turn that
-        // into ExecError::Stalled instead of a hang.
+        // into ExecError::Stalled instead of a hang — with fewer, as many
+        // and more workers than tasks (8 threads oversubscribe small hosts).
+        for threads in [1usize, 2, 8] {
+            let marks = MarkTable::new(1);
+            let op =
+                |_t: &u64, _ctx: &mut Ctx<'_, u64>| -> OpResult { Err(crate::Abort::Conflict) };
+            let err = Executor::new()
+                .threads(threads)
+                .schedule(Schedule::Speculative)
+                .max_stalled_rounds(64)
+                .iterate((0..8u64).collect())
+                .try_run(&marks, &op)
+                .expect_err("livelock must be detected");
+            match err {
+                crate::ExecError::Stalled { rounds } => assert!(rounds >= 64, "threads={threads}"),
+                other => panic!("threads={threads}: expected Stalled, got {other:?}"),
+            }
+            assert!(marks.all_unowned());
+        }
+    }
+
+    #[test]
+    fn a_stuck_mark_holder_is_never_convicted() {
+        // Whichever task wins location 0 keeps it, inside its operator,
+        // until the other has lost to it 100 times the stall threshold —
+        // what a holder descheduled mid-operator looks like to its peer.
+        // A worker inside an operator never finishes its round, so no round
+        // closes and both tasks commit.
+        const LIMIT: u64 = 64;
         let marks = MarkTable::new(1);
-        let op = |_t: &u64, _ctx: &mut Ctx<'_, u64>| -> OpResult { Err(crate::Abort::Conflict) };
-        let err = Executor::new()
+        let losses = AtomicU64::new(0);
+        let op = |_t: &u64, ctx: &mut Ctx<'_, u64>| -> OpResult {
+            if let Err(abort) = ctx.acquire(0u32) {
+                losses.fetch_add(1, Ordering::Relaxed);
+                return Err(abort);
+            }
+            // The wait also ends once the peer has stopped retrying for 2^28
+            // straight checks — only so that a rule which convicts the
+            // holder (and halts the peer) fails this test instead of
+            // hanging it.
+            let (mut seen, mut stale) = (0, 0u64);
+            while seen < 100 * LIMIT && stale < 1 << 28 {
+                let now = losses.load(Ordering::Relaxed);
+                stale = if now == seen { stale + 1 } else { 0 };
+                seen = now;
+                std::hint::spin_loop();
+            }
+            ctx.failsafe()?;
+            Ok(())
+        };
+        let report = Executor::new()
             .threads(2)
             .schedule(Schedule::Speculative)
-            .max_stalled_rounds(64)
-            .iterate((0..8u64).collect())
+            .max_stalled_rounds(LIMIT)
+            .iterate(vec![0u64, 1])
             .try_run(&marks, &op)
-            .expect_err("livelock must be detected");
-        match err {
-            crate::ExecError::Stalled { rounds } => assert!(rounds >= 64),
-            other => panic!("expected Stalled, got {other:?}"),
-        }
+            .expect("a slow holder is not a livelock");
+        assert_eq!(report.stats.committed, 2);
+        assert!(marks.all_unowned());
     }
 
     #[test]

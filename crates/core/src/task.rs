@@ -67,7 +67,7 @@ pub fn assign_ids<T: Send>(pending: Vec<PendingItem<T>>, threads: usize) -> Vec<
 /// for typical window sizes — while remaining a fixed deterministic
 /// permutation (ids are unchanged; only the schedule-order view permutes).
 ///
-/// `stride <= 1` returns the input unchanged.
+/// `stride <= 1` or `stride >= len` returns the input unchanged.
 ///
 /// # Example
 ///
@@ -83,6 +83,9 @@ pub fn spread_for_locality<T>(items: Vec<T>, stride: usize) -> Vec<T> {
         return items;
     }
     let n = items.len();
+    // Every bucket past the n-th would stay empty: a stride from an
+    // untrusted manifest must not size an allocation.
+    let stride = stride.min(n);
     let mut buckets: Vec<Vec<T>> = (0..stride)
         .map(|_| Vec::with_capacity(n / stride + 1))
         .collect();
@@ -171,6 +174,15 @@ mod tests {
         let v = vec![1, 2, 3];
         assert_eq!(spread_for_locality(v.clone(), 0), v);
         assert_eq!(spread_for_locality(v.clone(), 1), v);
+    }
+
+    #[test]
+    fn spread_identity_for_strides_past_the_length() {
+        // A stride from a hostile manifest must neither allocate per bucket
+        // nor move anything.
+        let v: Vec<usize> = (0..100).collect();
+        assert_eq!(spread_for_locality(v.clone(), 100), v);
+        assert_eq!(spread_for_locality(v.clone(), usize::MAX), v);
     }
 
     #[test]

@@ -185,10 +185,12 @@ pub fn grow<E>(
     Ok(Cavity { tris, boundary })
 }
 
-/// Replaces the cavity with the star of `new_vertex`: kills the doomed
-/// triangles, creates one triangle per (non-degenerate) boundary edge, and
-/// stitches all neighbor pointers — including those of the locked outer
-/// triangles.
+/// Replaces the cavity with the star of `new_vertex`: creates one triangle
+/// per (non-degenerate) boundary edge, stitches all neighbor pointers —
+/// including those of the locked outer triangles — and only then brings the
+/// fan alive and kills the doomed triangles. A concurrent speculative task
+/// that finds a start triangle by scanning for alive ones therefore never
+/// sees a half-stitched fan or a mesh with no alive triangle.
 ///
 /// Returns the created triangle ids in boundary-discovery order (the
 /// deterministic order used for `(parent, rank)` task creation in dmr).
@@ -198,9 +200,6 @@ pub fn grow<E>(
 /// fan triangles then expose hull edges through the split point.
 pub fn retriangulate(mesh: &Mesh, cavity: &Cavity, new_vertex: u32) -> Vec<u32> {
     let p = mesh.vertex(new_vertex);
-    for &t in &cavity.tris {
-        mesh.kill(t);
-    }
     // Create the fan.
     let mut created: Vec<(u32, u32, u32)> = Vec::with_capacity(cavity.boundary.len());
     for be in &cavity.boundary {
@@ -220,7 +219,7 @@ pub fn retriangulate(mesh: &Mesh, cavity: &Cavity, new_vertex: u32) -> Vec<u32> 
             }
             continue;
         }
-        let t = mesh.create_tri([be.a, be.b, new_vertex]);
+        let t = mesh.create_dead_tri([be.a, be.b, new_vertex]);
         mesh.set_neighbor(t, 0, be.outer);
         if be.outer != INVALID {
             mesh.set_neighbor(be.outer, be.outer_edge, t);
@@ -237,6 +236,12 @@ pub fn retriangulate(mesh: &Mesh, cavity: &Cavity, new_vertex: u32) -> Vec<u32> 
             mesh.set_neighbor(t, 1, u);
             mesh.set_neighbor(u, 2, t);
         }
+    }
+    for &(t, _, _) in &created {
+        mesh.revive(t);
+    }
+    for &t in &cavity.tris {
+        mesh.kill(t);
     }
     created.into_iter().map(|(t, _, _)| t).collect()
 }

@@ -148,6 +148,14 @@ impl Mesh {
     ///
     /// Panics if the triangle capacity is exhausted.
     pub fn create_tri(&self, v: [u32; 3]) -> u32 {
+        let t = self.create_dead_tri(v);
+        self.revive(t);
+        t
+    }
+
+    /// Like [`create_tri`](Self::create_tri), but the triangle stays dead —
+    /// invisible to [`alive`](Self::alive) — until [`revive`](Self::revive)d.
+    pub(crate) fn create_dead_tri(&self, v: [u32; 3]) -> u32 {
         let id = self.tri_len.0.fetch_add(1, Ordering::AcqRel);
         assert!(
             id < self.tris.len(),
@@ -159,8 +167,13 @@ impl Mesh {
             slot.v[k].store(vk, Ordering::Relaxed);
             slot.n[k].store(INVALID, Ordering::Relaxed);
         }
-        slot.alive.store(1, Ordering::Release);
         id as u32
+    }
+
+    /// Publishes a triangle from [`create_dead_tri`](Self::create_dead_tri):
+    /// a reader that sees it alive sees every write made to it before.
+    pub(crate) fn revive(&self, t: u32) {
+        self.tris[t as usize].alive.store(1, Ordering::Release);
     }
 
     /// Snapshot of triangle `t`'s vertices and neighbors.

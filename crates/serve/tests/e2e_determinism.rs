@@ -224,6 +224,49 @@ fn served_manifest_replays_bit_identically() {
     handle.shutdown();
 }
 
+/// Sealed manifests are client input: a field the executor cannot take must
+/// get a structured answer, never a worker panic or a dead server.
+#[test]
+fn hostile_manifest_fields_get_structured_answers() {
+    let mut handle = Server::start(ServeConfig::default()).unwrap();
+    let addr = handle.addr().to_string();
+    let mut client = Client::new(addr);
+
+    let resp = client
+        .post("/run", r#"{"app":"bfs","size":2000,"manifest":true}"#)
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let manifest = galois_core::RunManifest::from_json(extract_manifest(&resp.body)).unwrap();
+
+    // A locality spread of 2^40 once sized 2^40 buckets and aborted the
+    // whole process on the failed allocation.
+    let mut spread = manifest.clone();
+    spread.exec.locality_spread = 1 << 40;
+    let replay = client.post("/replay", &spread.to_json()).unwrap();
+    assert!(
+        matches!(replay.status, 200 | 409),
+        "{}: {}",
+        replay.status,
+        replay.body
+    );
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+
+    // Zero budgets trip the executor builder's asserts: refuse them at parse.
+    let mut zero_stall = manifest.clone();
+    zero_stall.exec.max_stalled_rounds = 0;
+    let mut zero_threads = manifest;
+    zero_threads.exec.threads = 0;
+    for doctored in [zero_stall, zero_threads] {
+        let replay = client.post("/replay", &doctored.to_json()).unwrap();
+        assert_eq!(replay.status, 400, "{}", replay.body);
+        assert_eq!(json_status(&replay.body), "error");
+    }
+    let stats = client.get("/stats").unwrap();
+    assert_eq!(json_u64(&stats.body, "bad_requests"), 2);
+    assert_eq!(json_u64(&stats.body, "worker_panics"), 0);
+    handle.shutdown();
+}
+
 #[test]
 fn malformed_run_requests_are_structured_400s() {
     let mut handle = Server::start(ServeConfig::default()).unwrap();

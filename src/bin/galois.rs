@@ -37,7 +37,7 @@
 //!
 //! `--chaos-panics N` (executor variants only) additionally injects seeded
 //! operator panics at the failsafe point, exercising the fault-containment
-//! layer; `--max-stalled-rounds N` overrides the stall watchdog threshold.
+//! layer.
 //! Executor faults map to distinct exit codes: operator panic = 10,
 //! stall/livelock = 11, quarantine overflow = 12, replay divergence = 13.
 //!
@@ -85,7 +85,6 @@ struct Args {
     round_log: Option<String>,
     chaos_seed: Option<u64>,
     chaos_panics: Option<u64>,
-    max_stalled_rounds: Option<u64>,
     cache_dir: Option<PathBuf>,
 }
 
@@ -93,8 +92,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: galois <bfs|mis|mm|dt|dmr|pfp> [--variant seq|g-n|g-d|pbbs] \
          [--threads N] [--size N] [--seed N] [--verify] [--round-log FILE] \
-         [--chaos-seed N] [--chaos-panics N] [--max-stalled-rounds N] \
-         [--cache-dir DIR]\n       \
+         [--chaos-seed N] [--chaos-panics N] [--cache-dir DIR]\n       \
          galois record <app> --out FILE [--threads N] [--size N] [--seed N] \
          [--chaos-seed N] [--cache-dir DIR]\n       \
          galois replay FILE [--threads N] [--cache-dir DIR] \
@@ -537,7 +535,6 @@ fn parse_args() -> Args {
         round_log: None,
         chaos_seed: None,
         chaos_panics: None,
-        max_stalled_rounds: None,
         cache_dir: None,
     };
     while let Some(flag) = it.next() {
@@ -558,9 +555,6 @@ fn parse_args() -> Args {
             "--chaos-panics" => {
                 val(&mut |v| args.chaos_panics = Some(v.parse().unwrap_or_else(|_| usage())))
             }
-            "--max-stalled-rounds" => val(&mut |v| {
-                args.max_stalled_rounds = Some(v.parse().unwrap_or_else(|_| usage()));
-            }),
             "--cache-dir" => val(&mut |v| args.cache_dir = Some(v.into())),
             _ => usage(),
         }
@@ -580,9 +574,6 @@ fn executor(args: &Args) -> Executor {
         .record_rounds(args.round_log.is_some());
     if let Some(seed) = args.chaos_panics {
         exec = exec.chaos_panics(seed);
-    }
-    if let Some(rounds) = args.max_stalled_rounds {
-        exec = exec.max_stalled_rounds(rounds);
     }
     exec
 }
@@ -683,10 +674,6 @@ fn main() {
             eprintln!("{flag} requires an executor variant (g-d or g-n)");
             exit(2);
         }
-    }
-    if args.max_stalled_rounds == Some(0) {
-        eprintln!("--max-stalled-rounds must be positive");
-        exit(2);
     }
     let variant = args.variant.as_str();
     let t0 = std::time::Instant::now();
