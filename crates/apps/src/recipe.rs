@@ -158,6 +158,28 @@ impl App {
         }
     }
 
+    /// The largest size a request, a manifest or a CLI `--size` may name:
+    /// above every size the CLI defaults, tests and benches use (the
+    /// generator bench's 10^6 nodes included), and small enough that one
+    /// build — and the run over it — stays well under 1 GB.
+    pub fn max_size(self) -> usize {
+        match self {
+            App::Bfs | App::Mis | App::Mm => 1 << 20,
+            App::Dt | App::Pfp => 1 << 18,
+            App::Dmr => 1 << 15,
+        }
+    }
+
+    /// `n` as a size of this app, or why it is refused (above
+    /// [`max_size`](Self::max_size)): a build that large would exhaust
+    /// memory or overflow a capacity instead of answering.
+    pub fn check_size(self, n: u64) -> Result<usize, String> {
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= self.max_size())
+            .ok_or_else(|| format!("size {n} exceeds {self}'s maximum of {}", self.max_size()))
+    }
+
     /// The canonical identity of the size-`n`, seed-`seed` input: the string
     /// on-disk cache files are named by and a manifest pins. mis and mm
     /// share one undirected graph family, hence one key.

@@ -340,7 +340,8 @@ pub enum ReplayError {
     /// The manifest file was rejected (corrupt, wrong version, unreadable).
     Manifest(ManifestError),
     /// The manifest does not describe a run this harness can re-execute
-    /// (unknown app, non-deterministic schedule, foreign input key).
+    /// (unknown app, non-deterministic schedule, oversize input, foreign
+    /// input key).
     Mismatch(String),
     /// The re-executed run's output failed its app-level validator.
     Validation(String),
@@ -372,7 +373,8 @@ impl From<ManifestError> for ReplayError {
 }
 
 /// Resolves a manifest back to the `(app, input)` pair it was recorded
-/// from, rejecting manifests this harness cannot faithfully re-execute.
+/// from, rejecting manifests this harness cannot faithfully re-execute or
+/// whose size is above the app's [`App::max_size`].
 fn manifest_target(manifest: &RunManifest) -> Result<(App, InputConfig), ReplayError> {
     let app = App::from_name(&manifest.app)
         .ok_or_else(|| ReplayError::Mismatch(format!("unknown app `{}`", manifest.app)))?;
@@ -382,11 +384,15 @@ fn manifest_target(manifest: &RunManifest) -> Result<(App, InputConfig), ReplayE
             manifest.exec.schedule
         )));
     }
+    let size = match manifest.size {
+        0 => None,
+        n => Some(app.check_size(n).map_err(ReplayError::Mismatch)?),
+    };
     let input = InputConfig {
         seed: manifest.input_seed,
         build_threads: 1,
         cache_dir: None,
-        size: (manifest.size != 0).then_some(manifest.size as usize),
+        size,
     };
     let key = input_key(app, &input);
     if key != manifest.input_key {

@@ -30,7 +30,7 @@ use galois_core::{ExecError, Executor, Hooks, RoundRecord};
 use galois_graph::cache::CacheOutcome;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// An input materialized for (potentially repeated) execution.
 pub use galois_apps::recipe::Input as ResidentInput;
@@ -153,6 +153,14 @@ impl InputStore {
         }
     }
 
+    /// The store's one lock. A panic while it was held (a build that
+    /// overflowed, say) does not leave the map half-changed: the map only
+    /// changes after a build has returned. So a poisoned guard is
+    /// recovered, and one failed build cannot refuse every later request.
+    fn lock(&self) -> MutexGuard<'_, StoreInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The on-disk cache directory backing this store, if any.
     pub fn cache_dir(&self) -> Option<&Path> {
         self.cache_dir.as_deref()
@@ -168,12 +176,12 @@ impl InputStore {
         let mut input = input.clone();
         input.cache_dir = self.cache_dir.clone();
         if matches!(app, App::Dmr) {
-            self.inner.lock().unwrap().rebuilt += 1;
+            self.lock().rebuilt += 1;
             let (built, _) = load_input(app, &input);
             return (built, Residency::Uncacheable);
         }
         let key = input_key(app, &input);
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         if let Some(found) = inner.map.get(&key).cloned() {
             inner.warm += 1;
             return (found, Residency::Warm);
@@ -186,7 +194,7 @@ impl InputStore {
 
     /// All counters, read coherently under one lock acquisition.
     pub fn snapshot(&self) -> StoreSnapshot {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         StoreSnapshot {
             warm_hits: inner.warm,
             cold_loads: inner.cold,
@@ -221,6 +229,24 @@ mod tests {
                 resident_inputs: 1,
             }
         );
+    }
+
+    #[test]
+    fn a_poisoned_store_keeps_serving() {
+        let store = InputStore::new(None);
+        let input = InputConfig::from_seed(42);
+        store.get(App::Mis, &input);
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = store.lock();
+                panic!("a build panicked under the store lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(store.inner.is_poisoned());
+        let (_, residency) = store.get(App::Mis, &input);
+        assert_eq!(residency, Residency::Warm);
+        assert_eq!(store.snapshot().resident_inputs, 1);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! server closed an idle pooled connection, the request is retried once on
 //! a fresh socket before the error surfaces.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use crate::http;
+use std::io::{BufRead, BufReader, Read};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -67,28 +68,13 @@ impl Client {
         if self.conn.is_none() {
             let stream = TcpStream::connect(&self.addr)
                 .map_err(|e| format!("connect {}: {e}", self.addr))?;
-            stream
-                .set_read_timeout(Some(Duration::from_secs(120)))
-                .map_err(|e| e.to_string())?;
+            http::prepare(&stream, Duration::from_secs(120)).map_err(|e| e.to_string())?;
             self.conn = Some(BufReader::new(stream));
         }
         let conn = self.conn.as_mut().unwrap();
-        let head = format!(
-            "{method} {target} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\n\r\n",
-            self.addr,
-            body.len()
-        );
-        let result = (|| {
-            let stream = conn.get_mut();
-            stream
-                .write_all(head.as_bytes())
-                .map_err(|e| e.to_string())?;
-            stream
-                .write_all(body.as_bytes())
-                .map_err(|e| e.to_string())?;
-            stream.flush().map_err(|e| e.to_string())?;
-            read_response(conn)
-        })();
+        let result = http::write_request(conn.get_mut(), method, target, &self.addr, body)
+            .map_err(|e| e.to_string())
+            .and_then(|()| read_response(conn));
         let reusable = result.as_ref().is_ok_and(|r| {
             !r.header("connection")
                 .is_some_and(|v| v.eq_ignore_ascii_case("close"))

@@ -55,7 +55,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Most worker threads a request may ask for. The executors are portable
 /// at any count, but a served budget beyond this is a client bug, not a
@@ -251,7 +251,7 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        if stream.set_read_timeout(Some(http::READ_TIMEOUT)).is_err() {
+        if http::prepare(&stream, http::READ_TIMEOUT).is_err() {
             continue;
         }
         let mut queue = shared.queue.lock().unwrap();
@@ -329,6 +329,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             "X-Galois-Micros".to_string(),
             t0.elapsed().as_micros().to_string(),
         ));
+        headers.push(stage_header("Read", req.read));
         if http::write_response(&mut stream, status, &headers, &body, keep_alive).is_err() {
             return;
         }
@@ -339,6 +340,37 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
 }
 
 type Reply = (u16, Vec<(String, String)>, String);
+
+/// A request's server time, split into consecutive stages: each
+/// [`lap`](Self::lap) closes the stage begun at the previous one. The
+/// stages lie inside the interval `X-Galois-Micros` measures, so their
+/// `X-Galois-Stage-*-Us` headers never sum past it.
+struct Stages {
+    mark: Instant,
+    headers: Vec<(String, String)>,
+}
+
+impl Stages {
+    fn start() -> Self {
+        Stages {
+            mark: Instant::now(),
+            headers: Vec::new(),
+        }
+    }
+
+    fn lap(&mut self, stage: &str) {
+        let now = Instant::now();
+        self.headers.push(stage_header(stage, now - self.mark));
+        self.mark = now;
+    }
+}
+
+fn stage_header(stage: &str, took: Duration) -> (String, String) {
+    (
+        format!("X-Galois-Stage-{stage}-Us"),
+        took.as_micros().to_string(),
+    )
+}
 
 fn route(req: &http::Request, shared: &Shared, delta: &mut StatsSnapshot) -> Reply {
     match (req.method.as_str(), req.path()) {
@@ -440,6 +472,7 @@ impl RunRequest {
             manifest: false,
         };
         let mut saw_app = false;
+        let mut size = None;
         let Value::Object(fields) = json::parse(body).map_err(|e| e.to_string())? else {
             return Err("a request must be a JSON object".into());
         };
@@ -474,7 +507,7 @@ impl RunRequest {
                     if n == 0 {
                         return Err("`size` must be positive".into());
                     }
-                    out.size = Some(n as usize);
+                    size = Some(n);
                 }
                 "chaos_seed" => {
                     out.chaos_seed = Some(value.as_u64().ok_or("`chaos_seed` must be an integer")?)
@@ -494,6 +527,11 @@ impl RunRequest {
         }
         if !saw_app {
             return Err("missing required field `app`".into());
+        }
+        // Checked once the app is known, whatever the field order: a size
+        // past the app's maximum would exhaust memory in the build.
+        if let Some(n) = size {
+            out.size = Some(out.app.check_size(n).map_err(|e| format!("`size`: {e}"))?);
         }
         // Only deterministic runs have rounds, so only they have a round
         // log or a hash chain to record.
@@ -525,17 +563,16 @@ fn bad_request(delta: &mut StatsSnapshot, msg: &str) -> Reply {
 }
 
 fn handle_run(req: &http::Request, shared: &Shared, delta: &mut StatsSnapshot) -> Reply {
-    let body = match req.body_str() {
-        Ok(b) => b,
-        Err(e) => return bad_request(delta, &e),
-    };
-    let run_req = match RunRequest::parse(body) {
+    let mut stages = Stages::start();
+    let run_req = match req.body_str().and_then(RunRequest::parse) {
         Ok(r) => r,
         Err(e) => return bad_request(delta, &e),
     };
+    stages.lap("Parse");
     let input = run_req.input();
     let key = input_key(run_req.app, &input);
     let (resident, residency) = shared.store.get(run_req.app, &input);
+    stages.lap("Store");
 
     let mut exec = executor_for(
         run_req.app,
@@ -552,10 +589,7 @@ fn handle_run(req: &http::Request, shared: &Shared, delta: &mut StatsSnapshot) -
     let mut rec = run_req.manifest.then(ManifestRecorder::new);
 
     let result = run_resident(run_req.app, &exec, &resident, rec.as_mut());
-
-    // Residency and timing ride headers, never the body: response bodies
-    // must be byte-identical across thread budgets and cache states.
-    let headers = vec![("X-Galois-Cache".to_string(), residency.name().to_string())];
+    stages.lap("Run");
 
     let prelude = format!(
         "\"app\":\"{}\",\"variant\":\"{}\",\"input_key\":\"{}\",\"seed\":{}",
@@ -564,14 +598,14 @@ fn handle_run(req: &http::Request, shared: &Shared, delta: &mut StatsSnapshot) -
         escape(&key),
         run_req.seed
     );
-    match result {
+    let (status, body) = match result {
         Err(validation) => {
             delta.invalid += 1;
-            (500, headers, invalid_body(&prelude, &validation))
+            (500, invalid_body(&prelude, &validation))
         }
         Ok(Err(fault)) => {
             delta.faults += 1;
-            (500, headers, fault_body(&prelude, &fault))
+            (500, fault_body(&prelude, &fault))
         }
         Ok(Ok(run)) => {
             delta.ok += 1;
@@ -617,9 +651,15 @@ fn handle_run(req: &http::Request, shared: &Shared, delta: &mut StatsSnapshot) -
                 body.push_str(manifest.to_json().trim_end());
             }
             body.push('}');
-            (200, headers, body)
+            (200, body)
         }
-    }
+    };
+    stages.lap("Serialize");
+    // Residency and timing ride headers, never the body: response bodies
+    // must be byte-identical across thread budgets and cache states.
+    let mut headers = vec![("X-Galois-Cache".to_string(), residency.name().to_string())];
+    headers.append(&mut stages.headers);
+    (status, headers, body)
 }
 
 fn invalid_body(prelude: &str, error: &str) -> String {
@@ -644,6 +684,7 @@ fn fault_body(prelude: &str, fault: &ExecError) -> String {
 }
 
 fn handle_replay(req: &http::Request, shared: &Shared, delta: &mut StatsSnapshot) -> Reply {
+    let mut stages = Stages::start();
     let body = match req.body_str() {
         Ok(b) => b,
         Err(e) => return bad_request(delta, &e),
@@ -660,16 +701,19 @@ fn handle_replay(req: &http::Request, shared: &Shared, delta: &mut StatsSnapshot
         },
     };
     delta.replays += 1;
+    stages.lap("Parse");
+    // The input build happens inside the replay, so Run includes it.
+    let cache_dir = shared.store.cache_dir().map(|p| p.to_path_buf());
+    let result = replay_run(&manifest, threads, cache_dir);
+    stages.lap("Run");
     let prelude = format!(
         "\"app\":\"{}\",\"input_key\":\"{}\"",
         escape(&manifest.app),
         escape(&manifest.input_key)
     );
-    let cache_dir = shared.store.cache_dir().map(|p| p.to_path_buf());
-    match replay_run(&manifest, threads, cache_dir) {
+    let (status, body) = match result {
         Ok(out) => (
             200,
-            Vec::new(),
             format!(
                 "{{\"status\":\"ok\",{prelude},\"fingerprint\":\"{:016x}\",\"rounds\":{}}}",
                 out.fingerprint, out.rounds
@@ -679,7 +723,6 @@ fn handle_replay(req: &http::Request, shared: &Shared, delta: &mut StatsSnapshot
             delta.divergences += 1;
             (
                 409,
-                Vec::new(),
                 format!(
                     "{{\"status\":\"diverged\",{prelude},\"round\":{},\
                      \"expected\":\"{:016x}\",\"actual\":\"{:016x}\"}}",
@@ -689,16 +732,18 @@ fn handle_replay(req: &http::Request, shared: &Shared, delta: &mut StatsSnapshot
         }
         Err(ReplayError::Exec(fault)) => {
             delta.faults += 1;
-            (500, Vec::new(), fault_body(&prelude, &fault))
+            (500, fault_body(&prelude, &fault))
         }
         Err(e @ (ReplayError::Manifest(_) | ReplayError::Mismatch(_))) => {
-            bad_request(delta, &e.to_string())
+            return bad_request(delta, &e.to_string())
         }
         Err(e @ ReplayError::Validation(_)) => {
             delta.invalid += 1;
-            (500, Vec::new(), invalid_body(&prelude, &e.to_string()))
+            (500, invalid_body(&prelude, &e.to_string()))
         }
-    }
+    };
+    stages.lap("Serialize");
+    (status, stages.headers, body)
 }
 
 #[cfg(test)]
@@ -730,6 +775,15 @@ mod tests {
         assert!(RunRequest::parse(r#"{"app":"bfs","bogus":1}"#).is_err());
         assert!(RunRequest::parse(r#"{"app":"bfs","variant":"g-n","manifest":true}"#).is_err());
         assert!(RunRequest::parse(r#"{"app":"bfs","variant":"g-n","round_log":true}"#).is_err());
+
+        // Sizes are bounded per app, checked whatever the field order.
+        let max = App::Dmr.max_size();
+        let at_max = RunRequest::parse(&format!(r#"{{"size":{max},"app":"dmr"}}"#)).unwrap();
+        assert_eq!(at_max.size, Some(max));
+        for size in [max as u64 + 1, u64::MAX] {
+            let err = RunRequest::parse(&format!(r#"{{"size":{size},"app":"dmr"}}"#)).unwrap_err();
+            assert!(err.contains("exceeds dmr's maximum"), "{err}");
+        }
     }
 
     /// The two bodies that carry a free-form message (a validator's

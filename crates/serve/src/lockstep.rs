@@ -207,9 +207,7 @@ impl Coordinator {
     /// Handshakes one joining connection; `None` = rejected (does not
     /// consume a replica slot).
     fn admit(&self, mut stream: TcpStream, id: u32, manifest_json: &str) -> Option<TcpStream> {
-        stream
-            .set_read_timeout(Some(crate::http::READ_TIMEOUT))
-            .ok()?;
+        crate::http::prepare(&stream, crate::http::READ_TIMEOUT).ok()?;
         match wire::read_frame(&mut stream, self.config.join_timeout) {
             Ok(Frame::Hello { version }) if version == WIRE_VERSION => {
                 let job = Frame::Job {
@@ -348,9 +346,7 @@ pub struct ReplicaOptions {
 /// the run faulted.
 pub fn run_replica(addr: &str, opts: ReplicaOptions) -> Result<i32, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(crate::http::READ_TIMEOUT))
-        .map_err(|e| e.to_string())?;
+    crate::http::prepare(&stream, crate::http::READ_TIMEOUT).map_err(|e| e.to_string())?;
     let mut control = stream.try_clone().map_err(|e| e.to_string())?;
     wire::write_frame(
         &mut control,

@@ -26,8 +26,13 @@ use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::time::Duration;
 
-fn scratch_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("galois-lockstep-test-{}", std::process::id()));
+/// A directory of the calling test's own: tests run in parallel, and each
+/// removes its directory when it ends.
+fn scratch_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "galois-lockstep-test-{}-{test}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -167,7 +172,7 @@ fn clean_agreement_is_byte_identical_to_local_run_at_mixed_budgets() {
 /// recording, and the saved report round-trips through its JSON form.
 #[test]
 fn cli_clean_run_emits_byte_identical_manifest_and_report() {
-    let dir = scratch_dir();
+    let dir = scratch_dir("clean");
     let manifest_path = dir.join("clean.manifest.json");
     let emitted_path = dir.join("clean.emitted.json");
     let report_path = dir.join("clean.report.json");
@@ -194,7 +199,7 @@ fn cli_clean_run_emits_byte_identical_manifest_and_report() {
 /// that round is identical across repeated sessions.
 #[test]
 fn planted_divergence_is_pinned_to_a_stable_first_round() {
-    let dir = scratch_dir();
+    let dir = scratch_dir("div");
     let manifest_path = dir.join("div.manifest.json");
     let report_path = dir.join("div.report.json");
     record_bfs().save(&manifest_path).unwrap();
@@ -277,7 +282,7 @@ fn killed_replica_degrades_to_quorum_matching_serial_oracle() {
 /// exit 14 — never vote a wrong majority over the reference chain.
 #[test]
 fn doctored_majority_is_refused_not_voted() {
-    let dir = scratch_dir();
+    let dir = scratch_dir("refuse");
     let manifest_path = dir.join("refuse.manifest.json");
     let report_path = dir.join("refuse.report.json");
     record_bfs().save(&manifest_path).unwrap();

@@ -15,14 +15,17 @@
 //!   canonical schedule without trusting the server;
 //! - the manifest embedded in a response replays bit-identically through
 //!   `POST /replay` at a different thread budget, and a tampered manifest
-//!   is rejected as diverged (409).
+//!   is rejected as diverged (409);
+//! - per-stage server time rides `X-Galois-Stage-*-Us` headers that fit
+//!   inside `X-Galois-Micros`, and an oversize request is refused without
+//!   harming the requests after it.
 
 use galois_core::json::{self, Value};
 use galois_harness::sweep::{assert_portable_over, SERVE_THREAD_BUDGETS};
-use galois_harness::{run_app, unperturbed, App, InputConfig, Variant};
+use galois_harness::{record_run, run_app, unperturbed, App, InputConfig, Variant};
 use galois_runtime::fingerprint::RoundChain;
 use galois_runtime::probe::RoundRecord;
-use galois_serve::client::Client;
+use galois_serve::client::{Client, Response};
 use galois_serve::{ServeConfig, Server};
 
 /// Parses a response body, which must be strict JSON — every helper below
@@ -387,5 +390,113 @@ fn every_other_body_is_strict_json() {
         .expect("no panic seed in 1..=5 faulted");
     assert_eq!(json_status(&fault.body), "fault");
     assert_eq!(json_u64(&fault.body, "exit_code"), 10);
+    handle.shutdown();
+}
+
+/// The integer value of header `name`, which must be present.
+fn header_u64(resp: &Response, name: &str) -> u64 {
+    resp.header(name)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no integer header {name} in {:?}", resp.headers))
+}
+
+/// The sum of the named `X-Galois-Stage-*-Us` headers, each required.
+fn staged_micros(resp: &Response, stages: &[&str]) -> u64 {
+    stages
+        .iter()
+        .map(|stage| header_u64(resp, &format!("X-Galois-Stage-{stage}-Us")))
+        .sum()
+}
+
+/// Per-stage server time rides headers: every stage is reported on a 200,
+/// the in-server stages fit inside `X-Galois-Micros` (`Read` lies before
+/// it), and the bodies stay byte-identical at every budget, cold and warm.
+#[test]
+fn stage_headers_decompose_server_time() {
+    let manifest = record_run(
+        App::Bfs,
+        2,
+        None,
+        &InputConfig {
+            size: Some(1_000),
+            ..InputConfig::default()
+        },
+    )
+    .unwrap()
+    .to_json();
+    let mut run_bodies = Vec::new();
+    let mut replay_bodies = Vec::new();
+    for threads in [1, 2, 4] {
+        // A fresh server per budget, so each budget sees a cold request.
+        let mut handle = Server::start(ServeConfig::default()).unwrap();
+        let mut client = Client::new(handle.addr().to_string());
+        for residency in ["cold", "warm"] {
+            let req = format!(r#"{{"app":"mis","size":500,"threads":{threads},"round_log":true}}"#);
+            let run = client.post("/run", &req).unwrap();
+            assert_eq!(run.status, 200, "{}", run.body);
+            assert_eq!(run.header("X-Galois-Cache"), Some(residency));
+            let staged = staged_micros(&run, &["Parse", "Store", "Run", "Serialize"]);
+            assert!(
+                staged <= header_u64(&run, "X-Galois-Micros"),
+                "{:?}",
+                run.headers
+            );
+            header_u64(&run, "X-Galois-Stage-Read-Us");
+            run_bodies.push(run.body);
+
+            let replay = client
+                .post(&format!("/replay?threads={threads}"), &manifest)
+                .unwrap();
+            assert_eq!(replay.status, 200, "{}", replay.body);
+            let staged = staged_micros(&replay, &["Parse", "Run", "Serialize"]);
+            assert!(staged <= header_u64(&replay, "X-Galois-Micros"));
+            header_u64(&replay, "X-Galois-Stage-Read-Us");
+            assert_eq!(replay.header("X-Galois-Stage-Store-Us"), None);
+            replay_bodies.push(replay.body);
+        }
+        handle.shutdown();
+    }
+    for bodies in [&run_bodies, &replay_bodies] {
+        assert!(bodies.iter().all(|b| b == &bodies[0]), "{bodies:#?}");
+    }
+}
+
+/// One request naming an impossible size once panicked a build while the
+/// input store held its lock, and every later request then hit the
+/// poisoned lock. It is refused at parse now, and the next tenant's answer
+/// is the one a fresh server gives.
+#[test]
+fn an_oversize_request_leaves_the_service_whole() {
+    let mis = r#"{"app":"mis","size":100}"#;
+    let fresh = {
+        let mut handle = Server::start(ServeConfig::default()).unwrap();
+        let resp = Client::new(handle.addr().to_string())
+            .post("/run", mis)
+            .unwrap();
+        handle.shutdown();
+        resp.body
+    };
+
+    let mut handle = Server::start(ServeConfig::default()).unwrap();
+    let mut client = Client::new(handle.addr().to_string());
+    assert_eq!(client.post("/run", mis).unwrap().status, 200);
+    let hostile = client
+        .post("/run", r#"{"app":"bfs","size":18446744073709551615}"#)
+        .unwrap();
+    assert_eq!(hostile.status, 400, "{}", hostile.body);
+    assert_eq!(json_status(&hostile.body), "error");
+
+    // The same size in a re-signed manifest whose input key matches it.
+    let mut manifest = record_run(App::Mis, 2, None, &InputConfig::default()).unwrap();
+    manifest.size = u64::MAX;
+    manifest.input_key = App::Mis.input_key(u64::MAX as usize, manifest.input_seed);
+    let replay = client.post("/replay", &manifest.to_json()).unwrap();
+    assert_eq!(replay.status, 400, "{}", replay.body);
+
+    let again = client.post("/run", mis).unwrap();
+    assert_eq!(again.status, 200, "{}", again.body);
+    assert_eq!(again.body, fresh);
+    let stats = client.get("/stats").unwrap();
+    assert_eq!(json_u64(&stats.body, "worker_panics"), 0);
     handle.shutdown();
 }

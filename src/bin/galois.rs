@@ -108,6 +108,16 @@ fn usage() -> ! {
     exit(2);
 }
 
+/// `--size V` for `app`: a number within the app's maximum size, else
+/// exit 2 before anything is built.
+fn size_arg(app: App, v: &str) -> usize {
+    let n = v.parse().unwrap_or_else(|_| usage());
+    app.check_size(n).unwrap_or_else(|e| {
+        eprintln!("--size: {e}");
+        exit(2)
+    })
+}
+
 /// Prints a lockstep session's event log and verdict line — the shared
 /// tail of `galois lockstep` and `galois replay --lockstep` — and returns
 /// the process exit code the outcome maps to.
@@ -159,7 +169,7 @@ fn cmd_record(argv: &[String]) -> ! {
         };
         match flag.as_str() {
             "--threads" => val(&mut |v| threads = v.parse().unwrap_or_else(|_| usage())),
-            "--size" => val(&mut |v| input.size = Some(v.parse().unwrap_or_else(|_| usage()))),
+            "--size" => val(&mut |v| input.size = Some(size_arg(app, &v))),
             "--seed" => val(&mut |v| input.seed = v.parse().unwrap_or_else(|_| usage())),
             "--chaos-seed" => {
                 val(&mut |v| chaos_seed = Some(v.parse().unwrap_or_else(|_| usage())))
@@ -545,7 +555,7 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--variant" => val(&mut |v| args.variant = v),
             "--threads" => val(&mut |v| args.threads = v.parse().unwrap_or_else(|_| usage())),
-            "--size" => val(&mut |v| args.size = v.parse().unwrap_or_else(|_| usage())),
+            "--size" => val(&mut |v| args.size = size_arg(app, &v)),
             "--seed" => val(&mut |v| args.seed = v.parse().unwrap_or_else(|_| usage())),
             "--verify" => args.verify = true,
             "--round-log" => val(&mut |v| args.round_log = Some(v)),

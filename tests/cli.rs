@@ -2,6 +2,7 @@
 //! `--verify` is the apps' own verifier, and a plain run and a recorded run
 //! of the same `(app, size, seed)` are one input.
 
+use deterministic_galois::harness::App;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -84,4 +85,36 @@ fn round_log_requires_the_deterministic_variant() {
         );
         assert!(!log.exists(), "{variant}: a refused run wrote a round log");
     }
+}
+
+/// A `--size` above the app's maximum is a usage error (exit 2) for a run
+/// and a recording alike, refused before any input is built or file written.
+#[test]
+fn oversize_inputs_are_refused_with_exit_2() {
+    let manifest =
+        std::env::temp_dir().join(format!("galois-cli-{}-oversize.json", std::process::id()));
+    let _ = std::fs::remove_file(&manifest);
+    let out_arg = manifest.to_str().expect("utf-8 temp path");
+    let over_dmr = (App::Dmr.max_size() + 1).to_string();
+    for args in [
+        vec!["bfs", "--size", "18446744073709551615"],
+        vec!["dmr", "--size", &over_dmr],
+        vec![
+            "record",
+            "bfs",
+            "--size",
+            "18446744073709551615",
+            "--out",
+            out_arg,
+        ],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_galois"))
+            .args(&args)
+            .output()
+            .expect("galois binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("maximum"), "{args:?}: {stderr}");
+    }
+    assert!(!manifest.exists(), "a refused recording wrote a manifest");
 }

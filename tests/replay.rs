@@ -268,3 +268,21 @@ fn foreign_input_key_is_refused() {
         other => panic!("expected input-key mismatch, got {other:?}"),
     }
 }
+
+/// A manifest naming a size above its app's maximum is refused before
+/// anything is built, even when its input key is re-derived to match: a
+/// build of `u64::MAX` nodes would overflow a capacity instead of replaying.
+#[test]
+fn oversize_manifest_is_refused_before_building() {
+    let mut manifest = record_default(App::Bfs);
+    for size in [App::Bfs.max_size() as u64 + 1, u64::MAX] {
+        manifest.size = size;
+        manifest.input_key = App::Bfs.input_key(size as usize, manifest.input_seed);
+        match replay_run(&manifest, 2, None) {
+            Err(ReplayError::Mismatch(msg)) => {
+                assert!(msg.contains("exceeds bfs's maximum"), "{msg}")
+            }
+            other => panic!("expected an oversize refusal, got {other:?}"),
+        }
+    }
+}
