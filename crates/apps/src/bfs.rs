@@ -16,7 +16,7 @@
 use galois_core::{Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, RunReport};
 use galois_graph::csr::NodeId;
 use galois_graph::{AtomicArray, CsrGraph};
-use galois_runtime::pool::{chunk_range, run_on_threads};
+use galois_runtime::pool::{chunk_ends, chunk_range, run_on_threads, run_partitioned};
 use galois_runtime::simtime::RoundTrace;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -153,16 +153,13 @@ pub fn pbbs(
         // everything downstream) deterministic.
         let winners: Vec<Vec<NodeId>> = {
             let mut per_v: Vec<Vec<NodeId>> = vec![Vec::new(); frontier.len()];
-            let slices = galois_runtime::shared::SharedSlice::new(&mut per_v);
-            let slices_ref = &slices;
-            run_on_threads(threads, |tid| {
-                for i in chunk_range(frontier.len(), threads, tid) {
+            let ends = chunk_ends(frontier.len(), threads);
+            run_partitioned(&mut per_v, &ends, |tid, won| {
+                for (i, mine) in chunk_range(frontier.len(), threads, tid).zip(won) {
                     let v = frontier[i];
                     if let Some(&ahead) = frontier.get(i + 1) {
                         g.prefetch_row(ahead);
                     }
-                    // SAFETY: chunk ranges are disjoint across threads.
-                    let mine = unsafe { slices_ref.get_mut(i) };
                     for &w in g.neighbors(v) {
                         if dist.get(w as usize) == INFINITY
                             && parent[w as usize].load(Ordering::Acquire) == v as u64

@@ -23,6 +23,7 @@
 //! name.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bfs;
 pub mod dmr;

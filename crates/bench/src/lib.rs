@@ -17,6 +17,7 @@
 //! measured directly.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod drivers;
 pub mod inputs;

@@ -11,6 +11,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod hierarchy;

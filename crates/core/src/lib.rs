@@ -65,8 +65,11 @@
 //! | `spec` (internal) | §2.1 | the speculative scheduler |
 
 #![warn(missing_docs)]
+// `unsafe` lives in `det` alone (see DESIGN.md, "Unsafe policy").
+#![deny(unsafe_code)]
 
 pub mod ctx;
+#[allow(unsafe_code)]
 mod det;
 pub mod error;
 pub mod executor;

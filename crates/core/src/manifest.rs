@@ -912,10 +912,9 @@ mod tests {
 
         // Tampered checksum digits: mismatch against the intact body.
         let at = text.rfind(":\"").unwrap() + 2;
-        let mut tampered = text.clone();
-        let old = tampered.as_bytes()[at];
-        let new = if old == b'0' { b'1' } else { b'0' };
-        unsafe { tampered.as_bytes_mut()[at] = new };
+        let mut bytes = text.clone().into_bytes();
+        bytes[at] = if bytes[at] == b'0' { b'1' } else { b'0' };
+        let tampered = String::from_utf8(bytes).unwrap();
         assert!(matches!(
             RunManifest::from_json(&tampered),
             Err(ManifestError::Checksum { .. })

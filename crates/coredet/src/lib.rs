@@ -26,6 +26,7 @@
 //!   matching the paper's characterization (Figure 5).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod blackscholes;
 pub mod kernels;

@@ -8,9 +8,8 @@
 //! or in the sequential baseline).
 
 use crate::csr::NodeId;
-use crate::gen::counter_stream;
-use galois_runtime::pool::{chunk_range, run_on_threads};
-use galois_runtime::shared::SharedSlice;
+use crate::gen::{counter_stream, row_ends};
+use galois_runtime::pool::{chunk_range, run_partitioned};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -164,18 +163,11 @@ impl FlowNetwork {
             return Self::random_edges(n, degree, max_cap, seed);
         }
         let mut edges = vec![(0 as NodeId, 0 as NodeId, 0i64); n * degree];
-        {
-            let shared = SharedSlice::new(&mut edges);
-            let shared = &shared;
-            run_on_threads(threads, |tid| {
-                for s in chunk_range(n, threads, tid) {
-                    // SAFETY: node ranges are disjoint across tids, so the
-                    // slots [s*degree, (s+1)*degree) are owned by this tid.
-                    let row = unsafe { shared.slice_mut(s * degree..(s + 1) * degree) };
-                    fill_random_node(row, n, s as NodeId, max_cap, seed);
-                }
-            });
-        }
+        run_partitioned(&mut edges, &row_ends(n, degree, threads), |tid, rows| {
+            for (s, row) in chunk_range(n, threads, tid).zip(rows.chunks_mut(degree)) {
+                fill_random_node(row, n, s as NodeId, max_cap, seed);
+            }
+        });
         edges
     }
 
@@ -469,13 +461,16 @@ mod tests {
 
     #[test]
     fn parallel_random_edges_are_thread_count_invariant() {
-        let seq = FlowNetwork::random_edges(300, 4, 75, 17);
-        for threads in [1, 2, 5, 8, 16] {
-            assert_eq!(
-                FlowNetwork::random_edges_parallel(300, 4, 75, 17, threads),
-                seq,
-                "flow edges diverged at {threads} threads"
-            );
+        // 20 000 x 4 clears the sequential-fallback clamp.
+        for n in [300, 20_000] {
+            let seq = FlowNetwork::random_edges(n, 4, 75, 17);
+            for threads in [1, 2, 3, 5, 8, 16] {
+                assert_eq!(
+                    FlowNetwork::random_edges_parallel(n, 4, 75, 17, threads),
+                    seq,
+                    "flow edges (n={n}) diverged at {threads} threads"
+                );
+            }
         }
         // The built networks agree on everything observable.
         let a = FlowNetwork::random(300, 4, 75, 17);

@@ -19,8 +19,7 @@
 //! against (`crates/graph/tests/parallel_build.rs`).
 
 use crate::csr::{CsrGraph, NodeId};
-use galois_runtime::pool::{chunk_range, run_on_threads};
-use galois_runtime::shared::SharedSlice;
+use galois_runtime::pool::{chunk_ends, chunk_range, run_partitioned, run_parts, split_at_ends};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -90,19 +89,21 @@ pub fn uniform_random_edges_parallel(
         return uniform_random_edges(n, degree, seed);
     }
     let mut edges = vec![(0 as NodeId, 0 as NodeId); n * degree];
-    {
-        let shared = SharedSlice::new(&mut edges);
-        let shared = &shared;
-        run_on_threads(threads, |tid| {
-            for s in chunk_range(n, threads, tid) {
-                // SAFETY: node ranges are disjoint across tids, so the edge
-                // slots [s*degree, (s+1)*degree) are owned by this thread.
-                let row = unsafe { shared.slice_mut(s * degree..(s + 1) * degree) };
-                fill_uniform_node(row, n, s as NodeId, degree, seed);
-            }
-        });
-    }
+    run_partitioned(&mut edges, &row_ends(n, degree, threads), |tid, rows| {
+        for (s, row) in chunk_range(n, threads, tid).zip(rows.chunks_mut(degree)) {
+            fill_uniform_node(row, n, s as NodeId, degree, seed);
+        }
+    });
     edges
+}
+
+/// The ends of each thread's edge rows when `threads` threads split nodes
+/// `0..n` by [`chunk_range`], each node owning `degree` consecutive slots.
+pub(crate) fn row_ends(n: usize, degree: usize, threads: usize) -> Vec<usize> {
+    chunk_ends(n, threads)
+        .into_iter()
+        .map(|end| end * degree)
+        .collect()
 }
 
 /// The edge slots owned by nodes `range` of [`uniform_random_edges`] —
@@ -160,26 +161,21 @@ pub fn uniform_random_parallel(n: usize, degree: usize, seed: u64, threads: usiz
     }
     let mut offsets = vec![0u64; n + 1];
     let mut targets = vec![0 as NodeId; m];
-    {
-        let offs = SharedSlice::new(&mut offsets);
-        let tgts = SharedSlice::new(&mut targets);
-        let (offs, tgts) = (&offs, &tgts);
-        run_on_threads(threads, |tid| {
-            for v in chunk_range(n + 1, threads, tid) {
-                // SAFETY: offset chunks are disjoint across tids.
-                unsafe { *offs.get_mut(v) = (v * degree) as u64 };
+    let parts = split_at_ends(&mut offsets, &chunk_ends(n + 1, threads))
+        .into_iter()
+        .zip(split_at_ends(&mut targets, &row_ends(n, degree, threads)))
+        .collect();
+    run_parts(parts, |tid, (offs, rows)| {
+        for (v, off) in chunk_range(n + 1, threads, tid).zip(offs) {
+            *off = (v * degree) as u64;
+        }
+        for (s, row) in chunk_range(n, threads, tid).zip(rows.chunks_mut(degree)) {
+            let mut rng = counter_stream(seed, s as u64);
+            for slot in row {
+                *slot = draw_non_self(&mut rng, n, s as NodeId);
             }
-            for s in chunk_range(n, threads, tid) {
-                // SAFETY: node ranges are disjoint across tids, so the
-                // target row [s*degree, (s+1)*degree) is owned here.
-                let row = unsafe { tgts.slice_mut(s * degree..(s + 1) * degree) };
-                let mut rng = counter_stream(seed, s as u64);
-                for slot in row {
-                    *slot = draw_non_self(&mut rng, n, s as NodeId);
-                }
-            }
-        });
-    }
+        }
+    });
     CsrGraph::from_parts_unchecked(offsets, targets)
 }
 
@@ -279,18 +275,32 @@ mod tests {
 
     #[test]
     fn parallel_uniform_random_is_thread_count_invariant() {
-        let seq = uniform_random_edges(500, 5, 99);
-        for threads in [1, 2, 5, 8, 16] {
-            assert_eq!(
-                uniform_random_edges_parallel(500, 5, 99, threads),
-                seq,
-                "edges diverged at {threads} threads"
-            );
+        // 20 000 x 5 clears the `m.div_ceil(8192)` sequential-fallback
+        // clamp, so the partitioned fill runs on every swept thread count.
+        for n in [500, 20_000] {
+            let seq = uniform_random_edges(n, 5, 99);
+            for threads in [1, 2, 3, 5, 8, 16] {
+                assert_eq!(
+                    uniform_random_edges_parallel(n, 5, 99, threads),
+                    seq,
+                    "edges (n={n}) diverged at {threads} threads"
+                );
+            }
         }
         let g = uniform_random(500, 5, 99);
         assert_eq!(uniform_random_parallel(500, 5, 99, 8), g);
         let u = uniform_random_undirected(300, 4, 99);
         assert_eq!(uniform_random_undirected_parallel(300, 4, 99, 8), u);
+        // Above the clamp: parallel generation, parallel sort and
+        // parallel CSR build all run.
+        let u = uniform_random_undirected(20_000, 4, 99);
+        for threads in [2, 3, 5, 8] {
+            assert_eq!(
+                uniform_random_undirected_parallel(20_000, 4, 99, threads),
+                u,
+                "undirected diverged at {threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -102,11 +102,15 @@ fn chunk_boundary_sizes() {
 
 #[test]
 fn symmetrized_parallel_matches_sequential() {
-    let edges = gen::uniform_random_edges(500, 3, 77);
-    let oracle = CsrGraph::symmetrized(500, &edges);
-    for t in THREAD_COUNTS {
-        let par = CsrGraph::symmetrized_parallel(500, &edges, t);
-        assert_bit_identical("symmetrized", &oracle, &par, t);
+    // 500 x 3 gives 3 000 pairs, below the sort's 4 096 clamp; 20 000 x 5
+    // gives 200 000 pairs, so the parallel sort and CSR build both run.
+    for (n, degree) in [(500, 3), (20_000, 5)] {
+        let edges = gen::uniform_random_edges(n, degree, 77);
+        let oracle = CsrGraph::symmetrized(n, &edges);
+        for t in [1, 2, 3, 5, 8, 16] {
+            let par = CsrGraph::symmetrized_parallel(n, &edges, t);
+            assert_bit_identical("symmetrized", &oracle, &par, t);
+        }
     }
 }
 

@@ -31,6 +31,8 @@
 //! replayable `<app>.manifest.json` in DIR after a successful sweep — the
 //! run the whole matrix agreed on becomes a `galois replay` artifact.
 
+#![forbid(unsafe_code)]
+
 use galois_harness::{
     record_run, run_differential, run_panic_differential, unperturbed, App, DiffConfig,
 };

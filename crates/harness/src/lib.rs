@@ -20,6 +20,8 @@
 //! prints a one-line `cargo run` reproduction command, so a scheduler bug
 //! found on an 8-thread × 8-seed sweep arrives as a two-run repro.
 
+#![forbid(unsafe_code)]
+
 use galois_core::manifest::{
     LockstepEventKind, LockstepReport, ManifestError, ManifestRecorder, ReplayDivergence,
     RunManifest, ScheduleKind,

@@ -18,6 +18,7 @@
 //!   output forms for cross-variant comparison.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod build;
 pub mod cavity;

@@ -4,7 +4,8 @@
 //! `galois-core` are built on, mirroring the runtime layer of the original
 //! C++ Galois system:
 //!
-//! - [`pool`]: a scoped thread pool that runs one worker closure per thread.
+//! - [`pool`]: a scoped thread pool that runs one worker closure per thread,
+//!   handing each thread the part of a partition it owns.
 //! - [`barrier`]: a sense-reversing centralized barrier.
 //! - [`worklist`]: concurrent chunked work bags with per-thread locality.
 //! - [`chaos`]: seeded adversarial-schedule injection ([`ChaosPolicy`]) used
@@ -44,6 +45,9 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// `unsafe` is allowed item by item only: the `sort` merge and the
+// `pool::prefetch` hint (see DESIGN.md, "Unsafe policy").
+#![deny(unsafe_code)]
 
 pub mod barrier;
 pub mod chaos;
@@ -53,7 +57,6 @@ pub mod padded;
 pub mod pool;
 pub mod probe;
 pub mod scan;
-pub mod shared;
 pub mod simtime;
 pub mod sort;
 pub mod stats;

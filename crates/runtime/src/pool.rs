@@ -2,9 +2,14 @@
 //!
 //! The Galois executors are bulk-synchronous: a parallel phase consists of the
 //! same worker closure running once on every thread, with the thread id
-//! (`tid`) selecting that thread's share of the work. [`run_on_threads`] is
-//! the only primitive needed; it is a thin wrapper over [`std::thread::scope`]
-//! so workers may borrow from the caller's stack.
+//! (`tid`) selecting that thread's share of the work. Every phase goes
+//! through one spawn/join path, [`run_parts`]: thread `tid` receives part
+//! `tid` *by value*. When the parts are disjoint `&mut` sub-slices
+//! ([`run_partitioned`], [`split_at_ends`]), the borrow checker proves each
+//! thread owns its share — the static-partition rule the executors rely on,
+//! stated in types instead of `unsafe`. [`run_on_threads`] is the unit-part
+//! case. It is a thin wrapper over [`std::thread::scope`], so workers may
+//! borrow from the caller's stack.
 
 use crate::chaos::ChaosPolicy;
 
@@ -71,15 +76,108 @@ pub fn run_on_threads_fault<F>(
 ) where
     F: Fn(usize) + Sync,
 {
-    assert!(threads > 0, "thread count must be positive");
-    let guarded = |tid: usize| {
+    run_parts_fault(vec![(); threads], chaos, on_panic, |tid, ()| f(tid));
+}
+
+/// Runs `f(tid, part)` once per part, part `tid` moved to thread `tid`,
+/// and returns the results in tid order.
+///
+/// One thread per part; part 0 runs on the calling thread. Parts are owned
+/// values, so a thread can only touch what it was handed: feed it disjoint
+/// sub-slices from [`split_at_ends`] and no two threads can alias.
+///
+/// # Panics
+///
+/// Panics if `parts` is empty, or propagates the first worker panic, like
+/// [`run_on_threads`].
+///
+/// # Example
+///
+/// ```
+/// let v = [1u64, 2, 3, 4, 5];
+/// let sums = galois_runtime::pool::run_parts(vec![&v[..2], &v[2..]], |_, part| {
+///     part.iter().sum::<u64>()
+/// });
+/// assert_eq!(sums, vec![3, 12]);
+/// ```
+pub fn run_parts<P, R, F>(parts: Vec<P>, f: F) -> Vec<R>
+where
+    P: Send,
+    R: Send,
+    F: Fn(usize, P) -> R + Sync,
+{
+    run_parts_fault(parts, None, None, f)
+}
+
+/// Splits `items` at `ends` and runs `f(tid, part)` with thread `tid`
+/// owning `items[ends[tid - 1]..ends[tid]]` (part 0 starts at 0).
+///
+/// # Panics
+///
+/// Panics before any thread starts if `ends` is not non-decreasing or does
+/// not finish at `items.len()` (see [`split_at_ends`]).
+///
+/// # Example
+///
+/// ```
+/// use galois_runtime::pool::{chunk_ends, run_partitioned};
+/// let mut v = vec![0usize; 10];
+/// run_partitioned(&mut v, &chunk_ends(10, 3), |tid, part| part.fill(tid));
+/// assert_eq!(v, [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]);
+/// ```
+pub fn run_partitioned<T, F>(items: &mut [T], ends: &[usize], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    run_parts(split_at_ends(items, ends), f);
+}
+
+/// Splits `items` into consecutive parts ending at each of `ends`.
+///
+/// # Panics
+///
+/// Panics if `ends` is not non-decreasing or its last entry is not
+/// `items.len()` (an empty `ends` never matches).
+pub fn split_at_ends<'a, T>(items: &'a mut [T], ends: &[usize]) -> Vec<&'a mut [T]> {
+    assert_eq!(
+        ends.last(),
+        Some(&items.len()),
+        "part ends must finish at the slice length"
+    );
+    let mut rest = items;
+    let mut start = 0;
+    ends.iter()
+        .map(|&end| {
+            assert!(end >= start, "part ends must be non-decreasing: {ends:?}");
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
+            rest = tail;
+            start = end;
+            head
+        })
+        .collect()
+}
+
+/// The one spawn/join path behind every entry point above.
+fn run_parts_fault<P, R, F>(
+    parts: Vec<P>,
+    chaos: Option<&ChaosPolicy>,
+    on_panic: Option<&(dyn Fn() + Sync)>,
+    f: F,
+) -> Vec<R>
+where
+    P: Send,
+    R: Send,
+    F: Fn(usize, P) -> R + Sync,
+{
+    let guarded = |tid: usize, part: P| -> R {
         if on_panic.is_none() {
-            return f(tid);
+            return f(tid, part);
         }
         // AssertUnwindSafe: on panic the closure's borrows are only touched
         // again by the hook/drain path, which treats the run as faulted.
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(tid))) {
-            Ok(()) => {}
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(tid, part))) {
+            Ok(r) => r,
             Err(payload) => {
                 if let Some(hook) = on_panic {
                     hook();
@@ -88,26 +186,32 @@ pub fn run_on_threads_fault<F>(
             }
         }
     };
-    if threads == 1 {
-        guarded(0);
-        return;
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else {
+        panic!("thread count must be positive");
+    };
+    if parts.len() == 0 {
+        return vec![guarded(0, first)];
     }
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..threads)
-            .map(|tid| {
+        let handles: Vec<_> = parts
+            .enumerate()
+            .map(|(i, part)| {
+                let tid = i + 1;
                 let guarded = &guarded;
                 scope.spawn(move || {
                     if let Some(c) = chaos {
                         ChaosPolicy::spin(c.start_skew_spins(tid));
                     }
-                    guarded(tid)
+                    guarded(tid, part)
                 })
             })
             .collect();
         if let Some(c) = chaos {
             ChaosPolicy::spin(c.start_skew_spins(0));
         }
-        guarded(0);
+        let mut results = Vec::with_capacity(handles.len() + 1);
+        results.push(guarded(0, first));
         // Join explicitly and re-raise the *original* payload of the first
         // (lowest-tid) faulted worker. Leaving the join to the scope's drop
         // would replace it with the opaque "a scoped thread panicked",
@@ -116,14 +220,18 @@ pub fn run_on_threads_fault<F>(
         // shutdown stays bounded even with several faults in flight.
         let mut first_fault = None;
         for handle in handles {
-            if let Err(payload) = handle.join() {
-                first_fault.get_or_insert(payload);
+            match handle.join() {
+                Ok(r) => results.push(r),
+                Err(payload) => {
+                    first_fault.get_or_insert(payload);
+                }
             }
         }
         if let Some(payload) = first_fault {
             std::panic::resume_unwind(payload);
         }
-    });
+        results
+    })
 }
 
 /// Splits `0..len` into `threads` near-equal contiguous ranges and returns the
@@ -153,6 +261,38 @@ pub fn chunk_range(len: usize, threads: usize, tid: usize) -> std::ops::Range<us
     let start = tid * base + tid.min(extra);
     let size = base + usize::from(tid < extra);
     start..(start + size).min(len)
+}
+
+/// The ends of the [`chunk_range`] partition of `0..len` into `threads`
+/// parts — the `ends` argument of [`run_partitioned`] for that partition.
+///
+/// ```
+/// assert_eq!(galois_runtime::pool::chunk_ends(10, 3), vec![4, 7, 10]);
+/// ```
+pub fn chunk_ends(len: usize, threads: usize) -> Vec<usize> {
+    (0..threads)
+        .map(|tid| chunk_range(len, threads, tid).end)
+        .collect()
+}
+
+/// Hints the hardware prefetcher at `items[index]`'s cache line.
+///
+/// A pure hint: `index` may be out of range (the address is computed with
+/// wrapping arithmetic and never dereferenced), and it is a no-op on
+/// non-x86_64 targets.
+#[inline]
+#[allow(unsafe_code)]
+pub fn prefetch<T>(items: &[T], index: usize) {
+    let ptr = items.as_ptr().wrapping_add(index);
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` is a hint that cannot fault for any address,
+    // and computing `ptr` with `wrapping_add` involves no out-of-bounds
+    // arithmetic UB.
+    unsafe {
+        core::arch::x86_64::_mm_prefetch(ptr as *const i8, core::arch::x86_64::_MM_HINT_T0);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = ptr;
 }
 
 #[cfg(test)]
@@ -200,23 +340,79 @@ mod tests {
 
     #[test]
     fn fault_hook_fires_before_unwind_propagates() {
-        let fired = AtomicUsize::new(0);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_on_threads_fault(
-                4,
-                None,
-                Some(&|| {
-                    fired.fetch_add(1, Ordering::Relaxed);
-                }),
-                |tid| {
-                    if tid == 2 {
-                        panic!("worker 2 dies");
-                    }
-                },
-            );
-        }));
-        assert!(caught.is_err(), "the worker panic must propagate");
-        assert_eq!(fired.load(Ordering::Relaxed), 1);
+        // Once through the unit-part case, once through owned slice parts:
+        // both share the one spawn/join path.
+        for partitioned in [false, true] {
+            let fired = AtomicUsize::new(0);
+            let hook = || {
+                fired.fetch_add(1, Ordering::Relaxed);
+            };
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if partitioned {
+                    let mut items = vec![0u8; 10];
+                    let parts = split_at_ends(&mut items, &chunk_ends(10, 4));
+                    run_parts_fault(parts, None, Some(&hook), |tid, part: &mut [u8]| {
+                        part.fill(1);
+                        if tid == 2 {
+                            panic!("worker 2 dies");
+                        }
+                    });
+                } else {
+                    run_on_threads_fault(4, None, Some(&hook), |tid| {
+                        if tid == 2 {
+                            panic!("worker 2 dies");
+                        }
+                    });
+                }
+            }));
+            let payload = caught.expect_err("the worker panic must propagate");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker 2 dies"));
+            assert_eq!(fired.load(Ordering::Relaxed), 1);
+        }
+    }
+
+    #[test]
+    fn each_tid_owns_exactly_its_range() {
+        // Uneven parts, empty parts, and more parts than elements.
+        let cases: [(usize, Vec<usize>); 5] = [
+            (10, chunk_ends(10, 3)),
+            (10, vec![0, 4, 4, 10]),
+            (3, chunk_ends(3, 8)),
+            (0, vec![0, 0]),
+            (7, vec![7]),
+        ];
+        for (len, ends) in cases {
+            let mut items: Vec<(usize, usize)> = (0..len).map(|i| (i, usize::MAX)).collect();
+            let calls = AtomicUsize::new(0);
+            run_partitioned(&mut items, &ends, |tid, part| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                let start = if tid == 0 { 0 } else { ends[tid - 1] };
+                let got: Vec<usize> = part.iter().map(|x| x.0).collect();
+                assert_eq!(got, (start..ends[tid]).collect::<Vec<_>>(), "tid {tid}");
+                part.iter_mut().for_each(|x| x.1 = tid);
+            });
+            assert_eq!(calls.load(Ordering::Relaxed), ends.len());
+            for (i, &(_, owner)) in items.iter().enumerate() {
+                let expect = ends.iter().position(|&e| i < e).unwrap();
+                assert_eq!(owner, expect, "len {len}, ends {ends:?}, index {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn bad_ends_panic_before_any_thread_starts() {
+        let bad: [&[usize]; 4] = [&[3, 2, 5], &[2, 4], &[], &[2, 6]];
+        for ends in bad {
+            let mut items = vec![0u8; 5];
+            let started = AtomicUsize::new(0);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_partitioned(&mut items, ends, |_, _| {
+                    started.fetch_add(1, Ordering::Relaxed);
+                });
+            }));
+            assert!(caught.is_err(), "ends {ends:?} must be rejected");
+            assert_eq!(started.load(Ordering::Relaxed), 0, "ends {ends:?}");
+        }
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! count — the same portability contract the schedulers guarantee for
 //! execution, extended to input construction.
 
-use crate::pool::{chunk_range, run_on_threads};
-use crate::shared::SharedSlice;
+use crate::pool::{chunk_ends, chunk_range, run_partitioned, run_parts};
 
 /// Replaces `values` with its inclusive prefix sum and returns the total.
 ///
@@ -40,17 +39,10 @@ pub fn parallel_inclusive_scan(values: &mut [u64], threads: usize) -> u64 {
     }
 
     // Phase 1: each thread reduces its chunk to a total.
-    let mut chunk_totals = vec![0u64; threads];
-    {
-        let totals = SharedSlice::new(&mut chunk_totals);
-        let totals = &totals;
-        let values_ro: &[u64] = values;
-        run_on_threads(threads, |tid| {
-            let sum: u64 = values_ro[chunk_range(n, threads, tid)].iter().sum();
-            // SAFETY: each tid writes only its own slot.
-            unsafe { *totals.get_mut(tid) = sum };
-        });
-    }
+    let chunks = (0..threads)
+        .map(|tid| &values[chunk_range(n, threads, tid)])
+        .collect();
+    let mut chunk_totals = run_parts(chunks, |_, chunk| chunk.iter().sum::<u64>());
 
     // Phase 2: sequential exclusive scan over the (tiny) chunk totals.
     let mut acc = 0u64;
@@ -59,24 +51,16 @@ pub fn parallel_inclusive_scan(values: &mut [u64], threads: usize) -> u64 {
         *t = acc;
         acc += x;
     }
-    let total = acc;
 
     // Phase 3: each thread rescans its chunk seeded with its chunk offset.
-    {
-        let shared = SharedSlice::new(values);
-        let shared = &shared;
-        let chunk_totals = &chunk_totals;
-        run_on_threads(threads, |tid| {
-            let mut acc = chunk_totals[tid];
-            for i in chunk_range(n, threads, tid) {
-                // SAFETY: chunk ranges are disjoint across tids.
-                let slot = unsafe { shared.get_mut(i) };
-                acc += *slot;
-                *slot = acc;
-            }
-        });
-    }
-    total
+    run_partitioned(values, &chunk_ends(n, threads), |tid, chunk| {
+        let mut acc = chunk_totals[tid];
+        for slot in chunk {
+            acc += *slot;
+            *slot = acc;
+        }
+    });
+    acc
 }
 
 #[cfg(test)]

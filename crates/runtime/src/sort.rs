@@ -7,8 +7,7 @@
 //! equal keys keep their (already deterministic) buffer order, so the result
 //! is independent of the thread count.
 
-use crate::pool::{chunk_range, run_on_threads};
-use std::cell::UnsafeCell;
+use crate::pool::{chunk_ends, chunk_range, run_partitioned};
 
 /// Sorts `items` stably by `key`, using up to `threads` threads.
 ///
@@ -40,100 +39,51 @@ where
         return;
     }
 
-    // Phase 1: sort per-thread runs in parallel. The runs are the contiguous
-    // chunk ranges, so `split_at_mut` hands each thread a disjoint sub-slice.
-    let mut boundaries: Vec<usize> = (0..threads)
-        .map(|t| chunk_range(n, threads, t).start)
-        .collect();
-    boundaries.push(n);
-    {
-        let mut rest: &mut [T] = items;
-        let mut slices = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let len = boundaries[t + 1] - boundaries[t];
-            let (head, tail) = rest.split_at_mut(len);
-            slices.push(UnsafeCell::new(head));
-            rest = tail;
-        }
-        struct SyncSlices<'a, T>(&'a [UnsafeCell<&'a mut [T]>]);
-        // SAFETY: each thread accesses exactly one distinct cell, so there is
-        // no aliasing; the cells only exist to move &mut slices into the
-        // closure shared by all threads.
-        unsafe impl<T: Send> Sync for SyncSlices<'_, T> {}
-        impl<'a, T> SyncSlices<'a, T> {
-            fn slot(&self, i: usize) -> &UnsafeCell<&'a mut [T]> {
-                &self.0[i]
-            }
-        }
-        let wrapper = SyncSlices(&slices);
-        let key_ref = &key;
-        run_on_threads(threads, |tid| {
-            // SAFETY: see SyncSlices above — tid indexes are disjoint.
-            let slice: &mut [T] = unsafe { &mut *wrapper.slot(tid).get() };
-            slice.sort_by_key(key_ref);
-        });
-    }
+    // Phase 1: sort per-thread runs in parallel, one contiguous chunk each.
+    let ends = chunk_ends(n, threads);
+    run_partitioned(items, &ends, |_, run| run.sort_by_key(&key));
 
-    // Phase 2: merge runs pairwise until one run remains. Each merge copies
-    // into an auxiliary buffer and back; merges within a round are
-    // independent and run in parallel.
-    let mut runs = boundaries;
+    // Phase 2: merge adjacent runs pairwise until one run remains. Each
+    // round hands every thread one contiguous group of pairs; a trailing
+    // unpaired run waits for the next round. Which thread merges a pair
+    // does not change the merged bytes.
+    let mut runs: Vec<usize> = std::iter::once(0).chain(ends).collect();
     while runs.len() > 2 {
-        let mut next_runs = Vec::with_capacity(runs.len() / 2 + 2);
         let pairs: Vec<(usize, usize, usize)> = runs
             .windows(3)
             .step_by(2)
             .map(|w| (w[0], w[1], w[2]))
             .collect();
-        // Merge each (lo, mid, hi) pair sequentially per pair, pairs in
-        // parallel. Use index math over the single `items` slice.
-        let items_ptr = SendPtr(items.as_mut_ptr());
-        let nthreads = pairs.len().min(threads);
-        let key_ref = &key;
-        let pairs_ref = &pairs;
-        run_on_threads(nthreads.max(1), |tid| {
-            for (idx, &(lo, mid, hi)) in pairs_ref.iter().enumerate() {
-                if idx % nthreads.max(1) != tid {
-                    continue;
-                }
-                // SAFETY: pair ranges [lo, hi) are disjoint across the round,
-                // so each thread has exclusive access to its sub-slice.
-                let slice: &mut [T] =
-                    unsafe { std::slice::from_raw_parts_mut(items_ptr.get().add(lo), hi - lo) };
-                merge_in_place(slice, mid - lo, key_ref);
+        let groups = pairs.len().min(threads);
+        let group_ends: Vec<usize> = chunk_ends(pairs.len(), groups)
+            .into_iter()
+            .map(|end| pairs[end - 1].2)
+            .collect();
+        let paired = *group_ends.last().expect("at least one pair");
+        run_partitioned(&mut items[..paired], &group_ends, |g, part| {
+            let mine = &pairs[chunk_range(pairs.len(), groups, g)];
+            let base = mine[0].0;
+            for &(lo, mid, hi) in mine {
+                merge_in_place(&mut part[lo - base..hi - base], mid - lo, &key);
             }
         });
-        next_runs.push(runs[0]);
-        for w in runs.windows(3).step_by(2) {
-            next_runs.push(w[2]);
+        // Keep every other boundary; an odd run count (an even number of
+        // boundaries) keeps the last one too.
+        let last = *runs.last().expect("non-empty");
+        let odd_runs = runs.len().is_multiple_of(2);
+        runs = runs.into_iter().step_by(2).collect();
+        if odd_runs {
+            runs.push(last);
         }
-        // Odd run count: the trailing boundary carries over.
-        if (runs.len() - 1) % 2 == 1 {
-            let last = *runs.last().unwrap();
-            if *next_runs.last().unwrap() != last {
-                next_runs.push(last);
-            }
-        }
-        runs = next_runs;
-    }
-    if runs.len() == 3 {
-        merge_in_place(items, runs[1], &key);
-    }
-}
-
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Accessor method so closures capture the whole (Sync) wrapper rather
-    /// than the raw-pointer field under edition-2021 disjoint capture.
-    fn get(&self) -> *mut T {
-        self.0
     }
 }
 
 /// Stable merge of the two sorted halves `[0, mid)` and `[mid, len)`.
+///
+/// Decides the whole merge order first, while every element is still in
+/// place, then moves elements without running any caller code: a panicking
+/// `key` leaves `slice` untouched instead of half-merged.
+#[allow(unsafe_code)]
 fn merge_in_place<T, K: Ord>(slice: &mut [T], mid: usize, key: &impl Fn(&T) -> K) {
     if mid == 0 || mid == slice.len() {
         return;
@@ -142,46 +92,43 @@ fn merge_in_place<T, K: Ord>(slice: &mut [T], mid: usize, key: &impl Fn(&T) -> K
     if key(&slice[mid - 1]) <= key(&slice[mid]) {
         return;
     }
-    // Out-of-place merge through a scratch Vec. `T: Send` but not
-    // necessarily `Clone`, so move elements with a swap-free take/write
-    // sequence using raw copies guarded against drops.
-    let len = slice.len();
-    let mut scratch: Vec<T> = Vec::with_capacity(len);
-    unsafe {
-        // SAFETY: we move every element of `slice` into `scratch` exactly
-        // once (ptr::read), then move merged elements back exactly once.
-        // `scratch` is wrapped in ManuallyDrop before any `key` call, so a
-        // panicking key function leaks elements instead of double-dropping.
-        let src = slice.as_ptr();
-        for i in 0..len {
-            scratch.push(std::ptr::read(src.add(i)));
-        }
-        let scratch = std::mem::ManuallyDrop::new(scratch);
-        let (left, right) = scratch.split_at(mid);
-        let dst = slice.as_mut_ptr();
-        let (mut i, mut j, mut k) = (0, 0, 0);
-        while i < left.len() && j < right.len() {
-            // `<=` keeps the merge stable: ties favor the left run.
-            if key(&left[i]) <= key(&right[j]) {
-                std::ptr::write(dst.add(k), std::ptr::read(&left[i]));
-                i += 1;
-            } else {
-                std::ptr::write(dst.add(k), std::ptr::read(&right[j]));
-                j += 1;
-            }
-            k += 1;
-        }
-        while i < left.len() {
-            std::ptr::write(dst.add(k), std::ptr::read(&left[i]));
+    let (left, right) = slice.split_at(mid);
+    let mut take_left = Vec::with_capacity(slice.len());
+    let (mut i, mut j) = (0, 0);
+    while i < left.len() && j < right.len() {
+        // `<=` keeps the merge stable: ties favor the left run.
+        let l = key(&left[i]) <= key(&right[j]);
+        take_left.push(l);
+        if l {
             i += 1;
-            k += 1;
-        }
-        while j < right.len() {
-            std::ptr::write(dst.add(k), std::ptr::read(&right[j]));
+        } else {
             j += 1;
-            k += 1;
         }
-        // All elements moved back into `slice`; ManuallyDrop drops nothing.
+    }
+    let mut scratch: Vec<T> = Vec::with_capacity(mid);
+    // SAFETY: the left run is copied into `scratch`, whose length stays 0,
+    // so it never drops those elements. Slot `k = i + j` then receives the
+    // next left element from `scratch` or the right element at `mid + j`;
+    // `k < mid + j` while both runs have elements, and every slot below
+    // `mid + j` has been vacated (saved in `scratch` or already moved), so
+    // each element lands in exactly one slot. A left-run tail fills the
+    // gap that ends at `mid + j`, where the right-run tail already sits.
+    unsafe {
+        let base = slice.as_mut_ptr();
+        let saved = scratch.as_mut_ptr();
+        std::ptr::copy_nonoverlapping(base, saved, mid);
+        let (mut i, mut j) = (0, 0);
+        for (k, &l) in take_left.iter().enumerate() {
+            let from = if l {
+                i += 1;
+                saved.add(i - 1)
+            } else {
+                j += 1;
+                base.add(mid + j - 1)
+            };
+            std::ptr::copy_nonoverlapping(from, base.add(k), 1);
+        }
+        std::ptr::copy_nonoverlapping(saved.add(i), base.add(i + j), mid - i);
     }
 }
 
@@ -209,7 +156,9 @@ mod tests {
 
     #[test]
     fn matches_std_stable_sort() {
-        for n in [0usize, 1, 2, 63, 64, 1000, 10_000] {
+        // 30 000 clears the 4 096 clamp at every swept count, so odd run
+        // counts (3, 7) carry a trailing run through the merge rounds.
+        for n in [0usize, 1, 2, 63, 64, 1000, 10_000, 30_000] {
             for threads in [1usize, 2, 3, 4, 7] {
                 let input = pseudo_random(n, 42 + n as u64);
                 let mut ours = input.clone();
@@ -243,6 +192,36 @@ mod tests {
         expect.sort_by_key(|x| x.0);
         parallel_sort_by_key(&mut v, 3, |x| x.0);
         assert_eq!(v, expect);
+    }
+
+    #[test]
+    fn a_panicking_key_drops_every_element_exactly_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static DROPS: [AtomicUsize; 8] = [const { AtomicUsize::new(0) }; 8];
+        struct Tracked(usize);
+        impl Drop for Tracked {
+            fn drop(&mut self) {
+                DROPS[self.0].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        // Runs [4..8) and [0..4): the seam is out of order, so the merge
+        // runs, and the key fails on its third comparison.
+        let mut v: Vec<Tracked> = [4, 5, 6, 7, 0, 1, 2, 3].map(Tracked).into();
+        let calls = AtomicUsize::new(0);
+        let key = |t: &Tracked| {
+            if calls.fetch_add(1, Ordering::Relaxed) == 6 {
+                panic!("key fails mid-merge");
+            }
+            t.0
+        };
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            merge_in_place(&mut v, 4, &key);
+        }));
+        assert!(caught.is_err());
+        drop(v);
+        for (i, d) in DROPS.iter().enumerate() {
+            assert_eq!(d.load(Ordering::Relaxed), 1, "element {i}");
+        }
     }
 
     #[test]

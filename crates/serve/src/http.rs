@@ -93,7 +93,7 @@ pub enum ReadOutcome {
 /// (no bytes of the next request yet) returns [`ReadOutcome::Closed`] as
 /// soon as shutdown is flagged, while a request already in flight is read
 /// to completion so it can be answered. The caller must have passed the
-/// stream through [`prepare`] with [`READ_TIMEOUT`].
+/// stream through `prepare` with `READ_TIMEOUT`.
 ///
 /// `carry` is the connection's pipeline buffer: bytes read past the end of
 /// this request's body (the start of a pipelined next request) are left in

@@ -37,6 +37,8 @@
 //! | `POST /replay` | re-execute a [`RunManifest`] body, verify bit-identity |
 //! | `POST /shutdown` | drain and stop the server |
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod http;
 pub mod lockstep;

@@ -12,6 +12,7 @@
 //! baselines can be recorded from scripts.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
 

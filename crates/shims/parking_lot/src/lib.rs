@@ -7,6 +7,7 @@
 //! recovered transparently (parking_lot has no poisoning at all).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::ops::{Deref, DerefMut};
 use std::sync::TryLockError;

@@ -10,6 +10,7 @@
 //! case index and panics.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// Deterministic generator backing all strategies (SplitMix64).
 #[derive(Debug, Clone)]

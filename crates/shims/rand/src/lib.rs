@@ -12,6 +12,7 @@
 //! workspace.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// Construction of generators from seeds.
 pub trait SeedableRng: Sized {

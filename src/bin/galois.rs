@@ -62,6 +62,8 @@
 //!
 //! [`RunManifest`]: deterministic_galois::core::RunManifest
 
+#![forbid(unsafe_code)]
+
 use deterministic_galois::apps::{bfs, dmr, dt, mis, mm, pfp};
 use deterministic_galois::core::manifest::{LockstepOutcome, LockstepReport};
 use deterministic_galois::core::{ExecError, Executor, RoundLog, RunReport};

@@ -46,6 +46,8 @@
 //! See `examples/` for runnable end-to-end programs and `DESIGN.md` /
 //! `EXPERIMENTS.md` for the reproduction methodology.
 
+#![forbid(unsafe_code)]
+
 pub use cache_sim as cachesim;
 pub use coredet_sim as coredet;
 pub use galois_apps as apps;

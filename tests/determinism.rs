@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{assert_portable, det_executor, det_executor_spread};
+use common::{assert_portable, assert_portable_over, det_executor, det_executor_spread};
 use deterministic_galois::apps::{bfs, dmr, dt, mis, pfp};
 use deterministic_galois::core::{Executor, Schedule};
 use deterministic_galois::geometry::point::random_points;
@@ -81,6 +81,13 @@ fn input_generators_portable_across_build_threads() {
     assert_portable("gen::uniform_random_undirected", |threads| {
         gen::uniform_random_undirected_parallel(1_500, 4, 21, threads)
     });
+    // Above the sequential-fallback clamps, so the parallel generation,
+    // sort and CSR paths run; 1 thread is the sequential oracle.
+    assert_portable_over(
+        "gen::uniform_random_undirected (above clamp)",
+        &[1, 2, 3, 5, 8],
+        |threads| gen::uniform_random_undirected_parallel(20_000, 4, 21, threads),
+    );
     assert_portable("FlowNetwork::random_edges", |threads| {
         FlowNetwork::random_edges_parallel(256, 4, 100, 21, threads)
     });
