@@ -6,9 +6,9 @@
 //! one-shot `bench_all` refresher binary that regenerates every BENCH
 //! file in a single command.
 
-use criterion::{BatchSize, Criterion};
+use criterion::Criterion;
 use galois_core::marks::{LockId, MarkTable};
-use galois_core::task::{assign_ids, PendingItem};
+use galois_core::task::{place_children, TaskId};
 use galois_core::window::{AdaptiveWindow, WindowPolicy};
 use galois_graph::io::{read_csr_binary, write_csr_binary};
 use galois_graph::{gen, CsrGraph};
@@ -161,21 +161,18 @@ fn bench_worklist(c: &mut Criterion) {
 }
 
 fn bench_id_assignment(c: &mut Criterion) {
-    c.bench_function("task/assign_ids_10k", |b| {
-        b.iter_batched(
-            || {
-                (0..10_000u64)
-                    .rev()
-                    .map(|i| PendingItem {
-                        task: i,
-                        parent: i % 97,
-                        rank: (i % 3) as u32,
-                    })
-                    .collect::<Vec<_>>()
-            },
-            |pending| black_box(assign_ids(pending, 1)),
-            BatchSize::SmallInput,
-        )
+    // 10k children of 97 parents, births in descending parent order (the
+    // worst case for a sort; a counting placement does not care).
+    let births: Vec<(TaskId, usize)> = (0..97u64)
+        .rev()
+        .map(|p| (p, (10_000 / 97) + usize::from(p < 10_000 % 97)))
+        .collect();
+    let (mut first, mut pending) = (Vec::new(), Vec::new());
+    c.bench_function("task/place_children_10k", |b| {
+        b.iter(|| {
+            place_children(&births, 0..10_000u64, 1, &mut first, &mut pending);
+            black_box(pending.len())
+        })
     });
 }
 

@@ -90,7 +90,11 @@ pub struct Ctx<'a, T> {
     pub(crate) mark_value: u64,
     pub(crate) tid: usize,
     pub(crate) marks: &'a MarkTable,
+    /// Neighborhood buffer; this invocation's locations are
+    /// `neighborhood[nb_start..]` (the deterministic executor shares one
+    /// arena among a thread's tasks, the others pass a private buffer and 0).
     pub(crate) neighborhood: &'a mut Vec<LockId>,
+    pub(crate) nb_start: usize,
     pub(crate) pushes: &'a mut Vec<T>,
     /// Abort flags of the current deterministic round (inspect mode only).
     pub(crate) flags: Option<&'a AbortFlags>,
@@ -138,7 +142,7 @@ impl<T> std::fmt::Debug for Ctx<'_, T> {
             .field("mode", &self.mode)
             .field("mark_value", &self.mark_value)
             .field("tid", &self.tid)
-            .field("neighborhood_len", &self.neighborhood.len())
+            .field("neighborhood_len", &self.own_neighborhood().len())
             .finish()
     }
 }
@@ -164,14 +168,14 @@ impl<'a, T> Ctx<'a, T> {
         let loc = loc.into();
         match self.mode {
             Mode::Serial => {
-                if !self.neighborhood.contains(&loc) {
+                if !self.own_neighborhood().contains(&loc) {
                     self.neighborhood.push(loc);
                     self.record(loc, false);
                 }
                 Ok(())
             }
             Mode::Speculative => {
-                if self.neighborhood.contains(&loc) {
+                if self.own_neighborhood().contains(&loc) {
                     return Ok(());
                 }
                 self.stats.atomic_updates += 1;
@@ -187,7 +191,7 @@ impl<'a, T> Ctx<'a, T> {
                 }
             }
             Mode::Inspect => {
-                if self.neighborhood.contains(&loc) {
+                if self.own_neighborhood().contains(&loc) {
                     return Ok(());
                 }
                 self.neighborhood.push(loc);
@@ -337,6 +341,12 @@ impl<'a, T> Ctx<'a, T> {
         self.stats.atomic_updates += n;
     }
 
+    /// The locations this invocation has acquired so far.
+    #[inline]
+    fn own_neighborhood(&self) -> &[LockId] {
+        &self.neighborhood[self.nb_start..]
+    }
+
     #[inline]
     fn record(&mut self, loc: LockId, write: bool) {
         if let Some(rec) = self.recorder.as_deref_mut() {
@@ -344,15 +354,22 @@ impl<'a, T> Ctx<'a, T> {
         }
     }
 
-    /// Records commit-time writes for the whole neighborhood (executor use).
+    /// Records commit-time writes for the whole neighborhood (serial and
+    /// speculative executors; the deterministic one records its slot's
+    /// inspect-time range instead, since commit acquires append nothing).
     pub(crate) fn record_neighborhood_writes(&mut self) {
-        if self.recorder.is_some() {
-            let locs: Vec<LockId> = self.neighborhood.clone();
-            for loc in locs {
-                self.record(loc, true);
-            }
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.extend(record_writes(&self.neighborhood[self.nb_start..]));
         }
     }
+}
+
+/// Commit-time write records for `locs`, in order.
+pub(crate) fn record_writes(locs: &[LockId]) -> impl Iterator<Item = Access> + '_ {
+    locs.iter().map(|l| Access {
+        loc: l.0,
+        write: true,
+    })
 }
 
 #[cfg(test)]
@@ -376,6 +393,7 @@ mod tests {
             tid: 0,
             marks,
             neighborhood,
+            nb_start: 0,
             pushes,
             flags,
             stash,
@@ -498,6 +516,35 @@ mod tests {
             assert_eq!(ctx.acquire(LockId(1)), Err(Abort::Conflict));
         }
         assert_eq!(locs, vec![0, 1]);
+    }
+
+    #[test]
+    fn dedup_sees_only_this_invocations_range() {
+        // A shared arena already holds an earlier task's neighborhood: a
+        // location that task acquired must still be marked by this one.
+        let marks = MarkTable::new(2);
+        let flags = AbortFlags::new(10);
+        let mut stats = ThreadStats::default();
+        let (mut nb, mut ps, mut st) = (vec![LockId(0)], vec![], None);
+        let mut ctx = Ctx {
+            nb_start: 1,
+            ..fresh(
+                Mode::Inspect,
+                4,
+                &marks,
+                &mut nb,
+                &mut ps,
+                Some(&flags),
+                &mut st,
+                &mut stats,
+            )
+        };
+        ctx.acquire(LockId(0)).unwrap();
+        ctx.acquire(LockId(0)).unwrap();
+        assert!(format!("{ctx:?}").contains("neighborhood_len: 1"));
+        assert_eq!(nb, vec![LockId(0), LockId(0)]);
+        assert_eq!(marks.load(LockId(0)), 4, "marked despite the arena");
+        assert_eq!(stats.atomic_updates, 1, "the repeat is still free");
     }
 
     #[test]

@@ -11,32 +11,40 @@
 //!    `chunk_range(window, threads, tid)` of the window, pulls each slot's
 //!    task out of the pending buffer (the *workers* fill the window, not the
 //!    leader), and runs it up to its failsafe point, marking its
-//!    neighborhood with `writeMarkMax`. The cumulative marks implicitly build
-//!    the round's interference graph; abort flags record which tasks lost an
-//!    edge to a higher id.
+//!    neighborhood with `writeMarkMax` into its thread's neighborhood arena.
+//!    The cumulative marks implicitly build the round's interference graph;
+//!    abort flags record which tasks lost an edge to a higher id.
 //! 3. **commit** (all threads): tasks whose flag is clear form the unique
 //!    deterministic independent set; they re-execute (or resume from their
 //!    checkpointed continuation) and commit. Each thread walks the *same*
-//!    slot range it inspected, keys its committed tasks' children with
-//!    `(parent, rank)` and collects children and failed tasks into
-//!    per-thread buffers, so concatenating the buffers in thread order
-//!    reproduces slot order — the leader's stitch is O(threads) bookkeeping
-//!    plus buffer moves, never a per-task scan.
+//!    slot range it inspected and appends its committed tasks' children to
+//!    a per-thread arena, with one `(parent, count)` birth record per
+//!    parent, and its failed tasks to a per-thread buffer, so concatenating
+//!    the buffers in thread order reproduces slot order — the leader's
+//!    stitch is O(threads) bookkeeping plus buffer moves, never a per-task
+//!    scan.
 //!
 //! Passes (Figure 2's outer loop) drain the pending sequence; created tasks
 //! accumulate in `todo` and become the next pass after deterministic id
-//! assignment. Every structure that influences the schedule — window sizes,
-//! ids, independent sets — is a pure function of committed-task history, so
-//! the schedule is identical for every thread count (**portability**).
+//! assignment: a counting placement ([`place_children`]) numbers them by
+//! `(parent, rank)` and writes each straight to its locality-spread position
+//! in the drained pending buffer. Every structure that influences the
+//! schedule — window sizes, ids, independent sets — is a pure function of
+//! committed-task history, so the schedule is identical for every thread
+//! count (**portability**).
 //!
-//! # One owner per slot, at most two barriers per round
+//! # Thread-owned arenas, at most two barriers per round
 //!
 //! A round has **one** slot→thread map: `chunk_range(window, threads, tid)`
-//! in both phases. The thread that fills a slot and grows its
-//! `neighborhood`, continuation stash and scratch vectors during inspect is
-//! the thread that reads, commits and frees them, so none of that state
+//! in both phases. A slot holds no buffer of its own: the neighborhood
+//! inspect records is a range of its thread's `nbs` arena, and the children
+//! commit creates go to its thread's `children` arena — the private
+//! workspace of Aviram and Ford's deterministic consistency, merged in an
+//! order the program fixes. The thread that inspects a slot is the thread
+//! that reads its range back, commits and frees it, so no per-task state
 //! crosses cores inside a round (the original Galois DIG executor blocks
-//! the window the same way).
+//! the window the same way), and growing the slot pool allocates nothing
+//! per slot.
 //!
 //! A naive phase split costs three crossings per round (prepare → inspect →
 //! commit → prepare…). Workers are completely quiescent between the end of
@@ -80,14 +88,18 @@
 //!   are written back *in slot order* immediately before the untried
 //!   remainder, so round membership — and therefore the schedule — is
 //!   exactly what the serial pop-and-refill produced.
+//!
+//! A pass boundary costs O(pass + max parent id): one counting pass over
+//! the births, a prefix sum and one scatter into the reused pending buffer.
+//! It is the leader's alone, so the probe counts it in `serial_ns`.
 
-use crate::ctx::{Abort, Access, Ctx, Mode};
+use crate::ctx::{record_writes, Abort, Access, Ctx, Mode};
 use crate::error::{contain_panic, panic_message, ExecError, QUARANTINE_CAP};
 use crate::executor::{DetOptions, Executor, ProbeHub, RunReport};
 use crate::flags::AbortFlags;
 use crate::marks::{LockId, MarkTable};
 use crate::ops::Operator;
-use crate::task::{assign_ids, spread_for_locality, PendingItem, WorkItem};
+use crate::task::{place_children, spread_for_locality, TaskId, WorkItem};
 use crate::window::AdaptiveWindow;
 use galois_runtime::padded::PerThread;
 use galois_runtime::pool::{chunk_range, run_on_threads_fault};
@@ -109,16 +121,15 @@ use std::time::Instant;
 const INLINE_WINDOW: usize = 16;
 
 /// Per-task round state. A slot has one owner thread for a whole round
-/// (inspect and commit) and is recycled across rounds (its vectors keep
-/// their capacity), so scheduling does no per-round allocator traffic.
+/// (inspect and commit) and owns no buffer: its neighborhood is a range of
+/// the owner's `ThreadOut::nbs` arena and its children go to the owner's
+/// `ThreadOut::children`, so growing the pool allocates nothing per slot.
 struct Slot<T> {
     item: Option<WorkItem<T>>,
-    neighborhood: Vec<LockId>,
     stash: Option<Box<dyn Any + Send>>,
-    pushes: Vec<T>,
-    /// Created tasks with their deterministic `(parent, rank)` keys,
-    /// converted by the committing worker.
-    pending_out: Vec<PendingItem<T>>,
+    /// This task's neighborhood: `nbs[nb.0..nb.1]` of the owner thread's
+    /// arena, written by inspect and read back by commit.
+    nb: (usize, usize),
     committed: bool,
     /// Captured panic message when the operator faulted on this slot
     /// (inspect or commit phase); the task is quarantined, never retried.
@@ -126,17 +137,11 @@ struct Slot<T> {
 }
 
 impl<T> Slot<T> {
-    /// A fresh slot with pre-reserved scratch capacities. Mid-run window
-    /// growth seeds new slots from the pool's warmest slot, so the
-    /// first-touch allocations land in the high-water carve round instead
-    /// of trickling through the rounds that first commit into each slot.
-    fn seeded(neighborhood: usize, pushes: usize, pending_out: usize) -> Self {
+    fn empty() -> Self {
         Slot {
             item: None,
-            neighborhood: Vec::with_capacity(neighborhood),
             stash: None,
-            pushes: Vec::with_capacity(pushes),
-            pending_out: Vec::with_capacity(pending_out),
+            nb: (0, 0),
             committed: false,
             fault: None,
         }
@@ -149,12 +154,20 @@ impl<T> Slot<T> {
     }
 }
 
-/// Per-thread round outputs, written by exactly one thread per round and
-/// merged — then reset — by the leader between barriers.
+/// Per-thread round workspace and outputs, written by exactly one thread
+/// per round and merged — then reset — by the leader between barriers.
+/// The buffers keep their capacity, so a round allocates only when it
+/// outgrows every earlier round on this thread.
 struct ThreadOut<T> {
-    /// Children of this thread's committed slots, `(parent, rank)` keyed,
-    /// in slot order.
-    todo: Vec<PendingItem<T>>,
+    /// Neighborhood arena: the concatenated neighborhoods of the slots this
+    /// thread inspected this round (each slot's `nb` range).
+    nbs: Vec<LockId>,
+    /// Children of this thread's committed slots, in slot order and, per
+    /// slot, in push order.
+    children: Vec<T>,
+    /// One `(parent, child count)` per committed slot that created
+    /// children, aligned with `children`.
+    births: Vec<(TaskId, usize)>,
     /// Failed tasks from this thread's slot range, in slot order.
     failed: Vec<WorkItem<T>>,
     /// Commits in this thread's range.
@@ -175,7 +188,9 @@ struct ThreadOut<T> {
 impl<T> ThreadOut<T> {
     fn new() -> Self {
         ThreadOut {
-            todo: Vec::new(),
+            nbs: Vec::new(),
+            children: Vec::new(),
+            births: Vec::new(),
             failed: Vec::new(),
             committed: 0,
             inspect: PhaseTrace::default(),
@@ -186,7 +201,8 @@ impl<T> ThreadOut<T> {
     }
 
     fn reset(&mut self) {
-        self.todo.clear();
+        self.children.clear();
+        self.births.clear();
         self.failed.clear();
         self.committed = 0;
         self.inspect = PhaseTrace::default();
@@ -206,10 +222,9 @@ impl<T> ThreadOut<T> {
 /// acquire/release chains order all of it.
 struct RoundState<T> {
     /// High-water slot pool: grows monotonically to the largest window ever
-    /// carved and never shrinks, so slot vectors (`neighborhood`, `pushes`,
-    /// `pending_out`) retain their capacities for the whole run and the
-    /// steady state does zero allocator traffic. Only the first
-    /// [`live`](Self::live) slots belong to the current round.
+    /// carved and never shrinks. Slots hold no buffers, so growing it is one
+    /// reallocation and the steady state does zero allocator traffic. Only
+    /// the first [`live`](Self::live) slots belong to the current round.
     cur: UnsafeCell<Vec<Slot<T>>>,
     /// Number of active slots this round (the carved window size). Written
     /// by the leader inside the fused barrier's serial section, read by
@@ -266,7 +281,12 @@ type LeaderOut = (u64, Vec<RoundTrace>, Option<ExecError>);
 struct LeaderState<T> {
     /// Next unconsumed index into the shared pending buffer.
     head: usize,
-    todo: Vec<PendingItem<T>>,
+    /// The pass's created tasks and their `(parent, count)` births, merged
+    /// from the threads round by round (the `todo` set of Figure 2).
+    children: Vec<T>,
+    births: Vec<(TaskId, usize)>,
+    /// Placement scratch: first id per parent, kept across passes.
+    first_ids: Vec<usize>,
     window: AdaptiveWindow,
     rounds: u64,
     round_traces: Vec<RoundTrace>,
@@ -398,7 +418,9 @@ where
                 .flatten();
             let mut leader: Option<LeaderState<T>> = (tid == 0).then(|| LeaderState {
                 head: 0,
-                todo: Vec::new(),
+                children: Vec::new(),
+                births: Vec::new(),
+                first_ids: Vec::new(),
                 window: AdaptiveWindow::for_pass(opts.window, 0),
                 rounds: 0,
                 round_traces: Vec::new(),
@@ -432,7 +454,7 @@ where
                     barrier
                         .wait_serial_checked(|| loop {
                             let t0 = state.time_phases.then(Instant::now);
-                            let sort_ns = prepare_round(
+                            let place_ns = prepare_round(
                                 leader,
                                 &state,
                                 marks,
@@ -447,14 +469,17 @@ where
                                 leader.round_traces.last_mut(),
                             ) {
                                 // The merge/carve work belongs to the round it
-                                // closed; the pass-boundary sort is
-                                // parallelizable scheduler work.
-                                last.serial_ns += (total - sort_ns).max(0.0);
-                                last.sched_par_ns += sort_ns;
+                                // closed; the simulated-time model treats the
+                                // pass-boundary placement as parallelizable.
+                                last.serial_ns += (total - place_ns).max(0.0);
+                                last.sched_par_ns += place_ns;
                             }
                             if let Some(mut rec) = leader.pending_record.take() {
+                                // The probe reports what this run did: the
+                                // leader places alone while workers park, so
+                                // all of it is serial tail.
                                 if let Some(total) = total_ns {
-                                    rec.serial_ns = (total - sort_ns).max(0.0);
+                                    rec.serial_ns = total;
                                 }
                                 if let Some(p) = probe.as_mut() {
                                     p.on_round(rec);
@@ -542,7 +567,7 @@ where
 
 /// Leader work between rounds: merge (and reset) per-thread outputs, advance
 /// passes, carve the next window. Runs strictly inside the fused crossing's
-/// serial section. Returns the (parallelizable) pass-boundary sort time.
+/// serial section. Returns the pass-boundary placement time (when tracing).
 ///
 /// Everything here is O(threads) per round (plus buffer moves for failed /
 /// created tasks): marks and flags retire by epoch bump, and the window is
@@ -640,7 +665,8 @@ fn prepare_round<T: Send>(
                 pending[w_idx] = Some(item);
                 w_idx += 1;
             }
-            leader.todo.append(&mut out.todo);
+            leader.children.append(&mut out.children);
+            leader.births.append(&mut out.births);
             for (item, msg) in out.quarantined.drain(..) {
                 if first_fault.as_ref().is_none_or(|(id, _)| item.id < *id) {
                     first_fault = Some((item.id, msg));
@@ -692,24 +718,25 @@ fn prepare_round<T: Send>(
         }
     }
 
-    // Pass boundary: the sorted sequence is drained; order `todo` (Figure 2
-    // lines 3-6).
-    let mut sort_ns = 0.0;
-    if leader.head == pending.len() && !leader.todo.is_empty() {
-        let t_sort = cfg.record_trace.then(Instant::now);
-        // Drain rather than take: `leader.todo` keeps its high-water
-        // capacity, so the per-round appends refilling it during the next
-        // pass stop allocating once the global high water is reached.
-        let todo: Vec<PendingItem<T>> = leader.todo.drain(..).collect();
-        let items = assign_ids(todo, threads);
-        let pass_size = items.len();
-        *pending = spread_for_locality(items, opts.locality_spread)
-            .into_iter()
-            .map(Some)
-            .collect();
+    // Pass boundary: the ordered sequence is drained; number and order
+    // `todo` (Figure 2 lines 3-6) straight into the drained pending buffer.
+    // Every buffer involved is drained, never dropped, so a boundary below
+    // the run's high water allocates nothing.
+    let mut place_ns = 0.0;
+    if leader.head == pending.len() && !leader.children.is_empty() {
+        let t_place = cfg.record_trace.then(Instant::now);
+        place_children(
+            &leader.births,
+            leader.children.drain(..),
+            opts.locality_spread,
+            &mut leader.first_ids,
+            pending,
+        );
+        leader.births.clear();
+        let pass_size = pending.len();
         leader.head = 0;
-        if let Some(t) = t_sort {
-            sort_ns = t.elapsed().as_nanos() as f64;
+        if let Some(t) = t_place {
+            place_ns = t.elapsed().as_nanos() as f64;
         }
         flags_cell
             .as_mut()
@@ -720,35 +747,22 @@ fn prepare_round<T: Send>(
 
     if leader.head == pending.len() {
         state.done.store(true, Ordering::Release);
-        return sort_ns;
+        return place_ns;
     }
 
     // Carve the window (Figure 2 `getWindowOfTasks`). The slot pool `cur`
-    // is high-water sized: it grows (allocates) only when the window reaches
-    // a size it has never reached before, and never shrinks — shrinking
-    // would drop slot vector capacities and re-pay the allocation when the
-    // window grows back. Publishing `live` is all a steady-state carve does.
+    // is high-water sized: it grows only when the window reaches a size it
+    // has never reached before, by one reallocation, and never shrinks.
+    // Publishing `live` is all a steady-state carve does.
     leader.carved_window = leader.window.size() as u64;
     let w = leader.window.size().min(pending.len() - leader.head);
     if cur.len() < w {
-        let (nb, ps, po) = cur
-            .first()
-            .map(|s| {
-                (
-                    s.neighborhood.capacity(),
-                    s.pushes.capacity(),
-                    s.pending_out.capacity(),
-                )
-            })
-            .unwrap_or((0, 0, 0));
-        while cur.len() < w {
-            cur.push(Slot::seeded(nb, ps, po));
-        }
+        cur.resize_with(w, Slot::empty);
     }
     state.live.store(w, Ordering::Relaxed);
     state.fill_base.store(leader.head, Ordering::Relaxed);
     leader.head += w;
-    sort_ns
+    place_ns
 }
 
 /// Run-constant inputs of the two phase walks.
@@ -792,6 +806,7 @@ unsafe fn inspect_range<T: Send, O: Operator<T>>(
     let (slots, pend, flags) = state.window();
     let fill_base = state.fill_base.load(Ordering::Relaxed);
     let out = &mut *state.outs.get(lane.tid).get();
+    out.nbs.clear();
     // Timing amortized per block so tiny tasks are not inflated by timers.
     for block in blocks(range, 8) {
         let t0 = state.time_phases.then(Instant::now);
@@ -805,10 +820,7 @@ unsafe fn inspect_range<T: Send, O: Operator<T>>(
             slot.committed = false;
             slot.stash = None;
             slot.fault = None;
-            slot.pushes.clear();
-            slot.pending_out.clear();
-            let conflicts = state.collect_conflicts.then_some(&mut out.conflicts);
-            inspect_slot(ph, lane, slot, flags, conflicts);
+            inspect_slot(ph, lane, slot, flags, out);
         }
         if let Some(t0) = t0 {
             out.inspect.add_block(t0.elapsed().as_nanos() as f64, len);
@@ -836,10 +848,9 @@ unsafe fn commit_range<T: Send, O: Operator<T>>(
         let mut block_committed = 0u64;
         for i in block {
             let slot = &mut *slots.add(i);
-            commit_slot(ph, lane, slot, flags);
+            commit_slot(ph, lane, slot, flags, out);
             if slot.committed {
                 block_committed += 1;
-                out.todo.append(&mut slot.pending_out);
                 slot.item = None;
             } else if let Some(msg) = slot.fault.take() {
                 // Quarantined: keep the payload and message for the
@@ -865,7 +876,7 @@ fn inspect_slot<T: Send, O: Operator<T>>(
     lane: &mut Lane,
     slot: &mut Slot<T>,
     flags: &AbortFlags,
-    conflicts: Option<&mut Vec<u32>>,
+    out: &mut ThreadOut<T>,
 ) {
     let Phases {
         marks,
@@ -878,31 +889,27 @@ fn inspect_slot<T: Send, O: Operator<T>>(
     let Lane {
         stats, accesses, ..
     } = lane;
-    slot.neighborhood.clear();
+    let nb_start = out.nbs.len();
     let result = {
         // Destructure for field-precise borrows: `item` stays shared while
-        // the context mutably borrows the scratch fields.
-        let Slot {
-            item,
-            neighborhood,
-            stash,
-            pushes,
-            ..
-        } = slot;
+        // the context mutably borrows the stash and the thread's arenas.
+        let Slot { item, stash, .. } = slot;
         let item = item.as_ref().expect("slot carries a task");
         let mut ctx = Ctx {
             mode: Mode::Inspect,
             mark_value: item.id + 1,
             tid,
             marks,
-            neighborhood,
-            pushes,
+            neighborhood: &mut out.nbs,
+            nb_start,
+            // Inspect-phase pushes are discarded by `Ctx::push`.
+            pushes: &mut out.children,
             flags: Some(flags),
             stash,
             allow_stash: opts.continuation,
             stats,
             recorder: cfg.record_access.then_some(accesses),
-            conflicts,
+            conflicts: ph.state.collect_conflicts.then_some(&mut out.conflicts),
             past_failsafe: false,
             // Never inject during inspect: marking must be a pure function
             // of the round's membership or the schedule itself would change.
@@ -916,8 +923,12 @@ fn inspect_slot<T: Send, O: Operator<T>>(
         // membership — thread-count independent like the schedule.
         contain_panic(|| op.run(&item.task, &mut ctx))
     };
+    slot.nb = (nb_start, out.nbs.len());
     stats.inspected += 1;
     match result {
+        // `Ok(Ok(()))` means the operator completed without a failsafe call
+        // (a read-only task); its pushes were discarded and the commit phase
+        // re-issues them.
         Ok(r) => {
             debug_assert_ne!(
                 r,
@@ -930,9 +941,6 @@ fn inspect_slot<T: Send, O: Operator<T>>(
             slot.stash = None;
         }
     }
-    // Ok means the operator completed without a failsafe call (a read-only
-    // task); its pushes were discarded and the commit phase re-issues them.
-    slot.pushes.clear();
 }
 
 fn commit_slot<T: Send, O: Operator<T>>(
@@ -940,6 +948,7 @@ fn commit_slot<T: Send, O: Operator<T>>(
     lane: &mut Lane,
     slot: &mut Slot<T>,
     flags: &AbortFlags,
+    out: &mut ThreadOut<T>,
 ) {
     let Phases { marks, cfg, op, .. } = *ph;
     let tid = lane.tid;
@@ -948,6 +957,7 @@ fn commit_slot<T: Send, O: Operator<T>>(
     } = lane;
     let task_id = slot.item().id;
     let mark_value = task_id + 1;
+    let nb_len = (slot.nb.1 - slot.nb.0) as u64;
     if slot.fault.is_some() {
         // The inspect run panicked: quarantine. The marks it placed retire
         // with the round's epoch bump — no per-location release needed —
@@ -955,7 +965,7 @@ fn commit_slot<T: Send, O: Operator<T>>(
         stats.quarantined += 1;
         slot.committed = false;
         slot.stash = None;
-        stats.releases_avoided += slot.neighborhood.len() as u64;
+        stats.releases_avoided += nb_len;
         return;
     }
     if flags.get(task_id as usize) {
@@ -991,23 +1001,23 @@ fn commit_slot<T: Send, O: Operator<T>>(
                 .chaos
                 .as_deref()
                 .is_some_and(|c| c.inject_det_panic(task_id));
+        // Children of a failed attempt are cut back to here.
+        let mark = out.children.len();
         loop {
             let result = {
-                let Slot {
-                    item,
-                    neighborhood,
-                    stash,
-                    pushes,
-                    ..
-                } = slot;
+                let Slot { item, stash, .. } = slot;
                 let item = item.as_ref().expect("slot carries a task");
                 let mut ctx = Ctx {
                     mode: Mode::Commit,
                     mark_value,
                     tid,
                     marks,
-                    neighborhood,
-                    pushes,
+                    // Commit acquires only verify: the neighborhood is the
+                    // slot's inspect-time range, and the empty tail
+                    // `nbs[nbs.len()..]` stands in for this context's own.
+                    nb_start: out.nbs.len(),
+                    neighborhood: &mut out.nbs,
+                    pushes: &mut out.children,
                     flags: None,
                     stash,
                     allow_stash: false,
@@ -1018,19 +1028,13 @@ fn commit_slot<T: Send, O: Operator<T>>(
                     inject_abort: inject,
                     inject_panic: inject_panic.then_some(task_id),
                 };
-                contain_panic(|| {
-                    let r = op.run(&item.task, &mut ctx);
-                    if r.is_ok() {
-                        ctx.record_neighborhood_writes();
-                    }
-                    r
-                })
+                contain_panic(|| op.run(&item.task, &mut ctx))
             };
             match result {
                 Ok(Ok(())) => break,
                 Ok(Err(Abort::Injected)) => {
                     inject = false;
-                    slot.pushes.clear();
+                    out.children.truncate(mark);
                 }
                 Ok(Err(other)) => {
                     // Scheduler invariant violation, not an operator fault:
@@ -1042,23 +1046,23 @@ fn commit_slot<T: Send, O: Operator<T>>(
                     // contract): no shared writes happened, the round's
                     // marks retire by epoch — quarantine instead of commit.
                     slot.fault = Some(panic_message(payload));
-                    slot.pushes.clear();
+                    out.children.truncate(mark);
                     slot.stash = None;
                     slot.committed = false;
                     stats.quarantined += 1;
-                    stats.releases_avoided += slot.neighborhood.len() as u64;
+                    stats.releases_avoided += nb_len;
                     return;
                 }
             }
         }
-        // Key the created tasks deterministically here, on the worker, so
-        // the leader only moves whole buffers (§3.2 id assignment).
-        for (k, p) in slot.pushes.drain(..).enumerate() {
-            slot.pending_out.push(PendingItem {
-                task: p,
-                parent: task_id,
-                rank: k as u32,
-            });
+        if cfg.record_access {
+            accesses.extend(record_writes(&out.nbs[slot.nb.0..slot.nb.1]));
+        }
+        // The children's `(parent, rank)` keys are this birth record plus
+        // their order in the arena (§3.2 id assignment).
+        let born = out.children.len() - mark;
+        if born > 0 {
+            out.births.push((task_id, born));
         }
         stats.committed += 1;
         slot.committed = true;
@@ -1067,7 +1071,7 @@ fn commit_slot<T: Send, O: Operator<T>>(
     // retires the whole round's marks and flags with two epoch bumps in
     // `prepare_round`. Tally the CASes the old sweep would have issued (every
     // task released its entire neighborhood, committed or not).
-    stats.releases_avoided += slot.neighborhood.len() as u64;
+    stats.releases_avoided += nb_len;
 }
 
 #[cfg(test)]

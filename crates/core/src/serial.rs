@@ -38,6 +38,7 @@ where
             tid: 0,
             marks,
             neighborhood: &mut neighborhood,
+            nb_start: 0,
             pushes: &mut pushes,
             flags: None,
             stash: &mut stash,

@@ -214,6 +214,7 @@ where
                         tid,
                         marks,
                         neighborhood: &mut neighborhood,
+                        nb_start: 0,
                         pushes: &mut pushes,
                         flags: None,
                         stash: &mut stash,

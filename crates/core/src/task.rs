@@ -4,16 +4,15 @@
 //! are assigned per *pass* (one drain of the `todo` set, Figure 2):
 //!
 //! - Initial tasks receive ids in iteration order of the input collection.
-//! - A task created by task `t` as its `k`-th child carries the pair
-//!   `(id(t), k)`. At the pass boundary all created tasks are sorted
-//!   lexicographically by that pair and renumbered by position (§3.2).
+//! - A task created by task `t` as its `k`-th child is keyed by the pair
+//!   `(id(t), k)`. At the pass boundary created tasks are numbered by the
+//!   lexicographic order of those pairs (§3.2) — [`place_children`] does it
+//!   with a counting pass over the parents instead of a sort.
 //! - Alternatively, applications whose tasks are drawn from a fixed set can
-//!   pre-assign ids (§3.3, third optimization), skipping the sort.
+//!   pre-assign ids (§3.3, third optimization).
 //!
 //! Mark values are `id + 1`, so [`crate::marks::UNOWNED`] (0) stays below
 //! every task.
-
-use galois_runtime::sort::parallel_sort_by_key;
 
 /// A pass-local task id: the task's rank in the pass's deterministic order.
 pub type TaskId = u64;
@@ -23,39 +22,115 @@ pub type TaskId = u64;
 pub struct WorkItem<T> {
     /// Application payload.
     pub task: T,
-    /// Pass-local id (dense: `0..pass_size` for sorted passes, or the
+    /// Pass-local id (dense: `0..pass_size` for created passes, or the
     /// pre-assigned id for fixed-task-set applications).
     pub id: TaskId,
 }
 
-/// A newly created task awaiting id assignment: payload plus `(parent, rank)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingItem<T> {
-    /// Application payload.
-    pub task: T,
-    /// Id of the creating task.
-    pub parent: TaskId,
-    /// Birth rank: this was the parent's `rank`-th push.
-    pub rank: u32,
+/// Numbers one pass's created tasks by `(parent, rank)` and lays them out in
+/// [`spread_for_locality`] order, in O(children + max parent) with no sort.
+///
+/// `births` lists one `(parent, count)` per task that created children, in
+/// any order; `children` yields those children grouped the same way, each
+/// group in push order. Parents must be distinct, as they are within a pass.
+/// Child `k` of parent `p` gets id `first[p] + k`, where `first` is the
+/// exclusive prefix sum of the counts in parent order — exactly its rank
+/// in a stable sort by `(parent, rank)` — and lands at that id's position
+/// under the spread permutation.
+///
+/// `pending` is cleared and refilled with `Some` at every position, and
+/// `first` is scratch; both keep their capacity, so a pass boundary
+/// allocates nothing once they have reached their high water.
+///
+/// # Example
+///
+/// ```
+/// use galois_core::task::{place_children, WorkItem};
+///
+/// // Parent 4 pushed 'c', parent 1 pushed 'a' then 'b'.
+/// let births = [(4, 1), (1, 2)];
+/// let (mut first, mut pending) = (Vec::new(), Vec::new());
+/// place_children(&births, ['c', 'a', 'b'], 1, &mut first, &mut pending);
+/// let order: Vec<(char, u64)> = pending.into_iter().map(|w| {
+///     let w: WorkItem<char> = w.unwrap();
+///     (w.task, w.id)
+/// }).collect();
+/// assert_eq!(order, [('a', 0), ('b', 1), ('c', 2)]);
+/// ```
+pub fn place_children<T>(
+    births: &[(TaskId, usize)],
+    children: impl IntoIterator<Item = T>,
+    stride: usize,
+    first: &mut Vec<usize>,
+    pending: &mut Vec<Option<WorkItem<T>>>,
+) {
+    let parents = births
+        .iter()
+        .map(|&(p, _)| p as usize + 1)
+        .max()
+        .unwrap_or(0);
+    first.clear();
+    first.resize(parents, 0);
+    for &(p, count) in births {
+        debug_assert_eq!(first[p as usize], 0, "parent {p} has two birth records");
+        first[p as usize] = count;
+    }
+    let mut n = 0;
+    for f in first.iter_mut() {
+        let count = *f;
+        *f = n;
+        n += count;
+    }
+    pending.clear();
+    pending.resize_with(n, || None);
+    let place = Spread::new(stride, n);
+    let mut children = children.into_iter();
+    for &(p, count) in births {
+        let base = first[p as usize];
+        for id in base..base + count {
+            let task = children.next().expect("a birth count exceeds the children");
+            pending[place.position(id)] = Some(WorkItem {
+                task,
+                id: id as TaskId,
+            });
+        }
+    }
+    debug_assert!(children.next().is_none(), "children outnumber the births");
 }
 
-/// Sorts created tasks by `(parent, rank)` and renumbers them `0..n`.
-///
-/// The input order may be arbitrary as long as the multiset of
-/// `(parent, rank)` pairs is deterministic; the output order (and therefore
-/// the new ids) depends only on those pairs, because `(parent, rank)` pairs
-/// are unique: a parent numbers its pushes consecutively.
-pub fn assign_ids<T: Send>(pending: Vec<PendingItem<T>>, threads: usize) -> Vec<WorkItem<T>> {
-    let mut pending = pending;
-    parallel_sort_by_key(&mut pending, threads, |p| (p.parent, p.rank));
-    pending
-        .into_iter()
-        .enumerate()
-        .map(|(pos, p)| WorkItem {
-            task: p.task,
-            id: pos as TaskId,
-        })
-        .collect()
+/// The position map of [`spread_for_locality`]: element `i` of `n`, dealt
+/// round-robin into `s` buckets, lands at `b·q + min(b, r) + i/s` with
+/// `b = i % s`, `q = n / s` and `r = n % s` (the first `r` buckets hold one
+/// extra element).
+struct Spread {
+    s: usize,
+    q: usize,
+    r: usize,
+}
+
+impl Spread {
+    fn new(stride: usize, n: usize) -> Self {
+        // The identity cases of `spread_for_locality`; `s == n` is one too.
+        let s = if stride <= 1 || n <= 2 {
+            1
+        } else {
+            stride.min(n)
+        };
+        Spread {
+            s,
+            q: n / s,
+            r: n % s,
+        }
+    }
+
+    #[inline]
+    fn position(&self, i: usize) -> usize {
+        if self.s == 1 {
+            return i; // the default: no spreading, and no divisions
+        }
+        let b = i % self.s;
+        b * self.q + b.min(self.r) + i / self.s
+    }
 }
 
 /// Applies the locality-spreading permutation (§3.3, second optimization).
@@ -104,69 +179,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn assign_ids_orders_lexicographically() {
-        let pending = vec![
-            PendingItem {
-                task: 'c',
-                parent: 1,
-                rank: 1,
-            },
-            PendingItem {
-                task: 'a',
-                parent: 0,
-                rank: 0,
-            },
-            PendingItem {
-                task: 'd',
-                parent: 2,
-                rank: 0,
-            },
-            PendingItem {
-                task: 'b',
-                parent: 0,
-                rank: 1,
-            },
-        ];
-        let items = assign_ids(pending, 2);
-        let order: Vec<char> = items.iter().map(|w| w.task).collect();
-        assert_eq!(order, vec!['a', 'b', 'c', 'd']);
-        let ids: Vec<u64> = items.iter().map(|w| w.id).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn assign_ids_independent_of_input_order() {
-        let mk = |perm: &[usize]| {
-            let base = [
-                PendingItem {
-                    task: 10,
-                    parent: 5,
-                    rank: 0,
-                },
-                PendingItem {
-                    task: 20,
-                    parent: 3,
-                    rank: 2,
-                },
-                PendingItem {
-                    task: 30,
-                    parent: 3,
-                    rank: 0,
-                },
-                PendingItem {
-                    task: 40,
-                    parent: 9,
-                    rank: 1,
-                },
-            ];
-            let v: Vec<_> = perm.iter().map(|&i| base[i].clone()).collect();
-            assign_ids(v, 1)
-        };
-        let a = mk(&[0, 1, 2, 3]);
-        let b = mk(&[3, 2, 1, 0]);
-        let c = mk(&[2, 0, 3, 1]);
-        assert_eq!(a, b);
-        assert_eq!(b, c);
+    fn placement_numbers_by_parent_then_rank_and_spreads() {
+        // Births arrive out of parent order; parent 2 created nothing.
+        let births = [(3, 1), (0, 2), (1, 1)];
+        let (mut first, mut pending) = (Vec::new(), Vec::new());
+        place_children(&births, ['d', 'a', 'b', 'c'], 2, &mut first, &mut pending);
+        let placed: Vec<(char, u64)> = pending
+            .into_iter()
+            .map(|w| w.map(|w| (w.task, w.id)).expect("every position filled"))
+            .collect();
+        // Ids a0 b1 c2 d3, then dealt into two buckets: 0 2 | 1 3.
+        assert_eq!(placed, [('a', 0), ('c', 2), ('b', 1), ('d', 3)]);
     }
 
     #[test]

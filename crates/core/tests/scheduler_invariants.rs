@@ -251,24 +251,158 @@ fn nested_generations_keep_deterministic_order() {
 
 #[test]
 fn trace_and_access_recording_compose() {
-    let marks = MarkTable::new(8);
+    // One thread records one ordered stream: each round's inspect reads,
+    // then, per committed task, its commit-time reads followed by its
+    // writes. Every task acquires two distinct locations, so a commit's
+    // writes must be exactly the two locations it just read — its own
+    // inspect-time neighborhood, never more of the thread's arena.
+    let marks = MarkTable::new(16);
     let op = |t: &u64, ctx: &mut Ctx<'_, u64>| -> OpResult {
-        ctx.acquire((*t % 8) as u32)?;
+        ctx.acquire((*t % 16) as u32)?;
+        ctx.acquire(((*t + 1) % 16) as u32)?;
         ctx.failsafe()?;
         Ok(())
     };
     let report = Executor::new()
-        .threads(2)
+        .threads(1)
         .schedule(Schedule::deterministic())
         .record_trace(true)
         .record_access(true)
         .iterate((0..64u64).collect())
         .run(&marks, &op);
     assert!(report.trace.is_some());
+    let stats = &report.stats;
+    assert_eq!(stats.committed, 64);
+    assert!(
+        stats.aborted > 0,
+        "neighborhoods overlap, so rounds conflict"
+    );
     let accesses = report.accesses.unwrap();
-    assert_eq!(accesses.len(), 2, "one stream per thread");
-    let total: usize = accesses.iter().map(|s| s.len()).sum();
-    // Each committed task records its location at inspect, commit-verify,
-    // and commit-write: at least 2 accesses per commit.
-    assert!(total >= 2 * 64, "recorded {total} accesses");
+    assert_eq!(accesses.len(), 1, "one stream per thread");
+    let stream = &accesses[0];
+    assert_eq!(
+        stream.len() as u64,
+        2 * stats.inspected + 4 * stats.committed,
+        "two reads per inspect; two reads and two writes per commit"
+    );
+    let mut groups = 0;
+    let mut i = 0;
+    while i < stream.len() {
+        if !stream[i].write {
+            i += 1;
+            continue;
+        }
+        let end = (i..stream.len())
+            .find(|&j| !stream[j].write)
+            .unwrap_or(stream.len());
+        assert!(i >= 2, "writes at {i} follow no commit reads");
+        let reads: Vec<u32> = stream[i - 2..i].iter().map(|a| a.loc).collect();
+        let writes: Vec<u32> = stream[i..end].iter().map(|a| a.loc).collect();
+        assert!(stream[i - 2..i].iter().all(|a| !a.write));
+        assert_eq!(writes, reads, "commit writes at {i} are not the task's own");
+        groups += 1;
+        i = end;
+    }
+    assert_eq!(groups, 64, "one write group per committed task");
+}
+
+/// Tree expansion with overlapping neighborhoods. Each task pushes its first
+/// child *before* its failsafe point — a buffered push is not a shared
+/// write, so a cautious operator may — and its second child after, so an
+/// attempt that aborts or panics at the failsafe has already created a
+/// child the executor must discard.
+fn retry_op<'a>(
+    nodes: u64,
+    ran: &'a Mutex<Vec<u64>>,
+    committed: &'a Mutex<Vec<u64>>,
+) -> impl Fn(&u64, &mut Ctx<'_, u64>) -> OpResult + Sync + 'a {
+    move |t: &u64, ctx: &mut Ctx<'_, u64>| {
+        ran.lock().unwrap().push(*t);
+        ctx.acquire((*t % 24) as u32)?;
+        ctx.acquire((*t / 2 % 24) as u32)?;
+        let children = 2 * *t + 2 < nodes;
+        if children {
+            ctx.push(2 * *t + 1);
+        }
+        ctx.failsafe()?;
+        if children {
+            ctx.push(2 * *t + 2);
+        }
+        committed.lock().unwrap().push(*t);
+        Ok(())
+    }
+}
+
+#[test]
+fn chaos_retries_discard_the_children_of_failed_attempts() {
+    const NODES: u64 = 1023;
+    let run = |threads: usize, chaos: Option<u64>, panics: bool| {
+        let ran = Mutex::new(Vec::new());
+        let committed = Mutex::new(Vec::new());
+        let marks = MarkTable::new(24);
+        let op = retry_op(NODES, &ran, &committed);
+        let mut exec = Executor::new()
+            .threads(threads)
+            .schedule(Schedule::deterministic())
+            .record_rounds(true);
+        exec = match chaos {
+            Some(seed) if panics => exec.chaos_panics(seed),
+            Some(seed) => exec.chaos(seed),
+            None => exec,
+        };
+        let outcome = exec.iterate(vec![0u64]).try_run(&marks, &op);
+        drop(op);
+        let mut committed = committed.into_inner().unwrap();
+        committed.sort_unstable();
+        (outcome, ran.into_inner().unwrap(), committed)
+    };
+
+    let (clean, _, clean_tasks) = run(1, None, false);
+    let clean = clean.expect("the chaos-free run completes");
+    assert_eq!(clean_tasks, (0..NODES).collect::<Vec<_>>());
+    let clean_log = clean
+        .round_log()
+        .expect("rounds recorded")
+        .canonical_jsonl();
+
+    // Injected aborts retry in place: same commits, same created tasks,
+    // same rounds — the aborted attempts' early children are gone.
+    let mut injected = 0;
+    for threads in [1usize, 2, 3, 4] {
+        for seed in [1u64, 7, 42, 0xDEAD_BEEF] {
+            let (report, _, tasks) = run(threads, Some(seed), false);
+            let report = report.expect("injected aborts are not faults");
+            let tag = format!("threads={threads} seed={seed}");
+            assert_eq!(report.stats.committed, NODES, "{tag}");
+            assert_eq!(tasks, clean_tasks, "{tag}: created tasks differ");
+            let log = report
+                .round_log()
+                .expect("rounds recorded")
+                .canonical_jsonl();
+            assert_eq!(log, clean_log, "{tag}: round log differs");
+            injected += report.stats.injected_aborts;
+        }
+    }
+    assert!(injected > 0, "chaos never injected an abort");
+
+    // Injected panics quarantine: the fault report is the same at every
+    // thread count, and no child of a quarantined attempt ever runs.
+    let mut faulted = 0;
+    for seed in [1u64, 2, 3, 7] {
+        let (reference, _, _) = run(1, Some(seed), true);
+        let reference = reference.err();
+        faulted += usize::from(reference.is_some());
+        for threads in [1usize, 2, 3, 4] {
+            let (outcome, ran, committed) = run(threads, Some(seed), true);
+            assert_eq!(outcome.err(), reference, "threads={threads} seed={seed}");
+            for t in ran.into_iter().filter(|&t| t > 0) {
+                assert!(
+                    committed.binary_search(&((t - 1) / 2)).is_ok(),
+                    "task {t} ran, but its parent never committed \
+                     (threads={threads} seed={seed})"
+                );
+            }
+        }
+    }
+    assert!(faulted > 0, "chaos never injected a panic");
 }

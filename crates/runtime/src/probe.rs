@@ -81,7 +81,8 @@ pub struct RoundRecord {
     /// off).
     pub commit_ns: f64,
     /// Leader-serial time closing this round: output merge, failed-task
-    /// write-back, window carve (0 when timing is off).
+    /// write-back, any pass-boundary placement, window carve (0 when timing
+    /// is off).
     pub serial_ns: f64,
 }
 

@@ -148,7 +148,7 @@ pub struct RoundTrace {
     /// buffer concatenation), which no worker count parallelizes.
     pub serial_ns: f64,
     /// Scheduler work that a production runtime parallelizes (pass-boundary
-    /// sorting, prefix-sum flattening); modeled as `/p` work with no
+    /// placement, prefix-sum flattening); modeled as `/p` work with no
     /// longest-task floor.
     pub sched_par_ns: f64,
     /// Number of barrier episodes in the round (Figure 2 shows three). Zero

@@ -1,11 +1,10 @@
 //! Parallel stable merge sort.
 //!
-//! Deterministic id assignment (§3.2 of the paper) sorts newly created tasks
-//! lexicographically by `(parent id, birth rank)` at every `todo → next`
-//! boundary. That sort sits on the critical path between passes, so the
-//! runtime provides a parallel *stable* merge sort: stability means tasks with
-//! equal keys keep their (already deterministic) buffer order, so the result
-//! is independent of the thread count.
+//! Sorts on the input and scheduling paths — CSR construction's edge pairs
+//! and the executor's pre-assigned task ids (§3.3) — use this parallel
+//! *stable* merge sort: stability means items with equal keys keep their
+//! (already deterministic) buffer order, so the result is independent of the
+//! thread count.
 
 use crate::pool::{chunk_ends, chunk_range, run_partitioned};
 

@@ -4,7 +4,7 @@
 
 use deterministic_galois::core::flags::AbortFlags;
 use deterministic_galois::core::marks::{LockId, MarkTable, UNOWNED};
-use deterministic_galois::core::task::{assign_ids, spread_for_locality, PendingItem};
+use deterministic_galois::core::task::{place_children, spread_for_locality, TaskId, WorkItem};
 use deterministic_galois::core::window::{AdaptiveWindow, WindowPolicy};
 use deterministic_galois::core::{Ctx, Executor, OpResult, Schedule};
 use proptest::prelude::*;
@@ -85,27 +85,54 @@ proptest! {
         }
     }
 
-    /// Deterministic id assignment is a bijection ordered by (parent, rank),
-    /// independent of input order.
+    /// The counting placement equals the stable `(parent, rank)` sort
+    /// followed by locality spreading, for births in any round order,
+    /// parent-id gaps, childless parents and every stride class — and it
+    /// reuses whatever its buffers held before.
     #[test]
-    fn id_assignment_is_order_invariant(
-        pairs in proptest::collection::btree_set((0u64..50, 0u32..8), 1..40),
-        seed in 0u64..100,
+    fn placement_is_the_sorted_spread(
+        parents in proptest::collection::btree_set(0u64..200, 0..30),
+        counts in proptest::collection::vec(0usize..5, 30..31),
+        seed in 0u64..1000,
+        stride_class in 0usize..8,
+        stale in 0usize..50,
     ) {
-        let items: Vec<PendingItem<u64>> = pairs
-            .iter()
-            .enumerate()
-            .map(|(i, &(parent, rank))| PendingItem { task: i as u64, parent, rank })
-            .collect();
-        let mut shuffled = items.clone();
-        let n = shuffled.len();
-        for i in 0..n {
-            let j = (seed as usize + i * 31) % n;
-            shuffled.swap(i, j);
+        // Births in a shuffled "round order"; children keyed by payload.
+        let mut births: Vec<(TaskId, usize)> =
+            parents.iter().zip(&counts).map(|(&p, &c)| (p, c)).collect();
+        let nb = births.len();
+        for i in 0..nb {
+            let j = (seed as usize).wrapping_mul(2654435761).wrapping_add(i * 31) % nb;
+            births.swap(i, j);
         }
-        let a = assign_ids(items, 1);
-        let b = assign_ids(shuffled, 2);
-        prop_assert_eq!(a, b);
+        // Payloads are birth-order serials, so the oracle's stability and
+        // the placement's id-to-payload pairing are both observable.
+        let keyed: Vec<((TaskId, usize), usize)> = births
+            .iter()
+            .flat_map(|&(p, c)| (0..c).map(move |k| (p, k)))
+            .enumerate()
+            .map(|(serial, key)| (key, serial))
+            .collect();
+        let n = keyed.len();
+        let stride = [0, 1, 2, 16, n.saturating_sub(1), n, n + 1, usize::MAX][stride_class];
+
+        let mut sorted = keyed.clone();
+        sorted.sort_by_key(|&(key, _)| key); // std's stable sort
+        let numbered: Vec<WorkItem<usize>> = sorted
+            .into_iter()
+            .enumerate()
+            .map(|(id, (_, task))| WorkItem { task, id: id as TaskId })
+            .collect();
+        let oracle: Vec<Option<WorkItem<usize>>> =
+            spread_for_locality(numbered, stride).into_iter().map(Some).collect();
+
+        let mut first = vec![7usize; stale];
+        let mut pending: Vec<Option<WorkItem<usize>>> = (0..stale)
+            .map(|i| Some(WorkItem { task: 999 + i, id: 999 }))
+            .collect();
+        let children = keyed.into_iter().map(|(_, serial)| serial);
+        place_children(&births, children, stride, &mut first, &mut pending);
+        prop_assert_eq!(pending, oracle);
     }
 
     /// Locality spreading is a permutation for any stride.
