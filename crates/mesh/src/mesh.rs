@@ -19,6 +19,22 @@ pub struct TriData {
     pub n: [u32; 3],
 }
 
+impl TriData {
+    /// The edge index whose endpoints are `{a, b}` (either direction), if
+    /// any.
+    pub fn edge_index(&self, a: u32, b: u32) -> Option<usize> {
+        (0..3).find(|&i| {
+            let (x, y) = (self.v[i], self.v[(i + 1) % 3]);
+            (x == a && y == b) || (x == b && y == a)
+        })
+    }
+
+    /// The edge index that points to neighbor `other`, if any.
+    pub fn neighbor_index(&self, other: u32) -> Option<usize> {
+        (0..3).find(|&i| self.n[i] == other)
+    }
+}
+
 struct TriSlot {
     v: [AtomicU32; 3],
     n: [AtomicU32; 3],
@@ -222,22 +238,6 @@ impl Mesh {
         self.tris[t as usize].n[edge].store(neighbor, Ordering::Relaxed);
     }
 
-    /// The edge index of `t` whose endpoints are `{a, b}` (either
-    /// direction), if any.
-    pub fn edge_index(&self, t: u32, a: u32, b: u32) -> Option<usize> {
-        let d = self.tri(t);
-        (0..3).find(|&i| {
-            let (x, y) = (d.v[i], d.v[(i + 1) % 3]);
-            (x == a && y == b) || (x == b && y == a)
-        })
-    }
-
-    /// The edge index of `t` that points to neighbor `other`, if any.
-    pub fn neighbor_index(&self, t: u32, other: u32) -> Option<usize> {
-        let d = self.tri(t);
-        (0..3).find(|&i| d.n[i] == other)
-    }
-
     /// Iterates over the ids of alive triangles, in slot order.
     pub fn alive_tris(&self) -> impl Iterator<Item = u32> + '_ {
         (0..self.num_tris_allocated() as u32).filter(move |&t| self.alive(t))
@@ -282,13 +282,15 @@ mod tests {
             m.add_vertex(Point::from_grid(0, 0));
         }
         let t = m.create_tri([0, 1, 2]);
-        assert_eq!(m.edge_index(t, 1, 0), Some(0));
-        assert_eq!(m.edge_index(t, 2, 1), Some(1));
-        assert_eq!(m.edge_index(t, 0, 2), Some(2));
-        assert_eq!(m.edge_index(t, 0, 3), None);
+        let d = m.tri(t);
+        assert_eq!(d.edge_index(1, 0), Some(0));
+        assert_eq!(d.edge_index(2, 1), Some(1));
+        assert_eq!(d.edge_index(0, 2), Some(2));
+        assert_eq!(d.edge_index(0, 3), None);
         m.set_neighbor(t, 2, 5);
-        assert_eq!(m.neighbor_index(t, 5), Some(2));
-        assert_eq!(m.neighbor_index(t, 6), None);
+        let d = m.tri(t);
+        assert_eq!(d.neighbor_index(5), Some(2));
+        assert_eq!(d.neighbor_index(6), None);
     }
 
     #[test]
