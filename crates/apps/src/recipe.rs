@@ -1,4 +1,5 @@
-//! The run recipe of each application: the one home of per-app facts.
+//! The run recipe of each application: the one home of per-app facts and
+//! of the paper's (app × variant) evaluation matrix (§4.1).
 //!
 //! "The program and its input" — what a deterministic run's output is a
 //! function of — is, per app: the executor shape it runs under (locality
@@ -19,10 +20,12 @@ use galois_graph::cache::{self, CacheOutcome};
 use galois_graph::{gen, CsrGraph, FlowNetwork};
 use galois_mesh::Mesh;
 use galois_runtime::fingerprint::{hash_u32s, Fnv64};
+use galois_runtime::simtime::ExecTrace;
 use galois_runtime::stats::ExecStats;
 use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// The benchmark applications (§4.1 of the paper, plus maximal matching).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,6 +42,85 @@ pub enum App {
     Dmr,
     /// Preflow-push max-flow.
     Pfp,
+}
+
+/// How an app is run: the columns of the paper's evaluation matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Variant {
+    /// The app's operator under the serial executor (`seq`) — the
+    /// differential oracle.
+    Serial,
+    /// Non-deterministic speculative Galois (`g-n`).
+    Speculative,
+    /// Deterministically scheduled Galois (`g-d`).
+    Deterministic,
+    /// Handwritten determinism-by-construction implementation on
+    /// [`pbbs_det`] primitives (`pbbs`).
+    Pbbs,
+}
+
+impl Variant {
+    /// Every variant, in the paper's column order.
+    pub const ALL: [Variant; 4] = [
+        Variant::Serial,
+        Variant::Speculative,
+        Variant::Deterministic,
+        Variant::Pbbs,
+    ];
+
+    /// Name used in manifests and over HTTP.
+    pub fn name(self) -> &'static str {
+        match self {
+            Variant::Serial => "serial",
+            Variant::Speculative => "speculative",
+            Variant::Deterministic => "deterministic",
+            Variant::Pbbs => "pbbs",
+        }
+    }
+
+    /// The paper's label, used on the command line and in tables.
+    pub fn label(self) -> &'static str {
+        match self {
+            Variant::Serial => "seq",
+            Variant::Speculative => "g-n",
+            Variant::Deterministic => "g-d",
+            Variant::Pbbs => "pbbs",
+        }
+    }
+
+    /// Parses either spelling ([`name`](Self::name) or
+    /// [`label`](Self::label)).
+    pub fn from_name(name: &str) -> Option<Variant> {
+        Variant::ALL
+            .into_iter()
+            .find(|v| v.name() == name || v.label() == name)
+    }
+
+    /// The schedule this variant runs the app's operator under. pbbs runs
+    /// no operator — [`App::run`] reads only its executor's thread count and
+    /// trace flag — so it is given the serial schedule.
+    pub fn schedule(self) -> Schedule {
+        match self {
+            Variant::Serial | Variant::Pbbs => Schedule::Serial,
+            Variant::Speculative => Schedule::Speculative,
+            Variant::Deterministic => Schedule::deterministic(),
+        }
+    }
+
+    /// The executor variant `exec` runs: the one its schedule names.
+    pub fn of(exec: &Executor) -> Variant {
+        match exec.scheduler() {
+            Schedule::Serial => Variant::Serial,
+            Schedule::Speculative => Variant::Speculative,
+            Schedule::Deterministic(_) => Variant::Deterministic,
+        }
+    }
+}
+
+impl fmt::Display for Variant {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
 }
 
 /// An app's input, materialized for (potentially repeated) execution.
@@ -73,10 +155,19 @@ pub struct Finished {
     /// geometry, flow value).
     pub output_hash: u64,
     /// The run's round logs when the executor recorded rounds — one per
-    /// executor pass (pfp runs one pass per bout).
+    /// executor pass (pfp runs one pass per bout; join them with
+    /// [`RoundLog::concat`]).
     pub logs: Vec<RoundLog>,
-    /// Executor statistics, merged across passes.
+    /// Executor statistics, merged across passes. A pbbs run fills the
+    /// commit, abort, atomic-update and round counts, the elapsed time of
+    /// its compute section and the thread count.
     pub stats: ExecStats,
+    /// Virtual-time trace, when the executor recorded one (pfp's bouts
+    /// merged into one trace).
+    pub trace: Option<ExecTrace>,
+    /// Per-thread abstract-location access streams, when the executor
+    /// recorded them.
+    pub accesses: Option<Vec<Vec<u32>>>,
 }
 
 impl Finished {
@@ -84,9 +175,68 @@ impl Finished {
         Finished {
             output_hash,
             logs: report.take_round_log().into_iter().collect(),
+            accesses: report.accesses.map(|per| {
+                per.into_iter()
+                    .map(|v| v.into_iter().map(|a| a.loc).collect())
+                    .collect()
+            }),
+            trace: report.trace,
             stats: report.stats,
         }
     }
+}
+
+/// `f`'s result and how long it took.
+fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
+    let t0 = Instant::now();
+    let r = f();
+    (r, t0.elapsed())
+}
+
+/// One trace for a multi-bout run: the bouts' traces back to back (an
+/// asynchronous run's per-task overhead is the largest bout's).
+fn merge_traces(bouts: &mut [RunReport]) -> Option<ExecTrace> {
+    let traces = bouts.iter_mut().filter_map(|bout| bout.trace.take());
+    traces.reduce(|a, b| match (a, b) {
+        (ExecTrace::Rounds(mut a), ExecTrace::Rounds(b)) => {
+            a.extend(b);
+            ExecTrace::Rounds(a)
+        }
+        (
+            ExecTrace::Async {
+                task_ns: mut a,
+                overhead_ns: oa,
+            },
+            ExecTrace::Async {
+                task_ns: b,
+                overhead_ns: ob,
+            },
+        ) => {
+            a.extend(b);
+            ExecTrace::Async {
+                task_ns: a,
+                overhead_ns: oa.max(ob),
+            }
+        }
+        (ExecTrace::Sequential { total_ns: a }, ExecTrace::Sequential { total_ns: b }) => {
+            ExecTrace::Sequential { total_ns: a + b }
+        }
+        _ => unreachable!("every bout of a run has the run's schedule"),
+    })
+}
+
+/// One per-thread access stream for a multi-bout run: each thread's bouts
+/// back to back.
+fn merge_accesses(bouts: &mut [RunReport]) -> Option<Vec<Vec<u32>>> {
+    let mut merged: Option<Vec<Vec<u32>>> = None;
+    for per in bouts.iter_mut().filter_map(|bout| bout.accesses.take()) {
+        let merged = merged.get_or_insert_with(Vec::new);
+        merged.resize_with(merged.len().max(per.len()), Vec::new);
+        for (tid, stream) in per.into_iter().enumerate() {
+            merged[tid].extend(stream.into_iter().map(|a| a.loc));
+        }
+    }
+    merged
 }
 
 fn hash_mesh(mesh: &Mesh) -> u64 {
@@ -155,6 +305,17 @@ impl App {
             App::Dt => 300,
             App::Dmr => 120,
             App::Pfp => 96,
+        }
+    }
+
+    /// The size a `galois <app>` run builds when no `--size` is given:
+    /// larger than the corpus, so a one-shot run has work to measure.
+    pub fn cli_size(self) -> usize {
+        match self {
+            App::Bfs | App::Mis | App::Mm => 200_000,
+            App::Dt => 25_000,
+            App::Dmr => 3_000,
+            App::Pfp => 8_192,
         }
     }
 
@@ -228,33 +389,112 @@ impl App {
         }
     }
 
-    /// Runs this app's operator under `exec` over `input` with `hooks`
-    /// attached, verifies the output with the app's own verifier and hashes
-    /// it. Three endings: outer `Err` = the output failed verification (or
-    /// `input` is another app's kind), inner `Err` = a contained executor
-    /// fault (no output to verify), inner `Ok` = a verified [`Finished`].
+    /// `variant` as a variant of this app, or why the app has none: pfp
+    /// has no PBBS counterpart (§4.1).
+    pub fn check_variant(self, variant: Variant) -> Result<(), String> {
+        match (self, variant) {
+            (App::Pfp, Variant::Pbbs) => Err("pfp has no PBBS variant (§4.1)".into()),
+            _ => Ok(()),
+        }
+    }
+
+    /// What this app's verifier establishes of an output it accepts.
+    pub fn verified_claim(self) -> &'static str {
+        match self {
+            App::Bfs => "distances exact",
+            App::Mis => "independent and maximal",
+            App::Mm => "valid maximal matching",
+            App::Dt => "valid Delaunay triangulation",
+            App::Dmr => "conforming refined Delaunay mesh",
+            App::Pfp => "valid flow assignment",
+        }
+    }
+
+    /// Runs `variant` of this app over `input`, verifies the output with the
+    /// app's own verifier and hashes it. The executor variants run the app's
+    /// operator under `exec` with `hooks` attached; [`Variant::Pbbs`] runs
+    /// the handwritten implementation and reads only `exec`'s thread count
+    /// and trace flag. Three endings: outer `Err` = the output failed
+    /// verification (or the app has no such variant, or `input` is another
+    /// app's kind), inner `Err` = a contained executor fault (no output to
+    /// verify), inner `Ok` = a verified [`Finished`].
     pub fn run(
         self,
+        variant: Variant,
         exec: &Executor,
         input: &Input,
         hooks: Hooks<'_>,
     ) -> Result<Result<Finished, ExecError>, String> {
+        self.check_variant(variant)?;
+        let pbbs = variant == Variant::Pbbs;
+        let (threads, trace) = (exec.thread_count(), exec.records_trace());
+        // A pbbs run's counts `[committed, aborted, atomic_updates, rounds]`
+        // as executor statistics, with its round traces when asked for.
+        let pbbs_done = |output_hash,
+                         [committed, aborted, atomic_updates, rounds]: [u64; 4],
+                         elapsed,
+                         round_traces| Finished {
+            output_hash,
+            logs: Vec::new(),
+            stats: ExecStats {
+                committed,
+                aborted,
+                atomic_updates,
+                rounds,
+                elapsed,
+                threads,
+                ..ExecStats::default()
+            },
+            trace: trace.then_some(ExecTrace::Rounds(round_traces)),
+            accesses: None,
+        };
         // Each arm: the app's verifier verdict beside the reduced run.
         let ran = match (self, input) {
+            (App::Bfs, Input::Graph(g)) if pbbs => {
+                let ((dist, _parents, s), t) = timed(|| bfs::pbbs(g, 0, threads, trace));
+                let counts = [s.visited, 0, s.atomic_updates, s.rounds];
+                let done = pbbs_done(hash_u32s(&dist), counts, t, s.round_traces);
+                Ok((bfs::verify(g, 0, &dist), done))
+            }
             (App::Bfs, Input::Graph(g)) => bfs::run(g, 0, exec, hooks).map(|(dist, r)| {
                 let verdict = bfs::verify(g, 0, &dist);
                 (verdict, Finished::one_pass(hash_u32s(&dist), r))
             }),
+            (App::Mis, Input::Graph(g)) if pbbs => {
+                let ((flags, s), t) = timed(|| mis::pbbs(g, threads, trace));
+                let counts = [s.committed, s.aborted, s.reserved, s.rounds];
+                let done = pbbs_done(hash_u32s(&flags), counts, t, s.round_traces);
+                Ok((mis::verify(g, &flags), done))
+            }
             (App::Mis, Input::Graph(g)) => mis::run(g, exec, hooks).map(|(flags, r)| {
                 let verdict = mis::verify(g, &flags);
                 (verdict, Finished::one_pass(hash_u32s(&flags), r))
             }),
+            (App::Mm, Input::Graph(g)) if pbbs => {
+                let ((mate, s), t) = timed(|| mm::pbbs(g, threads, trace));
+                let counts = [s.committed, s.aborted, s.reserved, s.rounds];
+                let done = pbbs_done(hash_u32s(&mate), counts, t, s.round_traces);
+                Ok((mm::verify(g, &mate), done))
+            }
             (App::Mm, Input::Graph(g)) => mm::run(g, exec, hooks).map(|(mate, r)| {
                 let verdict = mm::verify(g, &mate);
                 (verdict, Finished::one_pass(hash_u32s(&mate), r))
             }),
+            (App::Dt, Input::Points { pts, seed }) if pbbs => {
+                let ((mesh, s), t) = timed(|| dt::pbbs(pts, *seed, threads, trace));
+                let counts = [s.committed, s.aborted, s.atomic_updates, s.rounds];
+                let done = pbbs_done(hash_mesh(&mesh), counts, t, s.round_traces);
+                Ok((dt::verify(&mesh), done))
+            }
             (App::Dt, Input::Points { pts, seed }) => dt::run(pts, *seed, exec, hooks)
                 .map(|(mesh, r)| (dt::verify(&mesh), Finished::one_pass(hash_mesh(&mesh), r))),
+            (App::Dmr, Input::MeshSpec { n, seed }) if pbbs => {
+                let mesh = dmr::make_input(*n, *seed);
+                let (s, t) = timed(|| dmr::pbbs(&mesh, threads, trace));
+                let counts = [s.committed, s.aborted, s.atomic_updates, s.rounds];
+                let done = pbbs_done(hash_mesh(&mesh), counts, t, s.round_traces);
+                Ok((dmr::verify(&mesh), done))
+            }
             (App::Dmr, Input::MeshSpec { n, seed }) => {
                 let mesh = dmr::make_input(*n, *seed);
                 dmr::run(&mesh, exec, hooks)
@@ -271,6 +511,8 @@ impl App {
                     let finished = Finished {
                         output_hash: h.finish(),
                         logs: r.take_round_logs(),
+                        trace: merge_traces(&mut r.reports),
+                        accesses: merge_accesses(&mut r.reports),
                         stats: r.stats,
                     };
                     (pfp::verify(&net, flow), finished)

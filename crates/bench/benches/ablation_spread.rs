@@ -6,10 +6,10 @@
 //! the scheduler needs to reduce locality to improve performance". The
 //! deterministic deal into S buckets places them in different rounds.
 
-use galois_apps::{dmr, dt};
+use galois_apps::{App, Variant};
 use galois_bench::inputs;
 use galois_bench::tables::{f, Table};
-use galois_core::{DetOptions, Executor, Schedule};
+use galois_core::{DetOptions, Executor, Hooks, Schedule};
 
 fn main() {
     let scale = galois_bench::scale();
@@ -22,24 +22,20 @@ fn main() {
                 locality_spread: stride,
                 ..Default::default()
             }));
-        let pts = inputs::dt_points(scale);
-        let (_mesh, r) = dt::try_galois(&pts, inputs::SEED, &exec).unwrap();
-        table.row(vec![
-            "dt".into(),
-            stride.to_string(),
-            f(r.stats.elapsed.as_secs_f64() * 1e3),
-            r.stats.rounds.to_string(),
-            f(r.stats.abort_ratio()),
-        ]);
-        let mesh = inputs::dmr_mesh(scale);
-        let r = dmr::try_galois(&mesh, &exec).unwrap();
-        table.row(vec![
-            "dmr".into(),
-            stride.to_string(),
-            f(r.stats.elapsed.as_secs_f64() * 1e3),
-            r.stats.rounds.to_string(),
-            f(r.stats.abort_ratio()),
-        ]);
+        for app in [App::Dt, App::Dmr] {
+            let input = inputs::input(app, scale);
+            let r = app
+                .run(Variant::Deterministic, &exec, &input, Hooks::default())
+                .unwrap()
+                .unwrap();
+            table.row(vec![
+                app.name().into(),
+                stride.to_string(),
+                f(r.stats.elapsed.as_secs_f64() * 1e3),
+                r.stats.rounds.to_string(),
+                f(r.stats.abort_ratio()),
+            ]);
+        }
     }
     println!("{}", table.render());
     println!("expected shape: stride > 1 cuts the abort ratio for cavity-based apps");

@@ -6,10 +6,10 @@
 //! PBBS) invite output-changing tuning. The adaptive policy should track
 //! the best fixed size without a knob.
 
-use galois_apps::{dmr, mis};
+use galois_apps::{App, Variant};
 use galois_bench::inputs;
 use galois_bench::tables::{f, Table};
-use galois_core::{DetOptions, Executor, Schedule, WindowPolicy};
+use galois_core::{DetOptions, Executor, Hooks, Schedule, WindowPolicy};
 
 fn det_with(window: WindowPolicy, spread: usize) -> Executor {
     Executor::new()
@@ -34,38 +34,25 @@ fn main() {
     println!("== Ablation: adaptive vs fixed DIG windows (scale {scale}) ==\n");
     let mut table = Table::new(&["app", "window", "time-ms", "rounds", "abort-ratio"]);
 
-    let g = inputs::mis_graph(scale);
-    let mesh_scale = scale;
-    let mut run = |app: &str, window: &str, exec: &Executor| {
-        let (elapsed, rounds, ratio) = match app {
-            "mis" => {
-                let (_out, r) = mis::try_galois(&g, exec).unwrap();
-                (r.stats.elapsed, r.stats.rounds, r.stats.abort_ratio())
-            }
-            _ => {
-                let mesh = inputs::dmr_mesh(mesh_scale);
-                let r = dmr::try_galois(&mesh, exec).unwrap();
-                (r.stats.elapsed, r.stats.rounds, r.stats.abort_ratio())
-            }
+    for app in [App::Mis, App::Dmr] {
+        let input = inputs::input(app, scale);
+        let spread = if app == App::Dmr { 16 } else { 1 };
+        let mut run = |window: &str, exec: &Executor| {
+            let r = app
+                .run(Variant::Deterministic, exec, &input, Hooks::default())
+                .unwrap()
+                .unwrap();
+            table.row(vec![
+                app.name().into(),
+                window.into(),
+                f(r.stats.elapsed.as_secs_f64() * 1e3),
+                r.stats.rounds.to_string(),
+                f(r.stats.abort_ratio()),
+            ]);
         };
-        table.row(vec![
-            app.into(),
-            window.into(),
-            f(elapsed.as_secs_f64() * 1e3),
-            rounds.to_string(),
-            f(ratio),
-        ]);
-    };
-
-    for app in ["mis", "dmr"] {
-        let spread = if app == "dmr" { 16 } else { 1 };
-        run(app, "adaptive", &det_with(WindowPolicy::default(), spread));
+        run("adaptive", &det_with(WindowPolicy::default(), spread));
         for size in [64usize, 1024, 16 * 1024, 256 * 1024] {
-            run(
-                app,
-                &format!("fixed {size}"),
-                &det_with(fixed(size), spread),
-            );
+            run(&format!("fixed {size}"), &det_with(fixed(size), spread));
         }
     }
     println!("{}", table.render());

@@ -6,17 +6,17 @@
 //! paths and relabels nodes many times, FIFO approximates level order.
 //! (The deterministic scheduler imposes its own order and ignores this.)
 
-use galois_apps::bfs;
+use galois_apps::{App, Variant};
 use galois_bench::inputs;
 use galois_bench::tables::{f, Table};
-use galois_core::{Executor, Schedule, WorklistPolicy};
+use galois_core::{Executor, Hooks, Schedule, WorklistPolicy};
 
 fn main() {
     let scale = galois_bench::scale();
     println!("== Ablation: speculative worklist policy on bfs (scale {scale}) ==\n");
     // LIFO bfs is catastrophically redundant; use a reduced input so the
     // table finishes quickly.
-    let g = inputs::bfs_graph(scale * 0.1);
+    let input = inputs::input(App::Bfs, scale * 0.1);
     let mut table = Table::new(&["policy", "time-ms", "committed tasks", "work blowup"]);
     let mut baseline = None;
     for (name, policy) in [
@@ -27,7 +27,10 @@ fn main() {
             .threads(galois_bench::max_threads())
             .schedule(Schedule::Speculative)
             .worklist(policy);
-        let (_dist, r) = bfs::try_galois(&g, 0, &exec).unwrap();
+        let r = App::Bfs
+            .run(Variant::Speculative, &exec, &input, Hooks::default())
+            .unwrap()
+            .unwrap();
         let committed = r.stats.committed;
         let blowup = match baseline {
             None => {

@@ -24,11 +24,11 @@ fn main() {
     for app in PAPER_APPS {
         let mut ratios = Vec::new();
         for _ in 0..REPS {
-            let with = measure(app, Variant::GaloisDet, 1, scale, Opts::default())
+            let with = measure(app, Variant::Deterministic, 1, scale, Opts::default())
                 .expect("g-d supported everywhere");
             let without = measure(
                 app,
-                Variant::GaloisDet,
+                Variant::Deterministic,
                 1,
                 scale,
                 Opts {
@@ -37,7 +37,7 @@ fn main() {
                 },
             )
             .expect("g-d supported everywhere");
-            ratios.push(without.elapsed.as_secs_f64() / with.elapsed.as_secs_f64());
+            ratios.push(without.stats.elapsed.as_secs_f64() / with.stats.elapsed.as_secs_f64());
         }
         let med = median(&ratios);
         all_medians.push(med);

@@ -23,7 +23,7 @@ fn main() {
         "app", "variant", "accesses", "l1-hit%", "l3-hit%", "dram", "dram%",
     ]);
     for app in PAPER_APPS {
-        for variant in [Variant::GaloisNondet, Variant::GaloisDet] {
+        for variant in [Variant::Speculative, Variant::Deterministic] {
             let Some(m) = measure(
                 app,
                 variant,
@@ -41,7 +41,7 @@ fn main() {
             let stats = h.replay(&streams);
             table.row(vec![
                 app.name().into(),
-                variant.to_string(),
+                variant.label().to_string(),
                 stats.accesses.to_string(),
                 f(100.0 * stats.l1_hits as f64 / stats.accesses.max(1) as f64),
                 f(100.0 * stats.l3_hits as f64 / stats.accesses.max(1) as f64),

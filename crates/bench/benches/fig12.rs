@@ -27,7 +27,7 @@ fn main() {
     // DRAM counts per app/variant from recorded access streams.
     let mut dram = std::collections::HashMap::new();
     for app in PAPER_APPS {
-        for variant in [Variant::GaloisNondet, Variant::GaloisDet] {
+        for variant in [Variant::Speculative, Variant::Deterministic] {
             let Some(m) = measure(
                 app,
                 variant,
@@ -52,8 +52,8 @@ fn main() {
     let mut r2s = Vec::new();
     for app in PAPER_APPS {
         let (Some(&pc_ref), Some(&pc_var)) = (
-            dram.get(&(app, Variant::GaloisNondet)),
-            dram.get(&(app, Variant::GaloisDet)),
+            dram.get(&(app, Variant::Speculative)),
+            dram.get(&(app, Variant::Deterministic)),
         ) else {
             continue;
         };
@@ -63,8 +63,8 @@ fn main() {
         for machine in &MachineProfile::ALL {
             for &p in &thread_points(machine) {
                 let (Some(s_ref), Some(s_var)) = (
-                    data.speedup((app, Variant::GaloisNondet, machine.name, p)),
-                    data.speedup((app, Variant::GaloisDet, machine.name, p)),
+                    data.speedup((app, Variant::Speculative, machine.name, p)),
+                    data.speedup((app, Variant::Deterministic, machine.name, p)),
                 ) else {
                     continue;
                 };

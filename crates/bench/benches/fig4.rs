@@ -29,8 +29,8 @@ fn main() {
         "rounds",
     ]);
     for app in PAPER_APPS {
-        for &variant in variants(app) {
-            if variant == Variant::Seq {
+        for variant in variants(app) {
+            if variant == Variant::Serial {
                 continue;
             }
             for threads in [1usize, threads_hi] {
@@ -39,12 +39,12 @@ fn main() {
                 };
                 table.row(vec![
                     app.name().into(),
-                    variant.to_string(),
+                    variant.label().to_string(),
                     threads.to_string(),
-                    m.committed.to_string(),
-                    f(m.commit_rate_per_us()),
-                    f(m.abort_ratio()),
-                    m.rounds.to_string(),
+                    m.stats.committed.to_string(),
+                    f(m.stats.commit_rate_per_us()),
+                    f(m.stats.abort_ratio()),
+                    m.stats.rounds.to_string(),
                 ]);
             }
         }

@@ -31,7 +31,7 @@ fn main() {
     };
     println!("== Figure 4 companion: per-round schedule logs, g-d (scale {scale}) ==\n");
     for app in PAPER_APPS {
-        let Some(m) = measure(app, Variant::GaloisDet, 2, scale, opts) else {
+        let Some(m) = measure(app, Variant::Deterministic, 2, scale, opts) else {
             continue;
         };
         let log = m.round_log.as_ref().expect("round log requested");

@@ -30,8 +30,8 @@ fn main() {
         }
     }
     for app in PAPER_APPS {
-        for &variant in variants(app) {
-            if variant == Variant::Seq {
+        for variant in variants(app) {
+            if variant == Variant::Serial {
                 continue;
             }
             for threads in [1usize, threads_hi] {
@@ -40,10 +40,10 @@ fn main() {
                 };
                 table.row(vec![
                     app.name().into(),
-                    variant.to_string(),
+                    variant.label().to_string(),
                     threads.to_string(),
-                    m.atomic_updates.to_string(),
-                    f(m.atomic_rate_per_us()),
+                    m.stats.atomic_updates.to_string(),
+                    f(m.stats.atomic_rate_per_us()),
                 ]);
             }
         }

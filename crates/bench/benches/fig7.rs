@@ -1,5 +1,6 @@
-//! Figure 7: speedup of g-n, g-d and PBBS over the best sequential
-//! baseline, across thread counts and machines.
+//! Figure 7: speedup of g-n, g-d and PBBS over Figure 8's sequential
+//! baseline ([`galois_bench::sweep::baseline`]), across thread counts and
+//! machines.
 //!
 //! Paper result (§5.3): g-n is the best variant overall (median 2.4× over
 //! PBBS at max threads), with ≥15× speedup on m4x10 for four of five apps;
@@ -72,7 +73,7 @@ fn print_rounds_baselines() {
 
 fn main() {
     let scale = galois_bench::scale();
-    println!("== Figure 7: speedup vs best sequential baseline (scale {scale}) ==\n");
+    println!("== Figure 7: speedup vs the Figure 8 baseline (scale {scale}) ==\n");
     let data = run_sweep(scale, false);
     for machine in &MachineProfile::ALL {
         println!("-- machine {} --", machine.name);
@@ -82,11 +83,11 @@ fn main() {
         let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
         let mut table = Table::new(&header_refs);
         for app in PAPER_APPS {
-            for &variant in variants(app) {
-                if variant == Variant::Seq {
+            for variant in variants(app) {
+                if variant == Variant::Serial {
                     continue;
                 }
-                let mut row = vec![app.name().to_string(), variant.to_string()];
+                let mut row = vec![app.name().to_string(), variant.label().to_string()];
                 for &p in &pts {
                     let s = data
                         .speedup((app, variant, machine.name, p))
@@ -106,7 +107,7 @@ fn main() {
     println!("-- leader-serial fraction of round work (from 1-thread traces) --");
     let mut serial = Table::new(&["app", "variant", "serial fraction"]);
     for app in PAPER_APPS {
-        for &variant in variants(app) {
+        for variant in variants(app) {
             // Every (app, variant) gets a row: a measurement gap renders as
             // "-" instead of silently vanishing from the table.
             let frac = data
@@ -115,7 +116,7 @@ fn main() {
                 .and_then(|m| m.serial_fraction());
             serial.row(vec![
                 app.name().into(),
-                variant.to_string(),
+                variant.label().to_string(),
                 frac.map(f).unwrap_or_else(|| "-".into()),
             ]);
         }

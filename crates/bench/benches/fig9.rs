@@ -29,7 +29,7 @@ fn main() {
             if !variants(app).contains(&Variant::Pbbs) {
                 continue; // pfp has no PBBS comparator
             }
-            for variant in [Variant::GaloisNondet, Variant::GaloisDet] {
+            for variant in [Variant::Speculative, Variant::Deterministic] {
                 let ratios: Vec<f64> = pts
                     .iter()
                     .filter_map(|&p| data.relative_to_pbbs(app, variant, machine.name, p))
@@ -45,15 +45,15 @@ fn main() {
                 table.row(vec![
                     machine.name.into(),
                     app.name().into(),
-                    variant.to_string(),
+                    variant.label().to_string(),
                     f(mean),
                     f(max),
                     f(i1),
                     f(rmax),
                 ]);
                 match variant {
-                    Variant::GaloisNondet => med_gn_imax.push(rmax),
-                    Variant::GaloisDet => {
+                    Variant::Speculative => med_gn_imax.push(rmax),
+                    Variant::Deterministic => {
                         med_gd_imax.push(rmax);
                         if app != App::Mis {
                             med_gd_imax_no_mis.push(rmax);
@@ -62,14 +62,14 @@ fn main() {
                     _ => {}
                 }
             }
-            let gn = data.times[&(app, Variant::GaloisNondet, machine.name, imax)];
-            let gd = data.times[&(app, Variant::GaloisDet, machine.name, imax)];
+            let gn = data.times[&(app, Variant::Speculative, machine.name, imax)];
+            let gd = data.times[&(app, Variant::Deterministic, machine.name, imax)];
             med_gn_over_gd.push(gd / gn);
         }
         // pfp contributes to the g-n vs g-d comparison only.
         let pts_last = imax;
-        let gn = data.times[&(App::Pfp, Variant::GaloisNondet, machine.name, pts_last)];
-        let gd = data.times[&(App::Pfp, Variant::GaloisDet, machine.name, pts_last)];
+        let gn = data.times[&(App::Pfp, Variant::Speculative, machine.name, pts_last)];
+        let gd = data.times[&(App::Pfp, Variant::Deterministic, machine.name, pts_last)];
         med_gn_over_gd.push(gd / gn);
     }
     println!("{}", table.render());

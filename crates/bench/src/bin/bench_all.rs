@@ -23,11 +23,10 @@
 //! metrics the `_ns` fields carry plain counts — see the BENCH_rounds.json
 //! legend in the README. Scale the rounds inputs with `GALOIS_SCALE`.
 
-use galois_apps::{bfs, mis};
+use galois_apps::recipe::{Finished, Input};
 use galois_bench::tables::rounds_metric_name;
-use galois_bench::{inputs, suites, tables, App};
-use galois_core::{Executor, Hooks, Probe, RoundRecord, RunReport, Schedule};
-use galois_graph::CsrGraph;
+use galois_bench::{inputs, suites, tables, App, Variant};
+use galois_core::{Executor, Hooks, Probe, RoundRecord, Schedule};
 use galois_runtime::simtime::ExecTrace;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write as _;
@@ -136,13 +135,11 @@ fn det_exec(app: App, threads: usize, trace: bool) -> Executor {
         .record_trace(trace)
 }
 
-/// Runs graph app `app` (the rounds suite covers bfs and mis) over `g`.
-fn run(app: App, g: &CsrGraph, exec: &Executor, hooks: Hooks<'_>) -> RunReport {
-    match app {
-        App::Bfs => bfs::run(g, 0, exec, hooks).unwrap().1,
-        App::Mis => mis::run(g, exec, hooks).unwrap().1,
-        other => unreachable!("the rounds suite does not cover {other}"),
-    }
+/// Runs `app`'s operator under `exec` over `input`.
+fn run(app: App, input: &Input, exec: &Executor, hooks: Hooks<'_>) -> Finished {
+    let done = app.run(Variant::Deterministic, exec, input, hooks);
+    done.unwrap_or_else(|e| panic!("{e}"))
+        .unwrap_or_else(|e| panic!("{app}: {e}"))
 }
 
 /// One JSONL record in the criterion-shim shape.
@@ -159,12 +156,12 @@ fn emit(out: &mut String, name: &str, median: f64, mean: f64, samples: usize) {
 /// Per-round metrics for one app at one thread count: a probed + traced
 /// run supplies barrier and allocation counts; `wall_samples` clean runs
 /// supply the per-round wall time.
-fn rounds_for(app: App, g: &CsrGraph, threads: usize, wall_samples: usize, out: &mut String) {
+fn rounds_for(app: App, input: &Input, threads: usize, wall_samples: usize, out: &mut String) {
     // Barrier counts come from a traced run, allocation counts from an
     // untraced probed run: recording the trace itself appends to a
     // round-traces vector, which would charge harness bookkeeping to the
     // scheduler's allocation budget.
-    let traced = run(app, g, &det_exec(app, threads, true), Hooks::default());
+    let traced = run(app, input, &det_exec(app, threads, true), Hooks::default());
     let barriers: Vec<f64> = match &traced.trace {
         Some(ExecTrace::Rounds(rt)) => rt.iter().map(|r| f64::from(r.barriers)).collect(),
         _ => panic!("deterministic run must record a rounds trace"),
@@ -173,7 +170,7 @@ fn rounds_for(app: App, g: &CsrGraph, threads: usize, wall_samples: usize, out: 
     let mut probe = SnapProbe::new();
     let report = run(
         app,
-        g,
+        input,
         &det_exec(app, threads, false),
         Hooks {
             probe: Some(&mut probe),
@@ -204,7 +201,7 @@ fn rounds_for(app: App, g: &CsrGraph, threads: usize, wall_samples: usize, out: 
 
     let walls: Vec<f64> = (0..wall_samples)
         .map(|_| {
-            let r = run(app, g, &det_exec(app, threads, false), Hooks::default());
+            let r = run(app, input, &det_exec(app, threads, false), Hooks::default());
             r.stats.elapsed.as_nanos() as f64 / r.stats.rounds.max(1) as f64
         })
         .collect();
@@ -244,14 +241,11 @@ fn refresh_rounds(path: &Path) {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(5);
-    let apps = [
-        (App::Bfs, inputs::bfs_graph(scale)),
-        (App::Mis, inputs::mis_graph(scale)),
-    ];
     let mut out = String::new();
-    for (app, g) in &apps {
+    for app in [App::Bfs, App::Mis] {
+        let input = inputs::input(app, scale);
         for threads in [1usize, 2, 4, 8] {
-            rounds_for(*app, g, threads, wall_samples, &mut out);
+            rounds_for(app, &input, threads, wall_samples, &mut out);
         }
     }
     let mut f = std::fs::File::create(path).unwrap();

@@ -7,11 +7,15 @@
 //! | dmr | mesh of 2.5M random points | mesh of 3k points (≈50k after refinement) |
 //! | dt  | 10M random points | 25k points |
 //! | pfp | 2^23 nodes × 4 random edges | RMF 18×18×24 ≈ 2^13 nodes (see below) |
+//!
+//! Graph and mesh inputs are the recipe's own families
+//! ([`App::materialize`]); only the sizes and seeds are the figures'.
 
-use galois_geometry::Point;
-use galois_graph::cache::{cache_dir_from_env, load_or_build_graph};
-use galois_graph::{gen, CsrGraph, FlowNetwork};
-use galois_mesh::Mesh;
+use galois_apps::recipe::Input;
+use galois_apps::{dt, App};
+use galois_graph::cache::cache_dir_from_env;
+use galois_graph::FlowNetwork;
+use std::sync::{Arc, Mutex};
 
 /// Deterministic seed for all benchmark inputs.
 pub const SEED: u64 = 0xA5F_2014;
@@ -20,48 +24,37 @@ pub const SEED: u64 = 0xA5F_2014;
 /// byte-identical for every thread count, so this only affects setup time.
 const BUILD_THREADS: usize = 4;
 
-/// Builds `key` with the parallel generators, or loads it from the
-/// directory named by `GALOIS_CACHE_DIR` when that is set.
-fn cached(key: String, build: impl FnOnce() -> CsrGraph) -> CsrGraph {
-    let dir = cache_dir_from_env();
-    load_or_build_graph(dir.as_deref(), &key, build).0
-}
-
-/// BFS input graph.
-pub fn bfs_graph(scale: f64) -> CsrGraph {
-    let n = ((150_000.0 * scale) as usize).max(1_000);
-    cached(format!("uniform-n{n}-d5-s{SEED}"), || {
-        gen::uniform_random_parallel(n, 5, SEED, BUILD_THREADS)
-    })
-}
-
-/// MIS input graph (undirected).
-pub fn mis_graph(scale: f64) -> CsrGraph {
-    let n = ((150_000.0 * scale) as usize).max(1_000);
-    cached(format!("uniform-und-n{n}-d4-s{}", SEED + 1), || {
-        gen::uniform_random_undirected_parallel(n, 4, SEED + 1, BUILD_THREADS)
-    })
-}
-
-/// DT input points.
-pub fn dt_points(scale: f64) -> Vec<Point> {
-    let n = ((25_000.0 * scale) as usize).max(500);
-    galois_geometry::point::random_points(n, SEED + 2)
-}
-
-/// DMR input mesh (shared generator so every variant refines an identical
-/// mesh). Returns a fresh mesh each call — refinement mutates in place.
-pub fn dmr_mesh(scale: f64) -> Mesh {
-    let n = ((3_000.0 * scale) as usize).max(200);
-    galois_apps::dmr::make_input(n, SEED + 3)
+/// `app`'s figure input at `scale`: the table above, with a floor on the
+/// size so tiny scales still give the executor work. Graphs are built on
+/// the parallel generators, or loaded from the directory named by
+/// `GALOIS_CACHE_DIR` when that is set. mm runs on mis's graph.
+pub fn input(app: App, scale: f64) -> Input {
+    let sized = |full: f64, floor: usize| ((full * scale) as usize).max(floor);
+    let materialize = |n, seed| {
+        let cache_dir = cache_dir_from_env();
+        app.materialize(n, seed, BUILD_THREADS, cache_dir.as_deref())
+            .0
+    };
+    match app {
+        App::Bfs => materialize(sized(150_000.0, 1_000), SEED),
+        App::Mis | App::Mm => materialize(sized(150_000.0, 1_000), SEED + 1),
+        // The points come from `SEED + 2`; the BRIO order keeps `SEED`.
+        App::Dt => Input::Points {
+            pts: Arc::new(dt::make_input(sized(25_000.0, 500), SEED + 2)),
+            seed: SEED,
+        },
+        App::Dmr => materialize(sized(3_000.0, 200), SEED + 3),
+        App::Pfp => Input::Flow(Arc::new(Mutex::new(pfp_network(scale)))),
+    }
 }
 
 /// PFP input network.
 ///
 /// The paper uses a 2^23-node random 4-out graph; scaled down, that family
-/// collapses to a handful of discharge tasks (diameter ~5), so the harness
-/// uses the washington-RMF family at an equivalent node count, which keeps
-/// the discharge density of the full-size input (DESIGN.md, substitution 5).
+/// collapses to a handful of discharge tasks (~300 at the CLI's 8 192
+/// nodes), so the harness uses the washington-RMF family at an equivalent
+/// node count, which keeps the discharge density of the full-size input
+/// (DESIGN.md, substitution 5).
 pub fn pfp_network(scale: f64) -> FlowNetwork {
     let frames = ((24.0 * scale.cbrt()) as usize).max(4);
     let a = ((18.0 * scale.cbrt()) as usize).max(3);
@@ -72,21 +65,32 @@ pub fn pfp_network(scale: f64) -> FlowNetwork {
 mod tests {
     use super::*;
 
+    fn nodes(input: Input) -> usize {
+        match input {
+            Input::Graph(g) => g.num_nodes(),
+            Input::Points { pts, .. } => pts.len(),
+            Input::MeshSpec { n, .. } => n,
+            Input::Flow(net) => net.lock().unwrap().num_nodes(),
+        }
+    }
+
     #[test]
     fn inputs_are_deterministic_and_scaled() {
-        let a = bfs_graph(0.01);
-        let b = bfs_graph(0.01);
+        let (Input::Graph(a), Input::Graph(b)) = (input(App::Bfs, 0.01), input(App::Bfs, 0.01))
+        else {
+            panic!("bfs runs on a graph");
+        };
         assert_eq!(a, b);
         assert_eq!(a.num_nodes(), 1_500);
-        assert!(mis_graph(0.01).num_nodes() >= 1_000);
-        assert_eq!(dt_points(0.1).len(), 2_500);
+        assert!(nodes(input(App::Mis, 0.01)) >= 1_000);
+        assert_eq!(nodes(input(App::Dt, 0.1)), 2_500);
         assert!(pfp_network(0.1).num_nodes() >= 256);
         assert!(pfp_network(1.0).num_nodes() >= 4_000);
     }
 
     #[test]
     fn floors_apply_at_tiny_scales() {
-        assert_eq!(bfs_graph(0.0001).num_nodes(), 1_000);
-        assert_eq!(dt_points(0.0001).len(), 500);
+        assert_eq!(nodes(input(App::Bfs, 0.0001)), 1_000);
+        assert_eq!(nodes(input(App::Dt, 0.0001)), 500);
     }
 }

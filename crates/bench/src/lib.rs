@@ -5,8 +5,8 @@
 //!
 //! - [`inputs`]: scaled-down versions of the paper's inputs (§4.2), scaled
 //!   further by the `GALOIS_SCALE` environment variable.
-//! - [`drivers`]: one entry point per (application, variant) pair returning
-//!   a uniform [`Measurement`].
+//! - [`drivers`]: [`measure`], one [`App::run`](galois_apps::App::run) per
+//!   (application, variant) pair, returning a uniform [`Measurement`].
 //! - [`tables`]: plain-text table rendering in the paper's row/column
 //!   shapes.
 //!

@@ -3,12 +3,31 @@
 //! For every application and variant the sweep records a one-thread
 //! execution trace and replays it through the virtual-time model on each of
 //! the paper's three machine profiles (DESIGN.md, substitution 1). The
-//! sequential baselines (Figure 8) are measured directly.
+//! sequential baselines (Figure 8) are measured directly, by [`baseline`].
 
 use crate::drivers::{measure, variants, App, Measurement, Opts, PAPER_APPS};
-use crate::Variant;
+use crate::{inputs, Variant};
+use galois_apps::pfp;
 use galois_runtime::simtime::MachineProfile;
 use std::collections::HashMap;
+use std::time::Instant;
+
+/// `app`'s sequential baseline (Figure 8) at `scale`: its row label and
+/// time in nanoseconds, given the app's one-thread `seq` measurement. The
+/// paper names hi_pr as pfp's baseline, so pfp's is the hi_pr-style
+/// [`pfp::seq`] timed on the same network; every other app's is its `seq`
+/// row (the operator under the serial executor).
+pub fn baseline(app: App, scale: f64, seq: &Measurement) -> (&'static str, f64) {
+    match app {
+        App::Pfp => {
+            let net = inputs::pfp_network(scale);
+            let t0 = Instant::now();
+            pfp::seq(&net);
+            ("hi_pr", t0.elapsed().as_nanos() as f64)
+        }
+        _ => ("seq", seq.stats.elapsed.as_nanos() as f64),
+    }
+}
 
 /// Thread counts swept on a machine profile.
 pub fn thread_points(machine: &MachineProfile) -> Vec<usize> {
@@ -26,7 +45,7 @@ pub type Key = (App, Variant, &'static str, usize);
 /// The sweep dataset.
 #[derive(Debug)]
 pub struct SweepData {
-    /// Best sequential time per app, nanoseconds (Figure 8).
+    /// Sequential baseline time per app, nanoseconds ([`baseline`]).
     pub baseline_ns: HashMap<App, f64>,
     /// Predicted time for (app, variant, machine, threads), nanoseconds.
     pub times: HashMap<Key, f64>,
@@ -71,12 +90,12 @@ pub fn run_sweep(scale: f64, no_continuation: bool) -> SweepData {
         ..Default::default()
     };
     for app in PAPER_APPS {
-        for &variant in variants(app) {
+        for variant in variants(app) {
             let Some(m) = measure(app, variant, 1, scale, opts) else {
                 continue;
             };
-            if variant == Variant::Seq {
-                data.baseline_ns.insert(app, m.elapsed.as_nanos() as f64);
+            if variant == Variant::Serial {
+                data.baseline_ns.insert(app, baseline(app, scale, &m).1);
             }
             if let Some(trace) = &m.trace {
                 for machine in &MachineProfile::ALL {
@@ -100,13 +119,13 @@ mod tests {
     fn sweep_produces_all_keys() {
         let data = run_sweep(0.01, false);
         for app in PAPER_APPS {
-            assert!(data.baseline_ns.contains_key(&app), "{app:?} baseline");
-            for &v in variants(app) {
+            assert!(data.baseline_ns.contains_key(&app), "{app} baseline");
+            for v in variants(app) {
                 for machine in &MachineProfile::ALL {
                     for p in thread_points(machine) {
                         assert!(
                             data.times.contains_key(&(app, v, machine.name, p)),
-                            "{app:?}/{v}/{}/{p}",
+                            "{app}/{v}/{}/{p}",
                             machine.name
                         );
                     }
@@ -121,8 +140,8 @@ mod tests {
         let mut wins = 0;
         let mut total = 0;
         for app in PAPER_APPS {
-            let gn = data.times[&(app, Variant::GaloisNondet, "m4x10", 40)];
-            let gd = data.times[&(app, Variant::GaloisDet, "m4x10", 40)];
+            let gn = data.times[&(app, Variant::Speculative, "m4x10", 40)];
+            let gd = data.times[&(app, Variant::Deterministic, "m4x10", 40)];
             total += 1;
             if gn < gd {
                 wins += 1;

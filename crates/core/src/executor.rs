@@ -274,6 +274,21 @@ impl Executor {
         self
     }
 
+    /// The configured worker-thread count.
+    pub fn thread_count(&self) -> usize {
+        self.threads
+    }
+
+    /// The configured scheduler.
+    pub fn scheduler(&self) -> &Schedule {
+        &self.schedule
+    }
+
+    /// Whether runs record a virtual-time trace ([`record_trace`](Self::record_trace)).
+    pub fn records_trace(&self) -> bool {
+        self.record_trace
+    }
+
     /// Describes a loop over `tasks`: the single entry point for running.
     ///
     /// Returns a [`LoopSpec`] builder; chain [`LoopSpec::with_ids`] /

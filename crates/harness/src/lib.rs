@@ -26,7 +26,7 @@ use galois_core::manifest::{
     LockstepEventKind, LockstepReport, ManifestError, ManifestRecorder, ReplayDivergence,
     RunManifest, ScheduleKind,
 };
-use galois_core::{ExecError, Executor, RoundLog, RoundRecord, Schedule};
+use galois_core::{ExecError, Executor, RoundLog, RoundRecord};
 use galois_graph::cache::CacheOutcome;
 use galois_runtime::fingerprint::{run_fingerprint, RoundChain};
 use galois_runtime::stats::ExecStats;
@@ -40,9 +40,9 @@ pub mod subprocess;
 pub mod sweep;
 
 pub use galois_apps as apps;
-/// The benchmark applications the harness covers, with their run recipes
-/// ([`galois_apps::recipe`]).
-pub use galois_apps::recipe::App;
+/// The benchmark applications the harness covers and the variants they run
+/// in, with their run recipes ([`galois_apps::recipe`]).
+pub use galois_apps::recipe::{App, Variant};
 pub use galois_graph::cache::CacheOutcome as InputCacheOutcome;
 use lockstep::{Lockstep, Offer};
 pub use resident::{
@@ -52,41 +52,6 @@ pub use resident::{
 // now goes through the runtime's single authority (see
 // `galois_runtime::fingerprint`). The re-export keeps the harness API.
 pub use galois_runtime::fingerprint::Fnv64;
-
-/// Which executor a run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Variant {
-    Serial,
-    Speculative,
-    Deterministic,
-}
-
-impl Variant {
-    pub fn name(self) -> &'static str {
-        match self {
-            Variant::Serial => "serial",
-            Variant::Speculative => "speculative",
-            Variant::Deterministic => "deterministic",
-        }
-    }
-
-    /// Parses a variant name, accepting both the harness spellings and the
-    /// `galois` CLI's short forms (`seq`, `g-n`, `g-d`).
-    pub fn from_name(name: &str) -> Option<Variant> {
-        match name {
-            "serial" | "seq" => Some(Variant::Serial),
-            "speculative" | "g-n" => Some(Variant::Speculative),
-            "deterministic" | "g-d" => Some(Variant::Deterministic),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Variant {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// What one run is reduced to for cross-run comparison.
 ///
@@ -106,10 +71,10 @@ pub struct RunOutcome {
 }
 
 /// Chains rounds across multi-pass runs (pfp bouts) into one monotone
-/// sequence — `RoundChain` renumbers with its own counter, exactly as the
-/// CLI's --round-log writer does — and reduces the run to a [`RunOutcome`]
-/// plus the renumbered records themselves (so a server can stream the
-/// canonical round log without re-running). The chain covers the
+/// sequence ([`RoundLog::concat`], which the CLI's --round-log writer
+/// calls too) and reduces the run to a [`RunOutcome`] plus the renumbered
+/// records themselves (so a server can stream the canonical round log
+/// without re-running). The chain covers the
 /// schedule-derived scalars of each round but NOT the conflict
 /// attribution: conflict entries name abstract lock ids, and for the
 /// mesh apps those are arena triangle ids whose allocation order is
@@ -120,13 +85,7 @@ pub(crate) fn reduce_run(
     logs: Vec<RoundLog>,
     stats: &ExecStats,
 ) -> (RunOutcome, Vec<RoundRecord>) {
-    let mut records: Vec<RoundRecord> = Vec::new();
-    for log in logs {
-        for mut rec in log.into_records() {
-            rec.round = records.len() as u64;
-            records.push(rec);
-        }
-    }
+    let records = RoundLog::concat(logs).into_records();
     let mut chain = RoundChain::new();
     for rec in &records {
         chain.push(rec);
@@ -171,20 +130,16 @@ pub fn unperturbed(_: App, _: Variant, _: usize, _: Option<u64>, exec: Executor)
 /// ([`App::executor`]) with the harness's round recording and chaos on top.
 /// The CLI and the serving layer build their executors here too, so a CLI
 /// run, a served request and a differential-sweep cell are the same
-/// computation.
+/// computation. [`Variant::Pbbs`] runs no operator: its executor carries
+/// the thread count [`App::run`] reads.
 pub fn executor_for(
     app: App,
     variant: Variant,
     threads: usize,
     chaos_seed: Option<u64>,
 ) -> Executor {
-    let schedule = match variant {
-        Variant::Serial => Schedule::Serial,
-        Variant::Speculative => Schedule::Speculative,
-        Variant::Deterministic => Schedule::deterministic(),
-    };
     let mut exec = app
-        .executor(schedule, threads)
+        .executor(variant.schedule(), threads)
         // Only the deterministic scheduler has rounds to log.
         .record_rounds(variant == Variant::Deterministic);
     if let Some(seed) = chaos_seed {

@@ -24,7 +24,7 @@
 //!
 //! [`reset`]: galois_graph::FlowNetwork::reset
 
-use crate::{input_key, reduce_run, App, InputConfig, RunOutcome};
+use crate::{input_key, reduce_run, App, InputConfig, RunOutcome, Variant};
 use galois_core::manifest::ManifestRecorder;
 use galois_core::{ExecError, Executor, Hooks, RoundRecord};
 use galois_graph::cache::CacheOutcome;
@@ -84,7 +84,8 @@ pub struct ResidentRun {
 }
 
 /// Runs `exec` over an already-materialized input through the app's run
-/// recipe ([`App::run`]: run, verify, hash) and reduces the run exactly as
+/// recipe ([`App::run`] of the variant `exec`'s schedule names: run,
+/// verify, hash) and reduces the run exactly as
 /// the differential harness does. The layering mirrors `run_cell`: outer
 /// `Err` = validation failure (or an app/input mismatch), inner `Err` = a
 /// contained executor fault, inner `Ok` = a validated [`ResidentRun`]. A
@@ -100,7 +101,7 @@ pub fn run_resident(
         recorder: rec,
         ..Hooks::default()
     };
-    Ok(app.run(exec, input, hooks)?.map(|done| {
+    Ok(app.run(Variant::of(exec), exec, input, hooks)?.map(|done| {
         let (outcome, records) = reduce_run(done.output_hash, done.logs, &done.stats);
         ResidentRun { outcome, records }
     }))
@@ -207,7 +208,7 @@ impl InputStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{executor_for, Variant};
+    use crate::executor_for;
 
     #[test]
     fn store_serves_warm_after_first_load() {
@@ -264,6 +265,24 @@ mod tests {
                 ..StoreSnapshot::default()
             }
         );
+    }
+
+    /// `run_resident` is the recipe's `g-d` cell plus the harness's
+    /// reduction: residency adds nothing to what runs.
+    #[test]
+    fn run_resident_fingerprints_the_recipes_deterministic_cell() {
+        let input = InputConfig::from_seed(42);
+        for app in App::ALL {
+            let (res, _) = load_input(app, &input);
+            let exec = executor_for(app, Variant::Deterministic, 2, None);
+            let done = app
+                .run(Variant::Deterministic, &exec, &res, Hooks::default())
+                .unwrap()
+                .unwrap();
+            let (direct, _) = reduce_run(done.output_hash, done.logs, &done.stats);
+            let resident = run_resident(app, &exec, &res, None).unwrap().unwrap();
+            assert_eq!(resident.outcome.fingerprint, direct.fingerprint, "{app}");
+        }
     }
 
     #[test]

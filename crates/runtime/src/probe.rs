@@ -184,6 +184,22 @@ impl RoundLog {
         self.records
     }
 
+    /// Joins the logs of a multi-pass run (pfp runs one pass per bout) into
+    /// one log whose rounds are renumbered into a single monotone sequence.
+    pub fn concat(logs: impl IntoIterator<Item = RoundLog>) -> RoundLog {
+        let mut records: Vec<RoundRecord> = Vec::new();
+        for log in logs {
+            for mut rec in log.records {
+                rec.round = records.len() as u64;
+                records.push(rec);
+            }
+        }
+        RoundLog {
+            records,
+            final_stats: None,
+        }
+    }
+
     /// Number of recorded rounds.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -289,6 +305,20 @@ mod tests {
             commit_ns: 2345.5,
             serial_ns: 99.9,
         }
+    }
+
+    #[test]
+    fn concat_renumbers_passes_into_one_sequence() {
+        let pass = |rounds: u64| {
+            let mut log = RoundLog::new();
+            for _ in 0..rounds {
+                log.on_round(record());
+            }
+            log
+        };
+        let joined = RoundLog::concat([pass(2), RoundLog::new(), pass(3)]);
+        let rounds: Vec<u64> = joined.records().iter().map(|r| r.round).collect();
+        assert_eq!(rounds, [0, 1, 2, 3, 4]);
     }
 
     #[test]

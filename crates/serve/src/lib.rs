@@ -491,8 +491,13 @@ impl RunRequest {
                 }
                 "variant" => {
                     let name = value.as_str().ok_or("`variant` must be a string")?;
-                    out.variant = Variant::from_name(name)
-                        .ok_or_else(|| format!("unknown variant `{name}`"))?;
+                    out.variant = match Variant::from_name(name) {
+                        Some(Variant::Pbbs) => {
+                            return Err("the service runs the executor variants, not pbbs".into())
+                        }
+                        Some(v) => v,
+                        None => return Err(format!("unknown variant `{name}`")),
+                    };
                 }
                 "threads" => {
                     let t = value.as_u64().ok_or("`threads` must be an integer")? as usize;
@@ -777,6 +782,7 @@ mod tests {
         assert!(RunRequest::parse(r#"{"app":"bfs","bogus":1}"#).is_err());
         assert!(RunRequest::parse(r#"{"app":"bfs","variant":"g-n","manifest":true}"#).is_err());
         assert!(RunRequest::parse(r#"{"app":"bfs","variant":"g-n","round_log":true}"#).is_err());
+        assert!(RunRequest::parse(r#"{"app":"bfs","variant":"pbbs"}"#).is_err());
 
         // Sizes are bounded per app, checked whatever the field order.
         let max = App::Dmr.max_size();

@@ -283,6 +283,7 @@ fn malformed_run_requests_are_structured_400s() {
         (r#"{"app":"bfs","threads":0}"#, "zero budget"),
         (r#"{"app":"bfs","frobnicate":1}"#, "unknown field"),
         (r#"{"app":"bfs","size":{"n":1}}"#, "nested value"),
+        (r#"{"app":"bfs","variant":"pbbs"}"#, "pbbs is not served"),
     ] {
         let resp = client.post("/run", body).unwrap();
         assert_eq!(resp.status, 400, "{why}: {}", resp.body);
@@ -290,7 +291,7 @@ fn malformed_run_requests_are_structured_400s() {
     }
     // The rejections were counted, and nothing executed.
     let stats = client.get("/stats").unwrap();
-    assert_eq!(json_u64(&stats.body, "bad_requests"), 6);
+    assert_eq!(json_u64(&stats.body, "bad_requests"), 7);
     assert_eq!(json_u64(&stats.body, "ok"), 0);
     handle.shutdown();
 }

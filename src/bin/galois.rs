@@ -15,8 +15,17 @@
 //! galois lockstep FILE --replicas N [--spawn] [--window W] [--threads T1,T2[,..]]
 //! galois replicate --join ADDR [--threads N]
 //!
-//! apps: bfs, mis, dt, dmr, pfp
+//! apps: bfs, mis, mm, dt, dmr, pfp
 //! ```
+//!
+//! A run is parse → build the input → [`App::run`] → print: every
+//! (app, variant) pair goes through the one dispatcher the harness, the
+//! service and the figure drivers use. `seq` is the app's operator under
+//! the serial executor; `pbbs` is the handwritten determinism-by-construction
+//! implementation (pfp has none, §4.1: exit 2). Every run is verified by
+//! the app's own verifier (`--verify` is accepted and changes nothing): the
+//! run prints its output hash and stats line, then a `verified: ...` line,
+//! and a rejected output exits 1.
 //!
 //! Graph inputs are built with the parallel generators on `--threads`
 //! threads — byte-identical to a one-thread build at any thread count.
@@ -29,13 +38,13 @@
 //! is byte-identical at any thread count, so two runs can be diffed to find
 //! the first divergent round.
 //!
-//! `--chaos-seed N` (executor variants only) installs a seeded
+//! `--chaos-seed N` (`g-n`/`g-d` only) installs a seeded
 //! schedule-chaos policy: thread start skew, barrier jitter, shuffled
 //! worklist chunk traffic and forced spurious aborts. `g-d` output and
 //! round logs must be byte-identical regardless of the seed — that is the
 //! invariance the flag exists to stress.
 //!
-//! `--chaos-panics N` (executor variants only) additionally injects seeded
+//! `--chaos-panics N` (`g-n`/`g-d` only) additionally injects seeded
 //! operator panics at the failsafe point, exercising the fault-containment
 //! layer.
 //! Executor faults map to distinct exit codes: operator panic = 10,
@@ -61,29 +70,27 @@
 //! `POST /shutdown` (or the process is killed).
 //!
 //! [`RunManifest`]: deterministic_galois::core::RunManifest
+//! [`App::run`]: deterministic_galois::harness::App::run
 
 #![forbid(unsafe_code)]
 
-use deterministic_galois::apps::{bfs, dmr, dt, mis, mm, pfp};
 use deterministic_galois::core::manifest::{LockstepOutcome, LockstepReport};
-use deterministic_galois::core::{ExecError, Executor, RoundLog, RunReport};
+use deterministic_galois::core::{ExecError, Hooks, RoundLog};
 use deterministic_galois::graph::cache::CacheOutcome;
 use deterministic_galois::harness::lockstep::{exit_code, EXIT_DIVERGENCE, EXIT_NO_QUORUM};
 use deterministic_galois::harness::{
     executor_for, input_key, load_input, App, InputConfig, ResidentInput, Variant,
 };
-use deterministic_galois::mesh::check;
 use std::path::PathBuf;
 use std::process::exit;
 
 #[derive(Debug)]
 struct Args {
     app: App,
-    variant: String,
+    variant: Variant,
     threads: usize,
     size: usize,
     seed: u64,
-    verify: bool,
     round_log: Option<String>,
     chaos_seed: Option<u64>,
     chaos_panics: Option<u64>,
@@ -539,11 +546,10 @@ fn parse_args() -> Args {
     };
     let mut args = Args {
         app,
-        variant: "g-d".into(),
+        variant: Variant::Deterministic,
         threads: 2,
         size: 0,
         seed: 42,
-        verify: false,
         round_log: None,
         chaos_seed: None,
         chaos_panics: None,
@@ -555,11 +561,14 @@ fn parse_args() -> Args {
             None => usage(),
         };
         match flag.as_str() {
-            "--variant" => val(&mut |v| args.variant = v),
+            "--variant" => {
+                val(&mut |v| args.variant = Variant::from_name(&v).unwrap_or_else(|| usage()))
+            }
             "--threads" => val(&mut |v| args.threads = v.parse().unwrap_or_else(|_| usage())),
             "--size" => val(&mut |v| args.size = size_arg(app, &v)),
             "--seed" => val(&mut |v| args.seed = v.parse().unwrap_or_else(|_| usage())),
-            "--verify" => args.verify = true,
+            // Every run is verified; the flag stays accepted.
+            "--verify" => {}
             "--round-log" => val(&mut |v| args.round_log = Some(v)),
             "--chaos-seed" => {
                 val(&mut |v| args.chaos_seed = Some(v.parse().unwrap_or_else(|_| usage())))
@@ -574,22 +583,6 @@ fn parse_args() -> Args {
     args
 }
 
-/// The executor of the `seq`/`g-n`/`g-d` variants: the one the harness and
-/// the service run the app under ([`executor_for`]), with the CLI-only
-/// fault-injection and round-log flags on top.
-fn executor(args: &Args) -> Executor {
-    let Some(variant) = Variant::from_name(&args.variant) else {
-        eprintln!("variant {} is not executor-based here", args.variant);
-        exit(2);
-    };
-    let mut exec = executor_for(args.app, variant, args.threads, args.chaos_seed)
-        .record_rounds(args.round_log.is_some());
-    if let Some(seed) = args.chaos_panics {
-        exec = exec.chaos_panics(seed);
-    }
-    exec
-}
-
 /// Reports an executor fault and exits with its distinct code
 /// (operator panic = 10, stall = 11, quarantine overflow = 12).
 fn fault_exit(err: ExecError) -> ! {
@@ -599,81 +592,45 @@ fn fault_exit(err: ExecError) -> ! {
 
 /// Builds (or loads from `--cache-dir`) the app's input — the same input
 /// family, key and generator `galois record` and the service use — with
-/// the parallel generators on `--threads` threads, reporting where it came
-/// from. `--size 0` (the default) means the CLI's own, larger-than-corpus
-/// default size.
+/// the parallel generators on `--threads` threads, reporting which input
+/// it is and where it came from. `--size 0` (the default) means the app's
+/// larger-than-corpus [`App::cli_size`].
 fn input(args: &Args) -> ResidentInput {
-    let default_size = match args.app {
-        App::Bfs | App::Mis | App::Mm => 200_000,
-        App::Dt => 25_000,
-        App::Dmr => 3_000,
-        App::Pfp => 8_192,
-    };
     let config = InputConfig {
         seed: args.seed,
         build_threads: args.threads,
         cache_dir: args.cache_dir.clone(),
         size: Some(if args.size == 0 {
-            default_size
+            args.app.cli_size()
         } else {
             args.size
         }),
     };
     let t0 = std::time::Instant::now();
     let (input, cached) = load_input(args.app, &config);
+    let key = input_key(args.app, &config);
     if cached != CacheOutcome::Disabled {
-        let key = input_key(args.app, &config);
         println!("input {key}: cache {cached} in {:?}", t0.elapsed());
     }
+    println!("{}: {key}, variant {}", args.app, args.variant.label());
     input
 }
 
-/// `--verify`: prints the app's line on success; a verifier rejection is
-/// reported with its message and exit code 1.
-fn verified(args: &Args, verdict: impl FnOnce() -> Result<(), String>, line: &str) {
-    if !args.verify {
-        return;
-    }
-    if let Err(e) = verdict() {
-        eprintln!("{} verification failed: {e}", args.app);
-        exit(1);
-    }
-    println!("verified: {line}");
-}
-
-/// Extracts a run's round log (if `--round-log` asked for one) and returns
-/// the stats line to print.
-fn finish_report(args: &Args, report: &mut RunReport) -> String {
-    if args.round_log.is_some() {
-        write_round_log(args, report.take_round_log().into_iter().collect());
-    }
-    report.stats.to_string()
-}
-
-/// Writes the canonical JSONL round log, renumbering rounds across
-/// multi-pass runs (pfp bouts) into one monotone sequence.
-fn write_round_log(args: &Args, logs: Vec<RoundLog>) {
-    let Some(path) = &args.round_log else { return };
-    let mut out = String::new();
-    let mut next = 0u64;
-    for log in logs {
-        for mut rec in log.into_records() {
-            rec.round = next;
-            next += 1;
-            out.push_str(&rec.canonical_json());
-            out.push('\n');
-        }
-    }
-    if let Err(e) = std::fs::write(path, &out) {
+/// Writes the canonical JSONL round log, with a multi-pass run's (pfp
+/// bouts') rounds renumbered into one monotone sequence.
+fn write_round_log(path: &str, logs: Vec<RoundLog>) {
+    let log = RoundLog::concat(logs);
+    if let Err(e) = std::fs::write(path, log.canonical_jsonl()) {
         eprintln!("cannot write round log {path}: {e}");
         exit(1);
     }
-    println!("round log: {next} rounds -> {path}");
+    println!("round log: {} rounds -> {path}", log.len());
 }
 
 fn main() {
     let args = parse_args();
-    if args.round_log.is_some() && args.variant != "g-d" {
+    let (app, variant) = (args.app, args.variant);
+    if args.round_log.is_some() && variant != Variant::Deterministic {
         eprintln!("--round-log requires g-d");
         exit(2);
     }
@@ -681,147 +638,39 @@ fn main() {
         ("--chaos-seed", args.chaos_seed.is_some()),
         ("--chaos-panics", args.chaos_panics.is_some()),
     ];
-    if !matches!(args.variant.as_str(), "g-d" | "g-n") {
+    if !matches!(variant, Variant::Deterministic | Variant::Speculative) {
         if let Some((flag, _)) = executor_only.iter().find(|(_, given)| *given) {
             eprintln!("{flag} requires an executor variant (g-d or g-n)");
             exit(2);
         }
     }
-    let variant = args.variant.as_str();
-    let t0 = std::time::Instant::now();
-    match (args.app, input(&args)) {
-        (App::Bfs, ResidentInput::Graph(g)) => {
-            println!("bfs: {} nodes x 5 edges, variant {variant}", g.num_nodes());
-            let (dist, stats) = match variant {
-                "pbbs" => {
-                    let (d, _, s) = bfs::pbbs(&g, 0, args.threads, false);
-                    (
-                        d,
-                        format!("rounds={} atomics={}", s.rounds, s.atomic_updates),
-                    )
-                }
-                _ => {
-                    let (d, mut r) =
-                        bfs::try_galois(&g, 0, &executor(&args)).unwrap_or_else(|e| fault_exit(e));
-                    (d, finish_report(&args, &mut r))
-                }
-            };
-            println!("done in {:?} ({stats})", t0.elapsed());
-            verified(&args, || bfs::verify(&g, 0, &dist), "distances exact");
-        }
-        (App::Mis, ResidentInput::Graph(g)) => {
-            println!("mis: {} nodes, variant {variant}", g.num_nodes());
-            let (flags, stats) = match variant {
-                "pbbs" => {
-                    let (f, s) = mis::pbbs(&g, args.threads, false);
-                    (f, format!("rounds={} committed={}", s.rounds, s.committed))
-                }
-                _ => {
-                    let (f, mut r) =
-                        mis::try_galois(&g, &executor(&args)).unwrap_or_else(|e| fault_exit(e));
-                    (f, finish_report(&args, &mut r))
-                }
-            };
-            let in_count = flags.iter().filter(|&&f| f == mis::state::IN).count();
-            println!("done in {:?}: |MIS| = {in_count} ({stats})", t0.elapsed());
-            verified(&args, || mis::verify(&g, &flags), "independent and maximal");
-        }
-        (App::Dt, ResidentInput::Points { pts, seed }) => {
-            println!("dt: {} points, variant {variant}", pts.len());
-            let (mesh, stats) = match variant {
-                "pbbs" => {
-                    let (m, s) = dt::pbbs(&pts, seed, args.threads, false);
-                    (m, format!("rounds={} aborted={}", s.rounds, s.aborted))
-                }
-                "seq" => (dt::seq(&pts, seed), "sequential".to_string()),
-                _ => {
-                    let (m, mut r) = dt::try_galois(&pts, seed, &executor(&args))
-                        .unwrap_or_else(|e| fault_exit(e));
-                    (m, finish_report(&args, &mut r))
-                }
-            };
-            println!(
-                "done in {:?}: {} triangles ({stats})",
-                t0.elapsed(),
-                mesh.num_tris_alive()
-            );
-            verified(&args, || dt::verify(&mesh), "valid Delaunay triangulation");
-        }
-        (App::Dmr, ResidentInput::MeshSpec { n, seed }) => {
-            println!("dmr: mesh of {n} points, variant {variant}");
-            let mesh = dmr::make_input(n, seed);
-            let before = check::quality(&mesh);
-            let stats = match variant {
-                "pbbs" => {
-                    let s = dmr::pbbs(&mesh, args.threads, false);
-                    format!("rounds={} committed={}", s.rounds, s.committed)
-                }
-                _ => {
-                    let mut r =
-                        dmr::try_galois(&mesh, &executor(&args)).unwrap_or_else(|e| fault_exit(e));
-                    finish_report(&args, &mut r)
-                }
-            };
-            let after = check::quality(&mesh);
-            println!(
-                "done in {:?}: {} -> {} triangles, bad {} -> {} ({stats})",
-                t0.elapsed(),
-                before.triangles,
-                after.triangles,
-                before.bad,
-                after.bad
-            );
-            verified(
-                &args,
-                || dmr::verify(&mesh),
-                "conforming refined Delaunay mesh",
-            );
-        }
-        (App::Mm, ResidentInput::Graph(g)) => {
-            println!("mm: {} nodes, variant {variant}", g.num_nodes());
-            let (mate, stats) = match variant {
-                "seq" => (mm::seq(&g), "sequential".to_string()),
-                "pbbs" => {
-                    let (m, s) = mm::pbbs(&g, args.threads, false);
-                    (m, format!("rounds={} committed={}", s.rounds, s.committed))
-                }
-                _ => {
-                    let (m, mut r) =
-                        mm::try_galois(&g, &executor(&args)).unwrap_or_else(|e| fault_exit(e));
-                    (m, finish_report(&args, &mut r))
-                }
-            };
-            let matched = mate.iter().filter(|&&m| m != mm::UNMATCHED).count() / 2;
-            println!("done in {:?}: |M| = {matched} ({stats})", t0.elapsed());
-            verified(&args, || mm::verify(&g, &mate), "valid maximal matching");
-        }
-        (App::Pfp, ResidentInput::Flow(net)) => {
-            let net = net.lock().expect("a freshly built network is unpoisoned");
-            println!(
-                "pfp: {} nodes x 4 edges, variant {variant}",
-                net.num_nodes()
-            );
-            let (flow, stats) = match variant {
-                "seq" => {
-                    let (f, s) = pfp::seq(&net);
-                    (f, format!("pushes={} relabels={}", s.pushes, s.relabels))
-                }
-                "pbbs" => {
-                    eprintln!("pfp has no PBBS variant (§4.1)");
-                    exit(2);
-                }
-                _ => {
-                    let (f, mut r) =
-                        pfp::try_galois(&net, &executor(&args)).unwrap_or_else(|e| fault_exit(e));
-                    if args.round_log.is_some() {
-                        write_round_log(&args, r.take_round_logs());
-                    }
-                    (f, format!("bouts={} {}", r.bouts, r.stats))
-                }
-            };
-            println!("done in {:?}: max flow = {flow} ({stats})", t0.elapsed());
-            verified(&args, || pfp::verify(&net, flow), "valid flow assignment");
-        }
-        _ => unreachable!("load_input materializes the app's own input kind"),
+    if let Err(e) = app.check_variant(variant) {
+        eprintln!("{e}");
+        exit(2);
     }
+    let t0 = std::time::Instant::now();
+    let input = input(&args);
+    let mut exec = executor_for(app, variant, args.threads, args.chaos_seed)
+        .record_rounds(args.round_log.is_some());
+    if let Some(seed) = args.chaos_panics {
+        exec = exec.chaos_panics(seed);
+    }
+    let done = match app.run(variant, &exec, &input, Hooks::default()) {
+        Ok(Ok(done)) => done,
+        Ok(Err(fault)) => fault_exit(fault),
+        Err(e) => {
+            eprintln!("verification failed: {e}");
+            exit(1);
+        }
+    };
+    if let Some(path) = &args.round_log {
+        write_round_log(path, done.logs);
+    }
+    println!(
+        "done in {:?}: output {:016x} ({})",
+        t0.elapsed(),
+        done.output_hash,
+        done.stats
+    );
+    println!("verified: {}", app.verified_claim());
 }

@@ -23,13 +23,56 @@ fn galois(args: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("utf-8 stdout")
 }
 
+/// Runs `galois ARGS` expecting a usage refusal: exit 2, with `why` on
+/// stderr.
+fn refused(args: &[&str], why: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_galois"))
+        .args(args)
+        .output()
+        .expect("galois binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(why), "{args:?}: {stderr}");
+}
+
+/// Every (app, variant) cell of the paper's matrix runs through the one
+/// dispatcher and is verified; pfp has no pbbs cell.
 #[test]
 fn verified_runs_print_the_verifier_line_for_every_app() {
     for app in APPS {
-        let stdout = galois(&[app, "--size", "300", "--verify"]);
-        assert!(
-            stdout.lines().any(|l| l.starts_with("verified: ")),
-            "{app}: no verifier line in:\n{stdout}"
+        for variant in ["seq", "g-n", "g-d", "pbbs"] {
+            if (app, variant) == ("pfp", "pbbs") {
+                refused(
+                    &[app, "--variant", variant],
+                    "pfp has no PBBS variant (§4.1)",
+                );
+                continue;
+            }
+            let stdout = galois(&[app, "--variant", variant, "--size", "300"]);
+            assert!(
+                stdout.lines().any(|l| l.starts_with("verified: ")),
+                "{app} {variant}: no verifier line in:\n{stdout}"
+            );
+        }
+    }
+}
+
+/// Chaos perturbs a parallel schedule; `seq` and `pbbs` have none to
+/// perturb, so the flag is refused before anything runs.
+#[test]
+fn chaos_requires_a_parallel_executor_variant() {
+    for variant in ["seq", "pbbs"] {
+        refused(
+            &[
+                "mis",
+                "--variant",
+                variant,
+                "--size",
+                "300",
+                "--chaos-seed",
+                "7",
+            ],
+            "--chaos-seed requires an executor variant (g-d or g-n)",
         );
     }
 }

@@ -43,7 +43,8 @@ fn hooks_are_invisible_for_every_app() {
                         probe: probed.then_some(&mut probe),
                         recorder: recorded.then_some(&mut recorder),
                     };
-                    let sig = signature(app.run(&exec, &input, hooks).unwrap().unwrap());
+                    let done = app.run(Variant::Deterministic, &exec, &input, hooks);
+                    let sig = signature(done.unwrap().unwrap());
                     // An attached hook saw every round; a detached one none.
                     let rounds = sig.2;
                     assert_eq!(probe.len() as u64, if probed { rounds } else { 0 });
