@@ -97,42 +97,59 @@ pub fn run(
 /// lexicographically first MIS with deterministic reservations — node `v`
 /// decides once every smaller-id neighbor has decided.
 pub fn pbbs(g: &CsrGraph, threads: usize, record_trace: bool) -> (Vec<u32>, SpecForStats) {
-    let n = g.num_nodes();
-    let flags = AtomicArray::new_filled(n, state::UNDECIDED);
+    let step = MisStep::new(g);
+    let stats = speculative_for(&step, 0, g.num_nodes() as u64, threads, 25, record_trace);
+    (step.flags.snapshot(), stats)
+}
 
-    struct MisStep<'a> {
-        g: &'a CsrGraph,
-        flags: &'a AtomicArray,
-    }
-    impl Step for MisStep<'_> {
-        fn reserve(&self, _i: u64) -> bool {
-            true
+/// [`pbbs`]'s step. `reserve` reads only flags that earlier rounds
+/// committed — no flag changes during it — and writes node `v`'s verdict to
+/// `decision[v]`: the sequential rule, IN iff no smaller neighbor is IN,
+/// once every smaller neighbor has decided, else UNDECIDED (retry next
+/// round). `commit` only applies the verdict, so how a round's commits
+/// interleave changes neither its outcome nor the run's counters.
+struct MisStep<'a> {
+    g: &'a CsrGraph,
+    flags: AtomicArray,
+    decision: AtomicArray,
+}
+
+impl<'a> MisStep<'a> {
+    fn new(g: &'a CsrGraph) -> Self {
+        let n = g.num_nodes();
+        MisStep {
+            g,
+            flags: AtomicArray::new_filled(n, state::UNDECIDED),
+            decision: AtomicArray::new_filled(n, state::UNDECIDED),
         }
-        fn commit(&self, i: u64) -> bool {
-            let v = i as u32;
-            // Decide when all smaller-id neighbors have decided. Larger
-            // neighbors cannot veto: if one later joins the set it will see
-            // us only if we are OUT... so correctness needs the sequential
-            // rule: v is IN iff no smaller neighbor is IN.
-            let mut in_neighbor = false;
-            for &w in self.g.neighbors(v) {
-                if w < v {
-                    match self.flags.get(w as usize) {
-                        state::UNDECIDED => return false, // retry later
-                        state::IN => in_neighbor = true,
-                        _ => {}
-                    }
+    }
+}
+
+impl Step for MisStep<'_> {
+    fn reserve(&self, i: u64) -> bool {
+        let v = i as u32;
+        let mut verdict = state::IN;
+        for &w in self.g.neighbors(v).iter().filter(|&&w| w < v) {
+            match self.flags.get(w as usize) {
+                state::UNDECIDED => {
+                    verdict = state::UNDECIDED;
+                    break;
                 }
+                state::IN => verdict = state::OUT,
+                _ => {}
             }
-            self.flags
-                .set(v as usize, if in_neighbor { state::OUT } else { state::IN });
-            true
         }
+        self.decision.set(v as usize, verdict);
+        true
     }
 
-    let step = MisStep { g, flags: &flags };
-    let stats = speculative_for(&step, 0, n as u64, threads, 25, record_trace);
-    (flags.snapshot(), stats)
+    fn commit(&self, i: u64) -> bool {
+        let verdict = self.decision.get(i as usize);
+        if verdict != state::UNDECIDED {
+            self.flags.set(i as usize, verdict);
+        }
+        verdict != state::UNDECIDED
+    }
 }
 
 /// Verifies independence and maximality.
@@ -169,6 +186,24 @@ mod tests {
 
     fn graph() -> CsrGraph {
         gen::uniform_random_undirected(400, 4, 77)
+    }
+
+    #[test]
+    fn pbbs_retry_set_is_independent_of_commit_order() {
+        // One round over every node, its commits on one thread in index
+        // order and then in reverse: the same nodes must ask to retry.
+        let g = graph();
+        let n = g.num_nodes() as u64;
+        let retries = |order: &mut dyn Iterator<Item = u64>| {
+            let step = MisStep::new(&g);
+            (0..n).for_each(|i| assert!(step.reserve(i)));
+            let mut retry: Vec<u64> = order.filter(|&i| !step.commit(i)).collect();
+            retry.sort_unstable();
+            retry
+        };
+        let forward = retries(&mut (0..n));
+        assert!(!forward.is_empty());
+        assert_eq!(forward, retries(&mut (0..n).rev()));
     }
 
     #[test]

@@ -15,20 +15,24 @@
 
 use galois_core::{Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, RunReport};
 use galois_graph::csr::NodeId;
-use galois_graph::FlowNetwork;
+use galois_graph::{FlowNetwork, Residual};
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
 
-/// Shared mutable per-node state of a push-relabel run.
-struct PfpState {
+/// Shared mutable state of one push-relabel run: per-node heights and
+/// excesses, and the run's own residual capacities.
+struct PfpState<'n> {
     height: Vec<AtomicU32>,
     excess: Vec<AtomicI64>,
+    residual: Residual<'n>,
 }
 
-impl PfpState {
-    fn new(n: usize) -> Self {
+impl<'n> PfpState<'n> {
+    fn new(net: &'n FlowNetwork) -> Self {
+        let n = net.num_nodes();
         PfpState {
             height: (0..n).map(|_| AtomicU32::new(0)).collect(),
             excess: (0..n).map(|_| AtomicI64::new(0)).collect(),
+            residual: Residual::new(net),
         }
     }
 
@@ -48,6 +52,15 @@ impl PfpState {
         // Under the abstract-lock protocol the owner is exclusive; a plain
         // read-modify-write is safe and cheap.
         self.excess[v].store(self.e(v) + d, Ordering::Relaxed);
+    }
+
+    /// Phase 2 ([`drain_excess`]), then the run's result.
+    fn finish(self, net: &FlowNetwork) -> MaxFlow<'n> {
+        drain_excess(net, &self);
+        MaxFlow {
+            value: self.e(net.sink() as usize),
+            residual: self.residual,
+        }
     }
 }
 
@@ -72,7 +85,7 @@ fn global_relabel(net: &FlowNetwork, state: &PfpState) {
             let x = net.edge_target(e);
             if x != net.source()
                 && state.h(x as usize) == n as u32
-                && net.residual(net.reverse_edge(e)) > 0
+                && state.residual.get(net.reverse_edge(e)) > 0
             {
                 state.set_h(x as usize, du + 1);
                 queue.push_back(x);
@@ -86,9 +99,9 @@ fn global_relabel(net: &FlowNetwork, state: &PfpState) {
 fn saturate_source(net: &FlowNetwork, state: &PfpState) {
     let s = net.source();
     for e in net.edge_range(s) {
-        let c = net.residual(e);
+        let c = state.residual.get(e);
         if c > 0 {
-            net.push_flow(e, c);
+            state.residual.push(e, c);
             state.add_e(net.edge_target(e) as usize, c);
         }
     }
@@ -100,6 +113,7 @@ fn saturate_source(net: &FlowNetwork, state: &PfpState) {
 fn drain_excess(net: &FlowNetwork, state: &PfpState) {
     let n = net.num_nodes();
     let s = net.source();
+    let residual = &state.residual;
     for v in 0..n as NodeId {
         if v == s || v == net.sink() {
             continue;
@@ -113,7 +127,7 @@ fn drain_excess(net: &FlowNetwork, state: &PfpState) {
             'bfs: while let Some(u) = queue.pop_front() {
                 for e in net.edge_range(u) {
                     let t = net.edge_target(e);
-                    if pred[t as usize].is_none() && net.flow_on(e) > 0 {
+                    if pred[t as usize].is_none() && residual.flow_on(e) > 0 {
                         pred[t as usize] = Some(e);
                         if t == v {
                             break 'bfs;
@@ -130,14 +144,14 @@ fn drain_excess(net: &FlowNetwork, state: &PfpState) {
             let mut u = v as usize;
             while u != s as usize {
                 let e = pred[u].unwrap();
-                delta = delta.min(net.flow_on(e));
+                delta = delta.min(residual.flow_on(e));
                 u = net.edge_target(net.reverse_edge(e)) as usize;
             }
             // Cancel: push delta along each path edge's reverse.
             let mut u = v as usize;
             while u != s as usize {
                 let e = pred[u].unwrap();
-                net.push_flow(net.reverse_edge(e), delta);
+                residual.push(net.reverse_edge(e), delta);
                 u = net.edge_target(net.reverse_edge(e)) as usize;
             }
             state.add_e(v as usize, -delta);
@@ -156,15 +170,24 @@ pub struct SeqStats {
     pub global_relabels: u64,
 }
 
+/// A finished max-flow run: the value it reports, and the flow assignment
+/// ([`Residual`]) that [`verify`] checks it against.
+#[derive(Debug)]
+pub struct MaxFlow<'n> {
+    /// The flow value: the excess that reached the sink.
+    pub value: i64,
+    /// The run's residual capacities — its flow assignment.
+    pub residual: Residual<'n>,
+}
+
 /// Sequential FIFO push-relabel with global relabeling (hi_pr-style).
 ///
-/// Resets the network, computes phase-1 max flow, and returns
-/// `(flow value, stats)`. The flow assignment is left on the network for
-/// [`FlowNetwork::verify_flow`].
-pub fn seq(net: &FlowNetwork) -> (i64, SeqStats) {
-    net.reset();
+/// Computes phase-1 max flow from a zero flow, then returns the flow
+/// with the run's stats.
+pub fn seq(net: &FlowNetwork) -> (MaxFlow<'_>, SeqStats) {
     let n = net.num_nodes();
-    let state = PfpState::new(n);
+    let state = PfpState::new(net);
+    let residual = &state.residual;
     let mut stats = SeqStats::default();
     global_relabel(net, &state);
     stats.global_relabels = 1;
@@ -185,13 +208,13 @@ pub fn seq(net: &FlowNetwork) -> (i64, SeqStats) {
         while state.e(vu) > 0 && state.h(vu) < n as u32 {
             let mut pushed = false;
             for e in net.edge_range(v) {
-                if net.residual(e) <= 0 {
+                if residual.get(e) <= 0 {
                     continue;
                 }
                 let w = net.edge_target(e) as usize;
                 if state.h(vu) == state.h(w) + 1 {
-                    let delta = state.e(vu).min(net.residual(e));
-                    net.push_flow(e, delta);
+                    let delta = state.e(vu).min(residual.get(e));
+                    residual.push(e, delta);
                     state.add_e(vu, -delta);
                     state.add_e(w, delta);
                     stats.pushes += 1;
@@ -212,7 +235,7 @@ pub fn seq(net: &FlowNetwork) -> (i64, SeqStats) {
                 // Relabel: one above the lowest residual neighbor.
                 let min_h = net
                     .edge_range(v)
-                    .filter(|&e| net.residual(e) > 0)
+                    .filter(|&e| residual.get(e) > 0)
                     .map(|e| state.h(net.edge_target(e) as usize))
                     .min()
                     .unwrap_or(u32::MAX - 1);
@@ -233,9 +256,7 @@ pub fn seq(net: &FlowNetwork) -> (i64, SeqStats) {
             queue.push_back(v);
         }
     }
-    drain_excess(net, &state);
-    let flow = state.e(net.sink() as usize);
-    (flow, stats)
+    (state.finish(net), stats)
 }
 
 /// Aggregate report of a Galois preflow-push run.
@@ -262,13 +283,16 @@ impl PfpReport {
 
 /// The Galois preflow-push: executor bouts alternating with global
 /// relabeling, with no observers attached ([`run`] with empty [`Hooks`]).
-/// Resets the network first; returns `(flow value, report)`.
+/// Returns `(flow, report)`.
 ///
 /// Operator panics, livelocks and quarantine overflows in any bout come back
 /// as [`ExecError`] instead of unwinding. Quarantine counters from completed
 /// bouts are merged into the report before the faulting bout's error is
 /// returned.
-pub fn try_galois(net: &FlowNetwork, exec: &Executor) -> Result<(i64, PfpReport), ExecError> {
+pub fn try_galois<'n>(
+    net: &'n FlowNetwork,
+    exec: &Executor,
+) -> Result<(MaxFlow<'n>, PfpReport), ExecError> {
     run(net, exec, Hooks::default())
 }
 
@@ -276,14 +300,14 @@ pub fn try_galois(net: &FlowNetwork, exec: &Executor) -> Result<(i64, PfpReport)
 /// *multiple* executor bouts; the same hooks ride every bout, so a probe
 /// sees — and a recorder's hash chain spans — the whole multi-bout run as
 /// one monotone sequence.
-pub fn run(
-    net: &FlowNetwork,
+pub fn run<'n>(
+    net: &'n FlowNetwork,
     exec: &Executor,
     mut hooks: Hooks<'_>,
-) -> Result<(i64, PfpReport), ExecError> {
-    net.reset();
+) -> Result<(MaxFlow<'n>, PfpReport), ExecError> {
     let n = net.num_nodes();
-    let state = PfpState::new(n);
+    let state = PfpState::new(net);
+    let residual = &state.residual;
     global_relabel(net, &state);
     saturate_source(net, &state);
     let marks = MarkTable::new(n);
@@ -330,13 +354,13 @@ pub fn run(
             while state.e(vu) > 0 && state.h(vu) < n as u32 {
                 let mut pushed = false;
                 for e in net.edge_range(v) {
-                    if net.residual(e) <= 0 {
+                    if residual.get(e) <= 0 {
                         continue;
                     }
                     let w = net.edge_target(e) as usize;
                     if state.h(vu) == state.h(w) + 1 {
-                        let delta = state.e(vu).min(net.residual(e));
-                        net.push_flow(e, delta);
+                        let delta = state.e(vu).min(residual.get(e));
+                        residual.push(e, delta);
                         state.add_e(vu, -delta);
                         state.add_e(w, delta);
                         ctx.count_atomics(2);
@@ -361,7 +385,7 @@ pub fn run(
                     }
                     let min_h = net
                         .edge_range(v)
-                        .filter(|&e| net.residual(e) > 0)
+                        .filter(|&e| residual.get(e) > 0)
                         .map(|e| state.h(net.edge_target(e) as usize))
                         .min()
                         .unwrap_or(u32::MAX - 1);
@@ -392,20 +416,19 @@ pub fn run(
         global_relabel(net, &state);
         bout_gen = bout_gen.wrapping_add(1);
     }
-    drain_excess(net, &state);
-    let flow = state.e(net.sink() as usize);
-    Ok((flow, out))
+    Ok((state.finish(net), out))
 }
 
-/// Checks that the flow left in `net` is a valid assignment (capacity and
-/// conservation) and that its value is the `reported` one.
-pub fn verify(net: &FlowNetwork, reported: i64) -> Result<(), String> {
-    let recomputed = net.verify_flow()?;
-    if recomputed == reported {
+/// Checks that a run's flow assignment is valid (capacity and
+/// conservation) and that its value is the one the run reported.
+pub fn verify(flow: &MaxFlow<'_>) -> Result<(), String> {
+    let recomputed = flow.residual.verify()?;
+    if recomputed == flow.value {
         Ok(())
     } else {
         Err(format!(
-            "reported flow {reported} != recomputed {recomputed}"
+            "reported flow {} != recomputed {recomputed}",
+            flow.value
         ))
     }
 }
@@ -423,37 +446,32 @@ mod tests {
     fn seq_matches_edmonds_karp() {
         for seed in [1u64, 2, 4, 5] {
             let net = small_net(seed);
-            let expect = {
-                net.reset();
-                net.edmonds_karp()
-            };
+            let expect = net.edmonds_karp();
             let (flow, stats) = seq(&net);
-            assert_eq!(flow, expect, "seed {seed}");
+            assert_eq!(flow.value, expect, "seed {seed}");
             assert!(stats.pushes > 0);
-            net.verify_flow().unwrap();
+            verify(&flow).unwrap();
         }
     }
 
     #[test]
     fn galois_speculative_matches_reference() {
         let net = small_net(9);
-        net.reset();
         let expect = net.edmonds_karp();
         for threads in [1usize, 4] {
             let exec = Executor::new()
                 .threads(threads)
                 .schedule(Schedule::Speculative);
             let (flow, report) = try_galois(&net, &exec).unwrap();
-            assert_eq!(flow, expect, "threads {threads}");
+            assert_eq!(flow.value, expect, "threads {threads}");
             assert!(report.stats.committed > 0);
-            net.verify_flow().unwrap();
+            verify(&flow).unwrap();
         }
     }
 
     #[test]
     fn galois_deterministic_matches_and_is_portable() {
         let net = small_net(10);
-        net.reset();
         let expect = net.edmonds_karp();
         let mut prev: Option<(u64, u64)> = None;
         for threads in [1usize, 2, 4] {
@@ -461,7 +479,7 @@ mod tests {
                 .threads(threads)
                 .schedule(Schedule::deterministic());
             let (flow, report) = try_galois(&net, &exec).unwrap();
-            assert_eq!(flow, expect, "threads {threads}");
+            assert_eq!(flow.value, expect, "threads {threads}");
             let sig = (report.stats.committed, report.bouts);
             if let Some(p) = &prev {
                 assert_eq!(&sig, p, "schedule changed with {threads} threads");
@@ -479,19 +497,19 @@ mod tests {
             3,
         );
         let (flow, _) = seq(&net);
-        assert_eq!(flow, 5);
+        assert_eq!(flow.value, 5);
         let exec = Executor::new().schedule(Schedule::deterministic());
         let (flow, _) = try_galois(&net, &exec).unwrap();
-        assert_eq!(flow, 5);
+        assert_eq!(flow.value, 5);
     }
 
     #[test]
     fn zero_flow_when_disconnected() {
         let net = FlowNetwork::from_edges(3, &[(0, 1, 9)], 0, 2);
         let (flow, _) = seq(&net);
-        assert_eq!(flow, 0);
+        assert_eq!(flow.value, 0);
         let exec = Executor::new().schedule(Schedule::Speculative);
         let (flow, _) = try_galois(&net, &exec).unwrap();
-        assert_eq!(flow, 0);
+        assert_eq!(flow.value, 0);
     }
 }

@@ -24,7 +24,7 @@ use galois_runtime::simtime::ExecTrace;
 use galois_runtime::stats::ExecStats;
 use std::fmt;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The benchmark applications (§4.1 of the paper, plus maximal matching).
@@ -143,9 +143,9 @@ pub enum Input {
         /// Generator seed.
         seed: u64,
     },
-    /// Flow network for pfp — shareable but exclusive: a run locks it and
-    /// resets the residual state before executing.
-    Flow(Arc<Mutex<FlowNetwork>>),
+    /// Flow network for pfp — immutable, shared: each run owns its
+    /// residual capacities.
+    Flow(Arc<FlowNetwork>),
 }
 
 /// A completed, verified run, reduced to what cross-run comparison needs.
@@ -384,7 +384,7 @@ impl App {
                 let (net, cached) = cache::load_or_build_flow(cache_dir, &key, || {
                     FlowNetwork::random_parallel(n, 4, 100, seed, build_threads)
                 });
-                (Input::Flow(Arc::new(Mutex::new(net))), cached)
+                (Input::Flow(Arc::new(net)), cached)
             }
         }
     }
@@ -500,24 +500,18 @@ impl App {
                 dmr::run(&mesh, exec, hooks)
                     .map(|r| (dmr::verify(&mesh), Finished::one_pass(hash_mesh(&mesh), r)))
             }
-            (App::Pfp, Input::Flow(net)) => {
-                // Exclusive: pfp writes flow state into the network's
-                // atomics (and resets them first), so a shared network
-                // serves one run at a time.
-                let net = net.lock().expect("a pfp run panicked holding its network");
-                pfp::run(&net, exec, hooks).map(|(flow, mut r)| {
-                    let mut h = Fnv64::new();
-                    h.write_i64(flow);
-                    let finished = Finished {
-                        output_hash: h.finish(),
-                        logs: r.take_round_logs(),
-                        trace: merge_traces(&mut r.reports),
-                        accesses: merge_accesses(&mut r.reports),
-                        stats: r.stats,
-                    };
-                    (pfp::verify(&net, flow), finished)
-                })
-            }
+            (App::Pfp, Input::Flow(net)) => pfp::run(net, exec, hooks).map(|(flow, mut r)| {
+                let mut h = Fnv64::new();
+                h.write_i64(flow.value);
+                let finished = Finished {
+                    output_hash: h.finish(),
+                    logs: r.take_round_logs(),
+                    trace: merge_traces(&mut r.reports),
+                    accesses: merge_accesses(&mut r.reports),
+                    stats: r.stats,
+                };
+                (pfp::verify(&flow), finished)
+            }),
             _ => return Err(format!("input does not match app {self} — keys crossed")),
         };
         let (verdict, finished) = match ran {

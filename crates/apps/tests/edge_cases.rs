@@ -172,16 +172,15 @@ fn dmr_refines_boundary_heavy_mesh() {
 #[test]
 fn pfp_rmf_all_schedules_agree() {
     let net = FlowNetwork::rmf(4, 4, 25, 3);
-    net.reset();
     let expect = net.edmonds_karp();
     assert!(expect > 0);
     for (name, exec) in all_schedules() {
         let (flow, _) = pfp::try_galois(&net, &exec).unwrap();
-        assert_eq!(flow, expect, "{name}");
-        net.verify_flow().unwrap();
+        assert_eq!(flow.value, expect, "{name}");
+        pfp::verify(&flow).unwrap();
     }
     let (flow, _) = pfp::seq(&net);
-    assert_eq!(flow, expect);
+    assert_eq!(flow.value, expect);
 }
 
 #[test]
@@ -189,10 +188,10 @@ fn pfp_saturated_single_path() {
     // A path network: flow = min capacity along the path.
     let net = FlowNetwork::from_edges(5, &[(0, 1, 9), (1, 2, 3), (2, 3, 7), (3, 4, 5)], 0, 4);
     let (flow, _) = pfp::seq(&net);
-    assert_eq!(flow, 3);
+    assert_eq!(flow.value, 3);
     let exec = Executor::new()
         .threads(2)
         .schedule(Schedule::deterministic());
     let (flow, _) = pfp::try_galois(&net, &exec).unwrap();
-    assert_eq!(flow, 3);
+    assert_eq!(flow.value, 3);
 }

@@ -1,19 +1,31 @@
 //! [`App::run`] is the one dispatcher over the paper's (app × variant)
 //! matrix: every cell an app has runs, is verified by the app's own
 //! verifier and is hashed, and the deterministic cells — `g-d` and `pbbs` —
-//! hash the same output at any thread count.
+//! hash the same output at any thread count. Inputs are immutable values:
+//! runs sharing one never wait for or see each other.
 
 use galois_apps::recipe::{Finished, Input};
 use galois_apps::{App, Variant};
-use galois_core::Hooks;
+use galois_core::{Hooks, Probe, RoundRecord};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 fn input(app: App) -> Input {
     app.materialize(app.default_size(), 42, 1, None).0
 }
 
 fn run(app: App, variant: Variant, threads: usize, input: &Input) -> Finished {
+    run_hooked(app, variant, threads, input, Hooks::default())
+}
+
+fn run_hooked(
+    app: App,
+    variant: Variant,
+    threads: usize,
+    input: &Input,
+    hooks: Hooks<'_>,
+) -> Finished {
     let exec = app.executor(variant.schedule(), threads);
-    match app.run(variant, &exec, input, Hooks::default()) {
+    match app.run(variant, &exec, input, hooks) {
         Ok(Ok(done)) => done,
         Ok(Err(fault)) => panic!("{app}/{}: {fault}", variant.label()),
         Err(invalid) => panic!("{}: {invalid}", variant.label()),
@@ -59,6 +71,50 @@ fn deterministic_cells_hash_the_same_output_at_1_and_3_threads() {
             );
         }
     }
+}
+
+/// Parks its run inside the first round: says so on `parked`, then waits
+/// for `release`.
+struct Park {
+    parked: Sender<()>,
+    release: Receiver<()>,
+    first: bool,
+}
+
+impl Probe for Park {
+    fn on_round(&mut self, _: RoundRecord) {
+        if std::mem::take(&mut self.first) {
+            self.parked.send(()).unwrap();
+            self.release.recv().unwrap();
+        }
+    }
+}
+
+#[test]
+fn a_pfp_run_parked_mid_run_does_not_block_another_on_the_same_network() {
+    let input = input(App::Pfp);
+    let reference = run(App::Pfp, Variant::Deterministic, 1, &input).output_hash;
+    let (parked_tx, parked) = channel();
+    let (release, release_rx) = channel();
+    let shared = input.clone();
+    let a = std::thread::spawn(move || {
+        let mut park = Park {
+            parked: parked_tx,
+            release: release_rx,
+            first: true,
+        };
+        let hooks = Hooks {
+            probe: Some(&mut park),
+            recorder: None,
+        };
+        run_hooked(App::Pfp, Variant::Deterministic, 2, &shared, hooks).output_hash
+    });
+    // An Err here means A ended without reaching a round.
+    parked.recv().expect("run A parks in its first round");
+    let b = run(App::Pfp, Variant::Deterministic, 2, &input);
+    assert_eq!(b.output_hash, reference, "run B beside a parked run A");
+    release.send(()).unwrap();
+    assert_eq!(a.join().unwrap(), reference, "run A after run B");
 }
 
 #[test]

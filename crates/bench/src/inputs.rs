@@ -15,7 +15,7 @@ use galois_apps::recipe::Input;
 use galois_apps::{dt, App};
 use galois_graph::cache::cache_dir_from_env;
 use galois_graph::FlowNetwork;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Deterministic seed for all benchmark inputs.
 pub const SEED: u64 = 0xA5F_2014;
@@ -44,7 +44,7 @@ pub fn input(app: App, scale: f64) -> Input {
             seed: SEED,
         },
         App::Dmr => materialize(sized(3_000.0, 200), SEED + 3),
-        App::Pfp => Input::Flow(Arc::new(Mutex::new(pfp_network(scale)))),
+        App::Pfp => Input::Flow(Arc::new(pfp_network(scale))),
     }
 }
 
@@ -70,7 +70,7 @@ mod tests {
             Input::Graph(g) => g.num_nodes(),
             Input::Points { pts, .. } => pts.len(),
             Input::MeshSpec { n, .. } => n,
-            Input::Flow(net) => net.lock().unwrap().num_nodes(),
+            Input::Flow(net) => net.num_nodes(),
         }
     }
 

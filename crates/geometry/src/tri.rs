@@ -34,85 +34,9 @@ pub fn shortest_edge2(a: Point, b: Point, c: Point) -> i128 {
     a.dist2_grid(b).min(b.dist2_grid(c)).min(c.dist2_grid(a))
 }
 
-/// Whether the triangle's smallest angle is below `min_angle_deg`.
-///
-/// Compares the largest law-of-cosines cosine (the smallest angle's)
-/// against `cos(min_angle_deg)` instead of taking three `acos`. The cosines
-/// are the same `f64` values [`min_angle_deg_of`] computes, from the same
-/// exact squared edge lengths by the same operations, so the two can only
-/// disagree on a cosine near the threshold's. Within ±1e-9 of it the
-/// verdict is the reference's, [`min_angle_deg_of`]`(a, b, c) <
-/// min_angle_deg`. That band is ±1.2e-7° at 30°, far more than the error of
-/// `acos` plus `to_degrees`, so every verdict equals the reference's. A
-/// threshold outside `[0°, 180°]` goes to the reference directly.
-pub fn has_small_angle(a: Point, b: Point, c: Point, min_angle_deg: f64) -> bool {
-    if !(0.0..=180.0).contains(&min_angle_deg) {
-        // Outside [0°, 180°] the cosine no longer orders the angles.
-        return min_angle_deg_of(a, b, c) < min_angle_deg;
-    }
-    let (l2, _) = edge_lengths2(a, b, c);
-    small_angle(a, b, c, l2, min_angle_deg, min_angle_deg.to_radians().cos())
-}
-
-/// Half-width of the band around the threshold's cosine inside which
-/// [`has_small_angle`] defers to the reference [`min_angle_deg_of`].
-const COS_BAND: f64 = 1e-9;
-
-/// `cos(30°)`, the threshold cosine of [`is_bad`].
-const COS_30: f64 = 0.866_025_403_784_438_7;
-
-/// [`has_small_angle`] on precomputed squared edge lengths `l2` (opposite
-/// `a`, `b`, `c`) and threshold cosine `cos_t`.
-fn small_angle(a: Point, b: Point, c: Point, l2: [f64; 3], deg: f64, cos_t: f64) -> bool {
-    if l2.contains(&0.0) {
-        return 0.0 < deg; // min_angle_deg_of reports 0 for degenerate triangles
-    }
-    let cos_at = |i: usize| {
-        let opp = l2[i];
-        let e1 = l2[(i + 1) % 3];
-        let e2 = l2[(i + 2) % 3];
-        (e1 + e2 - opp) / (2.0 * (e1 * e2).sqrt())
-    };
-    // The smallest angle has the largest cosine.
-    let cos = cos_at(0).max(cos_at(1)).max(cos_at(2)).clamp(-1.0, 1.0);
-    if cos > cos_t + COS_BAND {
-        true
-    } else if cos < cos_t - COS_BAND {
-        false
-    } else {
-        min_angle_deg_of(a, b, c) < deg
-    }
-}
-
-/// Squared grid distance in `i64`, or `None` where it would overflow.
-fn dist2_i64(p: Point, q: Point) -> Option<i64> {
-    let ((px, py), (qx, qy)) = (p.to_grid(), q.to_grid());
-    let (dx, dy) = (px.checked_sub(qx)?, py.checked_sub(qy)?);
-    dx.checked_mul(dx)?.checked_add(dy.checked_mul(dy)?)
-}
-
-/// The squared edge lengths opposite `a`, `b` and `c` as `f64`, and the
-/// shortest one exactly.
-///
-/// They are computed in `i64`, which is exact for the mesh domain (grid
-/// coordinates within ±2^30); only when that overflows does this fall back
-/// to [`Point::dist2_grid`]'s `i128`. Either way each `f64` is the same
-/// rounding of the same integer as `dist2_grid(..) as f64`.
-fn edge_lengths2(a: Point, b: Point, c: Point) -> ([f64; 3], i128) {
-    let narrow = (|| Some([dist2_i64(b, c)?, dist2_i64(c, a)?, dist2_i64(a, b)?]))();
-    match narrow {
-        Some([x, y, z]) => ([x as f64, y as f64, z as f64], x.min(y).min(z) as i128),
-        None => {
-            let [x, y, z] = [b.dist2_grid(c), c.dist2_grid(a), a.dist2_grid(b)];
-            ([x as f64, y as f64, z as f64], x.min(y).min(z))
-        }
-    }
-}
-
-/// The smallest interior angle in degrees (0 for degenerate triangles).
-///
-/// The reference for [`has_small_angle`] and [`is_bad`]. It takes three
-/// `acos`, so hot paths call those instead; the mesh quality report uses it.
+/// The smallest interior angle in degrees (0 for degenerate triangles), for
+/// the mesh quality report. Refinement decides with [`is_bad`], which is
+/// exact; this takes three `acos`.
 pub fn min_angle_deg_of(a: Point, b: Point, c: Point) -> f64 {
     let l2 = [
         b.dist2_grid(c) as f64, // opposite a
@@ -141,11 +65,23 @@ pub fn min_angle_deg_of(a: Point, b: Point, c: Point) -> f64 {
 pub const MIN_REFINE_EDGE2: i128 = (1 << 14) * (1 << 14);
 
 /// Whether a triangle is "bad" (needs refinement): smallest angle below 30°
-/// and the triangle is still large enough to split safely. Equal to
-/// `shortest_edge2(..) > MIN_REFINE_EDGE2 && has_small_angle(.., 30.0)`.
+/// and the triangle is still large enough to split safely.
+///
+/// Exact integer arithmetic, like [`crate::predicates`]: the angle at a
+/// vertex with edge vectors `u` and `v` is below 30° iff its cosine exceeds
+/// √3/2, i.e. `u·v > 0` and `4·(u·v)² > 3·|u|²·|v|²`. With grid coordinates
+/// within ±2^30 every term is below 2^128.
 pub fn is_bad(a: Point, b: Point, c: Point) -> bool {
-    let (l2, shortest) = edge_lengths2(a, b, c);
-    shortest > MIN_REFINE_EDGE2 && small_angle(a, b, c, l2, 30.0, COS_30)
+    let sharp = |o: Point, p: Point, q: Point| {
+        let ((ox, oy), (px, py), (qx, qy)) = (o.to_grid(), p.to_grid(), q.to_grid());
+        let (ux, uy) = ((px - ox) as i128, (py - oy) as i128);
+        let (vx, vy) = ((qx - ox) as i128, (qy - oy) as i128);
+        let dot = ux * vx + uy * vy;
+        let norms = (ux * ux + uy * uy) * (vx * vx + vy * vy);
+        dot > 0 && 4 * (dot * dot) as u128 > 3 * norms as u128
+    };
+    shortest_edge2(a, b, c) > MIN_REFINE_EDGE2
+        && (sharp(a, b, c) || sharp(b, c, a) || sharp(c, a, b))
 }
 
 #[cfg(test)]
@@ -169,14 +105,14 @@ mod tests {
     }
 
     #[test]
-    fn equilateral_has_sixty_degree_angles() {
-        // Approximate equilateral on the grid.
+    fn equilateral_is_good() {
+        // Approximate equilateral on the grid, above the refinement floor.
         let a = p(0, 0);
-        let b = p(1000, 0);
-        let c = p(500, 866);
+        let b = p(100_000, 0);
+        let c = p(50_000, 86_603);
         let m = min_angle_deg_of(a, b, c);
-        assert!((m - 60.0).abs() < 0.1, "min angle {m}");
-        assert!(!has_small_angle(a, b, c, 30.0));
+        assert!((m - 60.0).abs() < 0.01, "min angle {m}");
+        assert!(!is_bad(a, b, c));
     }
 
     #[test]
@@ -184,8 +120,8 @@ mod tests {
         let a = p(0, 0);
         let b = p(100_000, 0);
         let c = p(50_000, 2_000); // very flat
-        assert!(has_small_angle(a, b, c, 30.0));
         assert!(is_bad(a, b, c));
+        assert!(is_bad(c, a, b) && is_bad(b, c, a));
     }
 
     #[test]
@@ -194,13 +130,8 @@ mod tests {
         let a = p(0, 0);
         let b = p(9000, 0);
         let c = p(4500, 300);
-        assert!(has_small_angle(a, b, c, 30.0));
+        assert!(min_angle_deg_of(a, b, c) < 30.0);
         assert!(!is_bad(a, b, c), "guard suppresses refinement");
-    }
-
-    #[test]
-    fn fixed_threshold_is_cos_thirty() {
-        assert!((COS_30 - 30f64.to_radians().cos()).abs() < 1e-15);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Preflow-push operates on a residual graph: every directed edge carries a
 //! mutable residual capacity, and pushing along an edge increases the
-//! capacity of its paired reverse edge. [`FlowNetwork`] stores the topology
-//! in CSR form with an explicit reverse-edge index, and the residual
-//! capacities in one shared atomic array (mutated only under abstract locks
-//! or in the sequential baseline).
+//! capacity of its paired reverse edge. [`FlowNetwork`] is the immutable
+//! input — the topology in CSR form with an explicit reverse-edge index, and
+//! the capacities — so any number of runs share one network. Each run owns
+//! its [`Residual`]: one atomic array of residual capacities (mutated only
+//! under abstract locks or in the sequential baseline).
 
 use crate::csr::NodeId;
 use crate::gen::{counter_stream, row_ends};
@@ -35,7 +36,8 @@ fn fill_random_node(
     }
 }
 
-/// A directed flow network with paired residual edges.
+/// A directed flow network with paired residual edges: topology and
+/// capacities only, never a run's flow.
 #[derive(Debug)]
 pub struct FlowNetwork {
     offsets: Vec<u64>,
@@ -43,9 +45,7 @@ pub struct FlowNetwork {
     targets: Vec<NodeId>,
     /// Index of each edge's reverse edge.
     reverse: Vec<u32>,
-    /// Residual capacities (mutable during a max-flow run).
-    residual: Vec<AtomicI64>,
-    /// Original capacities (for verification and reset).
+    /// Original capacities (a run's residual starts from these).
     capacity: Vec<i64>,
     source: NodeId,
     sink: NodeId,
@@ -111,12 +111,10 @@ impl FlowNetwork {
             reverse[fwd as usize] = bwd;
             reverse[bwd as usize] = fwd;
         }
-        let residual = capacity.iter().map(|&c| AtomicI64::new(c)).collect();
         FlowNetwork {
             offsets,
             targets,
             reverse,
-            residual,
             capacity,
             source,
             sink,
@@ -276,74 +274,10 @@ impl FlowNetwork {
         self.capacity[e]
     }
 
-    /// Residual capacity of edge `e` (relaxed read).
-    #[inline]
-    pub fn residual(&self, e: usize) -> i64 {
-        self.residual[e].load(Ordering::Relaxed)
-    }
-
-    /// Pushes `delta` units along edge `e` (caller holds abstract locks on
-    /// both endpoints, or runs sequentially).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the push exceeds the residual capacity.
-    #[inline]
-    pub fn push_flow(&self, e: usize, delta: i64) {
-        debug_assert!(delta > 0 && delta <= self.residual(e));
-        let r = self.reverse[e] as usize;
-        self.residual[e].fetch_sub(delta, Ordering::Relaxed);
-        self.residual[r].fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Net flow currently assigned to edge `e` (capacity − residual).
-    pub fn flow_on(&self, e: usize) -> i64 {
-        self.capacity[e] - self.residual(e)
-    }
-
-    /// Resets all residual capacities to the original capacities.
-    pub fn reset(&self) {
-        for (slot, &c) in self.residual.iter().zip(self.capacity.iter()) {
-            slot.store(c, Ordering::Relaxed);
-        }
-    }
-
-    /// Verifies flow conservation and capacity constraints; returns the flow
-    /// value if valid.
-    pub fn verify_flow(&self) -> Result<i64, String> {
-        let n = self.num_nodes();
-        let mut net = vec![0i64; n];
-        for v in 0..n as NodeId {
-            for e in self.edge_range(v) {
-                let f = self.flow_on(e);
-                if self.residual(e) < 0 {
-                    return Err(format!("negative residual on edge {e}"));
-                }
-                // A pushed unit appears as +f on the forward edge and -f on
-                // its reverse; counting only the positive side counts each
-                // unit of flow once.
-                if f > 0 {
-                    net[v as usize] -= f;
-                    net[self.targets[e] as usize] += f;
-                }
-            }
-        }
-        for (v, &balance) in net.iter().enumerate() {
-            if v != self.source as usize && v != self.sink as usize && balance != 0 {
-                return Err(format!("conservation violated at node {v}: net {balance}"));
-            }
-        }
-        if net[self.source as usize] != -net[self.sink as usize] {
-            return Err("source/sink imbalance".into());
-        }
-        Ok(net[self.sink as usize])
-    }
-
-    /// Max-flow by Edmonds–Karp (reference for verification; O(V·E²)).
-    ///
-    /// Runs on the *current* residual state; call [`reset`](Self::reset)
-    /// first for a from-scratch computation.
+    /// Max-flow by Edmonds–Karp (reference for verification; O(V·E²)), on
+    /// a residual of its own.
     pub fn edmonds_karp(&self) -> i64 {
+        let residual = Residual::new(self);
         let n = self.num_nodes();
         let mut total = 0i64;
         loop {
@@ -355,7 +289,7 @@ impl FlowNetwork {
             while let Some(v) = queue.pop_front() {
                 for e in self.edge_range(v) {
                     let t = self.targets[e] as usize;
-                    if pred[t].is_none() && self.residual(e) > 0 {
+                    if pred[t].is_none() && residual.get(e) > 0 {
                         pred[t] = Some(e);
                         queue.push_back(t as NodeId);
                     }
@@ -369,14 +303,14 @@ impl FlowNetwork {
             let mut v = self.sink as usize;
             while v != self.source as usize {
                 let e = pred[v].unwrap();
-                bottleneck = bottleneck.min(self.residual(e));
+                bottleneck = bottleneck.min(residual.get(e));
                 v = self.source_of(e);
             }
             // Augment.
             let mut v = self.sink as usize;
             while v != self.source as usize {
                 let e = pred[v].unwrap();
-                self.push_flow(e, bottleneck);
+                residual.push(e, bottleneck);
                 v = self.source_of(e);
             }
             total += bottleneck;
@@ -388,6 +322,78 @@ impl FlowNetwork {
         // Largest v with offsets[v] <= e; duplicates from empty adjacency
         // lists are skipped by taking the partition point.
         self.offsets.partition_point(|&o| o <= e as u64) - 1
+    }
+}
+
+/// One max-flow run's residual capacities over a [`FlowNetwork`]: the
+/// network's capacities, minus every push since. A run owns its residual,
+/// so runs sharing a network never see one another.
+#[derive(Debug)]
+pub struct Residual<'n> {
+    net: &'n FlowNetwork,
+    cap: Vec<AtomicI64>,
+}
+
+impl<'n> Residual<'n> {
+    /// A flow of zero over `net`: every residual at its capacity.
+    pub fn new(net: &'n FlowNetwork) -> Self {
+        let cap = net.capacity.iter().map(|&c| AtomicI64::new(c)).collect();
+        Residual { net, cap }
+    }
+
+    /// Residual capacity of edge `e` (relaxed read).
+    #[inline]
+    pub fn get(&self, e: usize) -> i64 {
+        self.cap[e].load(Ordering::Relaxed)
+    }
+
+    /// Pushes `delta` units along edge `e` (caller holds abstract locks on
+    /// both endpoints, or runs sequentially).
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if the push exceeds the residual capacity.
+    #[inline]
+    pub fn push(&self, e: usize, delta: i64) {
+        debug_assert!(delta > 0 && delta <= self.get(e));
+        self.cap[e].fetch_sub(delta, Ordering::Relaxed);
+        self.cap[self.net.reverse_edge(e)].fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Net flow assigned to edge `e` (capacity − residual).
+    pub fn flow_on(&self, e: usize) -> i64 {
+        self.net.capacity_of(e) - self.get(e)
+    }
+
+    /// Verifies flow conservation and capacity constraints; returns the flow
+    /// value if valid.
+    pub fn verify(&self) -> Result<i64, String> {
+        let (n, source, sink) = (self.net.num_nodes(), self.net.source, self.net.sink);
+        let mut net = vec![0i64; n];
+        for v in 0..n as NodeId {
+            for e in self.net.edge_range(v) {
+                let f = self.flow_on(e);
+                if self.get(e) < 0 {
+                    return Err(format!("negative residual on edge {e}"));
+                }
+                // A pushed unit appears as +f on the forward edge and -f on
+                // its reverse; counting only the positive side counts each
+                // unit of flow once.
+                if f > 0 {
+                    net[v as usize] -= f;
+                    net[self.net.edge_target(e) as usize] += f;
+                }
+            }
+        }
+        for (v, &balance) in net.iter().enumerate() {
+            if v != source as usize && v != sink as usize && balance != 0 {
+                return Err(format!("conservation violated at node {v}: net {balance}"));
+            }
+        }
+        if net[source as usize] != -net[sink as usize] {
+            return Err("source/sink imbalance".into());
+        }
+        Ok(net[sink as usize])
     }
 }
 
@@ -417,39 +423,44 @@ mod tests {
 
     #[test]
     fn edmonds_karp_on_diamond() {
-        let net = diamond();
-        let flow = net.edmonds_karp();
         // 0→1→3 (2) + 0→2→3 (2) + 0→1→2→3 (1): min cut at the sink is 5.
-        assert_eq!(flow, 5);
-        assert_eq!(net.verify_flow().unwrap(), 5);
-    }
-
-    #[test]
-    fn push_flow_updates_residual_pair() {
         let net = diamond();
-        let e = net.edge_range(0).next().unwrap();
-        let before = net.residual(e);
-        net.push_flow(e, 1);
-        assert_eq!(net.residual(e), before - 1);
-        assert_eq!(net.residual(net.reverse_edge(e)), 1);
-        assert_eq!(net.flow_on(e), 1);
-    }
-
-    #[test]
-    fn reset_restores_capacities() {
-        let net = diamond();
-        net.edmonds_karp();
-        net.reset();
-        assert_eq!(net.verify_flow().unwrap(), 0);
+        assert_eq!(net.edmonds_karp(), 5);
+        // The network is immutable: a second run computes from scratch.
         assert_eq!(net.edmonds_karp(), 5);
     }
 
     #[test]
-    fn random_network_flow_is_verified() {
+    fn push_updates_residual_pair_and_verifies() {
+        let net = diamond();
+        let residual = Residual::new(&net);
+        assert_eq!(residual.verify().unwrap(), 0);
+        let edge = |s, t| {
+            net.edge_range(s)
+                .find(|&e| net.edge_target(e) == t && net.capacity_of(e) > 0)
+                .unwrap()
+        };
+        // 0→1→3, one unit.
+        for e in [edge(0, 1), edge(1, 3)] {
+            let before = residual.get(e);
+            residual.push(e, 1);
+            assert_eq!(residual.get(e), before - 1);
+            assert_eq!(residual.get(net.reverse_edge(e)), 1);
+            assert_eq!(residual.flow_on(e), 1);
+        }
+        assert_eq!(residual.verify().unwrap(), 1);
+        // Half a path breaks conservation at node 2.
+        residual.push(edge(0, 2), 1);
+        assert!(residual.verify().unwrap_err().contains("node 2"));
+    }
+
+    #[test]
+    fn random_network_has_flow() {
         let net = FlowNetwork::random(64, 4, 100, 11);
-        let flow = net.edmonds_karp();
-        assert!(flow > 0, "random 4-out network should have s-t flow");
-        assert_eq!(net.verify_flow().unwrap(), flow);
+        assert!(
+            net.edmonds_karp() > 0,
+            "random 4-out network should have s-t flow"
+        );
     }
 
     #[test]
@@ -502,7 +513,6 @@ mod tests {
         assert_eq!(net.num_nodes(), 4 * 4 * 5);
         let flow = net.edmonds_karp();
         assert!(flow > 0);
-        assert_eq!(net.verify_flow().unwrap(), flow);
         // Min cut is between frames: at most per-frame nodes * max_cap.
         assert!(flow <= 16 * 20);
     }

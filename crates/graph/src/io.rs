@@ -155,8 +155,8 @@ pub fn read_dimacs_flow<R: BufRead>(reader: R) -> Result<FlowNetwork, ParseGraph
     Ok(FlowNetwork::from_edges(n, &arcs, source, sink))
 }
 
-/// Writes `net` in DIMACS max-flow format (capacities from the network's
-/// original construction; residual state is not serialized).
+/// Writes `net` in DIMACS max-flow format: its arcs of nonzero capacity,
+/// so not the generated reverse arcs.
 ///
 /// # Errors
 ///
@@ -411,7 +411,6 @@ mod tests {
     #[test]
     fn dimacs_roundtrip_preserves_max_flow() {
         let net = FlowNetwork::random(40, 3, 25, 9);
-        net.reset();
         let expect = net.edmonds_karp();
         let mut buf = Vec::new();
         write_dimacs_flow(&net, &mut buf).unwrap();

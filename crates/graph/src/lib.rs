@@ -9,8 +9,8 @@
 //!   runtime's abstract-lock protocol (or with CAS in handwritten variants).
 //! - [`gen`]: seeded generators for the paper's inputs — uniform random
 //!   k-out graphs, 2-D grids, RMAT-style power-law graphs.
-//! - [`flow`]: residual flow networks with paired reverse edges for
-//!   preflow-push.
+//! - [`flow`]: immutable flow networks with paired reverse edges, and the
+//!   residual capacities each preflow-push run owns.
 //! - [`io`]: DIMACS, edge-list and binary CSR readers/writers.
 //! - [`cache`]: on-disk cache of generated inputs, keyed by generator
 //!   name + parameters + seed.
@@ -28,4 +28,4 @@ pub mod io;
 
 pub use array::AtomicArray;
 pub use csr::CsrGraph;
-pub use flow::FlowNetwork;
+pub use flow::{FlowNetwork, Residual};

@@ -143,7 +143,6 @@ fn dimacs_double_roundtrip_preserves_structure_and_flow() {
     assert_eq!(first, second, "DIMACS writer is not canonical");
     assert_eq!(once.num_nodes(), net.num_nodes());
     assert_eq!(once.num_edges(), net.num_edges());
-    net.reset();
     assert_eq!(once.edmonds_karp(), net.edmonds_karp());
 }
 

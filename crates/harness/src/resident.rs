@@ -9,20 +9,18 @@
 //! requests while every run still goes through the exact validation and
 //! fingerprint reduction the differential harness uses.
 //!
-//! Not every input can stay resident: runs mutate some of them.
+//! Every input but one stays resident, as an immutable value that
+//! concurrent requests share (`Arc`):
 //!
-//! - **bfs / mis / mm** — the CSR graph is read-only during a run; it is
-//!   shared freely (`Arc`) between concurrent requests.
-//! - **dt** — the point set is read-only (the run builds a fresh mesh);
-//!   shared freely.
-//! - **pfp** — the flow network stores flow state in atomics. It stays
-//!   resident behind a mutex: each run takes the lock, [`reset`]s the
-//!   residual state, and runs exclusively. Concurrent pfp requests on the
-//!   same input key serialize; requests on different keys do not.
+//! - **bfs / mis / mm** — the CSR graph is read-only during a run.
+//! - **dt** — the point set is read-only (the run builds a fresh mesh).
+//! - **pfp** — the flow network holds topology and capacities only; each
+//!   run owns its [`Residual`], so concurrent pfp requests on one input
+//!   key run side by side and never see each other's flow.
 //! - **dmr** — refinement consumes the mesh; the input is rebuilt per
 //!   request ([`Residency::Uncacheable`]).
 //!
-//! [`reset`]: galois_graph::FlowNetwork::reset
+//! [`Residual`]: galois_graph::Residual
 
 use crate::{input_key, reduce_run, App, InputConfig, RunOutcome, Variant};
 use galois_core::manifest::ManifestRecorder;
@@ -304,8 +302,8 @@ mod tests {
         let exec = executor_for(App::Mis, Variant::Deterministic, 2, None);
         let run = run_resident(App::Mis, &exec, &res, None).unwrap().unwrap();
         assert_eq!(run.outcome.fingerprint, oneshot.fingerprint);
-        // Repeated pfp runs on one resident network: the reset makes each
-        // run start clean, so the fingerprint is stable run over run.
+        // Repeated pfp runs on one resident network: each run starts from
+        // its own zero flow, so the fingerprint is stable run over run.
         let (flow_in, _) = store.get(App::Pfp, &input);
         let exec = executor_for(App::Pfp, Variant::Deterministic, 2, None);
         let a = run_resident(App::Pfp, &exec, &flow_in, None)

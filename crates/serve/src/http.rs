@@ -2,17 +2,17 @@
 //!
 //! The tree is registry-free (no tokio/hyper), and the service's needs are
 //! narrow: small JSON requests, keep-alive, `Content-Length` bodies. This
-//! module implements exactly that — a blocking request reader that
-//! cooperates with server shutdown via short read timeouts, and a response
-//! writer with explicit framing.
+//! module implements exactly that — a blocking request reader whose short
+//! read timeouts let an idle connection give its worker back (to server
+//! shutdown or to a waiting connection), and a response writer with
+//! explicit framing.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Read timeout installed per connection: short enough that an idle
-/// keep-alive connection notices server shutdown promptly.
+/// keep-alive connection notices promptly that its worker is wanted.
 pub const READ_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// Sets up a stream this crate accepted or connected; every one passes
@@ -84,16 +84,19 @@ impl Request {
 pub enum ReadOutcome {
     /// A complete request.
     Request(Request),
-    /// The peer closed (or the server is shutting down and the connection
-    /// was idle) — hang up without error.
+    /// The peer closed — hang up without error.
     Closed,
+    /// No byte of a next request has arrived, and `yield_idle` asked the
+    /// connection to give its worker back. The connection holds no
+    /// unread bytes, so it may be served again later from a fresh buffer.
+    Idle,
 }
 
-/// Reads one request from `stream`, honoring `stop`: an *idle* connection
-/// (no bytes of the next request yet) returns [`ReadOutcome::Closed`] as
-/// soon as shutdown is flagged, while a request already in flight is read
-/// to completion so it can be answered. The caller must have passed the
-/// stream through `prepare` with `READ_TIMEOUT`.
+/// Reads one request from `stream`. An *idle* connection (no bytes of the
+/// next request yet) returns [`ReadOutcome::Idle`] on the first read
+/// timeout tick at which `yield_idle()` is true, while a request already in
+/// flight is read to completion so it can be answered. The caller must have
+/// passed the stream through `prepare` with `READ_TIMEOUT`.
 ///
 /// `carry` is the connection's pipeline buffer: bytes read past the end of
 /// this request's body (the start of a pipelined next request) are left in
@@ -101,7 +104,7 @@ pub enum ReadOutcome {
 /// same (initially empty) buffer for the life of the connection.
 pub fn read_request(
     stream: &mut TcpStream,
-    stop: &AtomicBool,
+    yield_idle: impl Fn() -> bool,
     max_body: usize,
     carry: &mut Vec<u8>,
 ) -> std::io::Result<ReadOutcome> {
@@ -145,8 +148,8 @@ pub fn read_request(
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                if buf.is_empty() && stop.load(Ordering::Relaxed) {
-                    return Ok(ReadOutcome::Closed);
+                if buf.is_empty() && yield_idle() {
+                    return Ok(ReadOutcome::Idle);
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}

@@ -154,6 +154,10 @@ impl ServeStats {
     }
 }
 
+/// The connection queue's holders only push, pop and test for emptiness,
+/// so a poisoned lock is a bug.
+const QUEUE_POISONED: &str = "connection queue lock poisoned";
+
 struct Shared {
     stats: ServeStats,
     store: InputStore,
@@ -167,6 +171,18 @@ struct Shared {
 impl Shared {
     fn stopped(&self) -> bool {
         self.stop.load(Ordering::Relaxed)
+    }
+
+    /// Puts a connection at the back of the queue workers serve from.
+    fn enqueue(&self, stream: TcpStream) {
+        self.queue.lock().expect(QUEUE_POISONED).push_back(stream);
+        self.ready.notify_one();
+    }
+
+    /// Whether an idle connection should give its worker back: the server
+    /// is stopping, or another connection waits for a worker.
+    fn idle_must_yield(&self) -> bool {
+        self.stopped() || !self.queue.lock().expect(QUEUE_POISONED).is_empty()
     }
 
     /// Flags shutdown and unblocks everything that may be waiting: the
@@ -256,17 +272,14 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
         if http::prepare(&stream, http::READ_TIMEOUT).is_err() {
             continue;
         }
-        let mut queue = shared.queue.lock().unwrap();
-        queue.push_back(stream);
-        drop(queue);
-        shared.ready.notify_one();
+        shared.enqueue(stream);
     }
 }
 
 fn worker_loop(shared: &Shared) {
     loop {
         let conn = {
-            let mut queue = shared.queue.lock().unwrap();
+            let mut queue = shared.queue.lock().expect(QUEUE_POISONED);
             loop {
                 if let Some(conn) = queue.pop_front() {
                     break conn;
@@ -281,15 +294,25 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Serves one keep-alive connection to completion.
+/// Serves one keep-alive connection until it closes or, idle, gives its
+/// worker back: to the connection waiting longest, which it then queues
+/// behind, or to shutdown, which drops it. So idle sockets never hold every
+/// worker while a request waits.
 fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     // Pipeline buffer: bytes past one request's body are the start of the
     // next pipelined request and must survive between read_request calls.
     let mut carry = Vec::new();
     loop {
-        let req = match http::read_request(&mut stream, &shared.stop, shared.max_body, &mut carry) {
+        let yield_idle = || shared.idle_must_yield();
+        let req = match http::read_request(&mut stream, yield_idle, shared.max_body, &mut carry) {
             Ok(http::ReadOutcome::Request(req)) => req,
             Ok(http::ReadOutcome::Closed) => return,
+            Ok(http::ReadOutcome::Idle) => {
+                if !shared.stopped() {
+                    shared.enqueue(stream);
+                }
+                return;
+            }
             Err(e) => {
                 let body = format!(
                     "{{\"status\":\"error\",\"error\":\"{}\"}}",

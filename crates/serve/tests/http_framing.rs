@@ -193,3 +193,29 @@ fn pipelined_runs_are_both_answered_identically() {
     assert_eq!(first, second, "same deterministic run, same bytes");
     server.shutdown();
 }
+
+/// As many silent keep-alive connections as workers (2), accepted before a
+/// `GET /healthz`: each idle connection gives its worker back on its next
+/// read tick once another connection waits, so the health check is
+/// answered while the silent sockets stay open — and they are still
+/// served afterwards.
+#[test]
+fn idle_connections_do_not_pin_the_workers() {
+    let (mut server, addr) = start_server();
+    let idle: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(&addr).unwrap()).collect();
+    let get = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream.write_all(get.as_bytes()).unwrap();
+    let (status, body) = ResponseReader::new(stream)
+        .read_response()
+        .expect("health check answered");
+    assert_eq!(status, 200, "{body}");
+    for (i, mut stream) in idle.into_iter().enumerate() {
+        stream.write_all(get.as_bytes()).unwrap();
+        let (status, body) = ResponseReader::new(stream)
+            .read_response()
+            .unwrap_or_else(|| panic!("idle connection {i} was dropped"));
+        assert_eq!(status, 200, "idle connection {i}: {body}");
+    }
+    server.shutdown();
+}

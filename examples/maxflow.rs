@@ -26,7 +26,8 @@ fn main() {
     let net = FlowNetwork::random(n, 4, 1_000, 99);
 
     let t0 = std::time::Instant::now();
-    let (flow_seq, stats) = pfp::seq(&net);
+    let (flow, stats) = pfp::seq(&net);
+    let flow_seq = flow.value;
     println!(
         "sequential hi_pr-style: flow {flow_seq} in {:?} ({} pushes, {} relabels, {} global relabels)",
         t0.elapsed(),
@@ -34,36 +35,38 @@ fn main() {
         stats.relabels,
         stats.global_relabels
     );
-    net.verify_flow().expect("valid flow assignment");
+    pfp::verify(&flow).expect("valid flow assignment");
 
     let exec = Executor::new()
         .threads(threads)
         .schedule(Schedule::Speculative);
     let t0 = std::time::Instant::now();
-    let (flow_spec, report) = pfp::try_galois(&net, &exec).unwrap();
+    let (flow, report) = pfp::try_galois(&net, &exec).unwrap();
     println!(
-        "speculative ({threads}t):      flow {flow_spec} in {:?} ({} tasks, {} bouts)",
+        "speculative ({threads}t):      flow {} in {:?} ({} tasks, {} bouts)",
+        flow.value,
         t0.elapsed(),
         report.stats.committed,
         report.bouts
     );
-    assert_eq!(flow_spec, flow_seq);
-    net.verify_flow().expect("valid flow assignment");
+    assert_eq!(flow.value, flow_seq);
+    pfp::verify(&flow).expect("valid flow assignment");
 
     let exec = Executor::new()
         .threads(threads)
         .schedule(Schedule::deterministic());
     let t0 = std::time::Instant::now();
-    let (flow_det, report) = pfp::try_galois(&net, &exec).unwrap();
+    let (flow, report) = pfp::try_galois(&net, &exec).unwrap();
     println!(
-        "deterministic ({threads}t):    flow {flow_det} in {:?} ({} tasks, {} rounds, {} bouts)",
+        "deterministic ({threads}t):    flow {} in {:?} ({} tasks, {} rounds, {} bouts)",
+        flow.value,
         t0.elapsed(),
         report.stats.committed,
         report.stats.rounds,
         report.bouts
     );
-    assert_eq!(flow_det, flow_seq);
-    net.verify_flow().expect("valid flow assignment");
+    assert_eq!(flow.value, flow_seq);
+    pfp::verify(&flow).expect("valid flow assignment");
 
     println!("\nall three solvers agree: max flow = {flow_seq}");
 }

@@ -36,7 +36,10 @@
 //! `--round-log FILE` (`g-d` only: only the deterministic scheduler has
 //! rounds) writes the per-round schedule log as canonical JSONL. The file
 //! is byte-identical at any thread count, so two runs can be diffed to find
-//! the first divergent round.
+//! the first divergent round. One exemption: dt and dmr's `"conflicts"`
+//! fields name arena triangle slots, which are allocated concurrently and
+//! vary from run to run (DESIGN.md note 13); their logs match once those
+//! fields are removed.
 //!
 //! `--chaos-seed N` (`g-n`/`g-d` only) installs a seeded
 //! schedule-chaos policy: thread start skew, barrier jitter, shuffled

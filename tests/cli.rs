@@ -130,6 +130,46 @@ fn round_log_requires_the_deterministic_variant() {
     }
 }
 
+/// `--round-log` at 1 and 2 threads. bfs, mis, mm and pfp logs are
+/// byte-identical. dt and dmr logs differ in `"conflicts"` alone — it names
+/// arena triangle slots, which are allocated concurrently (DESIGN.md note
+/// 13) — and are identical once it is removed.
+#[test]
+fn round_logs_match_across_thread_counts_for_every_app() {
+    let dir = std::env::temp_dir().join(format!("galois-cli-{}-logs", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for app in APPS {
+        let [one, two] = ["1", "2"].map(|threads| {
+            let log = dir.join(format!("{app}-t{threads}.jsonl"));
+            let log_arg = log.to_str().unwrap();
+            galois(&[
+                app,
+                "--variant",
+                "g-d",
+                "--threads",
+                threads,
+                "--size",
+                "300",
+                "--round-log",
+                log_arg,
+            ]);
+            std::fs::read_to_string(&log).unwrap()
+        });
+        assert!(!one.is_empty(), "{app}: no rounds logged");
+        if matches!(app, "dt" | "dmr") {
+            let unattributed = |log: &str| -> Vec<String> {
+                log.lines()
+                    .map(|l| l.split(",\"conflicts\":").next().unwrap().to_string())
+                    .collect()
+            };
+            assert_eq!(unattributed(&one), unattributed(&two), "{app}");
+        } else {
+            assert_eq!(one, two, "{app}: the round log moved with the thread count");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A `--size` above the app's maximum is a usage error (exit 2) for a run
 /// and a recording alike, refused before any input is built or file written.
 #[test]

@@ -65,7 +65,7 @@ fn pfp_flow_and_schedule_portable() {
     let net = FlowNetwork::random(128, 4, 100, 15);
     assert_portable("pfp", |threads| {
         let (flow, report) = pfp::try_galois(&net, &det_executor(threads)).unwrap();
-        (flow, report.stats.committed, report.bouts)
+        (flow.value, report.stats.committed, report.bouts)
     });
 }
 
