@@ -73,6 +73,21 @@ fn deterministic_cells_hash_the_same_output_at_1_and_3_threads() {
     }
 }
 
+#[test]
+fn pbbs_round_counts_do_not_depend_on_the_thread_count() {
+    for app in [App::Mis, App::Mm] {
+        let input = input(app);
+        let rounds: Vec<u64> = [1, 2, 3]
+            .map(|t| run(app, Variant::Pbbs, t, &input).stats.rounds)
+            .into();
+        assert!(rounds[0] > 1, "{app}: {rounds:?}");
+        assert_eq!(
+            rounds, [rounds[0]; 3],
+            "{app} pbbs rounds at 1, 2, 3 threads"
+        );
+    }
+}
+
 /// Parks its run inside the first round: says so on `parked`, then waits
 /// for `release`.
 struct Park {

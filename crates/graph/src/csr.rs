@@ -1,24 +1,31 @@
 //! Compressed sparse row graphs.
 
-use galois_runtime::pool::{chunk_ends, chunk_range, prefetch, run_parts, split_at_ends};
+use galois_runtime::pool::{
+    chunk_ends, chunk_range, prefetch, run_partitioned, run_parts, split_at_ends,
+};
 use galois_runtime::scan::parallel_inclusive_scan;
-use galois_runtime::sort::parallel_sort_by_key;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A node id. Graphs in this suite are bounded to `u32::MAX` nodes, matching
 //  the scaled-down inputs (DESIGN.md substitution 5).
 pub type NodeId = u32;
 
-/// Both directions of every non-self-loop edge, in input order.
-fn symmetric_closure(edges: &[(NodeId, NodeId)]) -> Vec<(NodeId, NodeId)> {
-    let mut both: Vec<(NodeId, NodeId)> = Vec::with_capacity(edges.len() * 2);
-    for &(s, t) in edges {
-        if s != t {
-            both.push((s, t));
-            both.push((t, s));
-        }
+/// The threads a counting build of `m` edges uses: small builds run on
+/// one, where the sequential path is faster than spawning.
+fn build_threads(m: usize, threads: usize) -> usize {
+    threads.clamp(1, m.div_ceil(8192).max(1))
+}
+
+/// Files the arcs of edge `(s, t)`: `s -> t`, and for an undirected build
+/// `t -> s` too, where a self-loop files none.
+#[inline(always)]
+fn file_arcs<const UNDIRECTED: bool>(s: NodeId, t: NodeId, mut file: impl FnMut(NodeId, NodeId)) {
+    if !UNDIRECTED {
+        file(s, t);
+    } else if s != t {
+        file(s, t);
+        file(t, s);
     }
-    both
 }
 
 /// Unwraps the scatter's atomic slots in place (same layout, no copy).
@@ -35,7 +42,8 @@ fn into_plain(slots: Vec<AtomicU32>) -> Vec<NodeId> {
 /// An immutable directed graph in compressed sparse row form.
 ///
 /// `offsets[v]..offsets[v+1]` indexes `targets` with `v`'s out-neighbors.
-/// Neighbor order is the insertion order of the edge list, which makes graph
+/// Neighbor order is the insertion order of the edge list (ascending for a
+/// [`symmetrized`](Self::symmetrized) graph), which makes graph
 /// construction deterministic for deterministic inputs.
 ///
 /// # Example
@@ -105,15 +113,108 @@ impl CsrGraph {
     /// (the parallel cursor stitching uses 32-bit per-chunk counts; the
     /// suite's inputs are bounded far below this, matching [`NodeId`]).
     pub fn from_edges_parallel(n: usize, edges: &[(NodeId, NodeId)], threads: usize) -> Self {
-        let m = edges.len();
-        // Small builds: the sequential oracle is faster than spawning.
-        let threads = threads.clamp(1, m.div_ceil(8192).max(1));
+        let threads = build_threads(edges.len(), threads);
         if threads == 1 {
             return Self::from_edges(n, edges);
         }
+        Self::counting_build::<false>(n, edges, threads)
+    }
+
+    /// Builds the undirected (symmetrized) version of an edge list: both
+    /// directions of every non-self-loop edge, duplicates removed, each
+    /// row in ascending order. It is
+    /// [`symmetrized_parallel`](Self::symmetrized_parallel) at one thread.
+    ///
+    /// # Panics
+    ///
+    /// As [`symmetrized_parallel`](Self::symmetrized_parallel).
+    pub fn symmetrized(n: usize, edges: &[(NodeId, NodeId)]) -> Self {
+        Self::symmetrized_parallel(n, edges, 1)
+    }
+
+    /// Parallel [`symmetrized`](Self::symmetrized), with no global sort:
+    /// the counting build of [`from_edges_parallel`](Self::from_edges_parallel)
+    /// files both arcs of every non-self-loop edge into their rows, then
+    /// each thread sorts and dedups the rows of its node chunk in place,
+    /// and the chunks are packed together.
+    ///
+    /// Every row is sorted after the scatter, so the order in which the
+    /// scatter fills a row cannot change a byte: the result is a row-wise
+    /// sorted, deduplicated set, the same for every `threads` value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is `>= n`, or if `2 * edges.len() > u32::MAX`
+    /// (the build's 32-bit per-chunk counts, as in `from_edges_parallel`).
+    pub fn symmetrized_parallel(n: usize, edges: &[(NodeId, NodeId)], threads: usize) -> Self {
+        let threads = build_threads(edges.len(), threads);
+        let CsrGraph {
+            mut offsets,
+            mut targets,
+        } = Self::counting_build::<true>(n, edges, threads);
+
+        // Phase 4: thread t sorts and dedups the rows of its node chunk,
+        // packing them to the front of its part of `targets` and turning
+        // its slice of `offsets[1..]` into part-relative row ends.
+        let node_ends = chunk_ends(n, threads);
+        let part_ends: Vec<usize> = node_ends.iter().map(|&v| offsets[v] as usize).collect();
+        let parts = split_at_ends(&mut targets, &part_ends)
+            .into_iter()
+            .zip(split_at_ends(&mut offsets[1..], &node_ends))
+            .collect();
+        let kept = run_parts(parts, |tid, (rows, ends)| {
+            let start = tid.checked_sub(1).map_or(0, |prev| part_ends[prev]);
+            let (mut lo, mut packed) = (0, 0);
+            for end in ends {
+                let hi = *end as usize - start;
+                rows[lo..hi].sort_unstable();
+                let row = packed;
+                for i in lo..hi {
+                    if packed == row || rows[packed - 1] != rows[i] {
+                        rows[packed] = rows[i];
+                        packed += 1;
+                    }
+                }
+                *end = packed as u64;
+                lo = hi;
+            }
+            start..start + packed
+        });
+
+        // Phase 5: pack the parts end to end and rebase their row ends.
+        let mut bases = Vec::with_capacity(threads);
+        let mut total = 0;
+        for part in kept {
+            bases.push(total as u64);
+            let len = part.len();
+            targets.copy_within(part, total);
+            total += len;
+        }
+        targets.truncate(total);
+        run_partitioned(&mut offsets[1..], &node_ends, |tid, ends| {
+            ends.iter_mut().for_each(|end| *end += bases[tid]);
+        });
+        CsrGraph { offsets, targets }
+    }
+
+    /// The counting build behind [`from_edges_parallel`] and
+    /// [`symmetrized_parallel`]: per-thread row histograms over
+    /// contiguous edge chunks, a parallel prefix sum for the offsets, and
+    /// a scatter in which every chunk files its arcs in edge order after
+    /// those of earlier chunks. Which arcs an edge files is
+    /// [`file_arcs`]'s rule.
+    ///
+    /// [`from_edges_parallel`]: Self::from_edges_parallel
+    /// [`symmetrized_parallel`]: Self::symmetrized_parallel
+    fn counting_build<const UNDIRECTED: bool>(
+        n: usize,
+        edges: &[(NodeId, NodeId)],
+        threads: usize,
+    ) -> Self {
+        let m = edges.len();
         assert!(
-            u32::try_from(m).is_ok(),
-            "parallel CSR build limited to u32::MAX edges"
+            u32::try_from(m * (1 + usize::from(UNDIRECTED))).is_ok(),
+            "counting CSR build limited to u32::MAX arcs"
         );
 
         // Phase 1: per-thread degree histograms over contiguous edge chunks.
@@ -126,7 +227,7 @@ impl CsrGraph {
             for &(s, t) in chunk {
                 assert!((s as usize) < n, "source {s} out of range");
                 assert!((t as usize) < n, "target {t} out of range");
-                local[s as usize] += 1;
+                file_arcs::<UNDIRECTED>(s, t, |s, _| local[s as usize] += 1);
             }
             local
         });
@@ -170,47 +271,28 @@ impl CsrGraph {
 
         // Phase 3: scatter. Thread t walks its edge chunk in order, using
         // its own counts row as the per-node cursor. Slots are unique per
-        // edge (offsets partition by node, cursors by chunk and rank within
+        // arc (offsets partition by node, cursors by chunk and rank within
         // the chunk), so relaxed stores place every target exactly where
         // the sequential counting sort would; the pool's join orders every
         // store before the slots are unwrapped.
-        let targets: Vec<AtomicU32> = vec![0 as NodeId; m]
+        let targets: Vec<AtomicU32> = vec![0 as NodeId; offsets[n] as usize]
             .into_iter()
             .map(AtomicU32::new)
             .collect();
         let cursors = chunks.into_iter().zip(counts).collect();
         run_parts(cursors, |_, (chunk, mut cursor)| {
             for &(s, t) in chunk {
-                let slot = offsets[s as usize] + cursor[s as usize] as u64;
-                cursor[s as usize] += 1;
-                targets[slot as usize].store(t, Ordering::Relaxed);
+                file_arcs::<UNDIRECTED>(s, t, |s, t| {
+                    let slot = offsets[s as usize] + cursor[s as usize] as u64;
+                    cursor[s as usize] += 1;
+                    targets[slot as usize].store(t, Ordering::Relaxed);
+                });
             }
         });
         CsrGraph {
             offsets,
             targets: into_plain(targets),
         }
-    }
-
-    /// Builds the undirected (symmetrized) version of an edge list: both
-    /// directions are present and duplicate edges are removed.
-    pub fn symmetrized(n: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        let mut both = symmetric_closure(edges);
-        both.sort_unstable();
-        both.dedup();
-        Self::from_edges(n, &both)
-    }
-
-    /// Parallel [`symmetrized`](Self::symmetrized): the doubled edge list is
-    /// sorted with the runtime's deterministic parallel stable sort (ties
-    /// are equal pairs, so stable and unstable orders coincide), deduped,
-    /// and built with [`from_edges_parallel`](Self::from_edges_parallel).
-    /// Byte-identical to the sequential version for every thread count.
-    pub fn symmetrized_parallel(n: usize, edges: &[(NodeId, NodeId)], threads: usize) -> Self {
-        let mut both = symmetric_closure(edges);
-        parallel_sort_by_key(&mut both, threads, |&pair| pair);
-        both.dedup();
-        Self::from_edges_parallel(n, &both, threads)
     }
 
     /// Reassembles a graph from raw CSR arrays (the binary cache reader).
@@ -264,7 +346,8 @@ impl CsrGraph {
         (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
     }
 
-    /// Out-neighbors of `v`, in edge-insertion order.
+    /// Out-neighbors of `v`, in edge-insertion order (ascending for a
+    /// [`symmetrized`](Self::symmetrized) graph).
     ///
     /// # Panics
     ///

@@ -15,8 +15,11 @@
 //! **byte-identical** to their sequential counterparts for every thread
 //! count — the PBBS notion of internal determinism
 //! ("All for One and One for All", PAPERS.md), applied to input setup. The
-//! sequential functions stay as the oracles the parallel paths are tested
-//! against (`crates/graph/tests/parallel_build.rs`).
+//! sequential directed generators stay as the oracles the parallel paths
+//! are tested against (`crates/graph/tests/parallel_build.rs`). The
+//! undirected family runs one build, `CsrGraph::symmetrized_parallel`, of
+//! which the sequential function is the one-thread call; its oracle is the
+//! sort-based definition kept in that test file.
 
 use crate::csr::{CsrGraph, NodeId};
 use galois_runtime::pool::{chunk_ends, chunk_range, run_partitioned, run_parts, split_at_ends};
@@ -291,8 +294,8 @@ mod tests {
         assert_eq!(uniform_random_parallel(500, 5, 99, 8), g);
         let u = uniform_random_undirected(300, 4, 99);
         assert_eq!(uniform_random_undirected_parallel(300, 4, 99, 8), u);
-        // Above the clamp: parallel generation, parallel sort and
-        // parallel CSR build all run.
+        // Above the clamp: parallel generation, the parallel counting
+        // build and the parallel row sort all run.
         let u = uniform_random_undirected(20_000, 4, 99);
         for threads in [2, 3, 5, 8] {
             assert_eq!(

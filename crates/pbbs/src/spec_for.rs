@@ -9,8 +9,8 @@
 //! writes are order-insensitive, the committed set of every round — and the
 //! final state — is deterministic for any thread count.
 //!
-//! The prefix size is `granularity × remaining-item factor`, a per-call
-//! tuning parameter: PBBS-style determinism is portable but **not**
+//! The prefix is a `1/granularity` share of the remaining items, rounded
+//! up — a per-call tuning parameter: PBBS-style determinism is portable but **not**
 //! parameter-free (changing the prefix changes performance, though not the
 //! output *for race-free steps*; the paper contrasts this with the adaptive
 //! DIG window).
@@ -66,8 +66,10 @@ impl SpecForStats {
 /// docs.
 ///
 /// `granularity` scales the round prefix: the prefix is
-/// `max(threads, remaining/granularity_divisor)` where `granularity_divisor`
-/// is `granularity.max(1)`. PBBS typically uses a fixed fraction (e.g. 50).
+/// `ceil(remaining / granularity.max(1))`. PBBS typically uses a fixed
+/// fraction (e.g. 50). The prefix must not depend on `threads`: it decides
+/// each round's composition, so a thread-count term would make the round
+/// count and abort pattern differ between thread counts.
 ///
 /// # Panics
 ///
@@ -87,11 +89,7 @@ pub fn speculative_for(
     let granularity = granularity.max(1);
 
     while !remaining.is_empty() {
-        let prefix = remaining
-            .len()
-            .div_ceil(granularity)
-            .max(threads.min(remaining.len()))
-            .min(remaining.len());
+        let prefix = remaining.len().div_ceil(granularity);
         let cur = &remaining[..prefix];
         let keep: Vec<AtomicU64> = (0..prefix).map(|_| AtomicU64::new(0)).collect();
         let live: Vec<AtomicU64> = (0..prefix).map(|_| AtomicU64::new(1)).collect();
