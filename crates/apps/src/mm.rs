@@ -82,8 +82,8 @@ pub fn run(
 }
 
 /// Handwritten deterministic matching (PBBS style): edges reserve both
-/// endpoints with their edge index; winners match, losers whose endpoints
-/// are both still free retry.
+/// endpoints with their edge index; winners match, losers retry, and an
+/// edge with an endpoint matched in an earlier round drops at reserve.
 pub fn pbbs(g: &CsrGraph, threads: usize, record_trace: bool) -> (Vec<u32>, SpecForStats) {
     let mate = AtomicArray::new_filled(g.num_nodes(), UNMATCHED);
     let reservations = pbbs_det::Reservations::new(g.num_nodes());
@@ -112,14 +112,14 @@ pub fn pbbs(g: &CsrGraph, threads: usize, record_trace: bool) -> (Vec<u32>, Spec
                 self.mate.set(u as usize, v);
                 self.mate.set(v as usize, u);
             }
-            // Free whatever we hold; losers retry next round (unless an
-            // endpoint got matched, which reserve() detects).
+            // Free whatever we hold. A loser always retries: `mate` is being
+            // written by this phase's winners, so reading it here would make
+            // the retry decision depend on the thread interleaving. Next
+            // round's reserve() sees only earlier rounds' matches and drops
+            // the edge there if an endpoint got matched.
             self.r.check_reset(u as usize, i);
             self.r.check_reset(v as usize, i);
-            won_u && won_v || {
-                // Retry only if both endpoints are still free.
-                self.mate.get(u as usize) != UNMATCHED || self.mate.get(v as usize) != UNMATCHED
-            }
+            won_u && won_v
         }
     }
 

@@ -88,6 +88,20 @@ fn pbbs_round_counts_do_not_depend_on_the_thread_count() {
     }
 }
 
+#[test]
+fn mm_pbbs_counters_do_not_depend_on_the_thread_count() {
+    let input = input(App::Mm);
+    let cells: Vec<_> = [1, 2, 3]
+        .map(|t| {
+            let done = run(App::Mm, Variant::Pbbs, t, &input);
+            let s = done.stats;
+            (s.committed, s.aborted, s.rounds, done.output_hash)
+        })
+        .into();
+    assert!(cells[0].1 > 0, "mm pbbs never retried: {cells:?}");
+    assert_eq!(cells, [cells[0]; 3], "mm pbbs at 1, 2, 3 threads");
+}
+
 /// Parks its run inside the first round: says so on `parked`, then waits
 /// for `release`.
 struct Park {

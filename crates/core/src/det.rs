@@ -33,18 +33,25 @@
 //! committed-task history, so the schedule is identical for every thread
 //! count (**portability**).
 //!
-//! # Thread-owned arenas, at most two barriers per round
+//! # Thread-owned lanes, at most two barriers per round
 //!
 //! A round has **one** slot→thread map: `chunk_range(window, threads, tid)`
-//! in both phases. A slot holds no buffer of its own: the neighborhood
-//! inspect records is a range of its thread's `nbs` arena, and the children
-//! commit creates go to its thread's `children` arena — the private
-//! workspace of Aviram and Ford's deterministic consistency, merged in an
-//! order the program fixes. The thread that inspects a slot is the thread
-//! that reads its range back, commits and frees it, so no per-task state
-//! crosses cores inside a round (the original Galois DIG executor blocks
-//! the window the same way), and growing the slot pool allocates nothing
-//! per slot.
+//! in both phases. Thread `tid` owns a [`Lane`]: its share of the window's
+//! slots and the arenas its slots write — the neighborhood inspect records
+//! is a range of the lane's `nbs`, and the children commit creates go to
+//! its `children` — the private workspace of Aviram and Ford's
+//! deterministic consistency, merged in an order the program fixes. The
+//! thread that inspects a slot is the thread that reads its range back,
+//! commits and frees it, so no per-task state crosses cores inside a round
+//! (the original Galois DIG executor blocks the window the same way).
+//!
+//! Ownership is stated in types, not argued: each lane sits behind its own
+//! `Mutex`, which its thread locks after the fused crossing and releases
+//! before it arrives at the next one, and which the leader locks only in
+//! that crossing's serial tail, where every worker is parked. The pending
+//! buffer is a `Mutex` each worker holds just long enough to move its share
+//! into its lane, and the abort flags sit behind an `RwLock` the phases only
+//! read. No lock is ever waited on for longer than that move.
 //!
 //! A naive phase split costs three crossings per round (prepare → inspect →
 //! commit → prepare…). Workers are completely quiescent between the end of
@@ -59,15 +66,14 @@
 //!
 //! A **thin** round — one whose carved window holds at most
 //! `INLINE_WINDOW` tasks — pays **zero**: still inside that serial tail,
-//! the leader runs inspect and commit for the whole window itself (the same
-//! two range-taking functions the workers call, with the range `0..window`)
-//! and loops straight back into the next prepare. Workers stay parked at the
-//! one crossing they are already in, so a thin round is exactly a
-//! `threads == 1` round. Who executes a slot is not an input to the
-//! schedule, so nothing observable moves; the threshold is a fixed private
-//! constant compared against the window size alone, never a knob and never
-//! a function of the thread count. See DESIGN.md "Hot paths" for the
-//! per-field ownership argument.
+//! the leader fills its own lane 0 with the whole window, runs the same two
+//! lane walks the workers call, and loops straight back into the next
+//! prepare. Workers stay parked at the one crossing they are already in, so
+//! a thin round is exactly a `threads == 1` round. Who executes a slot is
+//! not an input to the schedule, so nothing observable moves; the threshold
+//! is a fixed private constant compared against the window size alone,
+//! never a knob and never a function of the thread count. See DESIGN.md
+//! "Hot paths" for the lane/lock handoff.
 //!
 //! # O(threads) round turnaround
 //!
@@ -84,7 +90,7 @@
 //!   boundaries instead of reallocated.
 //! - **Window refill** is distributed: the leader only publishes the range
 //!   `[fill_base, fill_base + window)` of the pending buffer; each thread
-//!   moves the tasks of its own slot range in during inspect. Failed tasks
+//!   moves the tasks of its own slot range into its lane. Failed tasks
 //!   are written back *in slot order* immediately before the untried
 //!   remainder, so round membership — and therefore the schedule — is
 //!   exactly what the serial pop-and-refill produced.
@@ -108,10 +114,9 @@ use galois_runtime::simtime::{ExecTrace, PhaseTrace, RoundTrace};
 use galois_runtime::stats::{ExecStats, ThreadStats};
 use galois_runtime::SenseBarrier;
 use std::any::Any;
-use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
 /// Largest window the leader runs inline (see the module docs). Fixed and
@@ -120,44 +125,62 @@ use std::time::Instant;
 /// at every thread count.
 const INLINE_WINDOW: usize = 16;
 
-/// Per-task round state. A slot has one owner thread for a whole round
-/// (inspect and commit) and owns no buffer: its neighborhood is a range of
-/// the owner's `ThreadOut::nbs` arena and its children go to the owner's
-/// `ThreadOut::children`, so growing the pool allocates nothing per slot.
+/// Per-task round state, in its owner thread's lane for a whole round
+/// (inspect and commit). A slot owns no buffer: its neighborhood is a range
+/// of the lane's `nbs` arena and its children go to the lane's `children`.
 struct Slot<T> {
     item: Option<WorkItem<T>>,
     stash: Option<Box<dyn Any + Send>>,
-    /// This task's neighborhood: `nbs[nb.0..nb.1]` of the owner thread's
-    /// arena, written by inspect and read back by commit.
+    /// This task's neighborhood: `nbs[nb.0..nb.1]` of the lane's arena,
+    /// written by inspect and read back by commit.
     nb: (usize, usize),
-    committed: bool,
     /// Captured panic message when the operator faulted on this slot
     /// (inspect or commit phase); the task is quarantined, never retried.
     fault: Option<String>,
 }
 
-impl<T> Slot<T> {
-    fn empty() -> Self {
-        Slot {
-            item: None,
-            stash: None,
-            nb: (0, 0),
-            committed: false,
-            fault: None,
-        }
-    }
+/// One thread's lane: its share of the round's slots and its outputs.
+/// Locked by its thread for a parallel round and by the leader inside the
+/// fused crossing's serial tail, never by both at once (see the module
+/// docs), so the lock is never contended.
+struct Lane<T> {
+    /// High-water slot pool: it grows only when a share outgrows every
+    /// earlier one on this lane and never shrinks, so the steady state
+    /// allocates nothing. The first `live` slots are this round's share of
+    /// the window, in slot order: local slot `i` is global slot
+    /// `chunk_range(window, threads, tid).start + i`.
+    slots: Vec<Slot<T>>,
+    live: usize,
+    out: ThreadOut<T>,
+}
 
-    fn item(&self) -> &WorkItem<T> {
-        self.item
-            .as_ref()
-            .expect("slot carries a task during rounds")
+impl<T> Lane<T> {
+    /// Moves this round's share of the window out of the pending buffer.
+    /// Filling on the slots' owner keeps the leader's serial turnaround
+    /// O(threads) instead of O(window).
+    fn fill(&mut self, share: &mut [Option<WorkItem<T>>]) {
+        if self.slots.len() < share.len() {
+            self.slots.resize_with(share.len(), || Slot {
+                item: None,
+                stash: None,
+                nb: (0, 0),
+                fault: None,
+            });
+        }
+        self.live = share.len();
+        for (slot, entry) in self.slots.iter_mut().zip(share) {
+            slot.item = entry.take();
+            slot.stash = None;
+            slot.fault = None;
+        }
     }
 }
 
 /// Per-thread round workspace and outputs, written by exactly one thread
-/// per round and merged — then reset — by the leader between barriers.
-/// The buffers keep their capacity, so a round allocates only when it
-/// outgrows every earlier round on this thread.
+/// per round and merged — then reset — by the leader between rounds, plus
+/// the thread's run-long counters. The buffers keep their capacity, so a
+/// round allocates only when it outgrows every earlier round on this
+/// thread.
 struct ThreadOut<T> {
     /// Neighborhood arena: the concatenated neighborhoods of the slots this
     /// thread inspected this round (each slot's `nb` range).
@@ -183,6 +206,10 @@ struct ThreadOut<T> {
     /// the payload (held until the leader reports the fault) and the
     /// captured panic message.
     quarantined: Vec<(WorkItem<T>, String)>,
+    /// Run-long counters, summed once the run ends.
+    stats: ThreadStats,
+    /// Run-long access trace (when recording accesses).
+    accesses: Vec<Access>,
 }
 
 impl<T> ThreadOut<T> {
@@ -197,6 +224,8 @@ impl<T> ThreadOut<T> {
             commit: PhaseTrace::default(),
             conflicts: Vec::new(),
             quarantined: Vec::new(),
+            stats: ThreadStats::default(),
+            accesses: Vec::new(),
         }
     }
 
@@ -213,35 +242,25 @@ impl<T> ThreadOut<T> {
 }
 
 /// Round state shared between the preparing leader and the phase workers.
-///
-/// The leader mutates `cur`, `flags` and drains `outs` strictly inside the
-/// fused crossing's serial section; in a parallel round each thread touches
-/// only its own contiguous slot range (the same one in both phases) and its
-/// own `outs[tid]`, and in an inline round the leader — still inside the
-/// serial section — touches the whole window and `outs[0]`. The barriers'
-/// acquire/release chains order all of it.
 struct RoundState<T> {
-    /// High-water slot pool: grows monotonically to the largest window ever
-    /// carved and never shrinks. Slots hold no buffers, so growing it is one
-    /// reallocation and the steady state does zero allocator traffic. Only
-    /// the first [`live`](Self::live) slots belong to the current round.
-    cur: UnsafeCell<Vec<Slot<T>>>,
+    /// One lane per thread, cache-line padded so one worker's bookkeeping
+    /// never false-shares with its neighbor's.
+    lanes: PerThread<Mutex<Lane<T>>>,
     /// Number of active slots this round (the carved window size). Written
     /// by the leader inside the fused barrier's serial section, read by
     /// workers after the crossing.
     live: AtomicUsize,
     /// The current pass's ordered task buffer. Consumed left to right;
-    /// workers `take()` the entries of the published window range during
-    /// inspect, and the leader writes failed tasks back just before the
-    /// unconsumed remainder.
-    pending: UnsafeCell<Vec<Option<WorkItem<T>>>>,
+    /// workers move the entries of their share of the published window
+    /// into their lanes, and the leader writes failed tasks back just
+    /// before the unconsumed remainder.
+    pending: Mutex<Vec<Option<WorkItem<T>>>>,
     /// First pending index of the current window: slot `i` holds (after its
     /// owner fills it) `pending[fill_base + i]`.
     fill_base: AtomicUsize,
-    flags: UnsafeCell<Option<AbortFlags>>,
-    /// Per-thread round outputs, cache-line padded so one worker's buffer
-    /// bookkeeping never false-shares with its neighbor's.
-    outs: PerThread<UnsafeCell<ThreadOut<T>>>,
+    /// Read by both phases; written only by the serial tail, which grows
+    /// it at a pass boundary.
+    flags: RwLock<AbortFlags>,
     done: AtomicBool,
     /// Probe gates, fixed for the whole run (plain bools: workers only read
     /// them, so the disabled probe path adds no atomics).
@@ -249,28 +268,6 @@ struct RoundState<T> {
     collect_conflicts: bool,
     time_phases: bool,
     conflict_top_k: usize,
-}
-
-// SAFETY: see the struct docs; all concurrent access is phase-separated by
-// barriers, and within a phase slot indexes / out-buffers are exclusive.
-unsafe impl<T: Send> Sync for RoundState<T> {}
-
-impl<T> RoundState<T> {
-    /// Raw views of the slot pool, the pending buffer and the abort flags
-    /// for a phase walk.
-    ///
-    /// # Safety
-    ///
-    /// No thread may be mutating `cur`/`pending`/`flags` at the `Vec` level
-    /// while the views are in use (the leader does so only inside
-    /// `prepare_round`), and element access through the pointers must be
-    /// exclusive per index.
-    unsafe fn window(&self) -> (*mut Slot<T>, *mut Option<WorkItem<T>>, &AbortFlags) {
-        let cur: &Vec<Slot<T>> = &*self.cur.get();
-        let pend = (*self.pending.get()).as_ptr() as *mut Option<WorkItem<T>>;
-        let flags = (*self.flags.get()).as_ref().expect("flags set");
-        (cur.as_ptr() as *mut Slot<T>, pend, flags)
-    }
 }
 
 /// What the leader hands back when the run ends: total rounds, collected
@@ -349,7 +346,8 @@ where
                     WorkItem { task: t, id }
                 })
                 .collect();
-            galois_runtime::sort::parallel_sort_by_key(&mut v, threads, |w| w.id);
+            // Stable: equal ids keep their input order for the dedup below.
+            v.sort_by_key(|w| w.id);
             // Equal ids would make the schedule ambiguous, so only the first
             // task of each id survives (the documented `run_with_ids`
             // contract). This drops the later duplicates *silently* as far
@@ -370,13 +368,23 @@ where
         Some((_, id_space)) => (*id_space).max(pass_size),
     };
 
+    let pending: Vec<Option<WorkItem<T>>> = spread_for_locality(initial, opts.locality_spread)
+        .into_iter()
+        .map(Some)
+        .collect();
+    let pass_size = pending.len();
     let state: RoundState<T> = RoundState {
-        cur: UnsafeCell::new(Vec::new()),
+        lanes: PerThread::new(threads, |_| {
+            Mutex::new(Lane {
+                slots: Vec::new(),
+                live: 0,
+                out: ThreadOut::new(),
+            })
+        }),
         live: AtomicUsize::new(0),
-        pending: UnsafeCell::new(Vec::new()),
+        pending: Mutex::new(pending),
         fill_base: AtomicUsize::new(0),
-        flags: UnsafeCell::new(None),
-        outs: PerThread::new(threads, |_| UnsafeCell::new(ThreadOut::new())),
+        flags: RwLock::new(AbortFlags::new(flag_space_of(pass_size))),
         done: AtomicBool::new(false),
         probing,
         collect_conflicts,
@@ -391,12 +399,10 @@ where
         op,
     };
     let barrier = SenseBarrier::with_chaos(threads, cfg.chaos.clone());
-    let initial_cell: Mutex<Option<Vec<WorkItem<T>>>> = Mutex::new(Some(initial));
-    let collected: Mutex<Vec<(ThreadStats, Vec<Access>)>> = Mutex::new(Vec::new());
     let leader_out: Mutex<Option<LeaderOut>> = Mutex::new(None);
-    // Like `initial_cell`: the leader takes the probe hub at thread start
-    // and is the only thread to ever touch it (between barriers), so probe
-    // callbacks see rounds strictly in order.
+    // The leader takes the probe hub at thread start and is the only thread
+    // to ever touch it (between barriers), so probe callbacks see rounds
+    // strictly in order.
     let hub_cell: Mutex<Option<&mut ProbeHub<'_>>> = Mutex::new(probing.then_some(hub));
 
     // Workers run under a fault hook: an *escaping* panic (operator panics
@@ -408,11 +414,6 @@ where
         cfg.chaos.as_deref(),
         Some(&|| barrier.poison()),
         |tid| {
-            let mut lane = Lane {
-                tid,
-                stats: ThreadStats::default(),
-                accesses: Vec::new(),
-            };
             let mut probe: Option<&mut ProbeHub<'_>> = (tid == 0)
                 .then(|| hub_cell.lock().unwrap().take())
                 .flatten();
@@ -421,7 +422,7 @@ where
                 children: Vec::new(),
                 births: Vec::new(),
                 first_ids: Vec::new(),
-                window: AdaptiveWindow::for_pass(opts.window, 0),
+                window: AdaptiveWindow::for_pass(opts.window, pass_size),
                 rounds: 0,
                 round_traces: Vec::new(),
                 started: false,
@@ -430,76 +431,73 @@ where
                 conflict_scratch: Vec::new(),
                 fault: None,
             });
-            if leader.is_some() {
-                let initial = initial_cell.lock().unwrap().take().expect("single leader");
-                // SAFETY: workers cannot touch `pending` before the first
-                // barrier; the leader owns it here.
-                unsafe {
-                    *state.pending.get() = spread_for_locality(initial, opts.locality_spread)
-                        .into_iter()
-                        .map(Some)
-                        .collect();
-                }
-            }
+            // The leader's guards over every lane, taken at the start of
+            // each serial tail and released at its end; the capacity is
+            // reserved once so a tail allocates nothing.
+            let mut lanes: Vec<MutexGuard<'_, Lane<T>>> =
+                Vec::with_capacity(if leader.is_some() { threads } else { 0 });
 
             loop {
                 // Fused commit/prepare barrier: workers arrive here straight
-                // from the commit walk; the leader runs the whole inter-round
-                // serial section — merge, carve, probe callbacks — inside the
-                // tail of this single crossing instead of paying a separate
-                // release barrier first. The fused crossing's acquire/release
-                // edges give the serial section exclusive access to
-                // `cur`/`pending`/`flags`/`outs`.
+                // from the commit walk, their lanes unlocked; the leader runs
+                // the whole inter-round serial section — merge, carve, probe
+                // callbacks — inside the tail of this single crossing instead
+                // of paying a separate release barrier first.
                 let crossed = if let Some(leader) = leader.as_mut() {
                     barrier
-                        .wait_serial_checked(|| loop {
-                            let t0 = state.time_phases.then(Instant::now);
-                            let place_ns = prepare_round(
-                                leader,
-                                &state,
-                                marks,
-                                opts,
-                                cfg,
-                                threads,
-                                flag_space_of,
-                            );
-                            let total_ns = t0.map(|t| t.elapsed().as_nanos() as f64);
-                            if let (Some(total), Some(last)) = (
-                                total_ns.filter(|_| cfg.record_trace),
-                                leader.round_traces.last_mut(),
-                            ) {
-                                // The merge/carve work belongs to the round it
-                                // closed; the simulated-time model treats the
-                                // pass-boundary placement as parallelizable.
-                                last.serial_ns += (total - place_ns).max(0.0);
-                                last.sched_par_ns += place_ns;
-                            }
-                            if let Some(mut rec) = leader.pending_record.take() {
-                                // The probe reports what this run did: the
-                                // leader places alone while workers park, so
-                                // all of it is serial tail.
-                                if let Some(total) = total_ns {
-                                    rec.serial_ns = total;
+                        .wait_serial_checked(|| {
+                            lanes.extend(state.lanes.iter().map(|l| l.lock().unwrap()));
+                            let mut pending = state.pending.lock().unwrap();
+                            let mut flags = state.flags.write().unwrap();
+                            loop {
+                                let t0 = state.time_phases.then(Instant::now);
+                                let place_ns = prepare_round(
+                                    leader,
+                                    &phases,
+                                    &mut lanes,
+                                    &mut pending,
+                                    &mut flags,
+                                    flag_space_of,
+                                );
+                                let total_ns = t0.map(|t| t.elapsed().as_nanos() as f64);
+                                if let (Some(total), Some(last)) = (
+                                    total_ns.filter(|_| cfg.record_trace),
+                                    leader.round_traces.last_mut(),
+                                ) {
+                                    // The merge/carve work belongs to the round
+                                    // it closed; the simulated-time model treats
+                                    // the pass-boundary placement as
+                                    // parallelizable.
+                                    last.serial_ns += (total - place_ns).max(0.0);
+                                    last.sched_par_ns += place_ns;
                                 }
-                                if let Some(p) = probe.as_mut() {
-                                    p.on_round(rec);
+                                if let Some(mut rec) = leader.pending_record.take() {
+                                    // The probe reports what this run did: the
+                                    // leader places alone while workers park,
+                                    // so all of it is serial tail.
+                                    if let Some(total) = total_ns {
+                                        rec.serial_ns = total;
+                                    }
+                                    if let Some(p) = probe.as_mut() {
+                                        p.on_round(rec);
+                                    }
                                 }
+                                // A thin round runs right here, on the
+                                // leader's lane, with the workers still parked
+                                // at this crossing: zero crossings, and its
+                                // operator time lands in the phase timers
+                                // (outside `t0`), never in `serial_ns`.
+                                let n = state.live.load(Ordering::Relaxed);
+                                if state.done.load(Ordering::Relaxed) || n > INLINE_WINDOW {
+                                    break;
+                                }
+                                let base = state.fill_base.load(Ordering::Relaxed);
+                                let lane = &mut lanes[0];
+                                lane.fill(&mut pending[base..base + n]);
+                                inspect_lane(&phases, 0, lane, &flags);
+                                commit_lane(&phases, 0, lane, &flags);
                             }
-                            // A thin round runs right here, on the leader,
-                            // with the workers still parked at this crossing:
-                            // zero crossings, and its operator time lands in
-                            // the phase timers (outside `t0`), never in
-                            // `serial_ns`.
-                            let n = state.live.load(Ordering::Relaxed);
-                            if state.done.load(Ordering::Relaxed) || n > INLINE_WINDOW {
-                                break;
-                            }
-                            // SAFETY: inside the serial section the leader
-                            // owns every slot, pending entry and out-buffer.
-                            unsafe {
-                                inspect_range(&phases, &mut lane, 0..n);
-                                commit_range(&phases, &mut lane, 0..n);
-                            }
+                            lanes.clear();
                         })
                         .is_ok()
                 } else {
@@ -508,21 +506,21 @@ where
                 if !crossed || state.done.load(Ordering::Acquire) {
                     break;
                 }
-                // Only the first `live` slots of the high-water pool are this
-                // round's window; this thread owns one contiguous share of
-                // them for both phases, so its outputs concatenate to slot
-                // order and no slot changes cores inside the round.
+                // Only the first `live` slots are this round's window; this
+                // thread owns one contiguous share of them for both phases,
+                // so its outputs concatenate to slot order and no slot
+                // changes cores inside the round. The lane stays locked
+                // until the end of this iteration, before the next crossing.
                 let range = chunk_range(state.live.load(Ordering::Relaxed), threads, tid);
-                // SAFETY: `chunk_range` shares are disjoint across threads,
-                // and the leader finished mutating `cur`/`pending`/`flags`
-                // before the crossing above released.
-                unsafe { inspect_range(&phases, &mut lane, range.clone()) };
+                let base = state.fill_base.load(Ordering::Relaxed);
+                let mut lane = state.lanes.get(tid).lock().unwrap();
+                lane.fill(&mut state.pending.lock().unwrap()[base + range.start..base + range.end]);
+                let flags = state.flags.read().unwrap();
+                inspect_lane(&phases, tid, &mut lane, &flags);
                 if barrier.wait_checked().is_err() {
                     break;
                 }
-                // SAFETY: the same share as above; every inspect-phase mark
-                // and flag write is ordered before this by the barrier.
-                unsafe { commit_range(&phases, &mut lane, range) };
+                commit_lane(&phases, tid, &mut lane, &flags);
                 // No commit-end barrier: the loop-top fused crossing doubles
                 // as the commit barrier, so a parallel round costs exactly
                 // two crossings (fused commit/prepare + inspect).
@@ -532,13 +530,16 @@ where
                 *leader_out.lock().unwrap() =
                     Some((leader.rounds, leader.round_traces, leader.fault.take()));
             }
-            collected.lock().unwrap().push((lane.stats, lane.accesses));
         },
     );
 
     let elapsed = start.elapsed();
-    let per_thread = collected.into_inner().unwrap();
-    let mut agg = ExecStats::from_threads(per_thread.iter().map(|(s, _)| s));
+    let mut lanes = state.lanes;
+    let mut outs: Vec<&mut ThreadOut<T>> = lanes
+        .iter_mut()
+        .map(|lane| &mut lane.get_mut().unwrap().out)
+        .collect();
+    let mut agg = ExecStats::from_threads(outs.iter().map(|out| &out.stats));
     let (rounds, round_traces, fault) = leader_out.into_inner().unwrap().expect("leader ran");
     agg.rounds = rounds;
     agg.elapsed = elapsed;
@@ -556,9 +557,11 @@ where
     let report = RunReport {
         stats: agg,
         trace: cfg.record_trace.then_some(ExecTrace::Rounds(round_traces)),
-        accesses: cfg
-            .record_access
-            .then(|| per_thread.into_iter().map(|(_, a)| a).collect()),
+        accesses: cfg.record_access.then(|| {
+            outs.iter_mut()
+                .map(|out| std::mem::take(&mut out.accesses))
+                .collect()
+        }),
         round_log: None,
         replay: false,
     };
@@ -572,35 +575,30 @@ where
 /// Everything here is O(threads) per round (plus buffer moves for failed /
 /// created tasks): marks and flags retire by epoch bump, and the window is
 /// published as an index range that the workers fill themselves.
-fn prepare_round<T: Send>(
+fn prepare_round<T: Send, O>(
     leader: &mut LeaderState<T>,
-    state: &RoundState<T>,
-    marks: &MarkTable,
-    opts: &DetOptions,
-    cfg: &Executor,
-    threads: usize,
+    ph: &Phases<'_, T, O>,
+    lanes: &mut [MutexGuard<'_, Lane<T>>],
+    pending: &mut Vec<Option<WorkItem<T>>>,
+    flags: &mut AbortFlags,
     flag_space_of: impl Fn(usize) -> usize,
 ) -> f64 {
-    // SAFETY: leader-exclusive access window (see RoundState docs).
-    let cur = unsafe { &mut *state.cur.get() };
-    let pending = unsafe { &mut *state.pending.get() };
-    let flags_cell = unsafe { &mut *state.flags.get() };
-
+    let Phases {
+        state,
+        marks,
+        opts,
+        cfg,
+        ..
+    } = *ph;
     if !leader.started {
         leader.started = true;
-        let pass_size = pending.len();
-        *flags_cell = Some(AbortFlags::new(flag_space_of(pass_size)));
-        leader.window = AdaptiveWindow::for_pass(opts.window, pass_size);
     } else {
         // Retire the closed round's marks and abort flags: two counter
         // increments replace the old per-task release sweep and per-task
         // flag clears. Workers are parked at the barrier, so the quiescence
         // contract of both calls holds.
         marks.bump_epoch();
-        flags_cell
-            .as_ref()
-            .expect("flags set after first round")
-            .advance();
+        flags.advance();
 
         // Merge the finished round's per-thread outputs: O(threads) plus
         // buffer moves; the per-task work happened on the workers.
@@ -611,9 +609,8 @@ fn prepare_round<T: Send>(
         let mut inspect_ns = 0.0f64;
         let mut commit_ns = 0.0f64;
         let mut trace = cfg.record_trace.then(RoundTrace::default);
-        for tid in 0..threads {
-            // SAFETY: workers are parked at the barrier; outs are quiescent.
-            let out = unsafe { &mut *state.outs.get(tid).get() };
+        for lane in lanes.iter_mut() {
+            let out = &mut lane.out;
             committed += out.committed as usize;
             nfailed += out.failed.len();
             quarantined += out.quarantined.len();
@@ -651,15 +648,14 @@ fn prepare_round<T: Send>(
         // the head cursor over them. Walking threads forward reproduces slot
         // order because slot ranges are contiguous ascending.
         //
-        // Every out-buffer leaves this loop reset: the next round may be an
-        // inline one that only `outs[0]` takes part in, and must not
+        // Every lane leaves this loop reset: the next round may be an
+        // inline one that only lane 0 takes part in, and must not
         // re-count what a worker reported for this round.
         let mut w_idx = leader.head - nfailed;
         // Lowest-id quarantined task of the round and its message.
         let mut first_fault: Option<(u64, String)> = None;
-        for tid in 0..threads {
-            // SAFETY: as above.
-            let out = unsafe { &mut *state.outs.get(tid).get() };
+        for lane in lanes.iter_mut() {
+            let out = &mut lane.out;
             for item in out.failed.drain(..) {
                 debug_assert!(pending[w_idx].is_none(), "window entries were consumed");
                 pending[w_idx] = Some(item);
@@ -738,10 +734,7 @@ fn prepare_round<T: Send>(
         if let Some(t) = t_place {
             place_ns = t.elapsed().as_nanos() as f64;
         }
-        flags_cell
-            .as_mut()
-            .expect("flags created on the first round")
-            .grow(flag_space_of(pass_size));
+        flags.grow(flag_space_of(pass_size));
         leader.window = AdaptiveWindow::for_pass(opts.window, pass_size);
     }
 
@@ -750,15 +743,11 @@ fn prepare_round<T: Send>(
         return place_ns;
     }
 
-    // Carve the window (Figure 2 `getWindowOfTasks`). The slot pool `cur`
-    // is high-water sized: it grows only when the window reaches a size it
-    // has never reached before, by one reallocation, and never shrinks.
-    // Publishing `live` is all a steady-state carve does.
+    // Carve the window (Figure 2 `getWindowOfTasks`): publishing its size
+    // and first pending index is all a carve does; the workers fill their
+    // lanes from it.
     leader.carved_window = leader.window.size() as u64;
     let w = leader.window.size().min(pending.len() - leader.head);
-    if cur.len() < w {
-        cur.resize_with(w, Slot::empty);
-    }
     state.live.store(w, Ordering::Relaxed);
     state.fill_base.store(leader.head, Ordering::Relaxed);
     leader.head += w;
@@ -774,53 +763,28 @@ struct Phases<'a, T, O> {
     op: &'a O,
 }
 
-/// One thread's private accumulators for the whole run.
-struct Lane {
-    tid: usize,
-    stats: ThreadStats,
-    accesses: Vec<Access>,
-}
-
 /// `range` cut into consecutive blocks of at most `size` slots.
 fn blocks(range: Range<usize>, size: usize) -> impl Iterator<Item = Range<usize>> {
     let end = range.end;
     range.step_by(size).map(move |lo| lo..(lo + size).min(end))
 }
 
-/// Inspect walk: fill the slots of `range` from the pending buffer and run
-/// each task up to its failsafe point. Workers pass their `chunk_range`
-/// share; the leader passes the whole window for an inline round.
-///
-/// # Safety
-///
-/// Until the next barrier crossing the caller must be the only thread that
-/// touches the slots of `range`, the pending entries behind them and
-/// `outs[lane.tid]`, and no thread may be mutating `cur`/`pending`/`flags`
-/// at the `Vec` level.
-unsafe fn inspect_range<T: Send, O: Operator<T>>(
+/// Inspect walk: run each task of the lane's filled share up to its
+/// failsafe point.
+fn inspect_lane<T: Send, O: Operator<T>>(
     ph: &Phases<'_, T, O>,
-    lane: &mut Lane,
-    range: Range<usize>,
+    tid: usize,
+    lane: &mut Lane<T>,
+    flags: &AbortFlags,
 ) {
-    let state = ph.state;
-    let (slots, pend, flags) = state.window();
-    let fill_base = state.fill_base.load(Ordering::Relaxed);
-    let out = &mut *state.outs.get(lane.tid).get();
+    let Lane { slots, live, out } = lane;
     out.nbs.clear();
     // Timing amortized per block so tiny tasks are not inflated by timers.
-    for block in blocks(range, 8) {
-        let t0 = state.time_phases.then(Instant::now);
+    for block in blocks(0..*live, 8) {
+        let t0 = ph.state.time_phases.then(Instant::now);
         let len = block.len() as u64;
-        for i in block {
-            // Filling the window here — on the slot's owner — keeps the
-            // leader's serial turnaround O(threads) instead of O(window).
-            let slot = &mut *slots.add(i);
-            let item = (*pend.add(fill_base + i)).take();
-            slot.item = Some(item.expect("carved pending entry holds a task"));
-            slot.committed = false;
-            slot.stash = None;
-            slot.fault = None;
-            inspect_slot(ph, lane, slot, flags, out);
+        for slot in &mut slots[block] {
+            inspect_slot(ph, tid, slot, flags, out);
         }
         if let Some(t0) = t0 {
             out.inspect.add_block(t0.elapsed().as_nanos() as f64, len);
@@ -828,37 +792,30 @@ unsafe fn inspect_range<T: Send, O: Operator<T>>(
     }
 }
 
-/// Select-and-execute walk over `range`: commit the independent set and
-/// sort every slot's task into this thread's committed / failed /
+/// Select-and-execute walk over the lane's share: commit the independent
+/// set and sort every slot's task into the lane's committed / failed /
 /// quarantined outputs, in slot order.
-///
-/// # Safety
-///
-/// As for [`inspect_range`], with the same `range` the caller inspected.
-unsafe fn commit_range<T: Send, O: Operator<T>>(
+fn commit_lane<T: Send, O: Operator<T>>(
     ph: &Phases<'_, T, O>,
-    lane: &mut Lane,
-    range: Range<usize>,
+    tid: usize,
+    lane: &mut Lane<T>,
+    flags: &AbortFlags,
 ) {
-    let state = ph.state;
-    let (slots, _, flags) = state.window();
-    let out = &mut *state.outs.get(lane.tid).get();
-    for block in blocks(range, 64) {
-        let t0 = state.time_phases.then(Instant::now);
+    let Lane { slots, live, out } = lane;
+    for block in blocks(0..*live, 64) {
+        let t0 = ph.state.time_phases.then(Instant::now);
         let mut block_committed = 0u64;
-        for i in block {
-            let slot = &mut *slots.add(i);
-            commit_slot(ph, lane, slot, flags, out);
-            if slot.committed {
+        for slot in &mut slots[block] {
+            let committed = commit_slot(ph, tid, slot, flags, out);
+            let item = slot.item.take().expect("slot carries a task");
+            if committed {
                 block_committed += 1;
-                slot.item = None;
             } else if let Some(msg) = slot.fault.take() {
                 // Quarantined: keep the payload and message for the
                 // leader's fault report; never re-enqueued.
-                out.quarantined
-                    .push((slot.item.take().expect("slot had a task"), msg));
+                out.quarantined.push((item, msg));
             } else {
-                out.failed.push(slot.item.take().expect("slot had a task"));
+                out.failed.push(item);
             }
         }
         out.committed += block_committed;
@@ -873,7 +830,7 @@ unsafe fn commit_range<T: Send, O: Operator<T>>(
 
 fn inspect_slot<T: Send, O: Operator<T>>(
     ph: &Phases<'_, T, O>,
-    lane: &mut Lane,
+    tid: usize,
     slot: &mut Slot<T>,
     flags: &AbortFlags,
     out: &mut ThreadOut<T>,
@@ -885,10 +842,6 @@ fn inspect_slot<T: Send, O: Operator<T>>(
         op,
         ..
     } = *ph;
-    let tid = lane.tid;
-    let Lane {
-        stats, accesses, ..
-    } = lane;
     let nb_start = out.nbs.len();
     let result = {
         // Destructure for field-precise borrows: `item` stays shared while
@@ -907,8 +860,8 @@ fn inspect_slot<T: Send, O: Operator<T>>(
             flags: Some(flags),
             stash,
             allow_stash: opts.continuation,
-            stats,
-            recorder: cfg.record_access.then_some(accesses),
+            stats: &mut out.stats,
+            recorder: cfg.record_access.then_some(&mut out.accesses),
             conflicts: ph.state.collect_conflicts.then_some(&mut out.conflicts),
             past_failsafe: false,
             // Never inject during inspect: marking must be a pure function
@@ -924,7 +877,7 @@ fn inspect_slot<T: Send, O: Operator<T>>(
         contain_panic(|| op.run(&item.task, &mut ctx))
     };
     slot.nb = (nb_start, out.nbs.len());
-    stats.inspected += 1;
+    out.stats.inspected += 1;
     match result {
         // `Ok(Ok(()))` means the operator completed without a failsafe call
         // (a read-only task); its pushes were discarded and the commit phase
@@ -943,38 +896,35 @@ fn inspect_slot<T: Send, O: Operator<T>>(
     }
 }
 
+/// Commits `slot` if it is in the round's independent set; returns whether
+/// it committed.
 fn commit_slot<T: Send, O: Operator<T>>(
     ph: &Phases<'_, T, O>,
-    lane: &mut Lane,
+    tid: usize,
     slot: &mut Slot<T>,
     flags: &AbortFlags,
     out: &mut ThreadOut<T>,
-) {
+) -> bool {
     let Phases { marks, cfg, op, .. } = *ph;
-    let tid = lane.tid;
-    let Lane {
-        stats, accesses, ..
-    } = lane;
-    let task_id = slot.item().id;
+    let task_id = slot.item.as_ref().expect("slot carries a task").id;
     let mark_value = task_id + 1;
     let nb_len = (slot.nb.1 - slot.nb.0) as u64;
     if slot.fault.is_some() {
         // The inspect run panicked: quarantine. The marks it placed retire
         // with the round's epoch bump — no per-location release needed —
         // and the task never re-enters the pending buffer.
-        stats.quarantined += 1;
-        slot.committed = false;
-        slot.stash = None;
-        stats.releases_avoided += nb_len;
-        return;
+        out.stats.quarantined += 1;
+        out.stats.releases_avoided += nb_len;
+        return false;
     }
     if flags.get(task_id as usize) {
         // A higher-priority neighbor in the interference graph owns part of
         // this task's neighborhood; retry in a later round.
-        stats.aborted += 1;
-        slot.committed = false;
-        slot.stash = None;
-    } else {
+        out.stats.aborted += 1;
+        out.stats.releases_avoided += nb_len;
+        return false;
+    }
+    {
         // Chaos: force at most one spurious abort at this task's failsafe
         // point, then retry *in place* until the commit goes through. The
         // retry is schedule-invisible: the cautious contract guarantees no
@@ -1021,8 +971,8 @@ fn commit_slot<T: Send, O: Operator<T>>(
                     flags: None,
                     stash,
                     allow_stash: false,
-                    stats,
-                    recorder: cfg.record_access.then_some(accesses),
+                    stats: &mut out.stats,
+                    recorder: cfg.record_access.then_some(&mut out.accesses),
                     conflicts: None,
                     past_failsafe: false,
                     inject_abort: inject,
@@ -1047,16 +997,15 @@ fn commit_slot<T: Send, O: Operator<T>>(
                     // marks retire by epoch — quarantine instead of commit.
                     slot.fault = Some(panic_message(payload));
                     out.children.truncate(mark);
-                    slot.stash = None;
-                    slot.committed = false;
-                    stats.quarantined += 1;
-                    stats.releases_avoided += nb_len;
-                    return;
+                    out.stats.quarantined += 1;
+                    out.stats.releases_avoided += nb_len;
+                    return false;
                 }
             }
         }
         if cfg.record_access {
-            accesses.extend(record_writes(&out.nbs[slot.nb.0..slot.nb.1]));
+            out.accesses
+                .extend(record_writes(&out.nbs[slot.nb.0..slot.nb.1]));
         }
         // The children's `(parent, rank)` keys are this birth record plus
         // their order in the arena (§3.2 id assignment).
@@ -1064,14 +1013,14 @@ fn commit_slot<T: Send, O: Operator<T>>(
         if born > 0 {
             out.births.push((task_id, born));
         }
-        stats.committed += 1;
-        slot.committed = true;
+        out.stats.committed += 1;
     }
     // No per-location release and no flag clear happen here: the leader
     // retires the whole round's marks and flags with two epoch bumps in
     // `prepare_round`. Tally the CASes the old sweep would have issued (every
     // task released its entire neighborhood, committed or not).
-    stats.releases_avoided += nb_len;
+    out.stats.releases_avoided += nb_len;
+    true
 }
 
 #[cfg(test)]

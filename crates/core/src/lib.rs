@@ -65,11 +65,10 @@
 //! | `spec` (internal) | §2.1 | the speculative scheduler |
 
 #![warn(missing_docs)]
-// `unsafe` lives in `det` alone (see DESIGN.md, "Unsafe policy").
-#![deny(unsafe_code)]
+// Round ownership is stated in types (see DESIGN.md, "Unsafe policy").
+#![forbid(unsafe_code)]
 
 pub mod ctx;
-#[allow(unsafe_code)]
 mod det;
 pub mod error;
 pub mod executor;

@@ -203,3 +203,59 @@ fn dedup_dropped_surfaces_preassigned_id_collisions() {
     assert_eq!(report.stats.committed, 48);
     assert_eq!(report.stats.dedup_dropped, 0);
 }
+
+#[test]
+fn preassigned_ids_keep_the_first_task_of_each_id_in_input_order() {
+    // `(payload, id)` tasks: 6 000 distinct payloads in permuted order over
+    // 2 000 hashed ids, so most ids repeat a different number of times. The
+    // dedup contract is "the first task of each id in input order
+    // survives"; only a stable id sort keeps it.
+    const N: u64 = 6_000;
+    const IDS: u64 = 2_000;
+    let tasks: Vec<(u64, u64)> = (0..N)
+        .map(|i| {
+            let payload = i.wrapping_mul(2_654_435_761) % N;
+            let id = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % IDS;
+            (payload, id)
+        })
+        .collect();
+    let mut first: Vec<Option<u64>> = vec![None; IDS as usize];
+    for &(payload, id) in &tasks {
+        first[id as usize].get_or_insert(payload);
+    }
+    let distinct = first.iter().flatten().count() as u64;
+    assert!(
+        distinct < N && distinct > IDS / 2,
+        "{distinct} distinct ids"
+    );
+
+    for threads in [1usize, 2, 3] {
+        let committed: Vec<Mutex<Option<u64>>> = (0..IDS).map(|_| Mutex::new(None)).collect();
+        let op = |t: &(u64, u64), ctx: &mut Ctx<'_, (u64, u64)>| -> OpResult {
+            ctx.acquire(t.1 as u32)?;
+            ctx.failsafe()?;
+            let mut slot = committed[t.1 as usize].lock().unwrap();
+            assert!(slot.is_none(), "id {} committed twice", t.1);
+            *slot = Some(t.0);
+            Ok(())
+        };
+        let marks = MarkTable::new(IDS as usize);
+        let report = Executor::new()
+            .threads(threads)
+            .schedule(Schedule::deterministic())
+            .iterate(tasks.clone())
+            .with_ids(|t| t.1, IDS as usize)
+            .run(&marks, &op);
+        assert_eq!(report.stats.committed, distinct, "threads={threads}");
+        assert_eq!(
+            report.stats.dedup_dropped,
+            N - distinct,
+            "threads={threads}"
+        );
+        let got: Vec<Option<u64>> = committed
+            .into_iter()
+            .map(|m| m.into_inner().unwrap())
+            .collect();
+        assert_eq!(got, first, "threads={threads}: a later duplicate survived");
+    }
+}

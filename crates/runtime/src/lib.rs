@@ -21,8 +21,6 @@
 //! - [`probe`]: round-level observability — the [`Probe`] trait and the
 //!   [`RoundLog`] recorder whose canonical serialization doubles as a
 //!   portability oracle for deterministic runs.
-//! - [`sort`]: a parallel stable merge sort used for deterministic task-id
-//!   assignment.
 //! - [`scan`]: parallel prefix sums used by the deterministic parallel
 //!   input pipeline (CSR construction, chunk packing).
 //! - [`simtime`]: a virtual-time scheduling model that replays recorded task
@@ -45,8 +43,8 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// `unsafe` is allowed item by item only: the `sort` merge and the
-// `pool::prefetch` hint (see DESIGN.md, "Unsafe policy").
+// `unsafe` is allowed item by item only: the `pool::prefetch` hint (see
+// DESIGN.md, "Unsafe policy").
 #![deny(unsafe_code)]
 
 pub mod barrier;
@@ -58,7 +56,6 @@ pub mod pool;
 pub mod probe;
 pub mod scan;
 pub mod simtime;
-pub mod sort;
 pub mod stats;
 pub mod worklist;
 

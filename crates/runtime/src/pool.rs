@@ -38,25 +38,17 @@ pub fn run_on_threads<F>(threads: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
-    run_on_threads_chaos(threads, None, f)
+    run_on_threads_fault(threads, None, None, f)
 }
 
 /// [`run_on_threads`] with an optional per-thread start skew drawn from a
-/// [`ChaosPolicy`].
+/// [`ChaosPolicy`] and a fault hook that fires *before* a panicking worker
+/// starts unwinding out of the pool.
 ///
 /// With a policy installed, each worker burns a drawn spin budget before
 /// entering `f`, staggering thread start order adversarially (schedulers that
 /// are schedule-invariant must not care which thread reaches the first
-/// barrier first). With `None` this is exactly [`run_on_threads`].
-pub fn run_on_threads_chaos<F>(threads: usize, chaos: Option<&ChaosPolicy>, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    run_on_threads_fault(threads, chaos, None, f)
-}
-
-/// [`run_on_threads_chaos`] with a fault hook that fires *before* a
-/// panicking worker starts unwinding out of the pool.
+/// barrier first).
 ///
 /// Each worker (including tid 0 on the calling thread) runs under
 /// [`std::panic::catch_unwind`]; on a panic the pool invokes `on_panic`
@@ -330,7 +322,7 @@ mod tests {
     fn chaos_skew_still_runs_every_tid_once() {
         let chaos = crate::chaos::ChaosPolicy::new(1234);
         let seen = [const { AtomicUsize::new(0) }; 4];
-        run_on_threads_chaos(4, Some(&chaos), |tid| {
+        run_on_threads_fault(4, Some(&chaos), None, |tid| {
             seen[tid].fetch_add(1, Ordering::Relaxed);
         });
         for s in &seen {

@@ -68,14 +68,3 @@ fn producer_consumer_pipeline_through_bags() {
     }
     assert_eq!(drained.load(Ordering::Relaxed), ITEMS);
 }
-
-#[test]
-fn parallel_sort_under_oversubscription() {
-    let mut v: Vec<(u64, u64)> = (0..50_000u64)
-        .map(|i| ((i * 2654435761) % 1000, i))
-        .collect();
-    let mut expect = v.clone();
-    expect.sort_by_key(|x| x.0);
-    galois_runtime::sort::parallel_sort_by_key(&mut v, 12, |x| x.0);
-    assert_eq!(v, expect);
-}

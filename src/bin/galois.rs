@@ -6,14 +6,16 @@
 //!
 //! ```text
 //! galois <app> [--variant seq|g-n|g-d|pbbs] [--threads N] [--size N] [--seed N] [--verify]
-//!        [--round-log FILE] [--chaos-seed N] [--cache-dir DIR]
+//!        [--round-log FILE] [--chaos-seed N] [--chaos-panics N] [--cache-dir DIR]
 //! galois record <app> --out FILE [--threads N] [--size N] [--seed N]
 //!        [--chaos-seed N] [--cache-dir DIR]
 //! galois replay FILE [--threads N] [--cache-dir DIR]
 //!        [--lockstep T1,T2[,..]] [--lockstep-chaos S1,S2[,..]]
 //! galois serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR]
 //! galois lockstep FILE --replicas N [--spawn] [--window W] [--threads T1,T2[,..]]
-//! galois replicate --join ADDR [--threads N]
+//!        [--timeout-ms T] [--addr HOST:PORT] [--report FILE] [--emit-manifest FILE]
+//!        [--perturb i:SPREAD] [--throttle i:MS]
+//! galois replicate --join ADDR [--threads N] [--perturb-spread N] [--throttle-ms MS]
 //!
 //! apps: bfs, mis, mm, dt, dmr, pfp
 //! ```
