@@ -13,11 +13,12 @@
 //! - **pbbs**: handwritten deterministic level-synchronous BFS with
 //!   priority-write parent selection (deterministic BFS tree).
 
-use galois_core::{Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, RunReport};
+use galois_core::{
+    Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, Probe, RoundLog, RoundRecord, RunReport,
+};
 use galois_graph::csr::NodeId;
 use galois_graph::{AtomicArray, CsrGraph};
 use galois_runtime::pool::{chunk_ends, chunk_range, run_on_threads, run_partitioned};
-use galois_runtime::simtime::RoundTrace;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Unreached-node label.
@@ -95,8 +96,8 @@ pub struct PbbsBfsStats {
     pub atomic_updates: u64,
     /// Nodes labelled.
     pub visited: u64,
-    /// Per-round traces when requested.
-    pub round_traces: Vec<RoundTrace>,
+    /// The run's rounds, when a trace was requested.
+    pub round_log: RoundLog,
 }
 
 /// Handwritten deterministic BFS: level-synchronous frontier expansion with
@@ -187,14 +188,15 @@ pub fn pbbs(
         stats.atomic_updates += atomic_count.load(Ordering::Relaxed);
         stats.visited += next.len() as u64;
         if let (Some(r), Some(c)) = (reserve_ns, commit_ns) {
-            let work = frontier.len().max(1) as u64;
-            stats.round_traces.push(RoundTrace {
-                inspect: galois_runtime::simtime::PhaseTrace::uniform(r, work),
-                commit: galois_runtime::simtime::PhaseTrace::uniform(c, work),
-                serial_ns: 0.0,
-                sched_par_ns: serial_ns,
-                barriers: 2,
-            });
+            // Every frontier vertex commits its winners: nothing retries.
+            let n = frontier.len() as u64;
+            stats.round_log.on_round(RoundRecord::bulk(
+                stats.rounds - 1,
+                n,
+                n,
+                0,
+                [r, c, serial_ns],
+            ));
         }
         frontier = next;
     }

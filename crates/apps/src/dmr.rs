@@ -12,7 +12,10 @@
 //! All variants keep the mesh Delaunay; output equality across thread
 //! counts is checked on the canonical geometric form.
 
-use galois_core::{Abort, Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, RunReport};
+use galois_core::{
+    Abort, Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, Probe, RoundLog, RoundRecord,
+    RunReport,
+};
 use galois_geometry::predicates::orient2d_sign;
 use galois_geometry::tri::{circumcenter, is_bad};
 use galois_geometry::Point;
@@ -178,8 +181,8 @@ pub struct PbbsDmrStats {
     pub aborted: u64,
     /// Priority writes issued.
     pub atomic_updates: u64,
-    /// Per-round traces when requested.
-    pub round_traces: Vec<galois_runtime::simtime::RoundTrace>,
+    /// The run's rounds, when a trace was requested.
+    pub round_log: RoundLog,
 }
 
 /// Handwritten deterministic dmr (PBBS style): bulk-synchronous rounds of
@@ -317,16 +320,15 @@ pub fn pbbs(mesh: &Mesh, threads: usize, record_trace: bool) -> PbbsDmrStats {
         stats.committed += committed_round;
         stats.aborted += failed_round;
         stats.atomic_updates += atomics.load(Ordering::Relaxed);
-        if let (Some(r), Some(c)) = (reserve_ns, commit_ns) {
-            stats
-                .round_traces
-                .push(galois_runtime::simtime::RoundTrace {
-                    inspect: galois_runtime::simtime::PhaseTrace::uniform(r, prefix as u64),
-                    commit: galois_runtime::simtime::PhaseTrace::uniform(c, committed_round.max(1)),
-                    serial_ns: 0.0,
-                    sched_par_ns: t2.map(|t| t.elapsed().as_nanos() as f64).unwrap_or(0.0),
-                    barriers: 2,
-                });
+        if let (Some(r), Some(c), Some(t2)) = (reserve_ns, commit_ns, t2) {
+            let flatten_ns = t2.elapsed().as_nanos() as f64;
+            stats.round_log.on_round(RoundRecord::bulk(
+                stats.rounds - 1,
+                prefix as u64,
+                committed_round,
+                failed_round,
+                [r, c, flatten_ns],
+            ));
         }
     }
     stats

@@ -11,7 +11,10 @@
 //! [`galois_mesh::check::canonical_triangles`]); the variants differ in
 //! schedule, work, and determinism of the *execution*.
 
-use galois_core::{Abort, Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, RunReport};
+use galois_core::{
+    Abort, Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, Probe, RoundLog, RoundRecord,
+    RunReport,
+};
 use galois_geometry::brio::brio_order;
 use galois_geometry::Point;
 use galois_mesh::build::{first_alive, square_mesh};
@@ -136,8 +139,8 @@ pub struct PbbsDtStats {
     pub aborted: u64,
     /// Priority writes issued.
     pub atomic_updates: u64,
-    /// Per-round traces when requested.
-    pub round_traces: Vec<galois_runtime::simtime::RoundTrace>,
+    /// The run's rounds, when a trace was requested.
+    pub round_log: RoundLog,
 }
 
 /// Handwritten deterministic dt (PBBS style): rounds of deterministic
@@ -267,16 +270,15 @@ pub fn pbbs(
         stats.committed += committed_round;
         stats.aborted += failed_round;
         stats.atomic_updates += atomics.load(Ordering::Relaxed);
-        if let (Some(r), Some(c)) = (reserve_ns, commit_ns) {
-            stats
-                .round_traces
-                .push(galois_runtime::simtime::RoundTrace {
-                    inspect: galois_runtime::simtime::PhaseTrace::uniform(r, prefix as u64),
-                    commit: galois_runtime::simtime::PhaseTrace::uniform(c, committed_round.max(1)),
-                    serial_ns: 0.0,
-                    sched_par_ns: t2.map(|t| t.elapsed().as_nanos() as f64).unwrap_or(0.0),
-                    barriers: 2,
-                });
+        if let (Some(r), Some(c), Some(t2)) = (reserve_ns, commit_ns, t2) {
+            let flatten_ns = t2.elapsed().as_nanos() as f64;
+            stats.round_log.on_round(RoundRecord::bulk(
+                stats.rounds - 1,
+                prefix as u64,
+                committed_round,
+                failed_round,
+                [r, c, flatten_ns],
+            ));
         }
     }
 

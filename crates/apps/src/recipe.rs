@@ -193,38 +193,6 @@ fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (r, t0.elapsed())
 }
 
-/// One trace for a multi-bout run: the bouts' traces back to back (an
-/// asynchronous run's per-task overhead is the largest bout's).
-fn merge_traces(bouts: &mut [RunReport]) -> Option<ExecTrace> {
-    let traces = bouts.iter_mut().filter_map(|bout| bout.trace.take());
-    traces.reduce(|a, b| match (a, b) {
-        (ExecTrace::Rounds(mut a), ExecTrace::Rounds(b)) => {
-            a.extend(b);
-            ExecTrace::Rounds(a)
-        }
-        (
-            ExecTrace::Async {
-                task_ns: mut a,
-                overhead_ns: oa,
-            },
-            ExecTrace::Async {
-                task_ns: b,
-                overhead_ns: ob,
-            },
-        ) => {
-            a.extend(b);
-            ExecTrace::Async {
-                task_ns: a,
-                overhead_ns: oa.max(ob),
-            }
-        }
-        (ExecTrace::Sequential { total_ns: a }, ExecTrace::Sequential { total_ns: b }) => {
-            ExecTrace::Sequential { total_ns: a + b }
-        }
-        _ => unreachable!("every bout of a run has the run's schedule"),
-    })
-}
-
 /// One per-thread access stream for a multi-bout run: each thread's bouts
 /// back to back.
 fn merge_accesses(bouts: &mut [RunReport]) -> Option<Vec<Vec<u32>>> {
@@ -429,11 +397,12 @@ impl App {
         let pbbs = variant == Variant::Pbbs;
         let (threads, trace) = (exec.thread_count(), exec.records_trace());
         // A pbbs run's counts `[committed, aborted, atomic_updates, rounds]`
-        // as executor statistics, with its round traces when asked for.
+        // as executor statistics, with its rounds as the trace when asked
+        // for.
         let pbbs_done = |output_hash,
                          [committed, aborted, atomic_updates, rounds]: [u64; 4],
                          elapsed,
-                         round_traces| Finished {
+                         round_log| Finished {
             output_hash,
             logs: Vec::new(),
             stats: ExecStats {
@@ -445,7 +414,7 @@ impl App {
                 threads,
                 ..ExecStats::default()
             },
-            trace: trace.then_some(ExecTrace::Rounds(round_traces)),
+            trace: trace.then_some(ExecTrace::Rounds(round_log)),
             accesses: None,
         };
         // Each arm: the app's verifier verdict beside the reduced run.
@@ -453,7 +422,7 @@ impl App {
             (App::Bfs, Input::Graph(g)) if pbbs => {
                 let ((dist, _parents, s), t) = timed(|| bfs::pbbs(g, 0, threads, trace));
                 let counts = [s.visited, 0, s.atomic_updates, s.rounds];
-                let done = pbbs_done(hash_u32s(&dist), counts, t, s.round_traces);
+                let done = pbbs_done(hash_u32s(&dist), counts, t, s.round_log);
                 Ok((bfs::verify(g, 0, &dist), done))
             }
             (App::Bfs, Input::Graph(g)) => bfs::run(g, 0, exec, hooks).map(|(dist, r)| {
@@ -463,7 +432,7 @@ impl App {
             (App::Mis, Input::Graph(g)) if pbbs => {
                 let ((flags, s), t) = timed(|| mis::pbbs(g, threads, trace));
                 let counts = [s.committed, s.aborted, s.reserved, s.rounds];
-                let done = pbbs_done(hash_u32s(&flags), counts, t, s.round_traces);
+                let done = pbbs_done(hash_u32s(&flags), counts, t, s.round_log);
                 Ok((mis::verify(g, &flags), done))
             }
             (App::Mis, Input::Graph(g)) => mis::run(g, exec, hooks).map(|(flags, r)| {
@@ -473,7 +442,7 @@ impl App {
             (App::Mm, Input::Graph(g)) if pbbs => {
                 let ((mate, s), t) = timed(|| mm::pbbs(g, threads, trace));
                 let counts = [s.committed, s.aborted, s.reserved, s.rounds];
-                let done = pbbs_done(hash_u32s(&mate), counts, t, s.round_traces);
+                let done = pbbs_done(hash_u32s(&mate), counts, t, s.round_log);
                 Ok((mm::verify(g, &mate), done))
             }
             (App::Mm, Input::Graph(g)) => mm::run(g, exec, hooks).map(|(mate, r)| {
@@ -483,7 +452,7 @@ impl App {
             (App::Dt, Input::Points { pts, seed }) if pbbs => {
                 let ((mesh, s), t) = timed(|| dt::pbbs(pts, *seed, threads, trace));
                 let counts = [s.committed, s.aborted, s.atomic_updates, s.rounds];
-                let done = pbbs_done(hash_mesh(&mesh), counts, t, s.round_traces);
+                let done = pbbs_done(hash_mesh(&mesh), counts, t, s.round_log);
                 Ok((dt::verify(&mesh), done))
             }
             (App::Dt, Input::Points { pts, seed }) => dt::run(pts, *seed, exec, hooks)
@@ -492,7 +461,7 @@ impl App {
                 let mesh = dmr::make_input(*n, *seed);
                 let (s, t) = timed(|| dmr::pbbs(&mesh, threads, trace));
                 let counts = [s.committed, s.aborted, s.atomic_updates, s.rounds];
-                let done = pbbs_done(hash_mesh(&mesh), counts, t, s.round_traces);
+                let done = pbbs_done(hash_mesh(&mesh), counts, t, s.round_log);
                 Ok((dmr::verify(&mesh), done))
             }
             (App::Dmr, Input::MeshSpec { n, seed }) => {
@@ -506,7 +475,9 @@ impl App {
                 let finished = Finished {
                     output_hash: h.finish(),
                     logs: r.take_round_logs(),
-                    trace: merge_traces(&mut r.reports),
+                    trace: ExecTrace::concat(
+                        r.reports.iter_mut().filter_map(|bout| bout.trace.take()),
+                    ),
                     accesses: merge_accesses(&mut r.reports),
                     stats: r.stats,
                 };

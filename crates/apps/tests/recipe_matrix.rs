@@ -6,7 +6,8 @@
 
 use galois_apps::recipe::{Finished, Input};
 use galois_apps::{App, Variant};
-use galois_core::{Hooks, Probe, RoundRecord};
+use galois_core::{Hooks, Probe, RoundLog, RoundRecord};
+use galois_runtime::simtime::ExecTrace;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 fn input(app: App) -> Input {
@@ -30,6 +31,19 @@ fn run_hooked(
         Ok(Err(fault)) => panic!("{app}/{}: {fault}", variant.label()),
         Err(invalid) => panic!("{}: {invalid}", variant.label()),
     }
+}
+
+/// [`run`] with the executor's trace on: the run and the rounds it traced.
+fn run_traced(app: App, variant: Variant, threads: usize, input: &Input) -> (Finished, RoundLog) {
+    let exec = app.executor(variant.schedule(), threads).record_trace(true);
+    let mut done = app
+        .run(variant, &exec, input, Hooks::default())
+        .unwrap()
+        .unwrap();
+    let Some(ExecTrace::Rounds(log)) = done.trace.take() else {
+        panic!("{app}/{}: a traced run reports its rounds", variant.label());
+    };
+    (done, log)
 }
 
 #[test]
@@ -84,6 +98,13 @@ fn pbbs_round_counts_do_not_depend_on_the_thread_count() {
         assert_eq!(
             rounds, [rounds[0]; 3],
             "{app} pbbs rounds at 1, 2, 3 threads"
+        );
+        // The rounds themselves, not only their count.
+        let [one, three] = [1, 3].map(|t| run_traced(app, Variant::Pbbs, t, &input).1);
+        assert_eq!(
+            one.canonical_jsonl(),
+            three.canonical_jsonl(),
+            "{app} pbbs rounds at 1 and 3 threads"
         );
     }
 }
@@ -147,20 +168,16 @@ fn a_pfp_run_parked_mid_run_does_not_block_another_on_the_same_network() {
 }
 
 #[test]
-fn pbbs_reports_round_traces_when_the_executor_records_them() {
-    let input = input(App::Mis);
-    let exec = App::Mis
-        .executor(Variant::Pbbs.schedule(), 2)
-        .record_trace(true);
-    let done = App::Mis
-        .run(Variant::Pbbs, &exec, &input, Hooks::default())
-        .unwrap()
-        .unwrap();
+fn traced_runs_report_one_record_per_round() {
+    let (done, rounds) = run_traced(App::Mis, Variant::Pbbs, 2, &input(App::Mis));
     assert_eq!(done.stats.threads, 2);
-    let Some(galois_runtime::simtime::ExecTrace::Rounds(rounds)) = done.trace else {
-        panic!("a traced pbbs run reports its rounds");
-    };
     assert_eq!(rounds.len() as u64, done.stats.rounds);
+    // pfp's bouts join into one trace, numbered like one run's rounds.
+    let (done, rounds) = run_traced(App::Pfp, Variant::Deterministic, 2, &input(App::Pfp));
+    assert!(done.stats.rounds > 0);
+    assert_eq!(rounds.len() as u64, done.stats.rounds);
+    let numbers: Vec<u64> = rounds.records().iter().map(|r| r.round).collect();
+    assert_eq!(numbers, (0..done.stats.rounds).collect::<Vec<_>>());
 }
 
 #[test]

@@ -27,7 +27,6 @@ use galois_apps::recipe::{Finished, Input};
 use galois_bench::tables::rounds_metric_name;
 use galois_bench::{inputs, suites, tables, App, Variant};
 use galois_core::{Executor, Hooks, Probe, RoundRecord, Schedule};
-use galois_runtime::simtime::ExecTrace;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -64,10 +63,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
 
-/// Snapshots the allocation counter at every round record. Capacity is
-/// reserved up front so the probe itself never allocates mid-run.
+/// Snapshots the allocation counter at every round record, beside the
+/// round's index and barrier count. Capacity is reserved up front so the
+/// probe itself never allocates mid-run.
 struct SnapProbe {
-    snaps: Vec<(u64, u64)>,
+    snaps: Vec<(u64, u64, u32)>,
 }
 
 impl SnapProbe {
@@ -92,8 +92,8 @@ impl Probe for SnapProbe {
     }
     fn on_round(&mut self, record: RoundRecord) {
         if self.snaps.len() < self.snaps.capacity() {
-            self.snaps
-                .push((record.round, ALLOC_EVENTS.load(Ordering::Relaxed)));
+            let allocs = ALLOC_EVENTS.load(Ordering::Relaxed);
+            self.snaps.push((record.round, allocs, record.barriers));
         }
     }
 }
@@ -130,9 +130,8 @@ fn mean(v: &[f64]) -> f64 {
     v.iter().sum::<f64>() / v.len() as f64
 }
 
-fn det_exec(app: App, threads: usize, trace: bool) -> Executor {
+fn det_exec(app: App, threads: usize) -> Executor {
     app.executor(Schedule::deterministic(), threads)
-        .record_trace(trace)
 }
 
 /// Runs `app`'s operator under `exec` over `input`.
@@ -153,31 +152,22 @@ fn emit(out: &mut String, name: &str, median: f64, mean: f64, samples: usize) {
     println!("{name:<40} median {median:>12.1}  (mean {mean:.1}, n={samples})");
 }
 
-/// Per-round metrics for one app at one thread count: a probed + traced
-/// run supplies barrier and allocation counts; `wall_samples` clean runs
-/// supply the per-round wall time.
+/// Per-round metrics for one app at one thread count: a probed run
+/// supplies barrier and allocation counts from its round records;
+/// `wall_samples` clean runs supply the per-round wall time.
 fn rounds_for(app: App, input: &Input, threads: usize, wall_samples: usize, out: &mut String) {
-    // Barrier counts come from a traced run, allocation counts from an
-    // untraced probed run: recording the trace itself appends to a
-    // round-traces vector, which would charge harness bookkeeping to the
-    // scheduler's allocation budget.
-    let traced = run(app, input, &det_exec(app, threads, true), Hooks::default());
-    let barriers: Vec<f64> = match &traced.trace {
-        Some(ExecTrace::Rounds(rt)) => rt.iter().map(|r| f64::from(r.barriers)).collect(),
-        _ => panic!("deterministic run must record a rounds trace"),
-    };
-
     let mut probe = SnapProbe::new();
     let report = run(
         app,
         input,
-        &det_exec(app, threads, false),
+        &det_exec(app, threads),
         Hooks {
             probe: Some(&mut probe),
             ..Hooks::default()
         },
     );
     let rounds = report.stats.rounds.max(1);
+    let barriers: Vec<f64> = probe.snaps.iter().map(|s| f64::from(s.2)).collect();
 
     // Round r's record arrives in round r+1's serial section, so a delta
     // between consecutive snapshots covers exactly one full round. Rounds
@@ -201,7 +191,7 @@ fn rounds_for(app: App, input: &Input, threads: usize, wall_samples: usize, out:
 
     let walls: Vec<f64> = (0..wall_samples)
         .map(|_| {
-            let r = run(app, input, &det_exec(app, threads, false), Hooks::default());
+            let r = run(app, input, &det_exec(app, threads), Hooks::default());
             r.stats.elapsed.as_nanos() as f64 / r.stats.rounds.max(1) as f64
         })
         .collect();

@@ -44,12 +44,12 @@ pub struct Measurement {
 
 impl Measurement {
     /// Leader-serial fraction of the round work, for bulk-synchronous runs
-    /// recorded with a trace: `serial_ns / total_work_ns` aggregated over
-    /// every round (see [`crate::tables::serial_fraction`]). `None` when no
-    /// rounds trace was recorded (asynchronous or untraced runs).
+    /// recorded with a trace, aggregated over every round (see
+    /// [`crate::tables::serial_fraction`]). `None` when no rounds trace was
+    /// recorded (asynchronous or untraced runs).
     pub fn serial_fraction(&self) -> Option<f64> {
         match &self.trace {
-            Some(ExecTrace::Rounds(rounds)) => Some(crate::tables::serial_fraction(rounds)),
+            Some(ExecTrace::Rounds(log)) => Some(crate::tables::serial_fraction(log.records())),
             _ => None,
         }
     }
@@ -172,7 +172,7 @@ mod tests {
     }
 
     #[test]
-    fn serial_fraction_reported_for_round_traces_only() {
+    fn serial_fraction_reported_for_traced_rounds_only() {
         let opts = Opts {
             trace: true,
             ..Default::default()

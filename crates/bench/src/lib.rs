@@ -12,7 +12,8 @@
 //!
 //! Wall-clock speedup sweeps use the virtual-time model of
 //! [`galois_runtime::simtime`] over traces recorded at one thread — this
-//! host has a single core (DESIGN.md, substitution 1). Schedule-derived
+//! host has 2 cores (DESIGN.md, substitution 1). A deterministic run's
+//! trace is its round log. Schedule-derived
 //! quantities (commit counts, abort ratios, rounds, atomic updates) are
 //! measured directly.
 

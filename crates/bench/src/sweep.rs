@@ -1,7 +1,8 @@
 //! The shared thread-count sweep behind Figures 7, 9, 10 and 12.
 //!
 //! For every application and variant the sweep records a one-thread
-//! execution trace and replays it through the virtual-time model on each of
+//! execution trace (for g-d and pbbs, the run's round records) and replays
+//! it through the virtual-time model on each of
 //! the paper's three machine profiles (DESIGN.md, substitution 1). The
 //! sequential baselines (Figure 8) are measured directly, by [`baseline`].
 

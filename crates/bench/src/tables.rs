@@ -1,8 +1,7 @@
 //! Plain-text table rendering for the figure harnesses, plus the small
 //! numeric summaries (medians, leader-serial fractions) they report.
 
-use galois_core::RoundLog;
-use galois_runtime::simtime::RoundTrace;
+use galois_core::{RoundLog, RoundRecord};
 use std::collections::BTreeMap;
 
 /// A simple left-aligned text table.
@@ -77,16 +76,16 @@ pub fn f(v: f64) -> String {
 }
 
 /// Fraction of a bulk-synchronous execution's work that is inherently
-/// serial leader work: `serial_ns` summed over the rounds, divided by the
-/// rounds' total work (inspect + commit + serial + parallelizable
-/// scheduling).
+/// serial leader work: the rounds' [`RoundRecord::unplaced_ns`] (the
+/// leader tail less its placement) summed, divided by the rounds' total
+/// [`RoundRecord::work_ns`].
 ///
 /// This is the Amdahl term the epoch-tagged turnaround attacks — the
 /// higher it is, the sooner adding threads stops helping the deterministic
 /// variant. Returns `0.0` for an empty or zero-work trace.
-pub fn serial_fraction(rounds: &[RoundTrace]) -> f64 {
-    let serial: f64 = rounds.iter().map(|r| r.serial_ns).sum();
-    let total: f64 = rounds.iter().map(RoundTrace::total_work_ns).sum();
+pub fn serial_fraction(rounds: &[RoundRecord]) -> f64 {
+    let serial: f64 = rounds.iter().map(RoundRecord::unplaced_ns).sum();
+    let total: f64 = rounds.iter().map(RoundRecord::work_ns).sum();
     if total > 0.0 {
         serial / total
     } else {
@@ -232,31 +231,27 @@ mod tests {
 
     #[test]
     fn serial_fraction_aggregates_over_rounds() {
-        use galois_runtime::simtime::PhaseTrace;
-        let round = |work: f64, serial: f64| RoundTrace {
-            inspect: PhaseTrace {
-                total_ns: work / 2.0,
-                max_ns: work / 2.0,
-                count: 1,
-            },
-            commit: PhaseTrace {
-                total_ns: work / 2.0,
-                max_ns: work / 2.0,
-                count: 1,
-            },
+        let round = |work: f64, serial: f64| RoundRecord {
+            inspect_ns: work / 2.0,
+            commit_ns: work / 2.0,
             serial_ns: serial,
-            sched_par_ns: 0.0,
-            barriers: 3,
+            ..RoundRecord::default()
         };
         // 10 serial out of (90 + 10) total.
         assert_eq!(serial_fraction(&[round(60.0, 5.0), round(30.0, 5.0)]), 0.1);
+        // A placement is work, but not serial work.
+        let placed = RoundRecord {
+            place_ns: 5.0,
+            ..round(90.0, 10.0)
+        };
+        assert_eq!(serial_fraction(&[placed]), 0.05);
         assert_eq!(serial_fraction(&[]), 0.0);
         assert_eq!(serial_fraction(&[round(0.0, 0.0)]), 0.0);
     }
 
     #[test]
     fn round_log_table_renders_records() {
-        use galois_core::{Probe, RoundRecord};
+        use galois_core::Probe;
         let mut log = RoundLog::new();
         log.on_round(RoundRecord {
             round: 0,
@@ -268,6 +263,7 @@ mod tests {
             inspect_ns: 1000.0,
             commit_ns: 2000.0,
             serial_ns: 500.0,
+            ..Default::default()
         });
         log.on_round(RoundRecord {
             round: 1,

@@ -110,7 +110,6 @@ use crate::window::AdaptiveWindow;
 use galois_runtime::padded::PerThread;
 use galois_runtime::pool::{chunk_range, run_on_threads_fault};
 use galois_runtime::probe::{attribute_conflicts, RoundRecord};
-use galois_runtime::simtime::{ExecTrace, PhaseTrace, RoundTrace};
 use galois_runtime::stats::{ExecStats, ThreadStats};
 use galois_runtime::SenseBarrier;
 use std::any::Any;
@@ -195,10 +194,12 @@ struct ThreadOut<T> {
     failed: Vec<WorkItem<T>>,
     /// Commits in this thread's range.
     committed: u64,
-    /// Inspect-phase timing aggregate (when tracing or probing).
-    inspect: PhaseTrace,
-    /// Commit-phase timing aggregate (when tracing or probing).
-    commit: PhaseTrace,
+    /// This round's phase times on this thread and their largest per-task
+    /// block means (when timing; see [`RoundRecord`]).
+    inspect_ns: f64,
+    inspect_max_ns: f64,
+    commit_ns: f64,
+    commit_max_ns: f64,
     /// Conflicting abstract locations seen during this thread's inspect
     /// range (when a probe wants attribution); drained by the leader.
     conflicts: Vec<u32>,
@@ -220,8 +221,10 @@ impl<T> ThreadOut<T> {
             births: Vec::new(),
             failed: Vec::new(),
             committed: 0,
-            inspect: PhaseTrace::default(),
-            commit: PhaseTrace::default(),
+            inspect_ns: 0.0,
+            inspect_max_ns: 0.0,
+            commit_ns: 0.0,
+            commit_max_ns: 0.0,
             conflicts: Vec::new(),
             quarantined: Vec::new(),
             stats: ThreadStats::default(),
@@ -234,8 +237,10 @@ impl<T> ThreadOut<T> {
         self.births.clear();
         self.failed.clear();
         self.committed = 0;
-        self.inspect = PhaseTrace::default();
-        self.commit = PhaseTrace::default();
+        self.inspect_ns = 0.0;
+        self.inspect_max_ns = 0.0;
+        self.commit_ns = 0.0;
+        self.commit_max_ns = 0.0;
         self.conflicts.clear();
         self.quarantined.clear();
     }
@@ -263,16 +268,18 @@ struct RoundState<T> {
     flags: RwLock<AbortFlags>,
     done: AtomicBool,
     /// Probe gates, fixed for the whole run (plain bools: workers only read
-    /// them, so the disabled probe path adds no atomics).
+    /// them, so the disabled probe path adds no atomics). `probing` is set
+    /// when a probe is attached or the run records its trace, and builds a
+    /// [`RoundRecord`] per round.
     probing: bool,
     collect_conflicts: bool,
     time_phases: bool,
     conflict_top_k: usize,
 }
 
-/// What the leader hands back when the run ends: total rounds, collected
-/// round traces, and the fault (if any) that stopped the run.
-type LeaderOut = (u64, Vec<RoundTrace>, Option<ExecError>);
+/// What the leader hands back when the run ends: total rounds and the fault
+/// (if any) that stopped the run.
+type LeaderOut = (u64, Option<ExecError>);
 
 /// Leader-only bookkeeping across rounds and passes.
 struct LeaderState<T> {
@@ -286,7 +293,6 @@ struct LeaderState<T> {
     first_ids: Vec<usize>,
     window: AdaptiveWindow,
     rounds: u64,
-    round_traces: Vec<RoundTrace>,
     started: bool,
     /// Adaptive window size at the last carve, before clamping to the
     /// remaining pending tasks — what the probe reports as `window`.
@@ -319,7 +325,7 @@ where
     let threads = cfg.threads;
     let probing = hub.active();
     let collect_conflicts = probing && hub.wants_conflicts();
-    let time_phases = cfg.record_trace || (probing && hub.wants_timing());
+    let time_phases = probing && hub.wants_timing();
     let conflict_top_k = hub.conflict_top_k();
     let start = Instant::now();
 
@@ -424,7 +430,6 @@ where
                 first_ids: Vec::new(),
                 window: AdaptiveWindow::for_pass(opts.window, pass_size),
                 rounds: 0,
-                round_traces: Vec::new(),
                 started: false,
                 carved_window: 0,
                 pending_record: None,
@@ -459,24 +464,14 @@ where
                                     &mut flags,
                                     flag_space_of,
                                 );
-                                let total_ns = t0.map(|t| t.elapsed().as_nanos() as f64);
-                                if let (Some(total), Some(last)) = (
-                                    total_ns.filter(|_| cfg.record_trace),
-                                    leader.round_traces.last_mut(),
-                                ) {
-                                    // The merge/carve work belongs to the round
-                                    // it closed; the simulated-time model treats
-                                    // the pass-boundary placement as
-                                    // parallelizable.
-                                    last.serial_ns += (total - place_ns).max(0.0);
-                                    last.sched_par_ns += place_ns;
-                                }
                                 if let Some(mut rec) = leader.pending_record.take() {
-                                    // The probe reports what this run did: the
-                                    // leader places alone while workers park,
-                                    // so all of it is serial tail.
-                                    if let Some(total) = total_ns {
-                                        rec.serial_ns = total;
+                                    // The merge/carve work belongs to the round
+                                    // it closed. The leader places alone while
+                                    // workers park, so all of it is serial
+                                    // tail; the model splits the placement.
+                                    if let Some(t0) = t0 {
+                                        rec.serial_ns = t0.elapsed().as_nanos() as f64;
+                                        rec.place_ns = place_ns;
                                     }
                                     if let Some(p) = probe.as_mut() {
                                         p.on_round(rec);
@@ -527,8 +522,7 @@ where
             }
 
             if let Some(mut leader) = leader {
-                *leader_out.lock().unwrap() =
-                    Some((leader.rounds, leader.round_traces, leader.fault.take()));
+                *leader_out.lock().unwrap() = Some((leader.rounds, leader.fault.take()));
             }
         },
     );
@@ -540,7 +534,7 @@ where
         .map(|lane| &mut lane.get_mut().unwrap().out)
         .collect();
     let mut agg = ExecStats::from_threads(outs.iter().map(|out| &out.stats));
-    let (rounds, round_traces, fault) = leader_out.into_inner().unwrap().expect("leader ran");
+    let (rounds, fault) = leader_out.into_inner().unwrap().expect("leader ran");
     agg.rounds = rounds;
     agg.elapsed = elapsed;
     agg.threads = threads;
@@ -556,7 +550,8 @@ where
     );
     let report = RunReport {
         stats: agg,
-        trace: cfg.record_trace.then_some(ExecTrace::Rounds(round_traces)),
+        // The trace is the round records, which the executor collects.
+        trace: None,
         accesses: cfg.record_access.then(|| {
             outs.iter_mut()
                 .map(|out| std::mem::take(&mut out.accesses))
@@ -570,7 +565,7 @@ where
 
 /// Leader work between rounds: merge (and reset) per-thread outputs, advance
 /// passes, carve the next window. Runs strictly inside the fused crossing's
-/// serial section. Returns the pass-boundary placement time (when tracing).
+/// serial section. Returns the pass-boundary placement time (when timing).
 ///
 /// Everything here is O(threads) per round (plus buffer moves for failed /
 /// created tasks): marks and flags retire by epoch bump, and the window is
@@ -584,11 +579,7 @@ fn prepare_round<T: Send, O>(
     flag_space_of: impl Fn(usize) -> usize,
 ) -> f64 {
     let Phases {
-        state,
-        marks,
-        opts,
-        cfg,
-        ..
+        state, marks, opts, ..
     } = *ph;
     if !leader.started {
         leader.started = true;
@@ -608,20 +599,18 @@ fn prepare_round<T: Send, O>(
         let mut quarantined = 0usize;
         let mut inspect_ns = 0.0f64;
         let mut commit_ns = 0.0f64;
-        let mut trace = cfg.record_trace.then(RoundTrace::default);
+        let (mut inspect_max_ns, mut commit_max_ns) = (0.0f64, 0.0f64);
         for lane in lanes.iter_mut() {
             let out = &mut lane.out;
             committed += out.committed as usize;
             nfailed += out.failed.len();
             quarantined += out.quarantined.len();
-            inspect_ns += out.inspect.total_ns;
-            commit_ns += out.commit.total_ns;
+            inspect_ns += out.inspect_ns;
+            commit_ns += out.commit_ns;
+            inspect_max_ns = inspect_max_ns.max(out.inspect_max_ns);
+            commit_max_ns = commit_max_ns.max(out.commit_max_ns);
             if state.collect_conflicts {
                 leader.conflict_scratch.append(&mut out.conflicts);
-            }
-            if let Some(t) = trace.as_mut() {
-                t.inspect.merge(&out.inspect);
-                t.commit.merge(&out.commit);
             }
         }
         if state.probing {
@@ -639,7 +628,12 @@ fn prepare_round<T: Send, O>(
                 conflicts,
                 inspect_ns,
                 commit_ns,
-                serial_ns: 0.0, // patched by the caller once prepare returns
+                inspect_max_ns,
+                commit_max_ns,
+                // A function of the window size alone, like the inline rule
+                // itself, so identical at every thread count.
+                barriers: if attempted <= INLINE_WINDOW { 0 } else { 2 },
+                ..RoundRecord::default()
             });
         }
         // Failed tasks precede the untried remainder (Figure 2 line 19) in
@@ -672,12 +666,6 @@ fn prepare_round<T: Send, O>(
         }
         debug_assert_eq!(w_idx, leader.head);
         leader.head -= nfailed;
-        if let Some(mut t) = trace {
-            // A function of the window size alone, like the inline rule
-            // itself, so traces are identical at every thread count.
-            t.barriers = if attempted <= INLINE_WINDOW { 0 } else { 2 };
-            leader.round_traces.push(t);
-        }
         let closing_round = leader.rounds;
         leader.rounds += 1;
         leader.window.update(attempted, committed);
@@ -720,7 +708,7 @@ fn prepare_round<T: Send, O>(
     // the run's high water allocates nothing.
     let mut place_ns = 0.0;
     if leader.head == pending.len() && !leader.children.is_empty() {
-        let t_place = cfg.record_trace.then(Instant::now);
+        let t_place = state.time_phases.then(Instant::now);
         place_children(
             &leader.births,
             leader.children.drain(..),
@@ -769,6 +757,16 @@ fn blocks(range: Range<usize>, size: usize) -> impl Iterator<Item = Range<usize>
     range.step_by(size).map(move |lo| lo..(lo + size).min(end))
 }
 
+/// Adds a block of `tasks` tasks timed from `t0` to a phase's total and to
+/// its largest per-task mean.
+fn add_block(total_ns: &mut f64, max_ns: &mut f64, t0: Instant, tasks: u64) {
+    let ns = t0.elapsed().as_nanos() as f64;
+    *total_ns += ns;
+    if tasks > 0 {
+        *max_ns = max_ns.max(ns / tasks as f64);
+    }
+}
+
 /// Inspect walk: run each task of the lane's filled share up to its
 /// failsafe point.
 fn inspect_lane<T: Send, O: Operator<T>>(
@@ -787,7 +785,7 @@ fn inspect_lane<T: Send, O: Operator<T>>(
             inspect_slot(ph, tid, slot, flags, out);
         }
         if let Some(t0) = t0 {
-            out.inspect.add_block(t0.elapsed().as_nanos() as f64, len);
+            add_block(&mut out.inspect_ns, &mut out.inspect_max_ns, t0, len);
         }
     }
 }
@@ -822,8 +820,12 @@ fn commit_lane<T: Send, O: Operator<T>>(
         if let Some(t0) = t0 {
             // Count only commits; abort-check time still lands in the phase
             // total (it is real commit-phase work).
-            out.commit
-                .add_block(t0.elapsed().as_nanos() as f64, block_committed);
+            add_block(
+                &mut out.commit_ns,
+                &mut out.commit_max_ns,
+                t0,
+                block_committed,
+            );
         }
     }
 }
@@ -1327,21 +1329,31 @@ mod tests {
             ctx.failsafe()?;
             Ok(())
         };
-        let report = Executor::new()
-            .threads(1)
-            .schedule(det())
-            .record_trace(true)
-            .iterate((0..100u64).collect())
-            .run(&marks, &op);
+        let run = |rounds: bool| {
+            Executor::new()
+                .threads(1)
+                .schedule(det())
+                .record_trace(true)
+                .record_rounds(rounds)
+                .iterate((0..100u64).collect())
+                .run(&marks, &op)
+        };
+        let report = run(false);
         assert!(report.stats.rounds > 0);
         match report.trace {
-            Some(galois_runtime::simtime::ExecTrace::Rounds(rounds)) => {
-                assert_eq!(rounds.len() as u64, report.stats.rounds);
-                let committed: u64 = rounds.iter().map(|r| r.commit.count).sum();
+            Some(galois_runtime::simtime::ExecTrace::Rounds(log)) => {
+                assert_eq!(log.len() as u64, report.stats.rounds);
+                let committed: u64 = log.records().iter().map(|r| r.committed).sum();
                 assert_eq!(committed, report.stats.committed);
+                // A trace alone collects no conflict locations: the model
+                // never reads them.
+                assert!(log.records().iter().all(|r| r.conflicts.is_empty()));
             }
             other => panic!("expected rounds trace, got {other:?}"),
         }
+        // The same run with a round log does attribute its conflicts.
+        let logged = run(true).round_log.expect("round log recorded");
+        assert!(logged.records().iter().any(|r| !r.conflicts.is_empty()));
     }
 
     #[test]

@@ -201,6 +201,8 @@ impl Executor {
 
     /// Records a virtual-time trace ([`ExecTrace`]) of the run, used by the
     /// scaling model. Best recorded at `threads(1)` for clean per-task costs.
+    /// A deterministic run's trace is its [`RoundRecord`]s, timed and
+    /// without conflict locations.
     pub fn record_trace(mut self, on: bool) -> Self {
         self.record_trace = on;
         self
@@ -499,7 +501,9 @@ impl<'e, 'p, T: Send> LoopSpec<'e, 'p, T> {
             is_replay = rec.is_replay();
             rec.capture(exec);
         }
-        let mut hub = ProbeHub::new(probe, recorder, exec.record_rounds);
+        // A deterministic run's trace is its round records.
+        let det_trace = exec.record_trace && matches!(exec.schedule, Schedule::Deterministic(_));
+        let mut hub = ProbeHub::new(probe, recorder, exec.record_rounds, det_trace);
         let (mut report, fault) = match &exec.schedule {
             Schedule::Serial => (serial::run(exec, marks, tasks, op), None),
             Schedule::Speculative => spec::run(exec, marks, tasks, op),
@@ -511,7 +515,11 @@ impl<'e, 'p, T: Send> LoopSpec<'e, 'p, T> {
             }
         };
         hub.finish(&report.stats);
-        report.round_log = hub.into_log();
+        let (round_log, rounds) = hub.into_logs();
+        report.round_log = round_log;
+        if let Some(rounds) = rounds {
+            report.trace = Some(ExecTrace::Rounds(rounds));
+        }
         if is_replay {
             report.replay = true;
         }
@@ -522,16 +530,19 @@ impl<'e, 'p, T: Send> LoopSpec<'e, 'p, T> {
     }
 }
 
-/// Fan-out shim between an executor and up to three probes: the external
+/// Fan-out shim between an executor and up to four probes: the external
 /// `&mut dyn Probe` from [`LoopSpec::probe`], the [`ManifestRecorder`] from
-/// [`LoopSpec::record`], and the internal [`RoundLog`] from
-/// [`Executor::record_rounds`]. Executors interact only with this; when
-/// every slot is empty every `wants_*` gate is false and the observability
-/// layer costs nothing.
+/// [`LoopSpec::record`], the internal [`RoundLog`] from
+/// [`Executor::record_rounds`], and the round records of a deterministic
+/// run's [`Executor::record_trace`]. Executors interact only with this;
+/// when every slot is empty every `wants_*` gate is false and the
+/// observability layer costs nothing.
 pub(crate) struct ProbeHub<'p> {
     external: Option<&'p mut dyn Probe>,
     recorder: Option<&'p mut ManifestRecorder>,
     own: Option<RoundLog>,
+    /// The trace's rounds: they need timing, never conflicts.
+    trace: Option<RoundLog>,
 }
 
 impl<'p> ProbeHub<'p> {
@@ -539,22 +550,28 @@ impl<'p> ProbeHub<'p> {
         external: Option<&'p mut dyn Probe>,
         recorder: Option<&'p mut ManifestRecorder>,
         record_rounds: bool,
+        record_trace: bool,
     ) -> Self {
         ProbeHub {
             external,
             recorder,
             own: record_rounds.then(RoundLog::new),
+            trace: record_trace.then(RoundLog::new),
         }
     }
 
     /// Whether any probe is attached at all.
     pub(crate) fn active(&self) -> bool {
-        self.external.is_some() || self.recorder.is_some() || self.own.is_some()
+        self.external.is_some()
+            || self.recorder.is_some()
+            || self.own.is_some()
+            || self.trace.is_some()
     }
 
     pub(crate) fn wants_conflicts(&self) -> bool {
         // The recorder never wants conflicts (they are excluded from the
-        // canonical hash), so only the other two slots are consulted.
+        // canonical hash) and the model never reads them, so only the
+        // external probe and the round log are consulted.
         self.external
             .as_ref()
             .map(|p| p.wants_conflicts())
@@ -572,6 +589,7 @@ impl<'p> ProbeHub<'p> {
             .map(|p| p.wants_timing())
             .unwrap_or(false)
             || self.own.as_ref().map(|p| p.wants_timing()).unwrap_or(false)
+            || self.trace.is_some()
     }
 
     pub(crate) fn conflict_top_k(&self) -> usize {
@@ -582,18 +600,22 @@ impl<'p> ProbeHub<'p> {
             .max(self.own.as_ref().map(|p| p.conflict_top_k()).unwrap_or(0))
     }
 
+    /// Hands `record` to every attached probe: a clone to each but the
+    /// last, which takes it.
     pub(crate) fn on_round(&mut self, record: RoundRecord) {
-        if let Some(rec) = &mut self.recorder {
-            rec.on_round(record.clone());
-        }
-        match (&mut self.external, &mut self.own) {
-            (Some(ext), Some(own)) => {
-                ext.on_round(record.clone());
-                own.on_round(record);
+        let sinks: [Option<&mut dyn Probe>; 4] = [
+            self.recorder.as_deref_mut().map(|r| r as &mut dyn Probe),
+            self.external.as_deref_mut(),
+            self.own.as_mut().map(|r| r as &mut dyn Probe),
+            self.trace.as_mut().map(|r| r as &mut dyn Probe),
+        ];
+        let mut sinks = sinks.into_iter().flatten().peekable();
+        while let Some(sink) = sinks.next() {
+            if sinks.peek().is_none() {
+                sink.on_round(record);
+                return;
             }
-            (Some(ext), None) => ext.on_round(record),
-            (None, Some(own)) => own.on_round(record),
-            (None, None) => {}
+            sink.on_round(record.clone());
         }
     }
 
@@ -609,8 +631,9 @@ impl<'p> ProbeHub<'p> {
         }
     }
 
-    fn into_log(self) -> Option<RoundLog> {
-        self.own
+    /// The round log and the trace's rounds, when recorded.
+    fn into_logs(self) -> (Option<RoundLog>, Option<RoundLog>) {
+        (self.own, self.trace)
     }
 }
 
@@ -709,7 +732,7 @@ mod tests {
 
     #[test]
     fn probe_hub_inert_when_empty() {
-        let hub = ProbeHub::new(None, None, false);
+        let hub = ProbeHub::new(None, None, false, false);
         assert!(!hub.active());
         assert!(!hub.wants_conflicts());
         assert!(!hub.wants_timing());
@@ -717,17 +740,18 @@ mod tests {
     }
 
     #[test]
-    fn probe_hub_fans_out_to_both() {
+    fn probe_hub_fans_out_to_every_slot() {
         let mut ext = RoundLog::new();
-        let mut hub = ProbeHub::new(Some(&mut ext), None, true);
+        let mut hub = ProbeHub::new(Some(&mut ext), None, true, true);
         assert!(hub.active() && hub.wants_conflicts() && hub.wants_timing());
         hub.on_round(RoundRecord {
             round: 0,
             ..Default::default()
         });
         hub.finish(&ExecStats::default());
-        let own = hub.into_log().expect("own log present");
-        assert_eq!(own.len(), 1);
+        let (own, trace) = hub.into_logs();
+        assert_eq!(own.expect("own log present").len(), 1);
+        assert_eq!(trace.expect("trace present").len(), 1);
         assert_eq!(ext.len(), 1);
         assert!(ext.final_stats().is_some());
     }

@@ -30,12 +30,13 @@ fn deterministic_rounds_cross_two_barriers_or_none_by_window_size_alone() {
             .iterate((0..520u64).collect())
             .run(&marks, &op);
         assert_eq!(report.stats.committed, 520);
-        let Some(ExecTrace::Rounds(rounds)) = &report.trace else {
+        let Some(ExecTrace::Rounds(log)) = &report.trace else {
             panic!("deterministic run must record a rounds trace");
         };
-        let shape: Vec<(u64, u32)> = rounds
+        let shape: Vec<(u64, u32)> = log
+            .records()
             .iter()
-            .map(|r| (r.inspect.count, r.barriers))
+            .map(|r| (r.attempted, r.barriers))
             .collect();
         for (i, &(window, barriers)) in shape.iter().enumerate() {
             assert_eq!(

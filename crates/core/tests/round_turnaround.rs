@@ -56,7 +56,7 @@ fn run_det(tasks: &[u64], threads: usize) -> (Vec<Vec<u64>>, RunReport) {
 /// Per-round window sizes, read off the recorded round trace.
 fn window_sizes(report: &RunReport) -> Vec<u64> {
     match report.trace.as_ref().expect("trace requested") {
-        ExecTrace::Rounds(rounds) => rounds.iter().map(|r| r.inspect.count).collect(),
+        ExecTrace::Rounds(log) => log.records().iter().map(|r| r.attempted).collect(),
         other => panic!("expected rounds trace, got {other:?}"),
     }
 }

@@ -92,14 +92,10 @@ fn observe(load: Load, exec: Executor) -> Observed {
     let result = exec
         .schedule(Schedule::deterministic())
         .record_rounds(true)
-        .record_trace(true)
         .iterate((0..load.tasks).collect())
         .try_run(&marks, &op);
     assert!(marks.all_unowned(), "run left marks owned");
     let outcome = result.map(|report| {
-        let Some(ExecTrace::Rounds(rounds)) = &report.trace else {
-            panic!("deterministic run must record a rounds trace");
-        };
         let log = report.round_log().expect("record_rounds was on");
         Completed {
             rounds: report.stats.rounds,
@@ -111,9 +107,10 @@ fn observe(load: Load, exec: Executor) -> Observed {
                 .iter()
                 .map(|r| (r.attempted, r.committed, r.failed))
                 .collect(),
-            shape: rounds
+            shape: log
+                .records()
                 .iter()
-                .map(|r| (r.inspect.count, r.barriers))
+                .map(|r| (r.attempted, r.barriers))
                 .collect(),
         }
     });
@@ -265,13 +262,10 @@ fn inline_rounds_time_their_phases_and_keep_operator_time_out_of_the_serial_tail
         serial_ns < operator_ns / 2.0,
         "serial tail {serial_ns} ns was billed operator time ({operator_ns} ns)"
     );
-    let Some(ExecTrace::Rounds(rounds)) = &report.trace else {
+    assert!(records.iter().all(|r| r.barriers == 0), "{records:?}");
+    // The model replays these very records.
+    let Some(ExecTrace::Rounds(trace)) = &report.trace else {
         panic!("deterministic run must record a rounds trace");
     };
-    for (t, r) in rounds.iter().zip(records) {
-        assert_eq!(t.barriers, 0);
-        assert_eq!(t.inspect.count, r.attempted);
-        assert_eq!(t.inspect.total_ns, r.inspect_ns);
-        assert_eq!(t.commit.total_ns, r.commit_ns);
-    }
+    assert_eq!(trace.records(), records);
 }

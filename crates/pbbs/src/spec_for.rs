@@ -16,7 +16,7 @@
 //! DIG window).
 
 use galois_runtime::pool::{chunk_range, run_on_threads};
-use galois_runtime::simtime::RoundTrace;
+use galois_runtime::probe::{Probe, RoundLog, RoundRecord};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -46,8 +46,8 @@ pub struct SpecForStats {
     pub aborted: u64,
     /// Reserve-phase invocations.
     pub reserved: u64,
-    /// Per-round traces for the virtual-time model (filled when requested).
-    pub round_traces: Vec<RoundTrace>,
+    /// The run's rounds for the virtual-time model, when requested.
+    pub round_log: RoundLog,
 }
 
 impl SpecForStats {
@@ -142,14 +142,15 @@ pub fn speculative_for(
         stats.committed += committed_round;
         stats.aborted += failed;
         let _ = dropped_round;
-        if let (Some(r), Some(c)) = (reserve_ns, commit_ns) {
-            stats.round_traces.push(RoundTrace {
-                inspect: galois_runtime::simtime::PhaseTrace::uniform(r, prefix as u64),
-                commit: galois_runtime::simtime::PhaseTrace::uniform(c, committed_round.max(1)),
-                serial_ns: 0.0,
-                sched_par_ns: t2.map(|t| t.elapsed().as_nanos() as f64).unwrap_or(0.0),
-                barriers: 2,
-            });
+        if let (Some(r), Some(c), Some(t2)) = (reserve_ns, commit_ns, t2) {
+            let flatten_ns = t2.elapsed().as_nanos() as f64;
+            stats.round_log.on_round(RoundRecord::bulk(
+                stats.rounds - 1,
+                prefix as u64,
+                committed_round,
+                failed,
+                [r, c, flatten_ns],
+            ));
         }
     }
     stats
@@ -254,7 +255,7 @@ mod tests {
             }
         }
         let stats = speculative_for(&Nop, 0, 100, 1, 4, true);
-        assert_eq!(stats.round_traces.len() as u64, stats.rounds);
+        assert_eq!(stats.round_log.len() as u64, stats.rounds);
     }
 
     #[test]

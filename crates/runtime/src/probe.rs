@@ -13,12 +13,13 @@
 //!
 //! # Zero cost when off
 //!
-//! Executors carry an `Option<&mut dyn Probe>`. When it is `None`:
+//! Executors carry an `Option<&mut dyn Probe>`. When it is `None` and the
+//! run records no trace:
 //!
 //! - no `RoundRecord` is built and no probe method is called;
 //! - no conflict locations are collected (collection is gated on
 //!   [`Probe::wants_conflicts`], which is only consulted when a probe is
-//!   attached);
+//!   attached; a trace alone never wants them);
 //! - no extra timers run and — the tested invariant — **no atomic
 //!   operations are added to the hot path**: a run with no probe reports
 //!   the same `atomic_updates` count as one that predates this layer.
@@ -52,11 +53,20 @@ use crate::stats::ExecStats;
 /// Default number of top conflicting locations attributed per round.
 pub const DEFAULT_CONFLICT_TOP_K: usize = 8;
 
-/// One deterministic round as observed by a probe.
+/// One bulk-synchronous round: what the round log, `/run`, the manifest's
+/// round hashes and the virtual-time model ([`crate::simtime`]) all read.
+///
+/// Two producers fill it. The DIG executor emits one per round to its
+/// probes, and into the trace when it records one. The handwritten PBBS
+/// loops push one per round into their trace: for them `window` and
+/// `attempted` are the round's prefix (bfs: its frontier), `conflicts` is
+/// empty, and the phase times are wall-clock time for the whole phase.
 ///
 /// Schedule-derived fields (everything except the `*_ns` timings) are
 /// deterministic under DIG scheduling: identical for every thread count and
-/// machine.
+/// machine. [`canonical_json`](Self::canonical_json) holds all of them but
+/// `barriers`, a function of the window size that adds nothing to the
+/// portability oracle.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundRecord {
     /// Round index within the run.
@@ -69,24 +79,81 @@ pub struct RoundRecord {
     /// Tasks that belonged to the deterministic independent set and
     /// committed.
     pub committed: u64,
-    /// Tasks deferred to a later round (`attempted - committed`).
+    /// Tasks deferred to a later round (DIG: `attempted - committed`).
     pub failed: u64,
     /// Top-K `(location, conflict count)` pairs, ordered by count
     /// descending then location ascending — the abort attribution.
     pub conflicts: Vec<(u32, u64)>,
-    /// Inspect-phase wall-clock work, summed over threads (0 when timing is
-    /// off).
+    /// Inspect-phase work (0 when timing is off). DIG: summed over
+    /// threads. PBBS: the phase's wall-clock time, which equals the thread
+    /// sum only at one thread — the thread count the figures record at.
     pub inspect_ns: f64,
-    /// Commit-phase wall-clock work, summed over threads (0 when timing is
-    /// off).
+    /// Commit-phase work, summed like `inspect_ns` (0 when timing is off).
     pub commit_ns: f64,
-    /// Leader-serial time closing this round: output merge, failed-task
-    /// write-back, any pass-boundary placement, window carve (0 when timing
-    /// is off).
+    /// Largest per-task inspect cost, the phase's critical-path floor in the
+    /// model. DIG: the largest per-task mean of any timed block (a block is
+    /// up to 8 consecutive tasks of one thread). PBBS: `inspect_ns /
+    /// attempted`.
+    pub inspect_max_ns: f64,
+    /// Largest per-committed-task commit cost. DIG: the largest
+    /// per-commit mean of any timed block with a commit (blocks of up to 64
+    /// tasks). PBBS: `commit_ns / committed` (at least one).
+    pub commit_max_ns: f64,
+    /// Leader-serial time closing this round (0 when timing is off). DIG:
+    /// the whole tail of the fused crossing — output merge, failed-task
+    /// write-back, any pass-boundary placement, window carve. PBBS: the
+    /// serial flattening of the next round's worklist.
     pub serial_ns: f64,
+    /// The share of `serial_ns` that a production runtime parallelises,
+    /// which the model replays as `/p` work. DIG: the pass-boundary
+    /// placement (0 in a round that closes no pass). PBBS: all of
+    /// `serial_ns`.
+    pub place_ns: f64,
+    /// Barrier crossings the round paid. DIG: 0 for a window of at most 16
+    /// tasks, which the leader runs inline, else 2 — a function of the
+    /// window alone, so identical at every thread count. PBBS: 2.
+    pub barriers: u32,
 }
 
 impl RoundRecord {
+    /// A PBBS-style round: a prefix of `attempted` tasks reserved in one
+    /// parallel phase and committed in another, then a serial flattening
+    /// of `serial_ns` that a production runtime parallelises (see the
+    /// field docs).
+    pub fn bulk(
+        round: u64,
+        attempted: u64,
+        committed: u64,
+        failed: u64,
+        [inspect_ns, commit_ns, serial_ns]: [f64; 3],
+    ) -> RoundRecord {
+        RoundRecord {
+            round,
+            window: attempted,
+            attempted,
+            committed,
+            failed,
+            conflicts: Vec::new(),
+            inspect_ns,
+            commit_ns,
+            inspect_max_ns: inspect_ns / attempted.max(1) as f64,
+            commit_max_ns: commit_ns / committed.max(1) as f64,
+            serial_ns,
+            place_ns: serial_ns,
+            barriers: 2,
+        }
+    }
+
+    /// The part of `serial_ns` no worker count parallelises.
+    pub fn unplaced_ns(&self) -> f64 {
+        (self.serial_ns - self.place_ns).max(0.0)
+    }
+
+    /// Total work in the round: both phases and the leader-serial tail.
+    pub fn work_ns(&self) -> f64 {
+        self.inspect_ns + self.commit_ns + self.serial_ns
+    }
+
     /// Commit ratio of the round (1.0 for an empty round).
     pub fn commit_ratio(&self) -> f64 {
         if self.attempted == 0 {
@@ -304,6 +371,7 @@ mod tests {
             inspect_ns: 1234.5,
             commit_ns: 2345.5,
             serial_ns: 99.9,
+            ..Default::default()
         }
     }
 

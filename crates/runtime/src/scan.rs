@@ -2,8 +2,7 @@
 //!
 //! The parallel input pipeline (see `galois-graph`) turns per-node degree
 //! counts into CSR offsets with a prefix sum on the critical path of every
-//! build. Like the [`sort`](crate::sort) module, the scan here is
-//! *deterministic by construction*: integer addition is associative, so the
+//! build. The scan here is *deterministic by construction*: integer addition is associative, so the
 //! classic three-phase chunked scan (local reduce, sequential scan over chunk
 //! totals, local rescan) produces bit-identical output for any thread
 //! count — the same portability contract the schedulers guarantee for

@@ -1,24 +1,31 @@
 //! Virtual-time scaling model.
 //!
 //! The paper evaluates on three multi-socket machines (m4x10, m4x6, numa8x4).
-//! This reproduction runs on a single core, so wall-clock thread sweeps cannot
-//! show scaling. Instead, executors record an [`ExecTrace`] — per-task costs
-//! plus the round/barrier structure the scheduler imposed — and this module
-//! replays the trace on *p* virtual workers:
+//! The host this reproduction runs on has 2 cores, so wall-clock thread
+//! sweeps cannot show scaling. Instead, executors record an [`ExecTrace`] —
+//! per-task costs plus the round/barrier structure the scheduler imposed —
+//! and this module replays the trace on *p* virtual workers:
 //!
 //! - **Asynchronous traces** (the non-deterministic executor): tasks have no
 //!   ordering constraints beyond creation, so the makespan is the greedy
 //!   list-scheduling bound `max(total_work / p, longest_task)` plus per-task
 //!   scheduling overhead. This matches the paper's observation that abort
 //!   ratios are essentially zero (§5.1), making g-n embarrassingly parallel.
-//! - **Round traces** (the deterministic executors, both DIG and PBBS-style):
-//!   each round contributes `inspect-phase makespan + commit-phase makespan +
-//!   barrier costs`; rounds are serialized. This is precisely the critical-path
-//!   cost the paper attributes to determinism (§3.4).
+//! - **Round traces** (the deterministic executors, both DIG and PBBS-style)
+//!   are the run's [`RoundLog`]: the same [`RoundRecord`]s the round log
+//!   and `/run` report. Each round contributes, from its `inspect_ns` /
+//!   `inspect_max_ns` and `commit_ns` / `commit_max_ns`, the makespan of
+//!   each phase on `p` workers (or on one when `barriers` is 0); its
+//!   `serial_ns` less `place_ns` as serial time; `place_ns` split `p` ways;
+//!   and `barriers` barrier episodes. Rounds are serialized. This is
+//!   precisely the critical-path cost the paper attributes to determinism
+//!   (§3.4).
 //!
 //! A [`MachineProfile`] supplies per-machine constants: worker count, barrier
 //! latency, and a NUMA remote-access multiplier that kicks in past the size of
 //! one NUMA node (reproducing the 8-thread cliff on numa8x4, §5.3).
+
+use crate::probe::{RoundLog, RoundRecord};
 
 /// Cost model constants for one simulated machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,76 +101,6 @@ impl MachineProfile {
     }
 }
 
-/// Aggregate cost of one parallel phase of a round.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PhaseTrace {
-    /// Sum of task costs in the phase, nanoseconds.
-    pub total_ns: f64,
-    /// Longest single task (or measured block) in the phase, nanoseconds —
-    /// the phase's critical-path floor.
-    pub max_ns: f64,
-    /// Tasks processed.
-    pub count: u64,
-}
-
-impl PhaseTrace {
-    /// Accumulates a measured block of `count` tasks costing `total_ns`.
-    pub fn add_block(&mut self, total_ns: f64, count: u64) {
-        self.total_ns += total_ns;
-        self.count += count;
-        if count > 0 {
-            self.max_ns = self.max_ns.max(total_ns / count as f64);
-        }
-    }
-
-    /// Builds a uniform phase of `count` tasks costing `total_ns` together.
-    pub fn uniform(total_ns: f64, count: u64) -> Self {
-        PhaseTrace {
-            total_ns,
-            max_ns: if count > 0 {
-                total_ns / count as f64
-            } else {
-                0.0
-            },
-            count,
-        }
-    }
-
-    /// Merges another aggregate into this one.
-    pub fn merge(&mut self, other: &PhaseTrace) {
-        self.total_ns += other.total_ns;
-        self.count += other.count;
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-}
-
-/// One round of a bulk-synchronous (deterministic) execution.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RoundTrace {
-    /// Inspect-phase aggregate.
-    pub inspect: PhaseTrace,
-    /// Commit-phase aggregate (committed tasks).
-    pub commit: PhaseTrace,
-    /// Inherently sequential scheduler work in the round (window carving,
-    /// buffer concatenation), which no worker count parallelizes.
-    pub serial_ns: f64,
-    /// Scheduler work that a production runtime parallelizes (pass-boundary
-    /// placement, prefix-sum flattening); modeled as `/p` work with no
-    /// longest-task floor.
-    pub sched_par_ns: f64,
-    /// Number of barrier episodes in the round (Figure 2 shows three). Zero
-    /// means the round never left one worker: its phases replay as
-    /// one-worker work at every `p`.
-    pub barriers: u32,
-}
-
-impl RoundTrace {
-    /// Total work in the round, nanoseconds.
-    pub fn total_work_ns(&self) -> f64 {
-        self.inspect.total_ns + self.commit.total_ns + self.serial_ns + self.sched_par_ns
-    }
-}
-
 /// A recorded execution, replayable on any virtual worker count.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecTrace {
@@ -177,7 +114,7 @@ pub enum ExecTrace {
         overhead_ns: f64,
     },
     /// Bulk-synchronous rounds (deterministic executors, Figure 2).
-    Rounds(Vec<RoundTrace>),
+    Rounds(RoundLog),
     /// A purely sequential execution (baselines): fixed total time.
     Sequential {
         /// Total time, nanoseconds.
@@ -193,9 +130,45 @@ impl ExecTrace {
                 task_ns,
                 overhead_ns,
             } => task_ns.iter().sum::<f64>() + overhead_ns * task_ns.len() as f64,
-            ExecTrace::Rounds(rounds) => rounds.iter().map(RoundTrace::total_work_ns).sum(),
+            ExecTrace::Rounds(log) => log.records().iter().map(RoundRecord::work_ns).sum(),
             ExecTrace::Sequential { total_ns } => *total_ns,
         }
+    }
+
+    /// One trace for a multi-pass run (pfp runs one executor pass per
+    /// bout): the passes back to back, rounds joined by
+    /// [`RoundLog::concat`]. An asynchronous run's per-task overhead is the
+    /// largest pass's. `None` for no passes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the passes mix trace kinds.
+    pub fn concat(passes: impl IntoIterator<Item = ExecTrace>) -> Option<ExecTrace> {
+        passes.into_iter().reduce(|a, b| match (a, b) {
+            (ExecTrace::Rounds(a), ExecTrace::Rounds(b)) => {
+                ExecTrace::Rounds(RoundLog::concat([a, b]))
+            }
+            (
+                ExecTrace::Async {
+                    task_ns: mut a,
+                    overhead_ns: oa,
+                },
+                ExecTrace::Async {
+                    task_ns: b,
+                    overhead_ns: ob,
+                },
+            ) => {
+                a.extend(b);
+                ExecTrace::Async {
+                    task_ns: a,
+                    overhead_ns: oa.max(ob),
+                }
+            }
+            (ExecTrace::Sequential { total_ns: a }, ExecTrace::Sequential { total_ns: b }) => {
+                ExecTrace::Sequential { total_ns: a + b }
+            }
+            _ => panic!("every pass of a run has the run's schedule"),
+        })
     }
 
     /// Predicted makespan on `p` workers of `machine`, nanoseconds.
@@ -216,19 +189,19 @@ impl ExecTrace {
                 let longest = task_ns.iter().copied().fold(0.0f64, f64::max);
                 (total * mult / p as f64).max(longest * mult)
             }
-            ExecTrace::Rounds(rounds) => rounds
+            ExecTrace::Rounds(log) => log
+                .records()
                 .iter()
                 .map(|r| {
                     // A round that crossed no barrier ran on one worker (the
                     // DIG leader runs thin rounds inline), whatever `p` is.
                     let lanes = if r.barriers == 0 { 1 } else { p };
-                    let phase = |t: &PhaseTrace| -> f64 {
-                        (t.total_ns * mult / lanes as f64).max(t.max_ns * mult)
-                    };
-                    phase(&r.inspect)
-                        + phase(&r.commit)
-                        + r.serial_ns * mult
-                        + r.sched_par_ns * mult / p as f64
+                    let phase =
+                        |total: f64, max: f64| (total * mult / lanes as f64).max(max * mult);
+                    phase(r.inspect_ns, r.inspect_max_ns)
+                        + phase(r.commit_ns, r.commit_max_ns)
+                        + r.unplaced_ns() * mult
+                        + r.place_ns * mult / p as f64
                         + f64::from(r.barriers) * machine.barrier_ns(p)
                 })
                 .sum(),
@@ -258,18 +231,31 @@ mod tests {
         assert_eq!(t2.makespan_ns(&m, 1), t2.makespan_ns(&m, 40));
     }
 
+    fn rounds(records: impl IntoIterator<Item = RoundRecord>) -> ExecTrace {
+        use crate::probe::Probe;
+        let mut log = RoundLog::new();
+        records.into_iter().for_each(|r| log.on_round(r));
+        ExecTrace::Rounds(log)
+    }
+
+    /// A round of `tasks` tasks costing `task_ns` each in both phases.
+    fn round(tasks: u64, task_ns: f64, serial_ns: f64, barriers: u32) -> RoundRecord {
+        RoundRecord {
+            attempted: tasks,
+            committed: tasks,
+            inspect_ns: task_ns * tasks as f64,
+            commit_ns: task_ns * tasks as f64,
+            inspect_max_ns: task_ns,
+            commit_max_ns: task_ns,
+            serial_ns,
+            barriers,
+            ..RoundRecord::default()
+        }
+    }
+
     #[test]
     fn rounds_pay_barriers() {
-        let rounds: Vec<RoundTrace> = (0..100)
-            .map(|_| RoundTrace {
-                inspect: PhaseTrace::uniform(50.0 * 64.0, 64),
-                commit: PhaseTrace::uniform(50.0 * 64.0, 64),
-                serial_ns: 0.0,
-                sched_par_ns: 0.0,
-                barriers: 3,
-            })
-            .collect();
-        let t = ExecTrace::Rounds(rounds);
+        let t = rounds((0..100).map(|_| round(64, 50.0, 0.0, 3)));
         let m = MachineProfile::M4X10;
         // An async trace with identical work scales better because it pays no
         // barrier per round.
@@ -287,27 +273,55 @@ mod tests {
 
     #[test]
     fn zero_barrier_rounds_replay_on_one_worker() {
-        let round = |barriers| RoundTrace {
-            inspect: PhaseTrace::uniform(800.0, 8),
-            commit: PhaseTrace::uniform(800.0, 8),
-            serial_ns: 100.0,
-            sched_par_ns: 0.0,
-            barriers,
-        };
         let m = MachineProfile::M4X10;
-        let inline = ExecTrace::Rounds(vec![round(0)]);
+        let inline = rounds([round(8, 100.0, 100.0, 0)]);
         assert_eq!(inline.makespan_ns(&m, 1), 1700.0);
         assert_eq!(
             inline.makespan_ns(&m, 8),
             1700.0,
             "no worker to spread over"
         );
-        let parallel = ExecTrace::Rounds(vec![round(2)]);
+        let parallel = rounds([round(8, 100.0, 100.0, 2)]);
         assert_eq!(
             parallel.makespan_ns(&m, 8),
             300.0 + 2.0 * m.barrier_ns(8),
             "phases split 8 ways, serial tail and barriers do not"
         );
+    }
+
+    #[test]
+    fn placement_splits_across_workers_and_the_rest_of_the_tail_does_not() {
+        let m = MachineProfile::M4X10;
+        let placed = RoundRecord {
+            place_ns: 800.0,
+            ..round(8, 100.0, 1000.0, 2)
+        };
+        let t = rounds([placed]);
+        assert_eq!(t.total_work_ns(), 2600.0);
+        // Phases 100 + 100, unplaced tail 200, placement 800 / 8.
+        assert_eq!(
+            t.makespan_ns(&m, 8),
+            100.0 + 100.0 + 200.0 + 100.0 + 2.0 * m.barrier_ns(8)
+        );
+    }
+
+    #[test]
+    fn concat_joins_passes_of_one_kind() {
+        let joined = ExecTrace::concat([
+            rounds([round(8, 1.0, 0.0, 0)]),
+            rounds([round(8, 1.0, 0.0, 0), round(8, 1.0, 0.0, 0)]),
+        ]);
+        let Some(ExecTrace::Rounds(log)) = joined else {
+            panic!("rounds join into rounds");
+        };
+        let numbers: Vec<u64> = log.records().iter().map(|r| r.round).collect();
+        assert_eq!(numbers, [0, 1, 2]);
+        let seq = ExecTrace::concat([
+            ExecTrace::Sequential { total_ns: 1.0 },
+            ExecTrace::Sequential { total_ns: 2.0 },
+        ]);
+        assert_eq!(seq, Some(ExecTrace::Sequential { total_ns: 3.0 }));
+        assert_eq!(ExecTrace::concat([]), None);
     }
 
     #[test]
