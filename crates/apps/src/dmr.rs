@@ -12,20 +12,16 @@
 //! All variants keep the mesh Delaunay; output equality across thread
 //! counts is checked on the canonical geometric form.
 
-use galois_core::{
-    Abort, Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, Probe, RoundLog, RoundRecord,
-    RunReport,
-};
+use crate::dt::Claim;
+use galois_core::{Abort, Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, RunReport};
 use galois_geometry::predicates::orient2d_sign;
 use galois_geometry::tri::{circumcenter, is_bad};
 use galois_geometry::Point;
 use galois_mesh::build::SeqBuilder;
 use galois_mesh::cavity::{grow, locate, retriangulate, Cavity, LocateOutcome};
-use galois_mesh::{check, Mesh, INVALID};
-use galois_runtime::pool::{chunk_range, run_on_threads};
+use galois_mesh::{check, Mesh};
+use pbbs_det::{speculative_for, Reservations, SpecForStats, Step};
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Builds the dmr input: `n` random interior points plus the four unit
 /// square corners, triangulated sequentially, with arena headroom for
@@ -170,168 +166,89 @@ pub fn verify(mesh: &Mesh) -> Result<(), String> {
     }
 }
 
-/// Statistics of the PBBS-style deterministic dmr.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct PbbsDmrStats {
-    /// Bulk-synchronous rounds.
-    pub rounds: u64,
-    /// Successful refinements.
-    pub committed: u64,
-    /// Failed reservation attempts (retries).
-    pub aborted: u64,
-    /// Priority writes issued.
-    pub atomic_updates: u64,
-    /// The run's rounds, when a trace was requested.
-    pub round_log: RoundLog,
-}
-
-/// Handwritten deterministic dmr (PBBS style): bulk-synchronous rounds of
-/// deterministic reservations over a prefix of the bad-triangle worklist.
-/// Priorities are monotone arrival indices, new bad triangles are appended
-/// in committed-task order, so every round — and the final mesh geometry —
-/// is thread-count independent.
-pub fn pbbs(mesh: &Mesh, threads: usize, record_trace: bool) -> PbbsDmrStats {
-    let reservations = pbbs_det::Reservations::new(mesh.tri_capacity());
-    let mut stats = PbbsDmrStats::default();
+/// Handwritten deterministic dmr (PBBS style): deterministic reservations
+/// over the bad-triangle worklist. Priorities are arrival indices, and new
+/// bad triangles are appended in slot order, so every round — and the
+/// final mesh geometry — is thread-count independent.
+pub fn pbbs(mesh: &Mesh, threads: usize, record_trace: bool) -> SpecForStats {
     // Adjacent slots hold spatially adjacent triangles whose cavities
     // overlap; PBBS-style codes shuffle the worklist (with a fixed seed, so
     // the priorities — and the output — stay deterministic).
-    let mut worklist: Vec<(u64, u32)> = {
+    let worklist = {
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
         let mut v = check::bad_triangles(mesh);
         v.shuffle(&mut rand::rngs::SmallRng::seed_from_u64(0x9bb5));
-        v.into_iter()
-            .enumerate()
-            .map(|(i, t)| (i as u64, t))
-            .collect()
+        v
     };
-    let mut next_priority = worklist.len() as u64;
-    const PREFIX_DIVISOR: usize = 96;
-    // The floor keeps endgame rounds from degenerating to one task. It must
-    // be a constant, NOT `threads`: the prefix determines round composition
-    // and hence the final geometry, so any thread-count input here breaks
-    // the portability guarantee this function documents.
-    const PREFIX_FLOOR: usize = 8;
+    let step = DmrStep {
+        mesh,
+        reservations: Reservations::new(mesh.tri_capacity()),
+    };
+    speculative_for(&step, worklist, threads, record_trace)
+}
 
-    while !worklist.is_empty() {
-        let prefix = worklist
-            .len()
-            .div_ceil(PREFIX_DIVISOR)
-            .max(PREFIX_FLOOR)
-            .min(worklist.len());
-        let cur = &worklist[..prefix];
-        // (cavity, insertion point, reserved lock set) per in-flight item.
-        type Plan = Option<(Cavity, Point, Vec<u32>)>;
-        let plans: Vec<Mutex<Plan>> = (0..prefix).map(|_| Mutex::new(None)).collect();
-        let atomics = AtomicU64::new(0);
-        let t0 = record_trace.then(std::time::Instant::now);
+/// [`pbbs`]'s step. A consumed or unplaceable triangle plans nothing and
+/// counts as committed.
+struct DmrStep<'a> {
+    mesh: &'a Mesh,
+    reservations: Reservations,
+}
 
-        // Reserve phase.
-        run_on_threads(threads, |tid| {
-            let mut local_atomics = 0u64;
-            for k in chunk_range(prefix, threads, tid) {
-                let (idx, t) = cur[k];
-                if !mesh.alive(t) {
-                    continue; // consumed earlier; drop
-                }
-                let mut nofail = |_t: u32| -> Result<(), Infallible> { Ok(()) };
-                let Some((seed, p)) = insertion_point(mesh, t, &mut nofail).unwrap() else {
-                    continue;
-                };
-                let cavity = grow(mesh, p, seed, &mut nofail).unwrap();
-                let mut locks: Vec<u32> = cavity.tris.clone();
-                for be in &cavity.boundary {
-                    if be.outer != INVALID && !locks.contains(&be.outer) {
-                        locks.push(be.outer);
-                    }
-                }
-                for &l in &locks {
-                    reservations.reserve(l as usize, idx);
-                    local_atomics += 1;
-                }
-                *plans[k].lock().unwrap() = Some((cavity, p, locks));
-            }
-            atomics.fetch_add(local_atomics, Ordering::Relaxed);
-        });
-        let reserve_ns = t0.map(|t| t.elapsed().as_nanos() as f64);
-        let t1 = record_trace.then(std::time::Instant::now);
+impl Step for DmrStep<'_> {
+    type Item = u32;
+    /// The claimed cavity and the point to insert into it.
+    type Plan = Option<(Claim, Point)>;
 
-        // Commit phase; per-slot created lists keep the append order
-        // deterministic (flattened in worklist order afterwards).
-        let failed_flags: Vec<AtomicU32> = (0..prefix).map(|_| AtomicU32::new(0)).collect();
-        let created_per: Vec<Mutex<Vec<u32>>> =
-            (0..prefix).map(|_| Mutex::new(Vec::new())).collect();
-        run_on_threads(threads, |tid| {
-            for k in chunk_range(prefix, threads, tid) {
-                let (idx, _t) = cur[k];
-                let Some((cavity, p, locks)) = plans[k].lock().unwrap().take() else {
-                    continue;
-                };
-                let won = locks.iter().all(|&l| reservations.check(l as usize, idx));
-                if won {
-                    let v = mesh.add_vertex(p);
-                    let created = retriangulate(mesh, &cavity, v);
-                    let mut bad: Vec<u32> = Vec::new();
-                    for nt in created {
-                        let [x, y, z] = mesh.tri_points(nt);
-                        if is_bad(x, y, z) {
-                            bad.push(nt);
-                        }
-                    }
-                    // Retry the original triangle if a boundary split left
-                    // it alive (it is still bad by construction).
-                    if mesh.alive(cur[k].1) {
-                        bad.push(cur[k].1);
-                    }
-                    *created_per[k].lock().unwrap() = bad;
-                } else {
-                    failed_flags[k].store(1, Ordering::Relaxed);
-                }
-                for &l in &locks {
-                    reservations.check_reset(l as usize, idx);
-                }
-            }
-        });
-        let commit_ns = t1.map(|t| t.elapsed().as_nanos() as f64);
-        let t2 = record_trace.then(std::time::Instant::now);
-
-        let mut next: Vec<(u64, u32)> = Vec::with_capacity(worklist.len());
-        let mut committed_round = 0u64;
-        for k in 0..prefix {
-            if failed_flags[k].load(Ordering::Relaxed) == 1 {
-                next.push(cur[k]);
-            } else {
-                committed_round += 1;
-            }
-        }
-        let failed_round = next.len() as u64;
-        next.extend_from_slice(&worklist[prefix..]);
-        // Append new bad triangles in deterministic (worklist-position) order.
-        for per in &created_per {
-            for &nt in per.lock().unwrap().iter() {
-                next.push((next_priority, nt));
-                next_priority += 1;
-            }
-        }
-        worklist = next;
-
-        stats.rounds += 1;
-        stats.committed += committed_round;
-        stats.aborted += failed_round;
-        stats.atomic_updates += atomics.load(Ordering::Relaxed);
-        if let (Some(r), Some(c), Some(t2)) = (reserve_ns, commit_ns, t2) {
-            let flatten_ns = t2.elapsed().as_nanos() as f64;
-            stats.round_log.on_round(RoundRecord::bulk(
-                stats.rounds - 1,
-                prefix as u64,
-                committed_round,
-                failed_round,
-                [r, c, flatten_ns],
-            ));
-        }
+    /// PBBS prefix factor (a tuned constant, §6) with a floor that keeps
+    /// endgame rounds from degenerating to one task.
+    fn prefix(&self, remaining: usize, _done: u64) -> usize {
+        remaining.div_ceil(96).max(8)
     }
-    stats
+
+    fn reserve(&self, priority: u64, t: u32) -> Option<Self::Plan> {
+        let mesh = self.mesh;
+        if !mesh.alive(t) {
+            return Some(None); // consumed by an earlier cavity
+        }
+        let mut nofail = |_t: u32| -> Result<(), Infallible> { Ok(()) };
+        let Ok(placed) = insertion_point(mesh, t, &mut nofail);
+        let Some((seed, p)) = placed else {
+            return Some(None); // no splittable insertion point
+        };
+        let Ok(cavity) = grow(mesh, p, seed, &mut nofail);
+        Some(Some((
+            Claim::reserve(&self.reservations, cavity, priority),
+            p,
+        )))
+    }
+
+    fn priority_writes(&self, plan: &Self::Plan) -> u64 {
+        plan.as_ref().map_or(0, |(claim, _)| claim.writes())
+    }
+
+    fn commit(&self, priority: u64, t: u32, plan: Self::Plan, created: &mut Vec<u32>) -> bool {
+        let Some((claim, p)) = plan else {
+            return true;
+        };
+        if !claim.settle(&self.reservations, priority) {
+            return false;
+        }
+        let mesh = self.mesh;
+        let v = mesh.add_vertex(p);
+        for nt in retriangulate(mesh, &claim.cavity, v) {
+            let [x, y, z] = mesh.tri_points(nt);
+            if is_bad(x, y, z) {
+                created.push(nt);
+            }
+        }
+        // Retry the original triangle if a boundary split left it alive
+        // (it is still bad by construction).
+        if mesh.alive(t) {
+            created.push(t);
+        }
+        true
+    }
 }
 
 #[cfg(test)]

@@ -11,19 +11,14 @@
 //! [`galois_mesh::check::canonical_triangles`]); the variants differ in
 //! schedule, work, and determinism of the *execution*.
 
-use galois_core::{
-    Abort, Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, Probe, RoundLog, RoundRecord,
-    RunReport,
-};
+use galois_core::{Abort, Ctx, ExecError, Executor, Hooks, MarkTable, OpResult, RunReport};
 use galois_geometry::brio::brio_order;
 use galois_geometry::Point;
 use galois_mesh::build::{first_alive, square_mesh};
 use galois_mesh::cavity::{grow, locate, retriangulate, Cavity, LocateOutcome};
 use galois_mesh::{check, GridLocator, Mesh};
-use galois_runtime::pool::{chunk_range, run_on_threads};
+use pbbs_det::{speculative_for, Reservations, SpecForStats, Step};
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Locator grid resolution: roughly one cell per ~16 points, so ring
 /// searches almost always find a live nearby triangle.
@@ -128,25 +123,10 @@ pub fn verify(mesh: &Mesh) -> Result<(), String> {
     check::check_delaunay(mesh).map_err(|e| format!("Delaunay property: {e}"))
 }
 
-/// Statistics of the PBBS-style deterministic dt.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct PbbsDtStats {
-    /// Bulk-synchronous rounds.
-    pub rounds: u64,
-    /// Successful insertions.
-    pub committed: u64,
-    /// Failed reservation attempts (retries).
-    pub aborted: u64,
-    /// Priority writes issued.
-    pub atomic_updates: u64,
-    /// The run's rounds, when a trace was requested.
-    pub round_log: RoundLog,
-}
-
-/// Handwritten deterministic dt (PBBS style): rounds of deterministic
-/// reservations over a prefix of the remaining points. Each point computes
-/// its cavity against the round-start mesh and reserves the cavity plus its
-/// boundary ring with its (fixed) insertion index; winners retriangulate.
+/// Handwritten deterministic dt (PBBS style): deterministic reservations
+/// over the points. Each point computes its cavity against the round-start
+/// mesh and reserves the cavity plus its boundary ring with its (fixed)
+/// insertion index; winners retriangulate.
 ///
 /// Points are processed in a seeded *random* order: §4.1 notes the PBBS
 /// implementation randomizes points offline (unlike Lonestar's online BRIO),
@@ -156,7 +136,7 @@ pub fn pbbs(
     shuffle_seed: u64,
     threads: usize,
     record_trace: bool,
-) -> (Mesh, PbbsDtStats) {
+) -> (Mesh, SpecForStats) {
     let tasks: Vec<Point> = {
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
@@ -165,124 +145,102 @@ pub fn pbbs(
         v
     };
     let mesh = square_mesh(points.len(), 0, 0);
-    let reservations = pbbs_det::Reservations::new(mesh.tri_capacity());
-    let locator = GridLocator::new(pow2_at_least(locator_resolution(points.len())));
-    let mut stats = PbbsDtStats::default();
+    let step = DtStep {
+        reservations: Reservations::new(mesh.tri_capacity()),
+        locator: GridLocator::new(pow2_at_least(locator_resolution(points.len()))),
+        mesh,
+    };
+    let stats = speculative_for(&step, tasks, threads, record_trace);
+    (step.mesh, stats)
+}
 
-    let mut remaining: Vec<(u64, Point)> = tasks
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| (i as u64, p))
-        .collect();
-    // PBBS prefix factor (a tuned constant — exactly the kind of
-    // performance parameter the paper notes these codes have, §6). Larger
-    // divisors mean smaller rounds: fewer intra-round cavity conflicts at
-    // the cost of more bulk-synchronous rounds.
-    const PREFIX_DIVISOR: usize = 96;
+/// A cavity whose lock set ([`Cavity::lock_set`]) is reserved with one
+/// item's priority: the plan of a pbbs dt or dmr insertion.
+pub(crate) struct Claim {
+    pub(crate) cavity: Cavity,
+    locks: Vec<u32>,
+}
 
-    let mut inserted = 4usize; // the domain corners
-    while !remaining.is_empty() {
-        // Prefix grows with the mesh (PBBS-style prefix doubling): while the
-        // mesh is small almost any two cavities collide, so early rounds
-        // stay small and later rounds widen toward remaining/divisor.
-        let prefix = remaining
-            .len()
-            .div_ceil(PREFIX_DIVISOR)
-            .min(2 * inserted)
-            .max(threads.min(remaining.len()))
-            .min(remaining.len());
-        let cur = &remaining[..prefix];
-        // (cavity, reserved lock set) per in-flight item.
-        type Plan = Option<(Cavity, Vec<u32>)>;
-        let cavities: Vec<Mutex<Plan>> = (0..prefix).map(|_| Mutex::new(None)).collect();
-        let atomics = AtomicU64::new(0);
-        let t0 = record_trace.then(std::time::Instant::now);
-
-        // Reserve phase: locate, grow, reserve cavity ∪ boundary ring.
-        run_on_threads(threads, |tid| {
-            let mut local_atomics = 0u64;
-            for k in chunk_range(prefix, threads, tid) {
-                let (idx, p) = cur[k];
-                let mut nofail = |_t: u32| -> Result<(), Infallible> { Ok(()) };
-                let start = locator.hint(&mesh, p).unwrap_or_else(|| first_alive(&mesh));
-                let seed = match locate(&mesh, p, start, &mut nofail).unwrap() {
-                    LocateOutcome::Found(t) => t,
-                    LocateOutcome::OnVertex { .. } => continue, // duplicate: drop
-                    LocateOutcome::OutsideBoundary { .. } => unreachable!("square domain"),
-                };
-                let cavity = grow(&mesh, p, seed, &mut nofail).unwrap();
-                let mut locks: Vec<u32> = cavity.tris.clone();
-                for be in &cavity.boundary {
-                    if be.outer != galois_mesh::INVALID && !locks.contains(&be.outer) {
-                        locks.push(be.outer);
-                    }
-                }
-                for &t in &locks {
-                    reservations.reserve(t as usize, idx);
-                    local_atomics += 1;
-                }
-                *cavities[k].lock().unwrap() = Some((cavity, locks));
-            }
-            atomics.fetch_add(local_atomics, Ordering::Relaxed);
-        });
-        let reserve_ns = t0.map(|t| t.elapsed().as_nanos() as f64);
-        let t1 = record_trace.then(std::time::Instant::now);
-
-        // Commit phase: winners apply; everyone clears their reservations.
-        let failed_flags: Vec<AtomicU32> = (0..prefix).map(|_| AtomicU32::new(0)).collect();
-        run_on_threads(threads, |tid| {
-            for k in chunk_range(prefix, threads, tid) {
-                let (idx, p) = cur[k];
-                let Some((cavity, locks)) = cavities[k].lock().unwrap().take() else {
-                    continue; // dropped duplicate
-                };
-                let won = locks.iter().all(|&t| reservations.check(t as usize, idx));
-                if won {
-                    let v = mesh.add_vertex(p);
-                    let created = retriangulate(&mesh, &cavity, v);
-                    locator.update(p, created[0]);
-                } else {
-                    failed_flags[k].store(1, Ordering::Relaxed);
-                }
-                for &t in &locks {
-                    reservations.check_reset(t as usize, idx);
-                }
-            }
-        });
-        let commit_ns = t1.map(|t| t.elapsed().as_nanos() as f64);
-        let t2 = record_trace.then(std::time::Instant::now);
-
-        let mut next: Vec<(u64, Point)> = Vec::with_capacity(remaining.len());
-        let mut committed_round = 0u64;
-        for k in 0..prefix {
-            if failed_flags[k].load(Ordering::Relaxed) == 1 {
-                next.push(cur[k]);
-            } else {
-                committed_round += 1;
-            }
+impl Claim {
+    /// Reserves `cavity`'s lock set with `priority`.
+    pub(crate) fn reserve(r: &Reservations, cavity: Cavity, priority: u64) -> Claim {
+        let locks = cavity.lock_set();
+        for &t in &locks {
+            r.reserve(t as usize, priority);
         }
-        inserted += committed_round as usize;
-        let failed_round = next.len() as u64;
-        next.extend_from_slice(&remaining[prefix..]);
-        remaining = next;
-
-        stats.rounds += 1;
-        stats.committed += committed_round;
-        stats.aborted += failed_round;
-        stats.atomic_updates += atomics.load(Ordering::Relaxed);
-        if let (Some(r), Some(c), Some(t2)) = (reserve_ns, commit_ns, t2) {
-            let flatten_ns = t2.elapsed().as_nanos() as f64;
-            stats.round_log.on_round(RoundRecord::bulk(
-                stats.rounds - 1,
-                prefix as u64,
-                committed_round,
-                failed_round,
-                [r, c, flatten_ns],
-            ));
-        }
+        Claim { cavity, locks }
     }
 
-    (mesh, stats)
+    /// The priority writes [`Claim::reserve`] issued.
+    pub(crate) fn writes(&self) -> u64 {
+        self.locks.len() as u64
+    }
+
+    /// Whether every reservation held; frees the ones that did.
+    pub(crate) fn settle(&self, r: &Reservations, priority: u64) -> bool {
+        let won = self.locks.iter().all(|&t| r.check(t as usize, priority));
+        for &t in &self.locks {
+            r.check_reset(t as usize, priority);
+        }
+        won
+    }
+}
+
+/// [`pbbs`]'s step. A duplicate point plans nothing and counts as
+/// committed.
+struct DtStep {
+    mesh: Mesh,
+    reservations: Reservations,
+    locator: GridLocator,
+}
+
+impl Step for DtStep {
+    type Item = Point;
+    type Plan = Option<Claim>;
+
+    /// PBBS prefix factor (a tuned constant — exactly the kind of
+    /// performance parameter the paper notes these codes have, §6; larger
+    /// divisors mean fewer intra-round cavity conflicts but more rounds),
+    /// with prefix doubling: while the mesh is small almost any two
+    /// cavities collide, so early rounds stay within twice the points
+    /// inserted so far (the four domain corners and every finished point).
+    fn prefix(&self, remaining: usize, done: u64) -> usize {
+        remaining.div_ceil(96).min(2 * (4 + done as usize))
+    }
+
+    fn reserve(&self, priority: u64, p: Point) -> Option<Option<Claim>> {
+        let mesh = &self.mesh;
+        let mut nofail = |_t: u32| -> Result<(), Infallible> { Ok(()) };
+        let start = self
+            .locator
+            .hint(mesh, p)
+            .unwrap_or_else(|| first_alive(mesh));
+        let Ok(located) = locate(mesh, p, start, &mut nofail);
+        let seed = match located {
+            LocateOutcome::Found(t) => t,
+            LocateOutcome::OnVertex { .. } => return Some(None), // duplicate
+            LocateOutcome::OutsideBoundary { .. } => unreachable!("square domain"),
+        };
+        let Ok(cavity) = grow(mesh, p, seed, &mut nofail);
+        Some(Some(Claim::reserve(&self.reservations, cavity, priority)))
+    }
+
+    fn priority_writes(&self, plan: &Option<Claim>) -> u64 {
+        plan.as_ref().map_or(0, Claim::writes)
+    }
+
+    fn commit(&self, priority: u64, p: Point, plan: Option<Claim>, _: &mut Vec<Point>) -> bool {
+        let Some(claim) = plan else {
+            return true;
+        };
+        if !claim.settle(&self.reservations, priority) {
+            return false;
+        }
+        let v = self.mesh.add_vertex(p);
+        let created = retriangulate(&self.mesh, &claim.cavity, v);
+        self.locator.update(p, created[0]);
+        true
+    }
 }
 
 #[cfg(test)]

@@ -98,36 +98,39 @@ pub fn run(
 /// decides once every smaller-id neighbor has decided.
 pub fn pbbs(g: &CsrGraph, threads: usize, record_trace: bool) -> (Vec<u32>, SpecForStats) {
     let step = MisStep::new(g);
-    let stats = speculative_for(&step, 0, g.num_nodes() as u64, threads, 25, record_trace);
+    let stats = speculative_for(&step, g.nodes(), threads, record_trace);
     (step.flags.snapshot(), stats)
 }
 
-/// [`pbbs`]'s step. `reserve` reads only flags that earlier rounds
-/// committed — no flag changes during it — and writes node `v`'s verdict to
-/// `decision[v]`: the sequential rule, IN iff no smaller neighbor is IN,
-/// once every smaller neighbor has decided, else UNDECIDED (retry next
+/// [`pbbs`]'s step. A node's priority is its id. `reserve` reads only flags
+/// that earlier rounds committed — no flag changes during it — and plans
+/// node `v`'s verdict: the sequential rule, IN iff no smaller neighbor is
+/// IN, once every smaller neighbor has decided, else UNDECIDED (retry next
 /// round). `commit` only applies the verdict, so how a round's commits
 /// interleave changes neither its outcome nor the run's counters.
 struct MisStep<'a> {
     g: &'a CsrGraph,
     flags: AtomicArray,
-    decision: AtomicArray,
 }
 
 impl<'a> MisStep<'a> {
     fn new(g: &'a CsrGraph) -> Self {
-        let n = g.num_nodes();
         MisStep {
             g,
-            flags: AtomicArray::new_filled(n, state::UNDECIDED),
-            decision: AtomicArray::new_filled(n, state::UNDECIDED),
+            flags: AtomicArray::new_filled(g.num_nodes(), state::UNDECIDED),
         }
     }
 }
 
 impl Step for MisStep<'_> {
-    fn reserve(&self, i: u64) -> bool {
-        let v = i as u32;
+    type Item = NodeId;
+    type Plan = u32;
+
+    fn prefix(&self, remaining: usize, _done: u64) -> usize {
+        remaining.div_ceil(25)
+    }
+
+    fn reserve(&self, _priority: u64, v: NodeId) -> Option<u32> {
         let mut verdict = state::IN;
         for &w in self.g.neighbors(v).iter().filter(|&&w| w < v) {
             match self.flags.get(w as usize) {
@@ -139,14 +142,12 @@ impl Step for MisStep<'_> {
                 _ => {}
             }
         }
-        self.decision.set(v as usize, verdict);
-        true
+        Some(verdict)
     }
 
-    fn commit(&self, i: u64) -> bool {
-        let verdict = self.decision.get(i as usize);
+    fn commit(&self, _priority: u64, v: NodeId, verdict: u32, _: &mut Vec<NodeId>) -> bool {
         if verdict != state::UNDECIDED {
-            self.flags.set(i as usize, verdict);
+            self.flags.set(v as usize, verdict);
         }
         verdict != state::UNDECIDED
     }
@@ -193,11 +194,13 @@ mod tests {
         // One round over every node, its commits on one thread in index
         // order and then in reverse: the same nodes must ask to retry.
         let g = graph();
-        let n = g.num_nodes() as u64;
-        let retries = |order: &mut dyn Iterator<Item = u64>| {
+        let n = g.num_nodes() as u32;
+        let retries = |order: &mut dyn Iterator<Item = u32>| {
             let step = MisStep::new(&g);
-            (0..n).for_each(|i| assert!(step.reserve(i)));
-            let mut retry: Vec<u64> = order.filter(|&i| !step.commit(i)).collect();
+            let plans: Vec<u32> = (0..n).map(|v| step.reserve(v.into(), v).unwrap()).collect();
+            let mut retry: Vec<u32> = order
+                .filter(|&v| !step.commit(v.into(), v, plans[v as usize], &mut Vec::new()))
+                .collect();
             retry.sort_unstable();
             retry
         };

@@ -85,27 +85,34 @@ pub fn run(
 /// endpoints with their edge index; winners match, losers retry, and an
 /// edge with an endpoint matched in an earlier round drops at reserve.
 pub fn pbbs(g: &CsrGraph, threads: usize, record_trace: bool) -> (Vec<u32>, SpecForStats) {
-    let mate = AtomicArray::new_filled(g.num_nodes(), UNMATCHED);
-    let reservations = pbbs_det::Reservations::new(g.num_nodes());
-    let edges = edge_list(g);
-
-    struct MatchStep<'a> {
-        edges: &'a [(NodeId, NodeId)],
-        mate: &'a AtomicArray,
-        r: &'a pbbs_det::Reservations,
+    struct MatchStep {
+        mate: AtomicArray,
+        r: pbbs_det::Reservations,
     }
-    impl Step for MatchStep<'_> {
-        fn reserve(&self, i: u64) -> bool {
-            let (u, v) = self.edges[i as usize];
+    impl Step for MatchStep {
+        type Item = (NodeId, NodeId);
+        type Plan = ();
+        fn prefix(&self, remaining: usize, _done: u64) -> usize {
+            remaining.div_ceil(25)
+        }
+        fn reserve(&self, i: u64, (u, v): (NodeId, NodeId)) -> Option<()> {
             if self.mate.get(u as usize) != UNMATCHED || self.mate.get(v as usize) != UNMATCHED {
-                return false; // an endpoint is already matched: drop
+                return None; // an endpoint is already matched: drop
             }
             self.r.reserve(u as usize, i);
             self.r.reserve(v as usize, i);
-            true
+            Some(())
         }
-        fn commit(&self, i: u64) -> bool {
-            let (u, v) = self.edges[i as usize];
+        fn priority_writes(&self, _: &()) -> u64 {
+            2
+        }
+        fn commit(
+            &self,
+            i: u64,
+            (u, v): (NodeId, NodeId),
+            _: (),
+            _: &mut Vec<(NodeId, NodeId)>,
+        ) -> bool {
             let won_u = self.r.check(u as usize, i);
             let won_v = self.r.check(v as usize, i);
             if won_u && won_v {
@@ -124,12 +131,11 @@ pub fn pbbs(g: &CsrGraph, threads: usize, record_trace: bool) -> (Vec<u32>, Spec
     }
 
     let step = MatchStep {
-        edges: &edges,
-        mate: &mate,
-        r: &reservations,
+        mate: AtomicArray::new_filled(g.num_nodes(), UNMATCHED),
+        r: pbbs_det::Reservations::new(g.num_nodes()),
     };
-    let stats = speculative_for(&step, 0, edges.len() as u64, threads, 25, record_trace);
-    (mate.snapshot(), stats)
+    let stats = speculative_for(&step, edge_list(g), threads, record_trace);
+    (step.mate.snapshot(), stats)
 }
 
 /// Verifies the matching is valid (symmetric, edges exist) and maximal

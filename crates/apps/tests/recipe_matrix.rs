@@ -87,9 +87,18 @@ fn deterministic_cells_hash_the_same_output_at_1_and_3_threads() {
     }
 }
 
+/// The apps with a pbbs variant.
+fn pbbs_apps() -> impl Iterator<Item = App> {
+    App::ALL
+        .into_iter()
+        .filter(|app| app.check_variant(Variant::Pbbs).is_ok())
+}
+
 #[test]
 fn pbbs_round_counts_do_not_depend_on_the_thread_count() {
-    for app in [App::Mis, App::Mm] {
+    let apps: Vec<App> = pbbs_apps().collect();
+    assert_eq!(apps, [App::Bfs, App::Mis, App::Mm, App::Dt, App::Dmr]);
+    for app in apps {
         let input = input(app);
         let rounds: Vec<u64> = [1, 2, 3]
             .map(|t| run(app, Variant::Pbbs, t, &input).stats.rounds)
@@ -110,17 +119,28 @@ fn pbbs_round_counts_do_not_depend_on_the_thread_count() {
 }
 
 #[test]
-fn mm_pbbs_counters_do_not_depend_on_the_thread_count() {
-    let input = input(App::Mm);
-    let cells: Vec<_> = [1, 2, 3]
-        .map(|t| {
-            let done = run(App::Mm, Variant::Pbbs, t, &input);
-            let s = done.stats;
-            (s.committed, s.aborted, s.rounds, done.output_hash)
-        })
-        .into();
-    assert!(cells[0].1 > 0, "mm pbbs never retried: {cells:?}");
-    assert_eq!(cells, [cells[0]; 3], "mm pbbs at 1, 2, 3 threads");
+fn pbbs_counters_do_not_depend_on_the_thread_count() {
+    for app in pbbs_apps() {
+        let input = input(app);
+        let cells: Vec<_> = [1, 2, 3]
+            .map(|t| {
+                let done = run(app, Variant::Pbbs, t, &input);
+                let s = done.stats;
+                (
+                    s.committed,
+                    s.aborted,
+                    s.atomic_updates,
+                    s.rounds,
+                    done.output_hash,
+                )
+            })
+            .into();
+        // bfs is level-synchronous: it has no reservations to lose.
+        if app != App::Bfs {
+            assert!(cells[0].1 > 0, "{app} pbbs never retried: {cells:?}");
+        }
+        assert_eq!(cells, [cells[0]; 3], "{app} pbbs at 1, 2, 3 threads");
+    }
 }
 
 /// Parks its run inside the first round: says so on `parked`, then waits

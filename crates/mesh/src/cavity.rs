@@ -128,6 +128,22 @@ pub struct Cavity {
     pub boundary: Vec<BoundaryEdge>,
 }
 
+impl Cavity {
+    /// The triangles an insertion into this cavity must own against
+    /// concurrent ones: the cavity's triangles, then each triangle across
+    /// its boundary (the ring whose neighbor links the retriangulation
+    /// rewrites), each once.
+    pub fn lock_set(&self) -> Vec<u32> {
+        let mut locks = self.tris.clone();
+        for be in &self.boundary {
+            if be.outer != INVALID && !locks.contains(&be.outer) {
+                locks.push(be.outer);
+            }
+        }
+        locks
+    }
+}
+
 /// Grows the cavity of `p` from `seed` (the triangle containing `p`, which
 /// the caller has already visited/locked).
 ///
@@ -319,6 +335,39 @@ mod tests {
         m.set_neighbor(t0, 1, t1);
         m.set_neighbor(t1, 2, t0);
         m
+    }
+
+    #[test]
+    fn lock_set_is_the_cavity_then_its_ring_once_without_invalid() {
+        let mesh = crate::build::triangulate(&galois_geometry::point::random_points(200, 7));
+        let (mut hull, mut shared) = (false, false);
+        for p in galois_geometry::point::random_points(100, 8) {
+            let start = crate::build::first_alive(&mesh);
+            let LocateOutcome::Found(seed) = locate(&mesh, p, start, &mut no_visit()).unwrap()
+            else {
+                continue;
+            };
+            let cavity = grow(&mesh, p, seed, &mut no_visit()).unwrap();
+            let locks = cavity.lock_set();
+            assert_eq!(locks[..cavity.tris.len()], cavity.tris[..]);
+            assert!(!locks.contains(&INVALID));
+            let mut unique = locks.clone();
+            unique.sort_unstable();
+            unique.dedup();
+            assert_eq!(
+                unique.len(),
+                locks.len(),
+                "a triangle locked twice: {locks:?}"
+            );
+            let outers: Vec<u32> = cavity.boundary.iter().map(|be| be.outer).collect();
+            assert!(outers.iter().all(|o| *o == INVALID || locks.contains(o)));
+            hull |= outers.contains(&INVALID);
+            let mut ring: Vec<u32> = outers.into_iter().filter(|&o| o != INVALID).collect();
+            ring.sort_unstable();
+            shared |= ring.windows(2).any(|w| w[0] == w[1]);
+        }
+        assert!(hull, "no cavity reached the hull");
+        assert!(shared, "no ring triangle bordered a cavity twice");
     }
 
     #[test]

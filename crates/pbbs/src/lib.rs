@@ -6,18 +6,23 @@
 //! reproduced here:
 //!
 //! - **Priority writes** ([`Reservations`], [`crate::priority::write_min`]):
-//!   an atomic min over item indices. The winner is the smallest index
-//!   regardless of interleaving, so the result is deterministic.
+//!   an atomic min over item priorities. The winner is the smallest
+//!   priority regardless of interleaving, so the result is deterministic.
 //! - **Deterministic reservations** ([`speculative_for`]): a
 //!   bulk-synchronous speculative loop. Each round, a prefix of the
 //!   remaining items *reserves* the resources it needs with priority writes,
 //!   then items whose reservations all held *commit*; losers retry in later
-//!   rounds. With commits keyed on item index, the execution is equivalent
-//!   to the sequential loop in index order — determinism by construction.
+//!   rounds. With commits keyed on item priority, the execution is
+//!   equivalent to the sequential loop in priority order — determinism by
+//!   construction. It is the one such loop: the pbbs variants of mis, mm, dt
+//!   and dmr are its [`Step`]s, while bfs's is PBBS's level-synchronous BFS
+//!   and needs no reservations loop.
 //!
 //! Unlike DIG scheduling, the prefix size here is a per-application tuning
-//! parameter (the paper calls this out: PBBS programs are *not*
-//! parameter-free; see §6).
+//! parameter, [`Step::prefix`] (the paper calls this out: PBBS programs are
+//! *not* parameter-free; see §6). It sees the remaining and finished item
+//! counts, never the thread count, so a run's rounds are the same at any
+//! thread count.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

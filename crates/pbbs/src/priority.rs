@@ -28,19 +28,6 @@ pub fn write_min(slot: &AtomicU64, v: u64) -> bool {
     false
 }
 
-/// Atomically raises `slot` to `v` if `v` is larger; returns whether `v` won.
-#[inline]
-pub fn write_max(slot: &AtomicU64, v: u64) -> bool {
-    let mut cur = slot.load(Ordering::Relaxed);
-    while v > cur {
-        match slot.compare_exchange_weak(cur, v, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => return true,
-            Err(now) => cur = now,
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,13 +53,5 @@ mod tests {
             }
         });
         assert_eq!(slot.load(Ordering::Relaxed), 1000);
-    }
-
-    #[test]
-    fn max_mirror() {
-        let slot = AtomicU64::new(0);
-        assert!(write_max(&slot, 5));
-        assert!(!write_max(&slot, 3));
-        assert_eq!(slot.load(Ordering::Relaxed), 5);
     }
 }

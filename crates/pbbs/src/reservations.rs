@@ -43,16 +43,6 @@ impl Reservations {
         }
     }
 
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether there are no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Item `i` tries to reserve `slot`; the minimum index wins.
     #[inline]
     pub fn reserve(&self, slot: usize, i: u64) -> bool {
@@ -71,12 +61,6 @@ impl Reservations {
         self.slots[slot]
             .compare_exchange(i, FREE, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
-    }
-
-    /// Frees `slot` unconditionally.
-    #[inline]
-    pub fn free(&self, slot: usize) {
-        self.slots[slot].store(FREE, Ordering::Release);
     }
 }
 
@@ -105,15 +89,5 @@ mod tests {
         assert!(!r.check_reset(0, 6));
         assert!(r.check_reset(0, 5));
         assert_eq!(r.slots[0].load(Ordering::Acquire), FREE);
-    }
-
-    #[test]
-    fn free_unconditionally() {
-        let r = Reservations::new(2);
-        r.reserve(0, 1);
-        r.free(0);
-        assert_eq!(r.slots[0].load(Ordering::Acquire), FREE);
-        assert_eq!(r.len(), 2);
-        assert!(!r.is_empty());
     }
 }
