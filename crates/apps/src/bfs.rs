@@ -62,9 +62,6 @@ pub fn run(
     let op = |t: &(NodeId, u32), ctx: &mut Ctx<'_, (NodeId, u32)>| -> OpResult {
         let (v, d) = *t;
         ctx.acquire(v)?;
-        // Start pulling v's neighbor row while the label check and failsafe
-        // run; the push loop below is the row's first real use.
-        g.prefetch_row(v);
         if dist.get(v as usize) <= d {
             // Already labelled at least as well; nothing to write.
             return ctx.failsafe();

@@ -22,6 +22,7 @@ use galois_mesh::Mesh;
 use galois_runtime::fingerprint::{hash_u32s, Fnv64};
 use galois_runtime::simtime::ExecTrace;
 use galois_runtime::stats::ExecStats;
+use pbbs_det::SpecForStats;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -398,9 +399,8 @@ impl App {
         let (threads, trace) = (exec.thread_count(), exec.records_trace());
         // A pbbs run's counts `[committed, aborted, atomic_updates, rounds]`
         // as executor statistics, with its rounds as the trace when asked
-        // for. `atomic_updates` (Figure 5's atomics column) counts the
-        // priority writes of bfs, dt and dmr but the reserve invocations of
-        // mis and mm.
+        // for. `atomic_updates` (Figure 5's atomics column) counts priority
+        // writes for every app.
         let pbbs_done = |output_hash,
                          [committed, aborted, atomic_updates, rounds]: [u64; 4],
                          elapsed,
@@ -419,6 +419,10 @@ impl App {
             trace: trace.then_some(ExecTrace::Rounds(round_log)),
             accesses: None,
         };
+        let spec_done = |output_hash, s: SpecForStats, elapsed| {
+            let counts = [s.committed, s.aborted, s.priority_writes, s.rounds];
+            pbbs_done(output_hash, counts, elapsed, s.round_log)
+        };
         // Each arm: the app's verifier verdict beside the reduced run.
         let ran = match (self, input) {
             (App::Bfs, Input::Graph(g)) if pbbs => {
@@ -434,9 +438,7 @@ impl App {
             }),
             (App::Mis, Input::Graph(g)) if pbbs => {
                 let ((flags, s), t) = timed(|| mis::pbbs(g, threads, trace));
-                // Atomics: the reserve invocations.
-                let counts = [s.committed, s.aborted, s.reserved, s.rounds];
-                let done = pbbs_done(hash_u32s(&flags), counts, t, s.round_log);
+                let done = spec_done(hash_u32s(&flags), s, t);
                 Ok((mis::verify(g, &flags), done))
             }
             (App::Mis, Input::Graph(g)) => mis::run(g, exec, hooks).map(|(flags, r)| {
@@ -445,9 +447,7 @@ impl App {
             }),
             (App::Mm, Input::Graph(g)) if pbbs => {
                 let ((mate, s), t) = timed(|| mm::pbbs(g, threads, trace));
-                // Atomics: the reserve invocations.
-                let counts = [s.committed, s.aborted, s.reserved, s.rounds];
-                let done = pbbs_done(hash_u32s(&mate), counts, t, s.round_log);
+                let done = spec_done(hash_u32s(&mate), s, t);
                 Ok((mm::verify(g, &mate), done))
             }
             (App::Mm, Input::Graph(g)) => mm::run(g, exec, hooks).map(|(mate, r)| {
@@ -456,9 +456,7 @@ impl App {
             }),
             (App::Dt, Input::Points { pts, seed }) if pbbs => {
                 let ((mesh, s), t) = timed(|| dt::pbbs(pts, *seed, threads, trace));
-                // Atomics: the lock-set priority writes.
-                let counts = [s.committed, s.aborted, s.priority_writes, s.rounds];
-                let done = pbbs_done(hash_mesh(&mesh), counts, t, s.round_log);
+                let done = spec_done(hash_mesh(&mesh), s, t);
                 Ok((dt::verify(&mesh), done))
             }
             (App::Dt, Input::Points { pts, seed }) => dt::run(pts, *seed, exec, hooks)
@@ -466,9 +464,7 @@ impl App {
             (App::Dmr, Input::MeshSpec { n, seed }) if pbbs => {
                 let mesh = dmr::make_input(*n, *seed);
                 let (s, t) = timed(|| dmr::pbbs(&mesh, threads, trace));
-                // Atomics: the lock-set priority writes.
-                let counts = [s.committed, s.aborted, s.priority_writes, s.rounds];
-                let done = pbbs_done(hash_mesh(&mesh), counts, t, s.round_log);
+                let done = spec_done(hash_mesh(&mesh), s, t);
                 Ok((dmr::verify(&mesh), done))
             }
             (App::Dmr, Input::MeshSpec { n, seed }) => {

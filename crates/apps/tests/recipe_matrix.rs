@@ -5,7 +5,7 @@
 //! runs sharing one never wait for or see each other.
 
 use galois_apps::recipe::{Finished, Input};
-use galois_apps::{App, Variant};
+use galois_apps::{dmr, dt, mis, mm, App, Variant};
 use galois_core::{Hooks, Probe, RoundLog, RoundRecord};
 use galois_runtime::simtime::ExecTrace;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -140,6 +140,26 @@ fn pbbs_counters_do_not_depend_on_the_thread_count() {
             assert!(cells[0].1 > 0, "{app} pbbs never retried: {cells:?}");
         }
         assert_eq!(cells, [cells[0]; 3], "{app} pbbs at 1, 2, 3 threads");
+    }
+}
+
+/// Figure 5's atomics column means one thing for every reservations app:
+/// the priority writes of its reserve phases.
+#[test]
+fn pbbs_atomic_updates_are_priority_writes() {
+    for app in [App::Mis, App::Mm, App::Dt, App::Dmr] {
+        let input = input(app);
+        let writes = match &input {
+            Input::Graph(g) if app == App::Mis => mis::pbbs(g, 2, false).1.priority_writes,
+            Input::Graph(g) => mm::pbbs(g, 2, false).1.priority_writes,
+            Input::Points { pts, seed } => dt::pbbs(pts, *seed, 2, false).1.priority_writes,
+            Input::MeshSpec { n, seed } => {
+                dmr::pbbs(&dmr::make_input(*n, *seed), 2, false).priority_writes
+            }
+            Input::Flow(_) => unreachable!("pfp has no pbbs variant"),
+        };
+        let done = run(app, Variant::Pbbs, 2, &input);
+        assert_eq!(done.stats.atomic_updates, writes, "{app}");
     }
 }
 

@@ -9,67 +9,9 @@
 //! through the virtual-time machine model (DESIGN.md, substitution 1).
 
 use galois_bench::sweep::{run_sweep, thread_points};
-use galois_bench::tables::{f, load_bench_jsonl, rounds_metric_name, Table};
+use galois_bench::tables::{f, Table};
 use galois_bench::{variants, Variant, PAPER_APPS};
 use galois_runtime::simtime::MachineProfile;
-
-/// The checked-in `BENCH_rounds.json` baselines, keyed by the canonical
-/// `rounds/{app}_t{threads}_{metric}` names. Entries that are missing or
-/// renamed are reported as "missing", never skipped — a rename in the
-/// bench suite must show up here as a hole, not as a shorter table.
-fn print_rounds_baselines() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate lives two levels under the repo root")
-        .join("BENCH_rounds.json");
-    println!("-- checked-in round baselines ({}) --", path.display());
-    let map = match load_bench_jsonl(&path) {
-        Ok(map) => map,
-        Err(e) => {
-            println!("unavailable: {e}");
-            println!("regenerate with: cargo run -p galois-bench --release --bin bench_all\n");
-            return;
-        }
-    };
-    let mut table = Table::new(&["app", "threads", "round wall (ns)", "barriers", "allocs"]);
-    let mut missing = Vec::new();
-    for app in ["bfs", "mis"] {
-        for threads in [1usize, 2, 4, 8] {
-            let mut cell = |metric: &str| {
-                let name = rounds_metric_name(app, threads, metric);
-                match map.get(&name) {
-                    Some(v) => f(*v),
-                    None => {
-                        missing.push(name);
-                        "missing".into()
-                    }
-                }
-            };
-            table.row(vec![
-                app.into(),
-                threads.to_string(),
-                cell("round_wall_ns"),
-                cell("barriers_per_round"),
-                cell("allocs_per_round"),
-            ]);
-        }
-    }
-    println!("{}", table.render());
-    if !missing.is_empty() {
-        println!(
-            "{} baseline entr{} missing from {}:",
-            missing.len(),
-            if missing.len() == 1 { "y" } else { "ies" },
-            path.display()
-        );
-        for name in &missing {
-            println!("  {name}");
-        }
-        println!("regenerate with: cargo run -p galois-bench --release --bin bench_all");
-    }
-    println!();
-}
 
 fn main() {
     let scale = galois_bench::scale();
@@ -122,8 +64,6 @@ fn main() {
         }
     }
     println!("{}", serial.render());
-
-    print_rounds_baselines();
 
     println!(
         "expected shape: g-n scales best (near-linear until the NUMA cliff on\n\

@@ -22,7 +22,6 @@
 
 pub mod drivers;
 pub mod inputs;
-pub mod suites;
 pub mod sweep;
 pub mod tables;
 

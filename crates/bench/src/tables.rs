@@ -2,7 +2,6 @@
 //! numeric summaries (medians, leader-serial fractions) they report.
 
 use galois_core::{RoundLog, RoundRecord};
-use std::collections::BTreeMap;
 
 /// A simple left-aligned text table.
 #[derive(Debug, Default)]
@@ -131,60 +130,6 @@ pub fn round_log_table(log: &RoundLog) -> Table {
     t
 }
 
-/// Canonical `BENCH_rounds.json` entry name for a per-round metric.
-///
-/// Every producer (the `bench_all` rounds suite) and consumer (fig7, the
-/// CI perf smoke) goes through this helper, so a rename shows up as a
-/// compile-time conflict or an explicit "missing entry" report — never as
-/// a silently skipped row. Metrics: `round_wall_ns`, `barriers_per_round`,
-/// `allocs_per_round`.
-pub fn rounds_metric_name(app: &str, threads: usize, metric: &str) -> String {
-    format!("rounds/{app}_t{threads}_{metric}")
-}
-
-/// Loads a criterion-shim JSONL bench file (`BENCH_*.json`) into a
-/// `name → median` map.
-///
-/// Each line has the shape
-/// `{"name":"...","median_ns":X,"mean_ns":Y,"samples":N}`; for count-based
-/// rounds metrics the `_ns` fields carry plain counts (see the
-/// `BENCH_rounds.json` legend in the README). Returns an error naming the
-/// path when the file is missing or a line does not parse, so callers can
-/// report instead of skip.
-pub fn load_bench_jsonl(path: &std::path::Path) -> Result<BTreeMap<String, f64>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let mut map = BTreeMap::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let field = |key: &str| -> Option<&str> {
-            let tag = format!("\"{key}\":");
-            let rest = &line[line.find(&tag)? + tag.len()..];
-            let end = rest.find([',', '}'])?;
-            Some(rest[..end].trim())
-        };
-        let name = field("name")
-            .and_then(|v| v.strip_prefix('"'))
-            .and_then(|v| v.strip_suffix('"'));
-        let median = field("median_ns").and_then(|v| v.parse::<f64>().ok());
-        match (name, median) {
-            (Some(n), Some(m)) => {
-                map.insert(n.to_string(), m);
-            }
-            _ => {
-                return Err(format!(
-                    "{}:{}: not a bench record: {line}",
-                    path.display(),
-                    lineno + 1
-                ))
-            }
-        }
-    }
-    Ok(map)
-}
-
 /// Median of a sample (NaNs excluded).
 pub fn median(values: &[f64]) -> f64 {
     let mut v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
@@ -278,40 +223,6 @@ mod tests {
         assert_eq!(s.lines().count(), 4, "header + rule + 2 rows:\n{s}");
         assert!(s.contains("3 x2"), "top conflict rendered:\n{s}");
         assert!(s.lines().nth(3).unwrap().contains('-'), "no-conflict dash");
-    }
-
-    #[test]
-    fn rounds_names_are_canonical() {
-        assert_eq!(
-            rounds_metric_name("bfs", 4, "barriers_per_round"),
-            "rounds/bfs_t4_barriers_per_round"
-        );
-        assert_eq!(
-            rounds_metric_name("mis", 1, "round_wall_ns"),
-            "rounds/mis_t1_round_wall_ns"
-        );
-    }
-
-    #[test]
-    fn jsonl_loader_reads_shim_records_and_reports_errors() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("galois-tables-test-{}.json", std::process::id()));
-        std::fs::write(
-            &path,
-            "{\"name\":\"rounds/bfs_t2_allocs_per_round\",\"median_ns\":0.0,\"mean_ns\":0.1,\"samples\":9}\n\
-             {\"name\":\"gen/x\",\"median_ns\":1234.5,\"mean_ns\":1300.0,\"samples\":3}\n",
-        )
-        .unwrap();
-        let map = load_bench_jsonl(&path).unwrap();
-        assert_eq!(map.len(), 2);
-        assert_eq!(map["rounds/bfs_t2_allocs_per_round"], 0.0);
-        assert_eq!(map["gen/x"], 1234.5);
-        std::fs::write(&path, "not a record\n").unwrap();
-        let err = load_bench_jsonl(&path).unwrap_err();
-        assert!(err.contains("not a bench record"), "{err}");
-        std::fs::remove_file(&path).unwrap();
-        let err = load_bench_jsonl(&path).unwrap_err();
-        assert!(err.contains("cannot read"), "{err}");
     }
 
     #[test]

@@ -67,9 +67,7 @@ pub trait Step: Sync {
 
 /// Statistics of one [`speculative_for`] execution.
 ///
-/// The two work counters count different things; the pbbs recipe reports
-/// `reserved` as the atomic updates of mis and mm and `priority_writes` as
-/// those of dt and dmr.
+/// The pbbs recipe reports `priority_writes` as every app's atomic updates.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct SpecForStats {
     /// Bulk-synchronous rounds executed.
@@ -78,8 +76,6 @@ pub struct SpecForStats {
     pub committed: u64,
     /// Commit-phase failures (retries).
     pub aborted: u64,
-    /// Reserve-phase invocations: the round prefixes, summed.
-    pub reserved: u64,
     /// Priority writes issued by the reserve phases, as each step reports
     /// them through [`Step::priority_writes`].
     pub priority_writes: u64,
@@ -183,7 +179,6 @@ pub fn speculative_for<S: Step>(
         done += prefix as u64 - failed;
 
         stats.rounds += 1;
-        stats.reserved += prefix as u64;
         stats.committed += committed_round;
         stats.aborted += failed;
         if let (Some(r), Some(c), Some(t2)) = (reserve_ns, commit_ns, t2) {
@@ -246,7 +241,7 @@ mod tests {
             };
             let stats = speculative_for(&step, 0..64, threads, false);
             assert_eq!(stats.committed, 64, "threads={threads}");
-            assert_eq!((stats.reserved, stats.priority_writes), (64, 64));
+            assert_eq!(stats.priority_writes, 64);
             for (b, o) in step.owner.iter().enumerate() {
                 assert_eq!(o.load(Ordering::Relaxed), b as u64 + 1, "bucket {b}");
             }
@@ -274,11 +269,11 @@ mod tests {
     #[test]
     fn reserve_none_drops_items() {
         let skip = Nop(|remaining, _| remaining.div_ceil(4), |i| i % 2 == 0);
-        let stats = speculative_for(&skip, 0..100, 2, false);
-        assert_eq!(
-            (stats.committed, stats.aborted, stats.reserved),
-            (50, 0, 100)
-        );
+        let stats = speculative_for(&skip, 0..100, 2, true);
+        assert_eq!((stats.committed, stats.aborted), (50, 0));
+        // Every item is reserved exactly once.
+        let reserved: u64 = stats.round_log.records().iter().map(|r| r.window).sum();
+        assert_eq!(reserved, 100);
     }
 
     #[test]
@@ -345,15 +340,17 @@ mod tests {
                 tried: (0..16).map(|_| Slot::new(0)).collect(),
                 log: Mutex::new(Vec::new()),
             };
-            let stats = speculative_for(&step, 0..16, threads, false);
+            let stats = speculative_for(&step, 0..16, threads, true);
             let mut log = step.log.into_inner().unwrap();
             log.sort_unstable();
             assert_eq!(log, expect, "threads={threads}");
             assert_eq!(
-                (stats.rounds, stats.committed, stats.aborted, stats.reserved),
-                (3, 32, 8, 40),
+                (stats.rounds, stats.committed, stats.aborted),
+                (3, 32, 8),
                 "threads={threads}"
             );
+            let windows: Vec<u64> = stats.round_log.records().iter().map(|r| r.window).collect();
+            assert_eq!(windows, [16, 16, 8], "threads={threads}");
         }
     }
 }

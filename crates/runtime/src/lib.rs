@@ -16,7 +16,7 @@
 //! - [`json`]: the one strict JSON codec — parser, `escape`, ordered field
 //!   cursor and checksum envelope — behind every manifest, report and
 //!   request body the tree reads.
-//! - [`padded`]: cache-line padded cells and per-thread counter arrays.
+//! - [`padded`]: cache-line padded cells and per-thread slot arrays.
 //! - [`stats`]: mergeable per-thread execution statistics.
 //! - [`probe`]: round-level observability — the [`Probe`] trait and the
 //!   [`RoundLog`] recorder whose canonical serialization doubles as a

@@ -1,4 +1,4 @@
-//! Cache-line padded cells and per-thread counters.
+//! Cache-line padded cells and per-thread slots.
 //!
 //! Fine-grain parallel runtimes live and die by false sharing: a per-thread
 //! counter that shares a cache line with its neighbor serializes the machine.
@@ -7,7 +7,6 @@
 //! per-thread slots on top of it.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Pads and aligns `T` to 128 bytes to avoid false sharing.
 ///
@@ -129,49 +128,9 @@ impl<T> PerThread<T> {
     }
 }
 
-/// A relaxed, padded, per-thread event counter with a cross-thread total.
-///
-/// Used for the paper's atomic-update and commit/abort rates (Figures 4–5):
-/// increments are thread-local relaxed stores, so counting does not perturb
-/// the behaviour being measured.
-#[derive(Debug)]
-pub struct Counter {
-    slots: PerThread<AtomicU64>,
-}
-
-impl Counter {
-    /// Creates a counter with one padded slot per thread.
-    pub fn new(threads: usize) -> Self {
-        Counter {
-            slots: PerThread::new(threads, |_| AtomicU64::new(0)),
-        }
-    }
-
-    /// Adds `n` to thread `tid`'s slot.
-    #[inline]
-    pub fn add(&self, tid: usize, n: u64) {
-        let slot = self.slots.get(tid);
-        // Single-writer per slot: a relaxed read-modify-write never contends.
-        slot.store(slot.load(Ordering::Relaxed) + n, Ordering::Relaxed);
-    }
-
-    /// Sums all slots.
-    pub fn total(&self) -> u64 {
-        self.slots.iter().map(|s| s.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Resets all slots to zero.
-    pub fn reset(&self) {
-        for s in self.slots.iter() {
-            s.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::run_on_threads;
 
     #[test]
     fn padding_alignment() {
@@ -187,19 +146,6 @@ mod tests {
         *pt.get_mut(1) = 42;
         let all: Vec<_> = pt.iter().copied().collect();
         assert_eq!(all, vec![0, 42, 2]);
-    }
-
-    #[test]
-    fn counter_totals_across_threads() {
-        let c = Counter::new(4);
-        run_on_threads(4, |tid| {
-            for _ in 0..1000 {
-                c.add(tid, 1);
-            }
-        });
-        assert_eq!(c.total(), 4000);
-        c.reset();
-        assert_eq!(c.total(), 0);
     }
 
     #[test]
