@@ -2,7 +2,7 @@
 
 use crate::inputs;
 use galois_apps::Variant;
-use galois_core::{DetOptions, Executor, Hooks, RoundLog, Schedule};
+use galois_core::{DetOptions, Executor, Hooks, Probe, RoundLog, Schedule};
 use galois_runtime::simtime::ExecTrace;
 use galois_runtime::stats::ExecStats;
 
@@ -64,7 +64,9 @@ pub struct Opts {
     pub access: bool,
     /// Disable the continuation optimization (Figure 10's g-d baseline).
     pub no_continuation: bool,
-    /// Record a per-round schedule log ([`Measurement::round_log`]).
+    /// Record a per-round schedule log ([`Measurement::round_log`]),
+    /// conflict attribution included: the run attaches its own
+    /// [`RoundLog`] probe.
     pub round_log: bool,
 }
 
@@ -82,7 +84,6 @@ fn executor(app: App, variant: Variant, threads: usize, opts: Opts) -> Executor 
     app.executor(schedule, threads)
         .record_trace(opts.trace)
         .record_access(opts.access)
-        .record_rounds(opts.round_log)
 }
 
 /// Runs one (app, variant) measurement: one [`App::run`] over the app's
@@ -105,7 +106,12 @@ pub fn measure(
     app.check_variant(variant).ok()?;
     let input = inputs::input(app, scale);
     let exec = executor(app, variant, threads, opts);
-    let done = match app.run(variant, &exec, &input, Hooks::default()) {
+    let mut log = RoundLog::new();
+    let hooks = Hooks {
+        probe: opts.round_log.then_some(&mut log as &mut dyn Probe),
+        recorder: None,
+    };
+    let done = match app.run(variant, &exec, &input, hooks) {
         Ok(Ok(done)) => done,
         Ok(Err(fault)) => panic!("{app}/{}: {fault}", variant.label()),
         Err(invalid) => panic!("{}: {invalid}", variant.label()),
@@ -117,7 +123,8 @@ pub fn measure(
         stats: done.stats,
         trace: done.trace,
         accesses: done.accesses,
-        round_log: opts.round_log.then(|| RoundLog::concat(done.logs)),
+        // pfp's bouts share the one log: renumber them into one sequence.
+        round_log: opts.round_log.then(|| RoundLog::concat([log])),
     })
 }
 
@@ -187,6 +194,19 @@ mod tests {
         assert_eq!(spec.serial_fraction(), None, "async traces have no rounds");
         let untraced = measure(App::Mis, Variant::Deterministic, 1, TINY, Opts::default()).unwrap();
         assert_eq!(untraced.serial_fraction(), None);
+    }
+
+    #[test]
+    fn round_log_attributes_conflicts() {
+        // fig4's top-conflict column reads them.
+        let opts = Opts {
+            round_log: true,
+            ..Default::default()
+        };
+        let m = measure(App::Mis, Variant::Deterministic, 2, TINY, opts).unwrap();
+        let log = m.round_log.expect("round log requested");
+        assert_eq!(log.len() as u64, m.stats.rounds);
+        assert!(log.records().iter().any(|r| !r.conflicts.is_empty()));
     }
 
     #[test]

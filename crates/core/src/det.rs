@@ -195,7 +195,8 @@ struct ThreadOut<T> {
     /// Commits in this thread's range.
     committed: u64,
     /// This round's phase times on this thread and their largest per-task
-    /// block means (when timing; see [`RoundRecord`]).
+    /// block means (when timing; a block is the whole lane walk unless the
+    /// run wants per-task maxima — see [`RoundRecord`]).
     inspect_ns: f64,
     inspect_max_ns: f64,
     commit_ns: f64,
@@ -274,6 +275,9 @@ struct RoundState<T> {
     probing: bool,
     collect_conflicts: bool,
     time_phases: bool,
+    /// Time phases in blocks of a few tasks for the per-task maxima (see
+    /// [`RoundRecord::inspect_max_ns`]) instead of once per lane walk.
+    task_maxima: bool,
     conflict_top_k: usize,
 }
 
@@ -326,6 +330,7 @@ where
     let probing = hub.active();
     let collect_conflicts = probing && hub.wants_conflicts();
     let time_phases = probing && hub.wants_timing();
+    let task_maxima = time_phases && hub.wants_task_maxima();
     let conflict_top_k = hub.conflict_top_k();
     let start = Instant::now();
 
@@ -395,6 +400,7 @@ where
         probing,
         collect_conflicts,
         time_phases,
+        task_maxima,
         conflict_top_k,
     };
     let phases = Phases {
@@ -751,10 +757,14 @@ struct Phases<'a, T, O> {
     op: &'a O,
 }
 
-/// `range` cut into consecutive blocks of at most `size` slots.
-fn blocks(range: Range<usize>, size: usize) -> impl Iterator<Item = Range<usize>> {
-    let end = range.end;
-    range.step_by(size).map(move |lo| lo..(lo + size).min(end))
+/// `0..live` cut into a phase's timed blocks: runs of at most `size` slots
+/// when the run wants per-task maxima, else the whole lane walk as one
+/// block (two clock reads per walk when timing).
+fn blocks(live: usize, size: usize, task_maxima: bool) -> impl Iterator<Item = Range<usize>> {
+    let size = if task_maxima { size } else { live.max(1) };
+    (0..live)
+        .step_by(size)
+        .map(move |lo| lo..(lo + size).min(live))
 }
 
 /// Adds a block of `tasks` tasks timed from `t0` to a phase's total and to
@@ -777,8 +787,8 @@ fn inspect_lane<T: Send, O: Operator<T>>(
 ) {
     let Lane { slots, live, out } = lane;
     out.nbs.clear();
-    // Timing amortized per block so tiny tasks are not inflated by timers.
-    for block in blocks(0..*live, 8) {
+    // Blocks of 8 amortize the timers without hiding a slow task's mean.
+    for block in blocks(*live, 8, ph.state.task_maxima) {
         let t0 = ph.state.time_phases.then(Instant::now);
         let len = block.len() as u64;
         for slot in &mut slots[block] {
@@ -800,7 +810,7 @@ fn commit_lane<T: Send, O: Operator<T>>(
     flags: &AbortFlags,
 ) {
     let Lane { slots, live, out } = lane;
-    for block in blocks(0..*live, 64) {
+    for block in blocks(*live, 64, ph.state.task_maxima) {
         let t0 = ph.state.time_phases.then(Instant::now);
         let mut block_committed = 0u64;
         for slot in &mut slots[block] {
@@ -1030,6 +1040,7 @@ mod tests {
     use crate::executor::{DetOptions, Executor, Schedule};
     use crate::marks::MarkTable;
     use crate::{Ctx, OpResult};
+    use galois_runtime::probe::RoundLog;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn det() -> Schedule {
@@ -1329,16 +1340,14 @@ mod tests {
             ctx.failsafe()?;
             Ok(())
         };
-        let run = |rounds: bool| {
+        let exec = |rounds: bool| {
             Executor::new()
                 .threads(1)
                 .schedule(det())
                 .record_trace(true)
                 .record_rounds(rounds)
-                .iterate((0..100u64).collect())
-                .run(&marks, &op)
         };
-        let report = run(false);
+        let report = exec(false).iterate((0..100u64).collect()).run(&marks, &op);
         assert!(report.stats.rounds > 0);
         match report.trace {
             Some(galois_runtime::simtime::ExecTrace::Rounds(log)) => {
@@ -1351,9 +1360,19 @@ mod tests {
             }
             other => panic!("expected rounds trace, got {other:?}"),
         }
-        // The same run with a round log does attribute its conflicts.
-        let logged = run(true).round_log.expect("round log recorded");
-        assert!(logged.records().iter().any(|r| !r.conflicts.is_empty()));
+        // The executor's own round log feeds the fingerprint, which reads
+        // no conflicts, so it collects none; a log attached to the same run
+        // does.
+        let mut attached = RoundLog::new();
+        let own = exec(true)
+            .iterate((0..100u64).collect())
+            .probe(&mut attached)
+            .run(&marks, &op)
+            .round_log
+            .expect("round log recorded");
+        assert_eq!(own.len(), attached.len());
+        assert!(own.records().iter().all(|r| r.conflicts.is_empty()));
+        assert!(attached.records().iter().any(|r| !r.conflicts.is_empty()));
     }
 
     #[test]

@@ -267,10 +267,15 @@ impl Executor {
     }
 
     /// Records a [`RoundLog`] internally and returns it in
-    /// [`RunReport::round_log`]. Equivalent to attaching a fresh `RoundLog`
-    /// via [`LoopSpec::probe`] but without threading a borrow through the
-    /// caller — convenient when the caller owns neither the loop site nor a
-    /// probe (e.g. the CLI binaries' `--round-log` flag).
+    /// [`RunReport::round_log`], without threading a borrow through the
+    /// caller — the harness's run fingerprint is built from it.
+    ///
+    /// This log pays only for what that fingerprint reads: its records
+    /// carry the schedule counts and the phase totals, but no conflict
+    /// attribution (`conflicts` stays empty) and, unless the run also
+    /// records its trace, lane means in place of the per-task maxima. A
+    /// reader that wants conflicts attaches its own `RoundLog` via
+    /// [`LoopSpec::probe`] (the CLI's `--round-log` does).
     pub fn record_rounds(mut self, on: bool) -> Self {
         self.record_rounds = on;
         self
@@ -536,7 +541,9 @@ impl<'e, 'p, T: Send> LoopSpec<'e, 'p, T> {
 /// [`Executor::record_rounds`], and the round records of a deterministic
 /// run's [`Executor::record_trace`]. Executors interact only with this;
 /// when every slot is empty every `wants_*` gate is false and the
-/// observability layer costs nothing.
+/// observability layer costs nothing. Each gate asks only the slots that
+/// read its field: conflicts are the external probe's, the per-task maxima
+/// the trace's (DESIGN.md "Hot paths" has the table).
 pub(crate) struct ProbeHub<'p> {
     external: Option<&'p mut dyn Probe>,
     recorder: Option<&'p mut ManifestRecorder>,
@@ -569,18 +576,9 @@ impl<'p> ProbeHub<'p> {
     }
 
     pub(crate) fn wants_conflicts(&self) -> bool {
-        // The recorder never wants conflicts (they are excluded from the
-        // canonical hash) and the model never reads them, so only the
-        // external probe and the round log are consulted.
-        self.external
-            .as_ref()
-            .map(|p| p.wants_conflicts())
-            .unwrap_or(false)
-            || self
-                .own
-                .as_ref()
-                .map(|p| p.wants_conflicts())
-                .unwrap_or(false)
+        // Only the external probe is consulted: the recorder's hash, the
+        // own log's fingerprint chain and the model all leave conflicts out.
+        self.external.as_ref().is_some_and(|p| p.wants_conflicts())
     }
 
     pub(crate) fn wants_timing(&self) -> bool {
@@ -592,30 +590,38 @@ impl<'p> ProbeHub<'p> {
             || self.trace.is_some()
     }
 
+    /// Whether phases are timed in small blocks for the per-task maxima
+    /// ([`RoundRecord::inspect_max_ns`]): only the trace's model reads
+    /// them, so every other reader gets one timed block per lane walk.
+    pub(crate) fn wants_task_maxima(&self) -> bool {
+        self.trace.is_some()
+    }
+
     pub(crate) fn conflict_top_k(&self) -> usize {
         self.external
             .as_ref()
             .map(|p| p.conflict_top_k())
             .unwrap_or(0)
-            .max(self.own.as_ref().map(|p| p.conflict_top_k()).unwrap_or(0))
     }
 
-    /// Hands `record` to every attached probe: a clone to each but the
-    /// last, which takes it.
-    pub(crate) fn on_round(&mut self, record: RoundRecord) {
-        let sinks: [Option<&mut dyn Probe>; 4] = [
+    /// Hands `record` to every attached probe. Only the external probe
+    /// reads conflicts, so the others get the record without them and the
+    /// external probe takes it last, conflicts restored.
+    pub(crate) fn on_round(&mut self, mut record: RoundRecord) {
+        let conflicts = std::mem::take(&mut record.conflicts);
+        let internal: [Option<&mut dyn Probe>; 3] = [
             self.recorder.as_deref_mut().map(|r| r as &mut dyn Probe),
-            self.external.as_deref_mut(),
             self.own.as_mut().map(|r| r as &mut dyn Probe),
             self.trace.as_mut().map(|r| r as &mut dyn Probe),
         ];
-        let mut sinks = sinks.into_iter().flatten().peekable();
-        while let Some(sink) = sinks.next() {
-            if sinks.peek().is_none() {
-                sink.on_round(record);
-                return;
-            }
+        for sink in internal.into_iter().flatten() {
             sink.on_round(record.clone());
+        }
+        if let Some(ext) = self.external.as_deref_mut() {
+            ext.on_round(RoundRecord {
+                conflicts,
+                ..record
+            });
         }
     }
 
@@ -736,7 +742,24 @@ mod tests {
         assert!(!hub.active());
         assert!(!hub.wants_conflicts());
         assert!(!hub.wants_timing());
+        assert!(!hub.wants_task_maxima());
         assert_eq!(hub.conflict_top_k(), 0);
+    }
+
+    #[test]
+    fn probe_hub_own_log_pays_only_for_phase_totals() {
+        // The fingerprint reads no conflicts and the model no own-log
+        // maxima, so the own log alone wants the phase totals and nothing
+        // else.
+        let hub = ProbeHub::new(None, None, true, false);
+        assert!(hub.active() && hub.wants_timing());
+        assert!(!hub.wants_conflicts());
+        assert!(!hub.wants_task_maxima());
+        assert_eq!(hub.conflict_top_k(), 0);
+        // The trace is the one reader of the per-task maxima.
+        let hub = ProbeHub::new(None, None, true, true);
+        assert!(hub.wants_timing() && hub.wants_task_maxima());
+        assert!(!hub.wants_conflicts());
     }
 
     #[test]
@@ -744,15 +767,24 @@ mod tests {
         let mut ext = RoundLog::new();
         let mut hub = ProbeHub::new(Some(&mut ext), None, true, true);
         assert!(hub.active() && hub.wants_conflicts() && hub.wants_timing());
+        assert_eq!(
+            hub.conflict_top_k(),
+            galois_runtime::probe::DEFAULT_CONFLICT_TOP_K
+        );
         hub.on_round(RoundRecord {
             round: 0,
+            conflicts: vec![(3, 1)],
             ..Default::default()
         });
         hub.finish(&ExecStats::default());
         let (own, trace) = hub.into_logs();
-        assert_eq!(own.expect("own log present").len(), 1);
-        assert_eq!(trace.expect("trace present").len(), 1);
+        // Every slot sees the round; only the external probe its conflicts.
+        for log in [own.expect("own log present"), trace.expect("trace present")] {
+            assert_eq!(log.len(), 1);
+            assert!(log.records()[0].conflicts.is_empty());
+        }
         assert_eq!(ext.len(), 1);
+        assert_eq!(ext.records()[0].conflicts, [(3, 1)]);
         assert!(ext.final_stats().is_some());
     }
 

@@ -131,7 +131,8 @@ pub fn unperturbed(_: App, _: Variant, _: usize, _: Option<u64>, exec: Executor)
 /// The CLI and the serving layer build their executors here too, so a CLI
 /// run, a served request and a differential-sweep cell are the same
 /// computation. [`Variant::Pbbs`] runs no operator: its executor carries
-/// the thread count [`App::run`] reads.
+/// the thread count [`App::run`] reads. The round log it records feeds
+/// the run fingerprint, which reads no conflicts, so it collects none.
 pub fn executor_for(
     app: App,
     variant: Variant,

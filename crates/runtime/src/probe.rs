@@ -24,6 +24,16 @@
 //!   operations are added to the hot path**: a run with no probe reports
 //!   the same `atomic_updates` count as one that predates this layer.
 //!
+//! # Pay for what is read
+//!
+//! When something is attached, each field costs only for the readers that
+//! read it. Conflict attribution is collected only for an attached probe
+//! that [wants](Probe::wants_conflicts) it; the executor's own round log
+//! (which the harness fingerprints) and the virtual-time trace get records
+//! without it. Phases are timed once per lane walk; the finer blocks behind
+//! the per-task maxima ([`RoundRecord::inspect_max_ns`]) run only for a
+//! trace, whose model is their one reader.
+//!
 //! # The round log as a portability oracle
 //!
 //! Every schedule-derived field of a [`RoundRecord`] (round index, window
@@ -82,7 +92,9 @@ pub struct RoundRecord {
     /// Tasks deferred to a later round (DIG: `attempted - committed`).
     pub failed: u64,
     /// Top-K `(location, conflict count)` pairs, ordered by count
-    /// descending then location ascending — the abort attribution.
+    /// descending then location ascending — the abort attribution. DIG:
+    /// filled only in the records an attached probe that
+    /// [wants](Probe::wants_conflicts) them receives; empty elsewhere.
     pub conflicts: Vec<(u32, u64)>,
     /// Inspect-phase work (0 when timing is off). DIG: summed over
     /// threads. PBBS: the phase's wall-clock time, which equals the thread
@@ -91,13 +103,15 @@ pub struct RoundRecord {
     /// Commit-phase work, summed like `inspect_ns` (0 when timing is off).
     pub commit_ns: f64,
     /// Largest per-task inspect cost, the phase's critical-path floor in the
-    /// model. DIG: the largest per-task mean of any timed block (a block is
-    /// up to 8 consecutive tasks of one thread). PBBS: `inspect_ns /
-    /// attempted`.
+    /// model. DIG: the largest per-task mean of any timed block. Under
+    /// `record_trace` a block is up to 8 consecutive tasks of one thread;
+    /// otherwise it is a thread's whole share of the round, so this is the
+    /// largest per-thread mean. PBBS: `inspect_ns / attempted`.
     pub inspect_max_ns: f64,
     /// Largest per-committed-task commit cost. DIG: the largest
-    /// per-commit mean of any timed block with a commit (blocks of up to 64
-    /// tasks). PBBS: `commit_ns / committed` (at least one).
+    /// per-commit mean of any timed block with a commit — blocks of up to
+    /// 64 tasks under `record_trace`, a thread's whole share otherwise.
+    /// PBBS: `commit_ns / committed` (at least one).
     pub commit_max_ns: f64,
     /// Leader-serial time closing this round (0 when timing is off). DIG:
     /// the whole tail of the fused crossing — output merge, failed-task
@@ -201,13 +215,18 @@ impl RoundRecord {
 /// methods have defaults so a probe can implement only what it needs.
 pub trait Probe: Send {
     /// Whether the executor should collect per-conflict abstract locations
-    /// (one `Vec` push per losing mark write). Return `false` to skip
-    /// attribution and keep only the counts.
+    /// (one `Vec` push per losing mark write, plus a sort on the leader's
+    /// serial tail every round). Return `false` to skip attribution and
+    /// keep only the counts. Asked of the attached probe alone: the
+    /// executor's own round log and the trace never collect conflicts.
     fn wants_conflicts(&self) -> bool {
         true
     }
 
-    /// Whether the executor should run per-phase wall-clock timers.
+    /// Whether the executor should run per-phase wall-clock timers: two
+    /// clock reads per thread per phase walk, plus the leader's serial
+    /// tail. The per-task maxima are lane means unless the run also
+    /// records its trace (see [`RoundRecord::inspect_max_ns`]).
     fn wants_timing(&self) -> bool {
         true
     }

@@ -613,9 +613,6 @@ fn handle_run(req: &http::Request, shared: &Shared, delta: &mut StatsSnapshot) -
     if let Some(panic_seed) = run_req.chaos_panics {
         exec = exec.chaos_panics(panic_seed);
     }
-    if run_req.round_log {
-        exec = exec.record_rounds(true);
-    }
     let mut rec = run_req.manifest.then(ManifestRecorder::new);
 
     let result = run_resident(run_req.app, &exec, &resident, rec.as_mut());

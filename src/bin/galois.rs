@@ -36,12 +36,15 @@
 //! runs load instead of regenerating.
 //!
 //! `--round-log FILE` (`g-d` only: only the deterministic scheduler has
-//! rounds) writes the per-round schedule log as canonical JSONL. The file
-//! is byte-identical at any thread count, so two runs can be diffed to find
-//! the first divergent round. One exemption: dt and dmr's `"conflicts"`
-//! fields name arena triangle slots, which are allocated concurrently and
-//! vary from run to run (DESIGN.md note 13); their logs match once those
-//! fields are removed.
+//! rounds) attaches a [`RoundLog`] probe to the run and writes its
+//! per-round schedule log as canonical JSONL, conflict attribution
+//! included. The executor's own round log, which the harness fingerprints,
+//! carries no conflicts; only this attached log pays for collecting them.
+//! The file is byte-identical at any thread count, so two runs can be
+//! diffed to find the first divergent round. One exemption: dt and dmr's
+//! `"conflicts"` fields name arena triangle slots, which are allocated
+//! concurrently and vary from run to run (DESIGN.md note 13); their logs
+//! match once those fields are removed.
 //!
 //! `--chaos-seed N` (`g-n`/`g-d` only) installs a seeded
 //! schedule-chaos policy: thread start skew, barrier jitter, shuffled
@@ -80,7 +83,7 @@
 #![forbid(unsafe_code)]
 
 use deterministic_galois::core::manifest::{LockstepOutcome, LockstepReport};
-use deterministic_galois::core::{ExecError, Hooks, RoundLog};
+use deterministic_galois::core::{ExecError, Hooks, Probe, RoundLog};
 use deterministic_galois::graph::cache::CacheOutcome;
 use deterministic_galois::harness::lockstep::{exit_code, EXIT_DIVERGENCE, EXIT_NO_QUORUM};
 use deterministic_galois::harness::{
@@ -623,8 +626,8 @@ fn input(args: &Args) -> ResidentInput {
 
 /// Writes the canonical JSONL round log, with a multi-pass run's (pfp
 /// bouts') rounds renumbered into one monotone sequence.
-fn write_round_log(path: &str, logs: Vec<RoundLog>) {
-    let log = RoundLog::concat(logs);
+fn write_round_log(path: &str, log: RoundLog) {
+    let log = RoundLog::concat([log]);
     if let Err(e) = std::fs::write(path, log.canonical_jsonl()) {
         eprintln!("cannot write round log {path}: {e}");
         exit(1);
@@ -655,12 +658,22 @@ fn main() {
     }
     let t0 = std::time::Instant::now();
     let input = input(&args);
-    let mut exec = executor_for(app, variant, args.threads, args.chaos_seed)
-        .record_rounds(args.round_log.is_some());
+    // The CLI prints no fingerprint, so the executor's own round log is
+    // off; `--round-log` attaches a log of its own, which also collects the
+    // conflict attribution the file carries.
+    let mut exec = executor_for(app, variant, args.threads, args.chaos_seed).record_rounds(false);
     if let Some(seed) = args.chaos_panics {
         exec = exec.chaos_panics(seed);
     }
-    let done = match app.run(variant, &exec, &input, Hooks::default()) {
+    let mut log = RoundLog::new();
+    let hooks = Hooks {
+        probe: args
+            .round_log
+            .is_some()
+            .then_some(&mut log as &mut dyn Probe),
+        recorder: None,
+    };
+    let done = match app.run(variant, &exec, &input, hooks) {
         Ok(Ok(done)) => done,
         Ok(Err(fault)) => fault_exit(fault),
         Err(e) => {
@@ -669,7 +682,7 @@ fn main() {
         }
     };
     if let Some(path) = &args.round_log {
-        write_round_log(path, done.logs);
+        write_round_log(path, log);
     }
     println!(
         "done in {:?}: output {:016x} ({})",

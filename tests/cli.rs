@@ -130,8 +130,8 @@ fn round_log_requires_the_deterministic_variant() {
     }
 }
 
-/// `--round-log` at 1 and 2 threads. bfs, mis, mm and pfp logs are
-/// byte-identical. dt and dmr logs differ in `"conflicts"` alone — it names
+/// `--round-log` at 1 and 2 threads, conflict attribution included (mis
+/// must attribute some). bfs, mis, mm and pfp logs are byte-identical. dt and dmr logs differ in `"conflicts"` alone — it names
 /// arena triangle slots, which are allocated concurrently (DESIGN.md note
 /// 13) — and are identical once it is removed.
 #[test]
@@ -156,6 +156,14 @@ fn round_logs_match_across_thread_counts_for_every_app() {
             std::fs::read_to_string(&log).unwrap()
         });
         assert!(!one.is_empty(), "{app}: no rounds logged");
+        if app == "mis" {
+            // The file's conflicts come from the log `--round-log`
+            // attaches; the executor's own log carries none.
+            assert!(
+                one.contains("\"conflicts\":[["),
+                "mis: the round log attributes no conflicts"
+            );
+        }
         if matches!(app, "dt" | "dmr") {
             let unattributed = |log: &str| -> Vec<String> {
                 log.lines()

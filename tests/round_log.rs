@@ -11,7 +11,7 @@
 use deterministic_galois::apps::{bfs, dmr, mis};
 use deterministic_galois::core::window::{AdaptiveWindow, WindowPolicy};
 use deterministic_galois::core::{
-    Ctx, Executor, MarkTable, OpResult, RoundLog, RunReport, Schedule,
+    Ctx, Executor, Hooks, MarkTable, OpResult, Probe, RoundLog, Schedule,
 };
 use deterministic_galois::graph::gen;
 
@@ -19,24 +19,41 @@ fn det_exec(threads: usize) -> Executor {
     Executor::new()
         .threads(threads)
         .schedule(Schedule::deterministic())
-        .record_rounds(true)
 }
 
-fn log_of(mut report: RunReport) -> RoundLog {
-    report.take_round_log().expect("record_rounds was on")
+/// The log a [`RoundLog`] attached through `run`'s hooks records. The
+/// executor's own log (`record_rounds`) carries no conflict attribution, so
+/// the portability tests attach theirs, as the CLI's `--round-log` does.
+fn attached_log(run: impl FnOnce(Hooks<'_>)) -> RoundLog {
+    let mut log = RoundLog::new();
+    run(Hooks {
+        probe: Some(&mut log as &mut dyn Probe),
+        recorder: None,
+    });
+    log
 }
 
-/// bfs: canonical round logs are byte-identical at 1/2/4/8 threads.
+/// bfs: canonical round logs are byte-identical at 1/2/4/8 threads,
+/// conflict attribution included.
 #[test]
 fn bfs_round_log_byte_identical_across_threads() {
     let g = gen::uniform_random(5_000, 4, 7);
+    let run = |threads: usize| {
+        attached_log(|hooks| {
+            bfs::run(&g, 0, &det_exec(threads), hooks).unwrap();
+        })
+    };
     let reference = {
-        let log = log_of(bfs::try_galois(&g, 0, &det_exec(1)).unwrap().1);
+        let log = run(1);
         assert!(!log.is_empty(), "bfs det run must record rounds");
+        assert!(
+            log.records().iter().any(|r| !r.conflicts.is_empty()),
+            "bfs must exercise the abort attribution"
+        );
         log.canonical_jsonl()
     };
     for threads in [2usize, 4, 8] {
-        let log = log_of(bfs::try_galois(&g, 0, &det_exec(threads)).unwrap().1);
+        let log = run(threads);
         assert_eq!(
             log.canonical_jsonl(),
             reference,
@@ -63,8 +80,14 @@ fn dmr_round_log_portable_across_threads() {
     type GeoKey = [(i64, i64); 3];
     let run = |threads: usize| -> (String, Vec<Vec<(GeoKey, u64)>>) {
         let mesh = dmr::make_input(400, 42);
-        let log = log_of(dmr::try_galois(&mesh, &det_exec(threads)).unwrap());
+        let log = attached_log(|hooks| {
+            dmr::run(&mesh, &det_exec(threads), hooks).unwrap();
+        });
         assert!(!log.is_empty(), "dmr det run must record rounds");
+        assert!(
+            log.records().iter().any(|r| !r.conflicts.is_empty()),
+            "dmr must exercise the abort attribution"
+        );
         let counts_only = log
             .records()
             .iter()
@@ -113,7 +136,9 @@ fn dmr_round_log_portable_across_threads() {
 fn mis_round_log_byte_identical_across_threads() {
     let g = gen::uniform_random_undirected(3_000, 4, 11);
     let run = |threads: usize| {
-        let log = log_of(mis::try_galois(&g, &det_exec(threads)).unwrap().1);
+        let log = attached_log(|hooks| {
+            mis::run(&g, &det_exec(threads), hooks).unwrap();
+        });
         assert!(!log.is_empty(), "mis det run must record rounds");
         log.canonical_jsonl()
     };
@@ -178,26 +203,38 @@ fn window_sequence_matches_adaptive_policy() {
     }
 }
 
-/// The probe observes; it must not perturb. A probed run reports exactly
-/// the same schedule-derived stats — including `atomic_updates` — as an
-/// unprobed one.
+/// The probe observes; it must not perturb. A run with an attached
+/// [`RoundLog`] — which attributes conflicts, pushing one location per lost
+/// mark write beside the `atomic_updates` increments — and a run with only
+/// the executor's own log (`record_rounds`, timing without conflicts) each
+/// report exactly the same schedule-derived stats, `atomic_updates`
+/// included, as an unprobed one.
 #[test]
 fn probe_does_not_perturb_atomic_updates() {
     let g = gen::uniform_random(5_000, 4, 7);
-    let plain = bfs::try_galois(
-        &g,
-        0,
-        &Executor::new()
-            .threads(2)
-            .schedule(Schedule::deterministic()),
-    )
-    .unwrap()
-    .1;
-    let probed = bfs::try_galois(&g, 0, &det_exec(2)).unwrap().1;
+    let plain = bfs::try_galois(&g, 0, &det_exec(2)).unwrap().1;
     assert!(plain.round_log().is_none());
-    assert!(probed.round_log().is_some());
-    assert_eq!(plain.stats.atomic_updates, probed.stats.atomic_updates);
-    assert_eq!(plain.stats.committed, probed.stats.committed);
-    assert_eq!(plain.stats.aborted, probed.stats.aborted);
-    assert_eq!(plain.stats.rounds, probed.stats.rounds);
+
+    let mut attached = None;
+    let log = attached_log(|hooks| {
+        attached = Some(bfs::run(&g, 0, &det_exec(2), hooks).unwrap().1);
+    });
+    assert!(
+        log.records().iter().any(|r| !r.conflicts.is_empty()),
+        "the attached log must collect conflicts on this graph"
+    );
+    let own = bfs::try_galois(&g, 0, &det_exec(2).record_rounds(true))
+        .unwrap()
+        .1;
+    assert!(own.round_log().is_some());
+
+    for (name, probed) in [("attached", attached.unwrap()), ("own", own)] {
+        assert_eq!(
+            plain.stats.atomic_updates, probed.stats.atomic_updates,
+            "{name} log perturbed atomic_updates"
+        );
+        assert_eq!(plain.stats.committed, probed.stats.committed, "{name}");
+        assert_eq!(plain.stats.aborted, probed.stats.aborted, "{name}");
+        assert_eq!(plain.stats.rounds, probed.stats.rounds, "{name}");
+    }
 }
