@@ -18,7 +18,10 @@
 //! 1. **Join**: each replica connects, sends a versioned `HELLO`, and
 //!    receives a `JOB` frame carrying the reference [`RunManifest`] (input
 //!    key + `ExecConfig`) and its thread budget. Budgets may differ per
-//!    replica — portability *is* the redundancy claim.
+//!    replica — portability *is* the redundancy claim. The join waits on
+//!    events, not a clock: the last replica's `HELLO` ends it, and if
+//!    [`LockstepConfig::join_timeout`] passes first, a watchdog wakes the
+//!    blocked `accept` with a self-connect.
 //! 2. **Stream**: replicas re-execute and send one `ROUND` frame per
 //!    barrier. One reader thread per replica turns frames into the vote's
 //!    `offer` / `done` events. A replica may run at most
@@ -61,7 +64,9 @@ pub struct LockstepConfig {
     /// Idle budget per replica: silence longer than this is a timeout
     /// death.
     pub timeout: Duration,
-    /// How long to wait for all `replicas` to join.
+    /// One budget for the whole join: every one of `replicas` must connect
+    /// and send its `HELLO` within it, however many connections stay
+    /// silent in the meantime.
     pub join_timeout: Duration,
 }
 
@@ -94,7 +99,7 @@ struct Session {
     turn: Condvar,
 }
 
-const POISONED: &str = "a lockstep reader thread panicked";
+const POISONED: &str = "a lockstep coordinator thread panicked";
 
 /// A bound coordinator, ready to accept replica joins.
 pub struct Coordinator {
@@ -138,31 +143,29 @@ impl Coordinator {
         let manifest_json = self.manifest.to_json();
 
         // ---- Join phase -------------------------------------------------
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("listener nonblocking: {e}"))?;
-        let mut streams: Vec<TcpStream> = Vec::with_capacity(n);
+        // `accept` blocks. The deadline is a watchdog: unless the last HELLO
+        // is admitted first, it wakes the blocked accept with a self-connect,
+        // the nudge the HTTP server's stop uses. Its wait ends only after the
+        // deadline, so the accept it wakes finds the deadline passed.
         let deadline = Instant::now() + self.config.join_timeout;
-        while streams.len() < n {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if let Some(stream) = self.admit(stream, streams.len() as u32, &manifest_json) {
-                        streams.push(stream);
-                    }
+        let joined = Mutex::new(false);
+        let join_over = Condvar::new();
+        let streams = std::thread::scope(|s| {
+            s.spawn(|| {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let guard = joined.lock().expect(POISONED);
+                let (_guard, wait) = join_over
+                    .wait_timeout_while(guard, left, |joined| !*joined)
+                    .expect(POISONED);
+                if wait.timed_out() {
+                    let _ = TcpStream::connect(self.addr);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() > deadline {
-                        return Err(format!(
-                            "only {} of {n} replicas joined within {:?}",
-                            streams.len(),
-                            self.config.join_timeout
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(format!("accept: {e}")),
-            }
-        }
+            });
+            let streams = self.join(deadline, &manifest_json);
+            *joined.lock().expect(POISONED) = true;
+            join_over.notify_one();
+            streams
+        })?;
         let mut inbound = Vec::with_capacity(n);
         for (i, stream) in streams.iter().enumerate() {
             inbound.push(
@@ -204,11 +207,41 @@ impl Coordinator {
         Ok(LockstepRunResult { report, exit_code })
     }
 
-    /// Handshakes one joining connection; `None` = rejected (does not
-    /// consume a replica slot).
-    fn admit(&self, mut stream: TcpStream, id: u32, manifest_json: &str) -> Option<TcpStream> {
+    /// Accepts connections until every replica has joined, or until one is
+    /// accepted past the join `deadline`.
+    fn join(&self, deadline: Instant, manifest_json: &str) -> Result<Vec<TcpStream>, String> {
+        let n = self.config.replicas;
+        let mut streams = Vec::with_capacity(n);
+        while streams.len() < n {
+            let (stream, _) = self.listener.accept().map_err(|e| format!("accept: {e}"))?;
+            if Instant::now() >= deadline {
+                return Err(format!(
+                    "only {} of {n} replicas joined within {:?}",
+                    streams.len(),
+                    self.config.join_timeout
+                ));
+            }
+            let id = streams.len() as u32;
+            if let Some(stream) = self.admit(stream, id, manifest_json, deadline) {
+                streams.push(stream);
+            }
+        }
+        Ok(streams)
+    }
+
+    /// Handshakes one joining connection, with only the time left to the
+    /// join `deadline` as the idle budget for its `HELLO`; `None` = rejected
+    /// (does not consume a replica slot).
+    fn admit(
+        &self,
+        mut stream: TcpStream,
+        id: u32,
+        manifest_json: &str,
+        deadline: Instant,
+    ) -> Option<TcpStream> {
         crate::http::prepare(&stream, crate::http::READ_TIMEOUT).ok()?;
-        match wire::read_frame(&mut stream, self.config.join_timeout) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match wire::read_frame(&mut stream, left) {
             Ok(Frame::Hello { version }) if version == WIRE_VERSION => {
                 let job = Frame::Job {
                     replica: id,
