@@ -23,8 +23,7 @@
 #![forbid(unsafe_code)]
 
 use galois_core::manifest::{
-    LockstepEventKind, LockstepReport, ManifestError, ManifestRecorder, ReplayDivergence,
-    RunManifest, ScheduleKind,
+    ManifestError, ManifestRecorder, ReplayDivergence, RunManifest, ScheduleKind,
 };
 use galois_core::{ExecError, Executor, RoundLog, RoundRecord};
 use galois_graph::cache::CacheOutcome;
@@ -32,7 +31,6 @@ use galois_runtime::fingerprint::{run_fingerprint, RoundChain};
 use galois_runtime::stats::ExecStats;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
 
 pub mod lockstep;
 pub mod resident;
@@ -44,7 +42,6 @@ pub use galois_apps as apps;
 /// in, with their run recipes ([`galois_apps::recipe`]).
 pub use galois_apps::recipe::{App, Variant};
 pub use galois_graph::cache::CacheOutcome as InputCacheOutcome;
-use lockstep::{Lockstep, Offer};
 pub use resident::{
     load_input, run_resident, InputStore, Residency, ResidentInput, ResidentRun, StoreSnapshot,
 };
@@ -403,10 +400,9 @@ pub type RoundSink = Box<dyn FnMut(u64, u64) + Send>;
 /// and run. Returns the validated outcome and the recorder's verdict
 /// against the manifest (`None` = reproduced bit for bit).
 ///
-/// [`replay_run`] is this plus "a divergence is an error"; lockstep
-/// replicas — threads under [`run_lockstep`], processes under
-/// `galois_serve::lockstep::run_replica` — are this with a sink feeding the
-/// vote, which renders its own verdict.
+/// [`replay_run`] is this plus "a divergence is an error"; a lockstep
+/// replica (`galois_serve::lockstep::JoinedReplica::stream`) is this with a
+/// sink feeding the vote, which renders its own verdict.
 pub fn replay_with(
     manifest: &RunManifest,
     threads: usize,
@@ -446,93 +442,6 @@ pub fn replay_run(
         (out, None) => Ok(out),
         (_, Some(divergence)) => Err(ReplayError::Divergence(divergence)),
     }
-}
-
-/// One replica of a lockstep replication run.
-#[derive(Debug, Clone, Copy)]
-pub struct LockstepReplica {
-    /// Worker threads this replica uses.
-    pub threads: usize,
-    /// Chaos seed override (`None` keeps the manifest's chaos config).
-    pub chaos_seed: Option<u64>,
-}
-
-/// Runs N in-process replicas of a recorded run — each a thread with its
-/// own thread count and chaos seed over the *same* manifest — through the
-/// [`lockstep::Lockstep`] vote: every replica's round-hash sink offers its
-/// hash at each barrier (waiting while it is a full window ahead of the
-/// slowest voter), and the vote's verdict is the wire coordinator's —
-/// the recording is binding, a strict minority contradicting it is evicted
-/// ([`LockstepOutcome::Diverged`](galois_core::manifest::LockstepOutcome)),
-/// half or more is a refusal (`NoQuorum`).
-///
-/// Under a healthy deterministic scheduler every replica reproduces the
-/// chain regardless of `threads`/`chaos_seed`; a schedule bug (or a
-/// perturbation planted through the [`Mutation`] seam) surfaces as a
-/// `Divergence` event at the exact round that replica's schedule parted.
-/// A replica whose run faults or fails validation leaves the vote with a
-/// `Fault` event. Replica ids are indices into `replicas`, so the report is
-/// a function of the manifest and the replica set alone (`max_buffered`
-/// excepted: how far ahead a replica got is timing). `Err` means the
-/// manifest itself cannot be replayed here.
-pub fn run_lockstep(
-    manifest: &RunManifest,
-    replicas: &[LockstepReplica],
-    mutation: Mutation,
-) -> Result<LockstepReport, ReplayError> {
-    assert!(replicas.len() >= 2, "lockstep needs at least two replicas");
-    manifest_target(manifest)?;
-    let vote = Lockstep::new(manifest, replicas.len(), lockstep::DEFAULT_WINDOW);
-    let session = Arc::new((Mutex::new(vote), Condvar::new()));
-    const POISONED: &str = "a lockstep replica panicked";
-    // After every event: settle what it allows, wake replicas waiting at
-    // the window bound. The evictions `advance` returns need no action
-    // here — an evicted replica's later offers are dropped and its thread
-    // runs out on its own.
-    std::thread::scope(|s| {
-        for (i, &replica) in replicas.iter().enumerate() {
-            let session = Arc::clone(&session);
-            s.spawn(move || {
-                let LockstepReplica {
-                    threads,
-                    chaos_seed,
-                } = replica;
-                let shape = |app, mut exec: Executor| {
-                    if let Some(seed) = chaos_seed {
-                        exec = exec.chaos(seed);
-                    }
-                    mutation(app, Variant::Deterministic, threads, chaos_seed, exec)
-                };
-                let sink = {
-                    let session = Arc::clone(&session);
-                    move |seq, hash| {
-                        let (vote, turn) = &*session;
-                        let mut vote = vote.lock().expect(POISONED);
-                        while vote.offer(i, seq, hash) == Offer::Full {
-                            vote = turn.wait(vote).expect(POISONED);
-                        }
-                        vote.advance();
-                        turn.notify_all();
-                    }
-                };
-                let result = replay_with(manifest, threads, None, shape, Some(Box::new(sink)));
-                let (vote, turn) = &*session;
-                let mut vote = vote.lock().expect(POISONED);
-                match result {
-                    Ok((out, _)) => vote.done(i, out.rounds, out.output_hash, out.fingerprint),
-                    Err(e) => vote.lost(
-                        i,
-                        LockstepEventKind::Fault,
-                        format!("replica {i} faulted: {e}"),
-                    ),
-                }
-                vote.advance();
-                turn.notify_all();
-            });
-        }
-    });
-    let vote = session.0.lock().expect(POISONED);
-    Ok(vote.report())
 }
 
 /// One differential sweep's shape.

@@ -8,9 +8,10 @@
 //! perform, and [`report`](Lockstep::report) renders the session. Nothing
 //! here touches a socket, a clock, a lock or a thread: blocking a replica
 //! that hit the window bound, and turning silence into a `lost` event, are
-//! the drivers' jobs. Two drivers exist — [`crate::run_lockstep`] (replica
-//! threads in this process) and `galois_serve::lockstep::Coordinator`
-//! (replica processes over TCP) — and a simulated network can be a third.
+//! the driver's job. One driver exists, `galois_serve::lockstep::Coordinator`
+//! (replicas over TCP, whether processes or threads of one process); a
+//! simulated network can be a second, and the enumeration in
+//! `tests/lockstep_interleavings.rs` is one in miniature.
 //!
 //! The rules, in the order [`advance`](Lockstep::advance) applies them at
 //! the frontier round:

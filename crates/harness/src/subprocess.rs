@@ -1,12 +1,11 @@
 //! Real-subprocess orchestration helpers for distributed tests.
 //!
 //! The distributed lockstep battery proves cross-*process* properties —
-//! replica death is a SIGKILL, divergence is a different executable run —
-//! so its replicas must be real `galois` child processes, not in-process
-//! threads. This module locates (building on demand if necessary) the
-//! workspace's `galois` binary and spawns replica children with the
-//! standard flag surface, so every test spells process orchestration the
-//! same way.
+//! divergence is a different executable run, the exit codes cross the
+//! process boundary — so those replicas are real `galois` child processes.
+//! This module locates (building on demand if necessary) the workspace's
+//! `galois` binary and spawns replica children with the standard flag
+//! surface, so every test spells process orchestration the same way.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -24,10 +23,6 @@ pub struct ReplicaSpec {
     /// schedule perturbation that *deterministically* diverges from the
     /// reference chain at a reproducible first round.
     pub perturb_spread: usize,
-    /// When non-zero, sleeps this many milliseconds in the round-hash hook
-    /// — a slow replica for window-bound tests. Timing is hash-invariant,
-    /// so throttling never changes the result, only its arrival.
-    pub throttle_ms: u64,
 }
 
 /// Locates the workspace's release-or-debug `galois` binary, building it
@@ -78,8 +73,7 @@ fn profile_dir_of(exe: &Path) -> PathBuf {
 
 /// Spawns one `galois replicate --join addr` child per `spec`. Stdout and
 /// stderr are piped (a replica's chatter must not interleave with the test
-/// harness's); the caller owns the [`Child`] — `kill()` is the battery's
-/// SIGKILL injection point on Unix.
+/// harness's); the caller owns the [`Child`] and reaps it.
 pub fn spawn_replica(bin: &Path, addr: &str, spec: &ReplicaSpec) -> std::io::Result<Child> {
     let mut cmd = Command::new(bin);
     cmd.arg("replicate").args(["--join", addr]);
@@ -88,9 +82,6 @@ pub fn spawn_replica(bin: &Path, addr: &str, spec: &ReplicaSpec) -> std::io::Res
     }
     if spec.perturb_spread != 0 {
         cmd.args(["--perturb-spread", &spec.perturb_spread.to_string()]);
-    }
-    if spec.throttle_ms != 0 {
-        cmd.args(["--throttle-ms", &spec.throttle_ms.to_string()]);
     }
     cmd.stdin(Stdio::null())
         .stdout(Stdio::piped())

@@ -1,27 +1,33 @@
 //! Cross-process divergence-and-failover battery for distributed lockstep
 //! replication (`galois_serve::lockstep`).
 //!
-//! Every scenario here runs *real* `galois replicate` subprocesses against
-//! a coordinator — either an in-process [`Coordinator`] (so the test can
-//! kill children mid-run and inspect the report object directly) or the
-//! `galois lockstep --spawn` CLI (so the exit-code contract is proven at
-//! the process boundary):
+//! Replicas here are *real* `galois replicate` subprocesses, run against
+//! an in-process [`Coordinator`] (so the test inspects the report object
+//! directly) or through the `galois lockstep --spawn` CLI (so the
+//! exit-code contract is proven at the process boundary), and scripted
+//! wire peers: test-owned sockets that speak the frames of
+//! `galois_serve::wire` in an order the test fixes. No scenario waits on a
+//! clock:
 //!
 //! - clean N-process agreement is byte-identical to a local run at mixed
 //!   thread budgets;
 //! - a perturbed replica is caught at an exact first divergent round,
 //!   stable across repeats;
-//! - a SIGKILL'd replica degrades the session to the remaining quorum,
-//!   whose result still matches the serial oracle;
+//! - a replica whose connection closes mid-stream (all a SIGKILL shows the
+//!   coordinator) degrades the session to the remaining quorum, whose
+//!   result still matches the serial oracle;
 //! - a doctored *majority* makes the coordinator refuse (exit 14) rather
 //!   than vote against the recording;
-//! - a slow replica cannot balloon coordinator memory past the window.
+//! - a silent replica cannot balloon coordinator memory past the window.
 
 use galois_core::manifest::{LockstepEventKind, LockstepOutcome, LockstepReport};
 use galois_core::RunManifest;
 use galois_harness::subprocess::{galois_bin, spawn_replica, ReplicaSpec};
 use galois_harness::{record_run, run_app, unperturbed, App, InputConfig, Variant};
 use galois_serve::lockstep::{Coordinator, LockstepConfig, EXIT_DIVERGENCE, EXIT_NO_QUORUM};
+use galois_serve::wire::{self, Frame, WIRE_VERSION};
+use std::net::{SocketAddr, TcpStream};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::time::Duration;
@@ -54,39 +60,97 @@ fn persist_report(name: &str, report: &LockstepReport) {
         .ok();
 }
 
-/// Binds an in-process coordinator, spawns `specs.len()` real replica
-/// subprocesses against it, and runs the session to completion. Children
-/// are killed/reaped on every path.
-fn run_session(
-    manifest: RunManifest,
-    config: LockstepConfig,
-    specs: &[ReplicaSpec],
-    kill_after: Option<(usize, Duration)>,
-) -> galois_serve::lockstep::LockstepRunResult {
-    let coordinator = Coordinator::bind(manifest, config, "127.0.0.1:0").expect("bind");
-    let addr = coordinator.addr().to_string();
-    let bin = galois_bin();
-    let mut children: Vec<Child> = specs
+/// Spawns one real replica subprocess per spec against `addr`.
+fn spawn_replicas(addr: SocketAddr, specs: &[ReplicaSpec]) -> Vec<Child> {
+    let (bin, addr) = (galois_bin(), addr.to_string());
+    specs
         .iter()
         .map(|spec| spawn_replica(&bin, &addr, spec).expect("spawn replica"))
-        .collect();
-    let killer = kill_after.map(|(victim, delay)| {
-        let mut child = children.remove(victim);
-        std::thread::spawn(move || {
-            std::thread::sleep(delay);
-            child.kill().expect("kill replica");
-            child.wait().expect("reap killed replica");
-        })
-    });
-    let result = coordinator.run();
+        .collect()
+}
+
+/// Kills what is left of `children` and reaps them.
+fn reap(children: Vec<Child>) {
     for mut child in children {
         let _ = child.kill();
         let _ = child.wait();
     }
-    if let Some(killer) = killer {
-        killer.join().expect("killer thread");
-    }
+}
+
+/// Binds an in-process coordinator, spawns `specs.len()` real replica
+/// subprocesses against it, and runs the session to completion. Children
+/// are reaped on every path.
+fn run_session(
+    manifest: RunManifest,
+    config: LockstepConfig,
+    specs: &[ReplicaSpec],
+) -> galois_serve::lockstep::LockstepRunResult {
+    let coordinator = Coordinator::bind(manifest, config, "127.0.0.1:0").expect("bind");
+    let children = spawn_replicas(coordinator.addr(), specs);
+    let result = coordinator.run();
+    reap(children);
     result.expect("coordinator run")
+}
+
+/// A scripted wire peer: a test-owned socket that has sent its `HELLO` and
+/// read its `JOB`, and sends the recording's own frames when the test says.
+struct Peer {
+    stream: TcpStream,
+    id: u64,
+}
+
+impl Peer {
+    /// Joins the coordinator at `addr`; on return it has admitted this peer
+    /// under `id`.
+    fn join(addr: SocketAddr) -> Peer {
+        let mut stream = TcpStream::connect(addr).expect("peer connects");
+        stream
+            .set_read_timeout(Some(galois_serve::http::READ_TIMEOUT))
+            .unwrap();
+        let hello = Frame::Hello {
+            version: WIRE_VERSION,
+        };
+        wire::write_frame(&mut stream, &hello).expect("HELLO");
+        match wire::read_frame(&mut stream, Duration::from_secs(60)) {
+            Ok(Frame::Job { replica, .. }) => Peer {
+                stream,
+                id: replica as u64,
+            },
+            other => panic!("expected JOB, got {other:?}"),
+        }
+    }
+
+    /// Sends the recorded hashes of `rounds` as `ROUND` frames.
+    fn rounds(&mut self, manifest: &RunManifest, rounds: Range<usize>) {
+        for seq in rounds {
+            let hash = manifest.round_hashes[seq];
+            let round = Frame::Round {
+                seq: seq as u64,
+                hash,
+            };
+            wire::write_frame(&mut self.stream, &round).expect("ROUND");
+        }
+    }
+
+    /// Sends the whole recorded chain, then a `DONE` carrying the
+    /// recording's result.
+    fn replay(&mut self, manifest: &RunManifest, output_hash: u64) {
+        self.rounds(manifest, 0..manifest.round_hashes.len());
+        let done = Frame::Done {
+            rounds: manifest.round_hashes.len() as u64,
+            output_hash,
+            fingerprint: manifest.final_fingerprint,
+        };
+        wire::write_frame(&mut self.stream, &done).expect("DONE");
+    }
+}
+
+/// The serial oracle's output hash for the battery's workload.
+fn oracle_output_hash() -> u64 {
+    let input = InputConfig::from_seed(42);
+    let (oracle, _) =
+        run_app(App::Bfs, Variant::Serial, 1, None, &input, &unperturbed).expect("oracle");
+    oracle.output_hash
 }
 
 /// Runs the `galois lockstep --spawn` CLI against `manifest_path` and
@@ -147,7 +211,6 @@ fn clean_agreement_is_byte_identical_to_local_run_at_mixed_budgets() {
                 ..LockstepConfig::default()
             },
             &specs,
-            None,
         );
         persist_report(&format!("clean-{replicas}"), &result.report);
         assert_eq!(result.exit_code, 0, "events: {:?}", result.report.events);
@@ -236,35 +299,37 @@ fn planted_divergence_is_pinned_to_a_stable_first_round() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// SIGKILL one of three replicas mid-stream: the session degrades to the
+/// One of three replicas dies mid-stream: the session degrades to the
 /// remaining quorum with a structured death event, and the survivors'
-/// result still matches the serial oracle.
+/// result still matches the serial oracle. The dying replica is a scripted
+/// peer that joins first, sends the first half of the recorded rounds and
+/// closes its socket — all a SIGKILL shows the coordinator — so the death
+/// lands mid-stream by construction, not by a timer.
 #[test]
 fn killed_replica_degrades_to_quorum_matching_serial_oracle() {
     let manifest = record_bfs();
-    let input = InputConfig::from_seed(42);
-    let (oracle, _) =
-        run_app(App::Bfs, Variant::Serial, 1, None, &input, &unperturbed).expect("oracle");
-
-    // Replica 2 is throttled so the kill reliably lands while it is still
-    // streaming rounds; 0 and 1 finish at full speed.
-    let specs = [
-        ReplicaSpec::default(),
-        ReplicaSpec::default(),
-        ReplicaSpec {
-            throttle_ms: 100,
-            ..ReplicaSpec::default()
-        },
-    ];
-    let result = run_session(
+    let oracle = oracle_output_hash();
+    let coordinator = Coordinator::bind(
         manifest.clone(),
         LockstepConfig {
             replicas: 3,
             ..LockstepConfig::default()
         },
-        &specs,
-        Some((2, Duration::from_millis(1500))),
-    );
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let addr = coordinator.addr();
+    let (result, dead_peer) = std::thread::scope(|s| {
+        let session = s.spawn(move || coordinator.run());
+        let mut peer = Peer::join(addr);
+        peer.rounds(&manifest, 0..manifest.round_hashes.len() / 2);
+        let dead_peer = peer.id;
+        drop(peer);
+        let children = spawn_replicas(addr, &[ReplicaSpec::default(), ReplicaSpec::default()]);
+        let result = session.join().expect("coordinator thread");
+        reap(children);
+        (result.expect("coordinator run"), dead_peer)
+    });
     persist_report("killed", &result.report);
     assert_eq!(result.exit_code, 0, "events: {:?}", result.report.events);
     assert_eq!(result.report.outcome, LockstepOutcome::Agreed);
@@ -272,8 +337,9 @@ fn killed_replica_degrades_to_quorum_matching_serial_oracle() {
     let deaths = result.report.events_of(LockstepEventKind::Death);
     assert_eq!(deaths.len(), 1, "{:?}", result.report.events);
     let dead = deaths[0].replica.expect("death names a replica");
+    assert_eq!(dead, dead_peer);
     assert!(!result.report.survivors.contains(&dead));
-    assert_eq!(result.report.output_hash, oracle.output_hash);
+    assert_eq!(result.report.output_hash, oracle);
     assert_eq!(result.report.final_fingerprint, manifest.final_fingerprint);
 }
 
@@ -308,35 +374,42 @@ fn doctored_majority_is_refused_not_voted() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A slow replica back-pressures the fast ones instead of growing the
-/// coordinator's buffers: no pending queue ever exceeds the window.
+/// A slow replica back-pressures a fast one instead of growing the
+/// coordinator's buffers: no pending queue ever exceeds the window. Two
+/// scripted peers make the order exact: one stays silent while the other
+/// writes its whole chain and `DONE`, which the coordinator may take only
+/// `window` rounds of; only then does the silent peer send its frames.
 #[test]
 fn slow_replica_is_window_bounded() {
     let manifest = record_bfs();
-    let specs = [
-        ReplicaSpec::default(),
-        ReplicaSpec::default(),
-        ReplicaSpec {
-            throttle_ms: 10,
-            ..ReplicaSpec::default()
-        },
-    ];
-    let result = run_session(
+    let output_hash = oracle_output_hash();
+    let window = 2;
+    let coordinator = Coordinator::bind(
         manifest.clone(),
         LockstepConfig {
-            replicas: 3,
-            window: 4,
+            replicas: 2,
+            window,
             ..LockstepConfig::default()
         },
-        &specs,
-        None,
-    );
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let addr = coordinator.addr();
+    let result = std::thread::scope(|s| {
+        let session = s.spawn(move || coordinator.run());
+        let mut slow = Peer::join(addr);
+        let mut fast = Peer::join(addr);
+        fast.replay(&manifest, output_hash);
+        slow.replay(&manifest, output_hash);
+        session.join().expect("coordinator thread")
+    })
+    .expect("coordinator run");
     persist_report("windowed", &result.report);
     assert_eq!(result.exit_code, 0, "events: {:?}", result.report.events);
     assert_eq!(result.report.outcome, LockstepOutcome::Agreed);
-    assert_eq!(result.report.window, 4);
+    assert_eq!(result.report.window, window as u64);
     assert!(
-        result.report.max_buffered <= 4,
+        result.report.max_buffered <= window as u64,
         "buffered {} hashes past the window",
         result.report.max_buffered
     );

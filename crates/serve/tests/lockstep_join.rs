@@ -1,12 +1,14 @@
 //! The coordinator's join waits on connections, not on a clock: the last
-//! replica's `HELLO` ends it at once, and `join_timeout` is one budget for
-//! the whole join, however many connections stay silent. Each outcome here
-//! is a function of who connects and in what order.
+//! replica's `HELLO` ends it at once, a silent connection holds up no
+//! replica queued behind it, and `join_timeout` is one budget for the whole
+//! join, however many connections stay silent. Each outcome here is a
+//! function of who connects and in what order.
 
 use galois_core::manifest::LockstepOutcome;
 use galois_core::RunManifest;
 use galois_harness::{record_run, App, InputConfig};
 use galois_serve::lockstep::{run_replica, Coordinator, LockstepConfig, ReplicaOptions};
+use std::io::Read;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -118,4 +120,29 @@ fn silent_connections_share_one_join_deadline() {
         elapsed < 2 * join_timeout,
         "join took {elapsed:?}, past a second {join_timeout:?}"
     );
+}
+
+#[test]
+fn a_silent_connection_does_not_hold_up_the_replica_behind_it() {
+    let config = LockstepConfig {
+        replicas: 1,
+        join_timeout: Duration::from_secs(2),
+        ..LockstepConfig::default()
+    };
+    let coordinator = Coordinator::bind(recording(), config, "127.0.0.1:0").expect("bind");
+    let addr = coordinator.addr().to_string();
+    // Connected before the replica starts, so it is first in the backlog and
+    // the replica second.
+    let mut silent = TcpStream::connect(&addr).expect("silent connect");
+    let result = std::thread::scope(|s| {
+        s.spawn(|| replica(&addr));
+        coordinator.run().expect("wire session")
+    });
+    assert_eq!(result.report.outcome, LockstepOutcome::Agreed);
+    assert_eq!(result.report.survivors, [0]);
+    // The join's end shut the silent connection down: it reads end of file.
+    silent
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    assert_eq!(silent.read(&mut [0; 1]).expect("shut down, not silent"), 0);
 }

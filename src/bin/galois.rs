@@ -14,8 +14,8 @@
 //! galois serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR]
 //! galois lockstep FILE --replicas N [--spawn] [--window W] [--threads T1,T2[,..]]
 //!        [--timeout-ms T] [--addr HOST:PORT] [--report FILE] [--emit-manifest FILE]
-//!        [--perturb i:SPREAD] [--throttle i:MS]
-//! galois replicate --join ADDR [--threads N] [--perturb-spread N] [--throttle-ms MS]
+//!        [--perturb i:SPREAD]
+//! galois replicate --join ADDR [--threads N] [--perturb-spread N]
 //!
 //! apps: bfs, mis, mm, dt, dmr, pfp
 //! ```
@@ -64,12 +64,13 @@
 //! replay FILE` re-executes the manifest — at `--threads N`, which may
 //! differ from the recording — and verifies every round hash; the first
 //! divergent round is reported with exit code 13. `--lockstep T1,T2[,..]`
-//! instead runs N in-process replicas at the given thread counts
-//! (optionally with per-replica `--lockstep-chaos` seeds) through the same
-//! vote `galois lockstep` runs over the wire: every barrier's hash is
-//! checked against the recording, a strict minority contradicting it is
-//! evicted at its first divergent round (exit 13), half or more is a
-//! refusal (exit 14).
+//! instead runs one lockstep session in this process: the coordinator
+//! `galois lockstep` runs, bound to a loopback port, and one replica thread
+//! per listed thread count (optionally with per-replica `--lockstep-chaos`
+//! seeds, at most one per replica), joined in list order so replica `i` is
+//! the `i`-th entry. Every barrier's hash is checked against the
+//! recording, a strict minority contradicting it is evicted at its first
+//! divergent round (exit 13), half or more is a refusal (exit 14).
 //!
 //! `galois serve` starts the resident compute service (`galois-serve`): a
 //! blocking HTTP/1.1+JSON server that keeps inputs warm across requests,
@@ -117,10 +118,8 @@ fn usage() -> ! {
          galois serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR]\n       \
          galois lockstep FILE --replicas N [--spawn] [--window W] \
          [--threads T1,T2[,..]] [--timeout-ms T] [--addr HOST:PORT] \
-         [--report FILE] [--emit-manifest FILE] [--perturb i:SPREAD] \
-         [--throttle i:MS]\n       \
-         galois replicate --join ADDR [--threads N] [--perturb-spread N] \
-         [--throttle-ms MS]"
+         [--report FILE] [--emit-manifest FILE] [--perturb i:SPREAD]\n       \
+         galois replicate --join ADDR [--threads N] [--perturb-spread N]"
     );
     exit(2);
 }
@@ -228,9 +227,8 @@ fn cmd_record(argv: &[String]) -> ! {
 /// hash, or cross-check N lockstep replicas.
 fn cmd_replay(argv: &[String]) -> ! {
     use deterministic_galois::core::RunManifest;
-    use deterministic_galois::harness::{
-        replay_run, run_lockstep, unperturbed, LockstepReplica, ReplayError,
-    };
+    use deterministic_galois::harness::{replay_run, ReplayError};
+    use deterministic_galois::serve::lockstep::{run_local, ReplicaOptions};
     let mut it = argv.iter().cloned();
     let Some(path) = it.next() else { usage() };
     let manifest = match RunManifest::load(path.as_ref()) {
@@ -274,16 +272,21 @@ fn cmd_replay(argv: &[String]) -> ! {
             eprintln!("--lockstep needs at least two replica thread counts");
             exit(2);
         }
-        let replicas: Vec<LockstepReplica> = replica_threads
+        if lockstep_chaos.len() > replica_threads.len() {
+            eprintln!("--lockstep-chaos lists more seeds than --lockstep has replicas");
+            exit(2);
+        }
+        let replicas: Vec<ReplicaOptions> = replica_threads
             .iter()
             .enumerate()
-            .map(|(i, &t)| LockstepReplica {
-                threads: t,
+            .map(|(i, &t)| ReplicaOptions {
+                threads: Some(t),
                 chaos_seed: lockstep_chaos.get(i).copied(),
+                ..ReplicaOptions::default()
             })
             .collect();
-        match run_lockstep(&manifest, &replicas, &unperturbed) {
-            Ok(report) => exit(print_lockstep_verdict(&report)),
+        match run_local(&manifest, &replicas) {
+            Ok(result) => exit(print_lockstep_verdict(&result.report)),
             Err(e) => {
                 eprintln!("lockstep failed: {e}");
                 exit(1);
@@ -362,7 +365,7 @@ fn cmd_serve(argv: &[String]) -> ! {
 /// `galois replicate --join ADDR ...` — join a lockstep coordinator, re-run
 /// its job, and stream per-round prefix hashes back over the wire.
 fn cmd_replicate(argv: &[String]) -> ! {
-    use deterministic_galois::serve::lockstep::{run_replica, ReplicaOptions};
+    use deterministic_galois::serve::lockstep::{self, ReplicaOptions};
     let mut it = argv.iter().cloned();
     let mut join: Option<String> = None;
     let mut opts = ReplicaOptions::default();
@@ -377,9 +380,6 @@ fn cmd_replicate(argv: &[String]) -> ! {
             "--perturb-spread" => val(&mut |v| {
                 opts.perturb_spread = Some(v.parse().unwrap_or_else(|_| usage()));
             }),
-            "--throttle-ms" => {
-                val(&mut |v| opts.throttle_ms = v.parse().unwrap_or_else(|_| usage()))
-            }
             _ => usage(),
         }
     }
@@ -387,8 +387,17 @@ fn cmd_replicate(argv: &[String]) -> ! {
         eprintln!("replicate requires --join ADDR");
         usage();
     };
-    match run_replica(&addr, opts) {
-        Ok(code) => exit(code),
+    let session = lockstep::join(&addr).and_then(|replica| {
+        let id = replica.id;
+        replica.stream(opts).map(|end| (id, end))
+    });
+    match session {
+        Ok((id, end)) => {
+            if let Some((round, reason)) = end.evicted {
+                eprintln!("replica {id}: evicted at round {round}: {reason}");
+            }
+            exit(end.exit_code)
+        }
         Err(e) => {
             eprintln!("replicate failed: {e}");
             exit(1);
@@ -417,10 +426,9 @@ fn cmd_lockstep(argv: &[String]) -> ! {
     let mut addr = "127.0.0.1:0".to_string();
     let mut report_path: Option<PathBuf> = None;
     let mut emit_manifest: Option<PathBuf> = None;
-    // Per-replica-index overrides, "i:VALUE" pairs.
+    // Per-replica-index overrides, "i:SPREAD" pairs.
     let mut perturb: Vec<(usize, usize)> = Vec::new();
-    let mut throttle: Vec<(usize, u64)> = Vec::new();
-    let parse_pair = |v: &str| -> Option<(usize, u64)> {
+    let parse_pair = |v: &str| -> Option<(usize, usize)> {
         let (i, x) = v.split_once(':')?;
         Some((i.trim().parse().ok()?, x.trim().parse().ok()?))
     };
@@ -449,13 +457,7 @@ fn cmd_lockstep(argv: &[String]) -> ! {
                 let Some((i, s)) = parse_pair(&v) else {
                     usage()
                 };
-                perturb.push((i, s as usize));
-            }),
-            "--throttle" => val(&mut |v| {
-                let Some((i, ms)) = parse_pair(&v) else {
-                    usage()
-                };
-                throttle.push((i, ms));
+                perturb.push((i, s));
             }),
             _ => usage(),
         }
@@ -488,9 +490,6 @@ fn cmd_lockstep(argv: &[String]) -> ! {
             cmd.arg("replicate").arg("--join").arg(bound.to_string());
             if let Some(&(_, s)) = perturb.iter().find(|&&(j, _)| j == i) {
                 cmd.arg("--perturb-spread").arg(s.to_string());
-            }
-            if let Some(&(_, ms)) = throttle.iter().find(|&&(j, _)| j == i) {
-                cmd.arg("--throttle-ms").arg(ms.to_string());
             }
             cmd.stdin(Stdio::null());
             match cmd.spawn() {

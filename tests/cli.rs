@@ -209,3 +209,31 @@ fn oversize_inputs_are_refused_with_exit_2() {
     }
     assert!(!manifest.exists(), "a refused recording wrote a manifest");
 }
+
+/// `galois replay --lockstep` runs a lockstep session in this process
+/// through the loopback coordinator; a chaos seed list longer than the
+/// replica list is refused before anything runs.
+#[test]
+fn replay_lockstep_runs_the_coordinator_and_checks_its_seed_list() {
+    let manifest =
+        std::env::temp_dir().join(format!("galois-cli-lockstep-{}.json", std::process::id()));
+    let path = manifest.to_str().expect("utf-8 temp path");
+    galois(&["record", "bfs", "--threads", "1", "--out", path]);
+    let stdout = galois(&["replay", path, "--lockstep", "2,4", "--lockstep-chaos", "7"]);
+    assert!(
+        stdout.starts_with("lockstep ok: 2 replicas agreed on all "),
+        "{stdout}"
+    );
+    refused(
+        &[
+            "replay",
+            path,
+            "--lockstep",
+            "2,4",
+            "--lockstep-chaos",
+            "7,8,9",
+        ],
+        "--lockstep-chaos lists more seeds than --lockstep has replicas",
+    );
+    std::fs::remove_file(&manifest).ok();
+}

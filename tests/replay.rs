@@ -4,10 +4,10 @@
 //! at any thread count — is what makes a recorded run a *contract*: a
 //! [`RunManifest`] captured once must replay byte-identically on any
 //! machine shape. These tests record at one thread count, replay across
-//! `{2, 5, 8, 16}`, run in-process lockstep sessions (clean agreement, a
-//! planted schedule perturbation evicted at its exact first divergent
-//! round, a half-contradicted vote refused), and reject corrupted manifest
-//! files.
+//! `{2, 5, 8, 16}`, run lockstep sessions in this process through the
+//! loopback coordinator (clean agreement, a planted schedule perturbation
+//! evicted at its exact first divergent round, a half-contradicted vote
+//! refused), and reject corrupted manifest files.
 //!
 //! [`RunManifest`]: deterministic_galois::core::RunManifest
 
@@ -17,10 +17,10 @@ use deterministic_galois::core::{
 };
 use deterministic_galois::graph::gen;
 use deterministic_galois::harness::{
-    record_run, replay_run, replay_with, run_lockstep, App, InputConfig, LockstepReplica,
-    ReplayError, Variant,
+    record_run, replay_run, replay_with, App, InputConfig, ReplayError,
 };
 use deterministic_galois::runtime::fingerprint::Fnv64;
+use deterministic_galois::serve::lockstep::{run_local, ReplicaOptions};
 
 fn record_default(app: App) -> RunManifest {
     record_run(app, 1, None, &InputConfig::default()).expect("recording must succeed")
@@ -111,34 +111,32 @@ fn zero_round_pfp_run_records_and_replays() {
     }
 }
 
-fn replica(threads: usize, chaos_seed: Option<u64>) -> LockstepReplica {
-    LockstepReplica {
-        threads,
+fn replica(threads: usize, chaos_seed: Option<u64>) -> ReplicaOptions {
+    ReplicaOptions {
+        threads: Some(threads),
         chaos_seed,
+        ..ReplicaOptions::default()
     }
 }
 
-/// The planted divergence: the replica running at `PERTURBED_THREADS` uses
-/// locality spread 7, which deals the task sequence differently, so its
-/// schedule legally parts from the recording at a deterministic round.
+/// The planted divergence: a replica at locality spread 7 deals the task
+/// sequence differently, so its schedule legally parts from the recording
+/// at a deterministic round.
+const PERTURBED_SPREAD: usize = 7;
 const PERTURBED_THREADS: usize = 4;
 
-fn perturb(_: App, _: Variant, threads: usize, _: Option<u64>, exec: Executor) -> Executor {
-    if threads == PERTURBED_THREADS {
-        exec.schedule(Schedule::Deterministic(DetOptions {
-            locality_spread: 7,
-            ..Default::default()
-        }))
-    } else {
-        exec
+fn perturbed() -> ReplicaOptions {
+    ReplicaOptions {
+        perturb_spread: Some(PERTURBED_SPREAD),
+        ..replica(PERTURBED_THREADS, None)
     }
 }
 
 /// Runs the session twice: an in-process report is a function of the
-/// manifest and the replica set, except for how far ahead a replica got.
-fn lockstep_twice(manifest: &RunManifest, replicas: &[LockstepReplica]) -> LockstepReport {
+/// manifest and the replica list, except for how far ahead a replica got.
+fn lockstep_twice(manifest: &RunManifest, replicas: &[ReplicaOptions]) -> LockstepReport {
     let run = || {
-        let mut report = run_lockstep(manifest, replicas, &perturb).unwrap();
+        let mut report = run_local(manifest, replicas).unwrap().report;
         assert!(report.max_buffered <= report.window);
         report.max_buffered = 0;
         report
@@ -168,21 +166,16 @@ fn lockstep_replicas_agree_on_clean_runs() {
 #[test]
 fn lockstep_evicts_the_minority_at_its_first_divergent_round() {
     let manifest = record_default(App::Bfs);
-    let (_, solo) = replay_with(
-        &manifest,
-        PERTURBED_THREADS,
-        None,
-        |app, exec| perturb(app, Variant::Deterministic, PERTURBED_THREADS, None, exec),
-        None,
-    )
-    .unwrap();
+    let spread = |_, exec: Executor| {
+        exec.schedule(Schedule::Deterministic(DetOptions {
+            locality_spread: PERTURBED_SPREAD,
+            ..Default::default()
+        }))
+    };
+    let (_, solo) = replay_with(&manifest, PERTURBED_THREADS, None, spread, None).unwrap();
     let solo = solo.expect("the perturbed schedule must diverge from the recording");
 
-    let replicas = [
-        replica(2, None),
-        replica(PERTURBED_THREADS, None),
-        replica(1, None),
-    ];
+    let replicas = [replica(2, None), perturbed(), replica(1, None)];
     let report = lockstep_twice(&manifest, &replicas);
     assert_eq!(report.outcome, LockstepOutcome::Diverged);
     assert_eq!(report.survivors, [0, 2]);
@@ -203,7 +196,7 @@ fn lockstep_evicts_the_minority_at_its_first_divergent_round() {
 #[test]
 fn lockstep_refuses_when_half_the_replicas_contradict_the_recording() {
     let manifest = record_default(App::Bfs);
-    let replicas = [replica(2, None), replica(PERTURBED_THREADS, None)];
+    let replicas = [replica(2, None), perturbed()];
     let report = lockstep_twice(&manifest, &replicas);
     assert_eq!(report.outcome, LockstepOutcome::NoQuorum);
     assert!(report.survivors.is_empty());
